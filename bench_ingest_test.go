@@ -15,6 +15,7 @@ import (
 	"reactivespec/internal/core"
 	"reactivespec/internal/server"
 	"reactivespec/internal/trace"
+	"reactivespec/internal/workload"
 )
 
 // benchBurstyEvents generates the loop-dominated stream real traces look
@@ -108,6 +109,79 @@ func BenchmarkTableApplyBatchKind(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(evs)), "events/op")
+}
+
+// BenchmarkTableApplyFrameFleet is ApplyFrame on a table too large to stay
+// in cache: the suite's 12 benchmarks × eval/profile inputs × 4 kinds, each
+// stream cut into 1024-event workload frames applied round-robin over the
+// streams, into a 16-shard table like the daemon's. The table is filled by
+// one pass over every frame before timing, so the timed loop touches
+// ~6·10⁴ existing entries and creates none. The small tables of
+// BenchmarkTableApply* stay cache-resident and hide per-entry memory costs.
+func BenchmarkTableApplyFrameFleet(b *testing.B) {
+	const (
+		frameEvents  = 1024
+		streamFrames = 16
+	)
+	type fleetFrame struct {
+		program string
+		kind    trace.Kind
+		payload []byte
+	}
+	var (
+		frames []fleetFrame // stream-major: streamFrames per stream
+		evs    = make([]trace.Event, frameEvents*streamFrames)
+	)
+	for _, bench := range workload.Suite() {
+		for _, in := range []workload.InputID{workload.InputEval, workload.InputProfile} {
+			spec := workload.MustBuild(bench, in, workload.Options{Seed: 1})
+			for k := trace.Kind(0); k < trace.KindCount; k++ {
+				gen := workload.NewGenerator(spec)
+				if n := gen.NextBatch(evs); n != len(evs) {
+					b.Fatalf("%s.%s: workload too short (%d events)", bench, in, n)
+				}
+				for f := 0; f < streamFrames; f++ {
+					frames = append(frames, fleetFrame{program: bench + "." + in.String(), kind: k,
+						payload: trace.EncodeFrameAppend(nil, evs[f*frameEvents:(f+1)*frameEvents])})
+				}
+			}
+		}
+	}
+	streams := len(frames) / streamFrames
+	// order interleaves the streams: frame f of every stream, then f+1.
+	order := make([]int, 0, len(frames))
+	for f := 0; f < streamFrames; f++ {
+		for s := 0; s < streams; s++ {
+			order = append(order, s*streamFrames+f)
+		}
+	}
+	keys := make([]string, len(frames))
+	for i, fr := range frames {
+		keys[i] = trace.EncodeKindProgram(fr.kind, fr.program)
+	}
+
+	t := server.NewTable(core.DefaultParams().Scaled(10), 16)
+	instr := make([]uint64, len(frames)) // per-stream cursors, indexed by the stream's first frame
+	dst := make([]byte, 0, frameEvents)
+	apply := func(i int) {
+		s := i / streamFrames * streamFrames
+		dst, instr[s] = t.ApplyFrame(keys[i], frames[i].payload, instr[s], dst[:0])
+	}
+	for _, i := range order {
+		apply(i)
+	}
+	entries := 0
+	for _, m := range t.Metrics() {
+		entries += int(m.Entries)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		apply(order[n%len(order)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frameEvents), "ns/event")
+	b.ReportMetric(float64(entries), "entries")
 }
 
 // discardResponseWriter is an http.ResponseWriter that throws the response

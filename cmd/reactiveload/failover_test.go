@@ -153,11 +153,11 @@ func TestRunFailoverRejectsPrimaryTarget(t *testing.T) {
 
 func TestRunFailoverFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-addr", "http://x", "-failover-pid", "1"},                               // pid without -failover
-		{"-addr", "http://x", "-failover-after-batches", "4"},                     // threshold without -failover
-		{"-addr", "http://x", "-failover", "http://y", "-stream"},                 // stream conflict
-		{"-addr", "http://x", "-failover", "http://y", "-frames", "2"},            // frames conflict
-		{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"},  // pid without threshold
+		{"-addr", "http://x", "-failover-pid", "1"},                              // pid without -failover
+		{"-addr", "http://x", "-failover-after-batches", "4"},                    // threshold without -failover
+		{"-addr", "http://x", "-failover", "http://y", "-stream"},                // stream conflict
+		{"-addr", "http://x", "-failover", "http://y", "-frames", "2"},           // frames conflict
+		{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"}, // pid without threshold
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

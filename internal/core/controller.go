@@ -84,10 +84,10 @@ type Transition struct {
 // OptLatency instructions later, and evicted code stays live ("lame duck")
 // for OptLatency instructions until the repaired code is deployed.
 type deployment struct {
-	liveDir   bool
 	liveUntil uint64 // 0 = not live; math.MaxUint64 = live indefinitely
-	nextDir   bool
 	nextAt    uint64 // 0 = nothing pending
+	liveDir   bool
+	nextDir   bool
 }
 
 func (d *deployment) tick(instr uint64) {
@@ -124,31 +124,71 @@ func (d *deployment) undeploy(at uint64) {
 	d.nextAt = 0
 }
 
-// branch is the per-branch classifier state.
-type branch struct {
-	state State
-	dep   deployment
+// Unit is the complete state of one tracked unit (a static branch, load,
+// dependence pair, …) under any registered policy, held by value: the zero
+// Unit is an untouched unit in the Monitor state. A Rule advances it one
+// event at a time; the parameters and the aggregate Stats live with the
+// caller, so a Controller keeps a slice of Units and the serving table keeps
+// one Unit per (program, branch) entry.
+//
+// Each policy uses a subset of the fields; the others stay zero, so Export
+// yields the same BranchState whichever policy produced it.
+type Unit struct {
+	dep deployment
 
-	// Monitor-state window.
-	monSeen  uint64 // executions elapsed in the current window
-	monExecs uint64 // sampled executions
-	monTaken uint64 // sampled taken outcomes
+	// Monitor-state window. probweight counts its warmup in monSeen.
+	monSeen  uint64
+	monExecs uint64
+	monTaken uint64
 
-	// Biased-state bookkeeping.
-	direction bool
-	counter   uint32
-	cyclePos  uint64 // eviction-by-sampling cycle position
-	smpExecs  uint64
-	smpWrong  uint64
+	// Biased-state bookkeeping (counter is below, with the other narrow
+	// fields).
+	cyclePos uint64 // eviction-by-sampling cycle position
+	smpExecs uint64
+	smpWrong uint64
 
 	// Unbiased-state bookkeeping.
 	waitLeft uint64
 
 	// Lifecycle statistics.
-	execs      uint64
+	execs uint64
+
+	// est is probweight's EWMA estimate of P(outcome=true).
+	est float64
+
+	counter    uint32
 	optCount   uint32
 	evictions  uint32
+	state      State
+	direction  bool
 	everBiased bool
+}
+
+// State returns the unit's classification state.
+func (u *Unit) State() State { return u.state }
+
+// Speculating reports whether speculation is currently live for the unit
+// and, if so, its direction. Because of optimization latency, this can
+// disagree with State around transitions.
+func (u *Unit) Speculating() (dir, live bool) { return u.dep.liveDir, u.dep.live() }
+
+// observe is every policy's common prefix of one event: count the
+// execution, advance the deployment clock, and score the outcome against
+// the speculative code live at this instant.
+func (u *Unit) observe(s *Stats, outcome bool, instr uint64) Verdict {
+	u.execs++
+	s.Events++
+	u.dep.tick(instr)
+	if u.dep.liveUntil == 0 { // not live; kept inlinable
+		s.NotSpec++
+		return NotSpeculated
+	}
+	if outcome == u.dep.liveDir {
+		s.Correct++
+		return Correct
+	}
+	s.Misspec++
+	return Misspec
 }
 
 // Controller is the reactive speculation controller. It tracks every static
@@ -158,7 +198,7 @@ type branch struct {
 // Controller is not safe for concurrent use; drive it from one goroutine.
 type Controller struct {
 	params   Params
-	branches []branch
+	branches []Unit
 
 	// OnTransition, if non-nil, is invoked after every classification
 	// change. It must not call back into the controller.
@@ -212,13 +252,14 @@ func New(params Params) *Controller {
 // Params returns the controller's configuration.
 func (c *Controller) Params() Params { return c.params }
 
-func (c *Controller) branchFor(id trace.BranchID) *branch {
-	if int(id) >= len(c.branches) {
-		grown := make([]branch, int(id)+1+int(id)/2)
-		copy(grown, c.branches)
-		c.branches = grown
+// unitAt returns unit id of *units, growing the slice to hold it.
+func unitAt(units *[]Unit, id trace.BranchID) *Unit {
+	if int(id) >= len(*units) {
+		grown := make([]Unit, int(id)+1+int(id)/2)
+		copy(grown, *units)
+		*units = grown
 	}
-	return &c.branches[id]
+	return &(*units)[id]
 }
 
 // OnBranch observes one dynamic branch instance. instr is the global dynamic
@@ -227,58 +268,93 @@ func (c *Controller) branchFor(id trace.BranchID) *branch {
 // instant, which — because of optimization latency — may lag the branch's
 // classification state.
 func (c *Controller) OnBranch(id trace.BranchID, taken bool, instr uint64) Verdict {
-	b := c.branchFor(id)
-	b.execs++
-	c.stats.Events++
-
-	b.dep.tick(instr)
-	verdict := NotSpeculated
-	if b.dep.live() {
-		if taken == b.dep.liveDir {
-			verdict = Correct
-			c.stats.Correct++
-		} else {
-			verdict = Misspec
-			c.stats.Misspec++
-		}
-	} else {
-		c.stats.NotSpec++
+	u := unitAt(&c.branches, id)
+	if c.OnTransition == nil {
+		return u.stepReactive(&c.params, &c.stats, taken, instr)
 	}
-
-	switch b.state {
-	case Monitor:
-		c.onMonitor(id, b, taken, instr)
-	case Biased:
-		c.onBiased(id, b, taken, instr)
-	case Unbiased:
-		c.onUnbiased(id, b, instr)
-	case Retired:
-		// Terminal; nothing to update.
+	from := u.state
+	v := u.stepReactive(&c.params, &c.stats, taken, instr)
+	// A step makes at most one transition, and every transition changes
+	// the state, as its last effect on the fields a Transition reports.
+	if u.state != from {
+		c.OnTransition(Transition{Branch: id, From: from, To: u.state, Instr: instr, Exec: u.execs, Counter: u.counter})
 	}
-	return verdict
+	return v
 }
 
 // AddInstrs accounts dynamic instructions (the gaps between branch events).
 func (c *Controller) AddInstrs(n uint64) { c.stats.Instrs += n }
 
-func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr uint64) {
-	b.monSeen++
-	rate := uint64(c.params.MonitorSampleRate)
-	if rate < 2 || b.monSeen%rate == 0 {
-		b.monExecs++
-		if taken {
-			b.monTaken++
+// stepReactive advances the unit by one event under the paper's FSM
+// (Figure 4b). It is the only copy of that logic: Controller.OnBranch and
+// Rule.Step both run it. The per-event work of each state is written out
+// here so a step costs one call; the rare window-end classification and
+// the sampling and eviction paths are calls.
+func (u *Unit) stepReactive(p *Params, s *Stats, taken bool, instr uint64) Verdict {
+	v := u.observe(s, taken, instr)
+	switch u.state {
+	case Monitor:
+		u.monSeen++
+		rate := uint64(p.MonitorSampleRate)
+		if rate < 2 || u.monSeen%rate == 0 {
+			u.monExecs++
+			if taken {
+				u.monTaken++
+			}
 		}
+		if u.monSeen >= p.MonitorPeriod {
+			u.classify(p, s, instr)
+		}
+	case Biased:
+		// Only count outcomes once the speculative code is actually live
+		// and matches this classification (Section 3.1: counting starts
+		// after the optimization latency has elapsed).
+		if p.NoEviction || u.dep.liveUntil == 0 || u.dep.liveDir != u.direction {
+			break
+		}
+		if p.EvictBySampling {
+			u.onBiasedSampling(p, s, taken, instr)
+			break
+		}
+		if taken != u.direction {
+			next := u.counter + p.MisspecStep
+			if next > p.EvictThreshold {
+				next = p.EvictThreshold
+			}
+			u.counter = next
+		} else if u.counter >= p.CorrectStep {
+			u.counter -= p.CorrectStep
+		} else {
+			u.counter = 0
+		}
+		if u.counter >= p.EvictThreshold {
+			u.evict(p, s, instr)
+		}
+	case Unbiased:
+		if p.NoRevisit {
+			break
+		}
+		if u.waitLeft > 0 {
+			u.waitLeft--
+		}
+		if u.waitLeft == 0 {
+			u.monSeen, u.monExecs, u.monTaken = 0, 0, 0
+			u.state = Monitor
+		}
+	case Retired:
+		// Terminal; nothing to update.
 	}
-	if b.monSeen < c.params.MonitorPeriod {
-		return
-	}
-	// Window complete: classify.
-	taken64, execs := b.monTaken, b.monExecs
-	b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
+	return v
+}
+
+// classify ends a complete monitor window: select, retire, or mark the
+// unit unbiased.
+func (u *Unit) classify(p *Params, s *Stats, instr uint64) {
+	taken64, execs := u.monTaken, u.monExecs
+	u.monSeen, u.monExecs, u.monTaken = 0, 0, 0
 	if execs == 0 {
-		c.transition(id, b, Unbiased, instr)
-		b.waitLeft = c.params.WaitPeriod
+		u.state = Unbiased
+		u.waitLeft = p.WaitPeriod
 		return
 	}
 	majTaken := taken64*2 >= execs
@@ -286,112 +362,61 @@ func (c *Controller) onMonitor(id trace.BranchID, b *branch, taken bool, instr u
 	if !majTaken {
 		maj = execs - taken64
 	}
-	if float64(maj) >= c.params.SelectThreshold*float64(execs) {
-		if b.optCount >= c.params.MaxOptimizations {
+	if float64(maj) >= p.SelectThreshold*float64(execs) {
+		if u.optCount >= p.MaxOptimizations {
 			// The oscillation limit: conservatively never
 			// speculate on this branch again.
-			c.stats.Retirals++
-			c.transition(id, b, Retired, instr)
+			s.Retirals++
+			u.state = Retired
 			return
 		}
-		b.optCount++
-		b.direction = majTaken
-		b.counter = 0
-		b.cyclePos = 0
-		b.smpExecs, b.smpWrong = 0, 0
-		b.everBiased = true
-		c.stats.Selections++
-		b.dep.deploy(majTaken, instr+c.params.OptLatency)
-		c.transition(id, b, Biased, instr)
+		u.optCount++
+		u.direction = majTaken
+		u.counter = 0
+		u.cyclePos = 0
+		u.smpExecs, u.smpWrong = 0, 0
+		u.everBiased = true
+		s.Selections++
+		u.dep.deploy(majTaken, instr+p.OptLatency)
+		u.state = Biased
 		return
 	}
-	c.transition(id, b, Unbiased, instr)
-	b.waitLeft = c.params.WaitPeriod
+	u.state = Unbiased
+	u.waitLeft = p.WaitPeriod
 }
 
-func (c *Controller) onBiased(id trace.BranchID, b *branch, taken bool, instr uint64) {
-	if c.params.NoEviction {
-		return
-	}
-	// Only count outcomes once the speculative code is actually live and
-	// matches this classification (Section 3.1: counting starts after the
-	// optimization latency has elapsed).
-	if !b.dep.live() || b.dep.liveDir != b.direction {
-		return
-	}
-	if c.params.EvictBySampling {
-		c.onBiasedSampling(id, b, taken, instr)
-		return
-	}
-	if taken != b.direction {
-		next := b.counter + c.params.MisspecStep
-		if next > c.params.EvictThreshold {
-			next = c.params.EvictThreshold
-		}
-		b.counter = next
-	} else if b.counter >= c.params.CorrectStep {
-		b.counter -= c.params.CorrectStep
-	} else {
-		b.counter = 0
-	}
-	if b.counter >= c.params.EvictThreshold {
-		c.evict(id, b, instr)
-	}
-}
-
-func (c *Controller) onBiasedSampling(id trace.BranchID, b *branch, taken bool, instr uint64) {
-	if b.cyclePos < c.params.SampleLen {
-		b.smpExecs++
-		if taken != b.direction {
-			b.smpWrong++
+func (u *Unit) onBiasedSampling(p *Params, s *Stats, taken bool, instr uint64) {
+	if u.cyclePos < p.SampleLen {
+		u.smpExecs++
+		if taken != u.direction {
+			u.smpWrong++
 		}
 	}
-	b.cyclePos++
-	if b.cyclePos == c.params.SampleLen {
+	u.cyclePos++
+	if u.cyclePos == p.SampleLen {
 		// Sample complete: evaluate.
-		if b.smpExecs > 0 {
-			correct := float64(b.smpExecs-b.smpWrong) / float64(b.smpExecs)
-			if correct < c.params.EvictBias {
-				c.evict(id, b, instr)
+		if u.smpExecs > 0 {
+			correct := float64(u.smpExecs-u.smpWrong) / float64(u.smpExecs)
+			if correct < p.EvictBias {
+				u.evict(p, s, instr)
 				return
 			}
 		}
-		b.smpExecs, b.smpWrong = 0, 0
+		u.smpExecs, u.smpWrong = 0, 0
 	}
-	if b.cyclePos >= c.params.SamplePeriod {
-		b.cyclePos = 0
+	if u.cyclePos >= p.SamplePeriod {
+		u.cyclePos = 0
 	}
 }
 
-func (c *Controller) evict(id trace.BranchID, b *branch, instr uint64) {
-	b.evictions++
-	c.stats.Evictions++
+func (u *Unit) evict(p *Params, s *Stats, instr uint64) {
+	u.evictions++
+	s.Evictions++
 	// The stale speculative code remains deployed until the repaired
 	// fragment is ready; its outcomes keep being counted.
-	b.dep.undeploy(instr + c.params.OptLatency)
-	b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
-	c.transition(id, b, Monitor, instr)
-}
-
-func (c *Controller) onUnbiased(id trace.BranchID, b *branch, instr uint64) {
-	if c.params.NoRevisit {
-		return
-	}
-	if b.waitLeft > 0 {
-		b.waitLeft--
-	}
-	if b.waitLeft == 0 {
-		b.monSeen, b.monExecs, b.monTaken = 0, 0, 0
-		c.transition(id, b, Monitor, instr)
-	}
-}
-
-func (c *Controller) transition(id trace.BranchID, b *branch, to State, instr uint64) {
-	from := b.state
-	b.state = to
-	if c.OnTransition != nil {
-		c.OnTransition(Transition{Branch: id, From: from, To: to, Instr: instr, Exec: b.execs, Counter: b.counter})
-	}
+	u.dep.undeploy(instr + p.OptLatency)
+	u.monSeen, u.monExecs, u.monTaken = 0, 0, 0
+	u.state = Monitor
 }
 
 // Stats returns the aggregate counters so far.
@@ -413,8 +438,7 @@ func (c *Controller) Speculating(id trace.BranchID) (dir, live bool) {
 	if int(id) >= len(c.branches) {
 		return false, false
 	}
-	b := &c.branches[id]
-	return b.dep.liveDir, b.dep.live()
+	return c.branches[id].Speculating()
 }
 
 // StaticCounts summarizes per-branch lifecycle statistics: how many static
@@ -423,18 +447,18 @@ func (c *Controller) Speculating(id trace.BranchID) (dir, live bool) {
 // (the Table 3 static columns).
 func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired int) {
 	for i := range c.branches {
-		b := &c.branches[i]
-		if b.execs == 0 {
+		u := &c.branches[i]
+		if u.execs == 0 {
 			continue
 		}
 		touched++
-		if b.everBiased {
+		if u.everBiased {
 			everBiased++
 		}
-		if b.evictions > 0 {
+		if u.evictions > 0 {
 			everEvicted++
 		}
-		if b.state == Retired {
+		if u.state == Retired {
 			retired++
 		}
 	}

@@ -2,45 +2,6 @@ package core
 
 import "fmt"
 
-// Policy is one speculation-control policy driving a single tracked unit (a
-// static branch, load, dependence pair, …). It is the pluggable abstraction
-// behind the serving table: each table entry owns one Policy instance, and
-// the paper's reactive FSM is just the default implementation.
-//
-// All four speculation kinds are boolean-outcome streams, so the policy sees
-// the same shape regardless of kind: one outcome per dynamic event at a
-// global instruction count. Implementations must be deterministic — the same
-// event sequence must yield the same decisions — because snapshot restore,
-// WAL replay and replica failover all rely on bit-exact reproduction.
-//
-// A Policy is not safe for concurrent use; drive it from one goroutine.
-type Policy interface {
-	// OnEvent observes one dynamic event and returns the speculation
-	// verdict together with the unit's resulting classification state and
-	// live-deployment status — everything a serving decision encodes.
-	OnEvent(outcome bool, instr uint64) (v Verdict, st State, dir, live bool)
-	// AddInstrs accounts dynamic instructions (the gaps between events).
-	AddInstrs(n uint64)
-	// State returns the unit's classification state.
-	State() State
-	// Speculating reports whether speculation is live and its direction.
-	Speculating() (dir, live bool)
-	// Stats returns the policy's aggregate counters.
-	Stats() Stats
-	// SetStats overwrites the aggregate counters (snapshot restore).
-	SetStats(Stats)
-	// Export returns the unit's full serializable state and whether the
-	// unit has been touched; Import restores it. Policies reuse
-	// BranchState as the common snapshot container so the serving layer's
-	// snapshot format is policy-independent.
-	Export() (BranchState, bool)
-	Import(BranchState)
-	// OnTransition registers a hook invoked after every classification
-	// change (nil unregisters). The hook must not call back into the
-	// policy.
-	OnTransition(func(Transition))
-}
-
 // Registered policy names. PolicyReactive is the default everywhere a policy
 // name is optional.
 const (
@@ -57,7 +18,8 @@ const (
 	PolicyProbWeight = "probweight"
 )
 
-// PolicyNames lists the registered policy names, default first.
+// PolicyNames lists the registered policy names, default first, in policyID
+// order.
 func PolicyNames() []string {
 	return []string{PolicyReactive, PolicySelfTrain, PolicyProbWeight}
 }
@@ -65,51 +27,67 @@ func PolicyNames() []string {
 // ValidPolicy reports whether name is a registered policy ("" counts as the
 // default, PolicyReactive).
 func ValidPolicy(name string) bool {
-	switch name {
-	case "", PolicyReactive, PolicySelfTrain, PolicyProbWeight:
-		return true
-	}
-	return false
+	_, err := NewRule(name, Params{})
+	return err == nil
 }
 
-// NewPolicy builds one unit's policy instance by registered name. The empty
-// name means PolicyReactive.
-func NewPolicy(name string, params Params) (Policy, error) {
+// policyID selects a Rule's step function.
+type policyID uint8
+
+const (
+	reactiveID policyID = iota
+	selfTrainID
+	probWeightID
+)
+
+// Rule is a registered speculation-control policy bound to its parameters:
+// the single-unit step that every multi-unit caller — Controller,
+// PolicySet, the serving table — runs over value-held Unit state. Holding
+// the parameters once per Rule rather than once per unit keeps a unit to
+// its own state.
+//
+// All four speculation kinds are boolean-outcome streams, so a policy sees
+// the same shape regardless of kind: one outcome per dynamic event at a
+// global instruction count. Every step is deterministic — the same event
+// sequence yields the same decisions — because snapshot restore, WAL replay
+// and replica failover all rely on bit-exact reproduction.
+type Rule struct {
+	params Params
+	policy policyID
+}
+
+// NewRule returns the rule for a registered policy name ("" = reactive).
+func NewRule(name string, params Params) (Rule, error) {
+	r := Rule{params: params}
 	switch name {
 	case "", PolicyReactive:
-		return &reactivePolicy{ctl: New(params)}, nil
+		r.policy = reactiveID
 	case PolicySelfTrain:
-		return &selfTrainPolicy{params: params}, nil
+		r.policy = selfTrainID
 	case PolicyProbWeight:
-		return newProbWeightPolicy(params), nil
+		r.policy = probWeightID
+	default:
+		return Rule{}, fmt.Errorf("core: unknown policy %q (want one of %v)", name, PolicyNames())
 	}
-	return nil, fmt.Errorf("core: unknown policy %q (want one of %v)", name, PolicyNames())
+	return r, nil
 }
 
-// reactivePolicy adapts a single-branch Controller (unit ID 0) to the Policy
-// interface. The serving table bypasses this wrapper on its hot path — a
-// table entry running the reactive policy calls the *Controller directly —
-// so this adapter only carries the snapshot/metrics plumbing and the
-// non-serving users (PolicySet, experiments).
-type reactivePolicy struct {
-	ctl *Controller
+// Name returns the rule's registered policy name.
+func (r *Rule) Name() string { return PolicyNames()[r.policy] }
+
+// Params returns the rule's parameters.
+func (r *Rule) Params() Params { return r.params }
+
+// Step advances u by one event with the given outcome at global instruction
+// count instr, accounting the event in s, and returns the verdict. A step
+// makes at most one classification transition, so a caller counts
+// transitions by comparing u.State() before and after.
+func (r *Rule) Step(u *Unit, s *Stats, outcome bool, instr uint64) Verdict {
+	switch r.policy {
+	case selfTrainID:
+		return u.stepSelfTrain(&r.params, s, outcome, instr)
+	case probWeightID:
+		return u.stepProbWeight(&r.params, s, outcome, instr)
+	}
+	return u.stepReactive(&r.params, s, outcome, instr)
 }
-
-func (p *reactivePolicy) OnEvent(outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	v := p.ctl.OnBranch(0, outcome, instr)
-	dir, live := p.ctl.Speculating(0)
-	return v, p.ctl.BranchState(0), dir, live
-}
-
-func (p *reactivePolicy) AddInstrs(n uint64)            { p.ctl.AddInstrs(n) }
-func (p *reactivePolicy) State() State                  { return p.ctl.BranchState(0) }
-func (p *reactivePolicy) Speculating() (bool, bool)     { return p.ctl.Speculating(0) }
-func (p *reactivePolicy) Stats() Stats                  { return p.ctl.Stats() }
-func (p *reactivePolicy) SetStats(s Stats)              { p.ctl.SetStats(s) }
-func (p *reactivePolicy) Export() (BranchState, bool)   { return p.ctl.ExportBranch(0) }
-func (p *reactivePolicy) Import(st BranchState)         { p.ctl.ImportBranch(0, st) }
-func (p *reactivePolicy) OnTransition(f func(Transition)) { p.ctl.OnTransition = f }
-
-// Controller exposes the wrapped reactive controller, for callers (the
-// serving table) that inline the hot path when the policy is reactive.
-func (p *reactivePolicy) Controller() *Controller { return p.ctl }

@@ -11,32 +11,36 @@ func TestPolicyRegistry(t *testing.T) {
 		if !ValidPolicy(name) {
 			t.Errorf("ValidPolicy(%q) = false", name)
 		}
-		if _, err := NewPolicy(name, testParams()); err != nil {
-			t.Errorf("NewPolicy(%q): %v", name, err)
+		if _, err := NewRule(name, testParams()); err != nil {
+			t.Errorf("NewRule(%q): %v", name, err)
 		}
 	}
 	if ValidPolicy("zzz") {
 		t.Error(`ValidPolicy("zzz") = true`)
 	}
-	if _, err := NewPolicy("zzz", testParams()); err == nil {
-		t.Error(`NewPolicy("zzz") built something`)
+	if _, err := NewRule("zzz", testParams()); err == nil {
+		t.Error(`NewRule("zzz") built something`)
 	}
 	if PolicyNames()[0] != PolicyReactive {
 		t.Errorf("PolicyNames()[0] = %q, want the default first", PolicyNames()[0])
 	}
 }
 
-// policyFeeder drives one policy instance the way a table entry does: a
-// fixed gap per event, instruction count accumulated before OnEvent.
+// policyFeeder drives one unit the way a table entry does: a fixed gap per
+// event, instruction count accumulated before the step.
 type policyFeeder struct {
-	pol   Policy
+	rule  Rule
+	unit  Unit
+	stats Stats
 	instr uint64
 }
 
 func (f *policyFeeder) event(outcome bool) (Verdict, State, bool, bool) {
 	f.instr += 5
-	f.pol.AddInstrs(5)
-	return f.pol.OnEvent(outcome, f.instr)
+	f.stats.Instrs += 5
+	v := f.rule.Step(&f.unit, &f.stats, outcome, f.instr)
+	dir, live := f.unit.Speculating()
+	return v, f.unit.State(), dir, live
 }
 
 func (f *policyFeeder) repeat(outcome bool, n int) (last State) {
@@ -51,9 +55,9 @@ func (f *policyFeeder) repeat(outcome bool, n int) (last State) {
 // wrong it becomes), and an unbiased unit never speculates again.
 func TestSelfTrainTerminalStates(t *testing.T) {
 	// testParams: MonitorPeriod 10, SelectThreshold 0.9.
-	biased := &policyFeeder{pol: mustPolicy(t, PolicySelfTrain)}
+	biased := newFeeder(t, PolicySelfTrain)
 	biased.repeat(true, 10)
-	if st := biased.pol.State(); st != Biased {
+	if st := biased.unit.State(); st != Biased {
 		t.Fatalf("state after an all-taken window = %v, want Biased", st)
 	}
 	// The deployment activates at the next event's tick (OptLatency 0 means
@@ -69,25 +73,25 @@ func TestSelfTrainTerminalStates(t *testing.T) {
 			t.Fatalf("event %d after flip: verdict %v state %v, want Misspec/Biased", i, v, st)
 		}
 	}
-	if biased.pol.Stats().Evictions != 0 {
+	if biased.stats.Evictions != 0 {
 		t.Fatal("self-training policy evicted")
 	}
 
-	unbiased := &policyFeeder{pol: mustPolicy(t, PolicySelfTrain)}
+	unbiased := newFeeder(t, PolicySelfTrain)
 	for i := 0; i < 10; i++ {
 		unbiased.event(i%2 == 0) // 50/50: under the 90% threshold
 	}
-	if st := unbiased.pol.State(); st != Unbiased {
+	if st := unbiased.unit.State(); st != Unbiased {
 		t.Fatalf("state after a 50/50 window = %v, want Unbiased", st)
 	}
 	unbiased.repeat(true, 500)
-	if st := unbiased.pol.State(); st != Unbiased {
+	if st := unbiased.unit.State(); st != Unbiased {
 		t.Fatalf("Unbiased is terminal, but state became %v", st)
 	}
-	if _, live := unbiased.pol.Speculating(); live {
+	if _, live := unbiased.unit.Speculating(); live {
 		t.Fatal("unbiased unit is speculating")
 	}
-	if s := unbiased.pol.Stats(); s.Correct != 0 && s.Misspec != 0 {
+	if s := unbiased.stats; s.Correct != 0 && s.Misspec != 0 {
 		t.Fatalf("unbiased unit accumulated speculation verdicts: %+v", s)
 	}
 }
@@ -96,7 +100,7 @@ func TestSelfTrainTerminalStates(t *testing.T) {
 // lifecycle: warmup, deploy on confidence, evict on a behavior flip, and
 // retire after MaxOptimizations oscillations.
 func TestProbWeightDeployEvictRetire(t *testing.T) {
-	f := &policyFeeder{pol: mustPolicy(t, PolicyProbWeight)}
+	f := newFeeder(t, PolicyProbWeight)
 
 	// Warmup: MonitorPeriod (10) events never change state, whatever the
 	// confidence.
@@ -127,24 +131,24 @@ func TestProbWeightDeployEvictRetire(t *testing.T) {
 	if !evicted {
 		t.Fatal("probweight never evicted after the behavior flip")
 	}
-	if f.pol.Stats().Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", f.pol.Stats().Evictions)
+	if f.stats.Evictions != 1 {
+		t.Fatalf("Evictions = %d, want 1", f.stats.Evictions)
 	}
 
 	// Drive deploy/evict oscillations until MaxOptimizations (2) is spent:
 	// the next selection attempt retires the unit permanently.
 	outcome := false
-	for i := 0; i < 4000 && f.pol.State() != Retired; i++ {
+	for i := 0; i < 4000 && f.unit.State() != Retired; i++ {
 		if i%300 == 0 {
 			outcome = !outcome
 		}
 		f.event(outcome)
 	}
-	if st := f.pol.State(); st != Retired {
+	if st := f.unit.State(); st != Retired {
 		t.Fatalf("state after oscillating past MaxOptimizations = %v, want Retired", st)
 	}
-	if f.pol.Stats().Retirals != 1 {
-		t.Fatalf("Retirals = %d, want 1", f.pol.Stats().Retirals)
+	if f.stats.Retirals != 1 {
+		t.Fatalf("Retirals = %d, want 1", f.stats.Retirals)
 	}
 	if st := f.repeat(true, 500); st != Retired {
 		t.Fatalf("Retired is terminal, but state became %v", st)
@@ -158,18 +162,19 @@ func TestPolicyExportImportRoundTrip(t *testing.T) {
 	outcomes := func(i int) bool { return (i/7+i/13)%2 == 0 } // aperiodic mix
 	for _, name := range PolicyNames() {
 		t.Run(name, func(t *testing.T) {
-			orig := &policyFeeder{pol: mustPolicy(t, name)}
+			orig := newFeeder(t, name)
 			for i := 0; i < 500; i++ {
 				orig.event(outcomes(i))
 			}
-			st, ok := orig.pol.Export()
+			st, ok := orig.unit.Export()
 			if !ok {
 				t.Fatal("a touched unit exported ok=false")
 			}
 
-			clone := &policyFeeder{pol: mustPolicy(t, name), instr: orig.instr}
-			clone.pol.Import(st)
-			clone.pol.SetStats(orig.pol.Stats())
+			clone := newFeeder(t, name)
+			clone.instr = orig.instr
+			clone.unit.Import(st)
+			clone.stats = orig.stats
 			for i := 500; i < 1500; i++ {
 				v1, s1, d1, l1 := orig.event(outcomes(i))
 				v2, s2, d2, l2 := clone.event(outcomes(i))
@@ -178,15 +183,15 @@ func TestPolicyExportImportRoundTrip(t *testing.T) {
 						i, v1, s1, d1, l1, v2, s2, d2, l2)
 				}
 			}
-			if orig.pol.Stats() != clone.pol.Stats() {
-				t.Fatalf("stats diverge: orig %+v clone %+v", orig.pol.Stats(), clone.pol.Stats())
+			if orig.stats != clone.stats {
+				t.Fatalf("stats diverge: orig %+v clone %+v", orig.stats, clone.stats)
 			}
 		})
 	}
 
 	// An untouched unit exports nothing, for every policy.
 	for _, name := range PolicyNames() {
-		if _, ok := mustPolicy(t, name).Export(); ok {
+		if _, ok := newFeeder(t, name).unit.Export(); ok {
 			t.Fatalf("%s: untouched unit exported ok=true", name)
 		}
 	}
@@ -250,11 +255,11 @@ func TestPolicySetDeterminism(t *testing.T) {
 	}
 }
 
-func mustPolicy(t *testing.T, name string) Policy {
+func newFeeder(t *testing.T, name string) *policyFeeder {
 	t.Helper()
-	p, err := NewPolicy(name, testParams())
+	r, err := NewRule(name, testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return &policyFeeder{rule: r}
 }

@@ -2,82 +2,46 @@ package core
 
 import "reactivespec/internal/trace"
 
-// PolicySet drives one policy instance per tracked unit, presenting the same
-// multi-unit surface as Controller so any registered policy can ride the
-// harness, the experiments, and reactiveload's verification mirror. For the
-// reactive policy a PolicySet behaves identically to one multi-branch
-// Controller, because the controller already tracks each branch
-// independently.
+// PolicySet drives one Unit per tracked unit under a registered policy,
+// presenting the same multi-unit surface as Controller so any registered
+// policy can ride the harness, the experiments, and reactiveload's
+// verification mirror. For the reactive policy a PolicySet behaves
+// identically to one multi-branch Controller: both run the same step over
+// the same per-unit state.
 //
 // PolicySet is not safe for concurrent use.
 type PolicySet struct {
-	name   string
-	params Params
-	units  []Policy
-	stats  Stats
+	rule  Rule
+	units []Unit
+	stats Stats
 }
 
 // NewPolicySet builds a per-unit policy set for the registered policy name
 // ("" = reactive).
 func NewPolicySet(name string, params Params) (*PolicySet, error) {
-	// Validate the name once up front so unitFor can't fail later.
-	if _, err := NewPolicy(name, params); err != nil {
+	r, err := NewRule(name, params)
+	if err != nil {
 		return nil, err
 	}
-	return &PolicySet{name: name, params: params}, nil
+	return &PolicySet{rule: r}, nil
 }
 
 // Name returns the set's registered policy name ("" normalizes to reactive).
-func (s *PolicySet) Name() string {
-	if s.name == "" {
-		return PolicyReactive
-	}
-	return s.name
-}
-
-func (s *PolicySet) unitFor(id trace.BranchID) Policy {
-	if int(id) >= len(s.units) {
-		grown := make([]Policy, int(id)+1+int(id)/2)
-		copy(grown, s.units)
-		s.units = grown
-	}
-	if s.units[id] == nil {
-		p, err := NewPolicy(s.name, s.params)
-		if err != nil {
-			// NewPolicySet validated the name; this cannot happen.
-			panic(err)
-		}
-		s.units[id] = p
-	}
-	return s.units[id]
-}
+func (s *PolicySet) Name() string { return s.rule.Name() }
 
 // OnBranch observes one dynamic event for the unit and returns the verdict —
 // the harness.Controller surface, serving every kind's boolean outcome.
 func (s *PolicySet) OnBranch(id trace.BranchID, outcome bool, instr uint64) Verdict {
-	v, _, _, _ := s.unitFor(id).OnEvent(outcome, instr)
-	s.tally(v)
-	return v
+	return s.rule.Step(unitAt(&s.units, id), &s.stats, outcome, instr)
 }
 
 // OnEvent observes one dynamic event and returns the full decision tuple,
 // mirroring what a serving-table entry encodes.
 func (s *PolicySet) OnEvent(id trace.BranchID, outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	v, st, dir, live := s.unitFor(id).OnEvent(outcome, instr)
-	s.tally(v)
-	return v, st, dir, live
-}
-
-func (s *PolicySet) tally(v Verdict) {
-	s.stats.Events++
-	switch v {
-	case Correct:
-		s.stats.Correct++
-	case Misspec:
-		s.stats.Misspec++
-	default:
-		s.stats.NotSpec++
-	}
+	u := unitAt(&s.units, id)
+	v := s.rule.Step(u, &s.stats, outcome, instr)
+	dir, live := u.Speculating()
+	return v, u.state, dir, live
 }
 
 // AddInstrs accounts dynamic instructions at the set level.
@@ -85,34 +49,20 @@ func (s *PolicySet) AddInstrs(n uint64) { s.stats.Instrs += n }
 
 // UnitState returns the unit's classification state (Monitor when unseen).
 func (s *PolicySet) UnitState(id trace.BranchID) State {
-	if int(id) >= len(s.units) || s.units[id] == nil {
+	if int(id) >= len(s.units) {
 		return Monitor
 	}
-	return s.units[id].State()
+	return s.units[id].state
 }
 
 // Speculating reports whether speculation is live for the unit and its
 // direction.
 func (s *PolicySet) Speculating(id trace.BranchID) (dir, live bool) {
-	if int(id) >= len(s.units) || s.units[id] == nil {
+	if int(id) >= len(s.units) {
 		return false, false
 	}
 	return s.units[id].Speculating()
 }
 
-// Stats returns the set-level counters. Events/Correct/Misspec/NotSpec and
-// Instrs are accounted here; the selection/eviction/retiral counters are
-// summed from the live units.
-func (s *PolicySet) Stats() Stats {
-	out := s.stats
-	for _, u := range s.units {
-		if u == nil {
-			continue
-		}
-		us := u.Stats()
-		out.Selections += us.Selections
-		out.Evictions += us.Evictions
-		out.Retirals += us.Retirals
-	}
-	return out
-}
+// Stats returns the set's counters over every unit.
+func (s *PolicySet) Stats() Stats { return s.stats }

@@ -1,172 +1,90 @@
 package core
 
-// probWeightPolicy estimates the unit's outcome probability with an
-// exponential moving average and deploys speculation while the estimate's
-// confidence stays inside a hysteresis band — a probabilistic-dataflow-style
-// weighting (after Di Pierro & Wiklicky: program behavior as a probability
-// distribution rather than a sampled window) in place of the paper's
-// windowed monitor.
-//
-// Mechanics: est tracks P(outcome=true) as an EWMA with a fixed power-of-two
-// step (probAlpha), seeded at 0.5. The first MonitorPeriod events only warm
-// the estimate. After warmup, the unit deploys the likelier direction when
-// its confidence max(est, 1-est) reaches SelectThreshold, and undeploys when
-// confidence falls below EvictBias — both through the same
-// optimization-latency deployment machinery as the reactive FSM, so deployed
-// code goes live (and lame-ducks out) OptLatency instructions later.
-// MaxOptimizations retires oscillating units exactly like the paper's model.
-//
-// The policy is a pure function of the event sequence (the EWMA uses a fixed
-// step, never a clock or RNG), so replay and replication reproduce it
-// bit-exactly.
-type probWeightPolicy struct {
-	params Params
-
-	state State
-	dep   deployment
-
-	est  float64 // EWMA estimate of P(outcome=true)
-	warm uint64  // events consumed of the warmup window
-
-	direction  bool
-	execs      uint64
-	optCount   uint32
-	evictions  uint32
-	everBiased bool
-
-	stats      Stats
-	transition func(Transition)
-}
-
 // probAlpha is the EWMA step. A power of two keeps the float arithmetic
 // exactly reproducible across platforms (every operation is an IEEE-exact
 // multiply-add on well-scaled values).
 const probAlpha = 1.0 / 32
 
-func newProbWeightPolicy(params Params) *probWeightPolicy {
-	return &probWeightPolicy{params: params, est: 0.5}
-}
+// probPrior is the estimate an untouched unit starts from.
+const probPrior = 0.5
 
-func (p *probWeightPolicy) OnEvent(outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	p.execs++
-	p.stats.Events++
-
-	p.dep.tick(instr)
-	verdict := NotSpeculated
-	if p.dep.live() {
-		if outcome == p.dep.liveDir {
-			verdict = Correct
-			p.stats.Correct++
-		} else {
-			verdict = Misspec
-			p.stats.Misspec++
-		}
-	} else {
-		p.stats.NotSpec++
+// stepProbWeight is the probweight policy. It estimates the unit's outcome
+// probability with an exponential moving average and deploys speculation
+// while the estimate's confidence stays inside a hysteresis band — a
+// probabilistic-dataflow-style weighting (after Di Pierro & Wiklicky:
+// program behavior as a probability distribution rather than a sampled
+// window) in place of the paper's windowed monitor.
+//
+// Mechanics: est tracks P(outcome=true) as an EWMA with a fixed power-of-two
+// step (probAlpha), seeded at probPrior. The first MonitorPeriod events
+// (counted in monSeen) only warm the estimate. After warmup, the unit
+// deploys the likelier direction when its confidence max(est, 1-est)
+// reaches SelectThreshold, and undeploys when confidence falls below
+// EvictBias — both through the same optimization-latency deployment
+// machinery as the reactive FSM, so deployed code goes live (and lame-ducks
+// out) OptLatency instructions later. MaxOptimizations retires oscillating
+// units exactly like the paper's model.
+//
+// The policy is a pure function of the event sequence (the EWMA uses a fixed
+// step, never a clock or RNG), so replay and replication reproduce it
+// bit-exactly.
+func (u *Unit) stepProbWeight(p *Params, s *Stats, outcome bool, instr uint64) Verdict {
+	if u.execs == 0 {
+		// The zero Unit is untouched, and an untouched unit holds the
+		// prior; a touched one (execs ≥ 1) carries its own estimate.
+		u.est = probPrior
 	}
+	v := u.observe(s, outcome, instr)
 
 	x := 0.0
 	if outcome {
 		x = 1.0
 	}
-	p.est += probAlpha * (x - p.est)
+	u.est += probAlpha * (x - u.est)
 
-	if p.state == Retired {
-		return verdict, p.state, p.dep.liveDir, p.dep.live()
+	if u.state == Retired {
+		return v
 	}
-	if p.warm < p.params.MonitorPeriod {
-		p.warm++
-		return verdict, p.state, p.dep.liveDir, p.dep.live()
+	if u.monSeen < p.MonitorPeriod {
+		u.monSeen++
+		return v
 	}
 
-	dir := p.est >= 0.5
-	conf := p.est
+	dir := u.est >= 0.5
+	conf := u.est
 	if !dir {
-		conf = 1 - p.est
+		conf = 1 - u.est
 	}
-	switch p.state {
+	switch u.state {
 	case Monitor:
-		if conf >= p.params.SelectThreshold {
-			if p.optCount >= p.params.MaxOptimizations {
-				p.stats.Retirals++
-				p.setState(Retired, instr)
+		if conf >= p.SelectThreshold {
+			if u.optCount >= p.MaxOptimizations {
+				s.Retirals++
+				u.state = Retired
 				break
 			}
-			p.optCount++
-			p.direction = dir
-			p.everBiased = true
-			p.stats.Selections++
-			p.dep.deploy(dir, instr+p.params.OptLatency)
-			p.setState(Biased, instr)
+			u.optCount++
+			u.direction = dir
+			u.everBiased = true
+			s.Selections++
+			u.dep.deploy(dir, instr+p.OptLatency)
+			u.state = Biased
 		}
 	case Biased:
-		if p.params.NoEviction {
+		if p.NoEviction {
 			break
 		}
 		// Like the reactive FSM, outcomes only count against the deployed
 		// code once it is actually live in the classified direction.
-		if !p.dep.live() || p.dep.liveDir != p.direction {
+		if !u.dep.live() || u.dep.liveDir != u.direction {
 			break
 		}
-		if dir != p.direction || conf < p.params.EvictBias {
-			p.evictions++
-			p.stats.Evictions++
-			p.dep.undeploy(instr + p.params.OptLatency)
-			p.setState(Monitor, instr)
+		if dir != u.direction || conf < p.EvictBias {
+			u.evictions++
+			s.Evictions++
+			u.dep.undeploy(instr + p.OptLatency)
+			u.state = Monitor
 		}
 	}
-	return verdict, p.state, p.dep.liveDir, p.dep.live()
+	return v
 }
-
-func (p *probWeightPolicy) setState(to State, instr uint64) {
-	from := p.state
-	p.state = to
-	if p.transition != nil {
-		p.transition(Transition{From: from, To: to, Instr: instr, Exec: p.execs})
-	}
-}
-
-func (p *probWeightPolicy) AddInstrs(n uint64)        { p.stats.Instrs += n }
-func (p *probWeightPolicy) State() State              { return p.state }
-func (p *probWeightPolicy) Speculating() (bool, bool) { return p.dep.liveDir, p.dep.live() }
-func (p *probWeightPolicy) Stats() Stats              { return p.stats }
-func (p *probWeightPolicy) SetStats(s Stats)          { p.stats = s }
-
-func (p *probWeightPolicy) Export() (BranchState, bool) {
-	if p.execs == 0 && p.state == Monitor {
-		return BranchState{}, false
-	}
-	return BranchState{
-		State:      p.state,
-		LiveDir:    p.dep.liveDir,
-		LiveUntil:  p.dep.liveUntil,
-		NextDir:    p.dep.nextDir,
-		NextAt:     p.dep.nextAt,
-		MonSeen:    p.warm,
-		Direction:  p.direction,
-		Execs:      p.execs,
-		OptCount:   p.optCount,
-		Evictions:  p.evictions,
-		EverBiased: p.everBiased,
-		ProbEst:    p.est,
-	}, true
-}
-
-func (p *probWeightPolicy) Import(st BranchState) {
-	p.state = st.State
-	p.dep = deployment{
-		liveDir:   st.LiveDir,
-		liveUntil: st.LiveUntil,
-		nextDir:   st.NextDir,
-		nextAt:    st.NextAt,
-	}
-	p.warm = st.MonSeen
-	p.direction = st.Direction
-	p.execs = st.Execs
-	p.optCount = st.OptCount
-	p.evictions = st.Evictions
-	p.everBiased = st.EverBiased
-	p.est = st.ProbEst
-}
-
-func (p *probWeightPolicy) OnTransition(f func(Transition)) { p.transition = f }

@@ -1,6 +1,6 @@
 package core
 
-// selfTrainPolicy is the self-training profile applied online: observe the
+// stepSelfTrain is the self-training profile applied online: observe the
 // unit's first MonitorPeriod events, then decide once — deploy the majority
 // direction permanently when its bias clears SelectThreshold, otherwise never
 // speculate. There is no eviction and no revisit; both outcomes are terminal.
@@ -8,116 +8,35 @@ package core
 // This is the open-loop baseline the paper's Figure 5 plots as
 // "self-train-99": it captures initial behavior perfectly and reacts to
 // nothing, which is exactly the contrast the reactive arcs exist to fix.
-type selfTrainPolicy struct {
-	params Params
-
-	state State
-	dep   deployment
-
-	monSeen  uint64
-	monTaken uint64
-
-	direction  bool
-	execs      uint64
-	everBiased bool
-
-	stats      Stats
-	transition func(Transition)
-}
-
-func (p *selfTrainPolicy) OnEvent(outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	p.execs++
-	p.stats.Events++
-
-	p.dep.tick(instr)
-	verdict := NotSpeculated
-	if p.dep.live() {
-		if outcome == p.dep.liveDir {
-			verdict = Correct
-			p.stats.Correct++
-		} else {
-			verdict = Misspec
-			p.stats.Misspec++
-		}
-	} else {
-		p.stats.NotSpec++
-	}
-
-	if p.state == Monitor {
-		p.monSeen++
+func (u *Unit) stepSelfTrain(p *Params, s *Stats, outcome bool, instr uint64) Verdict {
+	v := u.observe(s, outcome, instr)
+	if u.state == Monitor {
+		u.monSeen++
 		if outcome {
-			p.monTaken++
+			u.monTaken++
 		}
-		if p.monSeen >= p.params.MonitorPeriod {
-			p.classify(instr)
+		if u.monSeen >= p.MonitorPeriod {
+			u.classifyOnce(p, s, instr)
 		}
 	}
-	return verdict, p.state, p.dep.liveDir, p.dep.live()
+	return v
 }
 
-// classify makes the one-shot training decision at the end of the window.
-func (p *selfTrainPolicy) classify(instr uint64) {
-	majTaken := p.monTaken*2 >= p.monSeen
-	maj := p.monTaken
+// classifyOnce makes the one-shot training decision at the end of the
+// window.
+func (u *Unit) classifyOnce(p *Params, s *Stats, instr uint64) {
+	majTaken := u.monTaken*2 >= u.monSeen
+	maj := u.monTaken
 	if !majTaken {
-		maj = p.monSeen - p.monTaken
+		maj = u.monSeen - u.monTaken
 	}
-	if float64(maj) >= p.params.SelectThreshold*float64(p.monSeen) {
-		p.direction = majTaken
-		p.everBiased = true
-		p.stats.Selections++
-		p.dep.deploy(majTaken, instr+p.params.OptLatency)
-		p.setState(Biased, instr)
+	if float64(maj) >= p.SelectThreshold*float64(u.monSeen) {
+		u.direction = majTaken
+		u.everBiased = true
+		s.Selections++
+		u.dep.deploy(majTaken, instr+p.OptLatency)
+		u.state = Biased
 		return
 	}
-	p.setState(Unbiased, instr)
+	u.state = Unbiased
 }
-
-func (p *selfTrainPolicy) setState(to State, instr uint64) {
-	from := p.state
-	p.state = to
-	if p.transition != nil {
-		p.transition(Transition{From: from, To: to, Instr: instr, Exec: p.execs})
-	}
-}
-
-func (p *selfTrainPolicy) AddInstrs(n uint64)        { p.stats.Instrs += n }
-func (p *selfTrainPolicy) State() State              { return p.state }
-func (p *selfTrainPolicy) Speculating() (bool, bool) { return p.dep.liveDir, p.dep.live() }
-func (p *selfTrainPolicy) Stats() Stats              { return p.stats }
-func (p *selfTrainPolicy) SetStats(s Stats)          { p.stats = s }
-
-func (p *selfTrainPolicy) Export() (BranchState, bool) {
-	if p.execs == 0 && p.state == Monitor {
-		return BranchState{}, false
-	}
-	return BranchState{
-		State:      p.state,
-		LiveDir:    p.dep.liveDir,
-		LiveUntil:  p.dep.liveUntil,
-		NextDir:    p.dep.nextDir,
-		NextAt:     p.dep.nextAt,
-		MonSeen:    p.monSeen,
-		MonTaken:   p.monTaken,
-		Direction:  p.direction,
-		Execs:      p.execs,
-		EverBiased: p.everBiased,
-	}, true
-}
-
-func (p *selfTrainPolicy) Import(st BranchState) {
-	p.state = st.State
-	p.dep = deployment{
-		liveDir:   st.LiveDir,
-		liveUntil: st.LiveUntil,
-		nextDir:   st.NextDir,
-		nextAt:    st.NextAt,
-	}
-	p.monSeen = st.MonSeen
-	p.monTaken = st.MonTaken
-	p.direction = st.Direction
-	p.execs = st.Execs
-	p.everBiased = st.EverBiased
-}
-
-func (p *selfTrainPolicy) OnTransition(f func(Transition)) { p.transition = f }

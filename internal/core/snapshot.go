@@ -47,62 +47,78 @@ type BranchState struct {
 	ProbEst float64
 }
 
+// Export returns the unit's full state and whether the unit has been
+// touched (executed at least once or moved out of the default state).
+// Untouched units need no snapshot entry: a zero Unit already behaves
+// identically.
+func (u *Unit) Export() (BranchState, bool) {
+	if u.execs == 0 && u.state == Monitor {
+		return BranchState{}, false
+	}
+	return BranchState{
+		State:      u.state,
+		LiveDir:    u.dep.liveDir,
+		LiveUntil:  u.dep.liveUntil,
+		NextDir:    u.dep.nextDir,
+		NextAt:     u.dep.nextAt,
+		MonSeen:    u.monSeen,
+		MonExecs:   u.monExecs,
+		MonTaken:   u.monTaken,
+		Direction:  u.direction,
+		Counter:    u.counter,
+		CyclePos:   u.cyclePos,
+		SmpExecs:   u.smpExecs,
+		SmpWrong:   u.smpWrong,
+		WaitLeft:   u.waitLeft,
+		Execs:      u.execs,
+		OptCount:   u.optCount,
+		Evictions:  u.evictions,
+		EverBiased: u.everBiased,
+		ProbEst:    u.est,
+	}, true
+}
+
+// Import overwrites the unit's state with a previously exported snapshot.
+func (u *Unit) Import(st BranchState) {
+	*u = Unit{
+		dep: deployment{
+			liveDir:   st.LiveDir,
+			liveUntil: st.LiveUntil,
+			nextDir:   st.NextDir,
+			nextAt:    st.NextAt,
+		},
+		monSeen:    st.MonSeen,
+		monExecs:   st.MonExecs,
+		monTaken:   st.MonTaken,
+		cyclePos:   st.CyclePos,
+		smpExecs:   st.SmpExecs,
+		smpWrong:   st.SmpWrong,
+		waitLeft:   st.WaitLeft,
+		execs:      st.Execs,
+		est:        st.ProbEst,
+		counter:    st.Counter,
+		optCount:   st.OptCount,
+		evictions:  st.Evictions,
+		state:      st.State,
+		direction:  st.Direction,
+		everBiased: st.EverBiased,
+	}
+}
+
 // ExportBranch returns the branch's full state and whether the branch has
-// been touched (executed at least once or moved out of the default state).
-// Untouched branches need no snapshot entry: a fresh controller already
-// behaves identically for them.
+// been touched (see Unit.Export).
 func (c *Controller) ExportBranch(id trace.BranchID) (BranchState, bool) {
 	if int(id) >= len(c.branches) {
 		return BranchState{}, false
 	}
-	b := &c.branches[id]
-	if b.execs == 0 && b.state == Monitor {
-		return BranchState{}, false
-	}
-	return BranchState{
-		State:      b.state,
-		LiveDir:    b.dep.liveDir,
-		LiveUntil:  b.dep.liveUntil,
-		NextDir:    b.dep.nextDir,
-		NextAt:     b.dep.nextAt,
-		MonSeen:    b.monSeen,
-		MonExecs:   b.monExecs,
-		MonTaken:   b.monTaken,
-		Direction:  b.direction,
-		Counter:    b.counter,
-		CyclePos:   b.cyclePos,
-		SmpExecs:   b.smpExecs,
-		SmpWrong:   b.smpWrong,
-		WaitLeft:   b.waitLeft,
-		Execs:      b.execs,
-		OptCount:   b.optCount,
-		Evictions:  b.evictions,
-		EverBiased: b.everBiased,
-	}, true
+	return c.branches[id].Export()
 }
 
 // ImportBranch overwrites the branch's state with a previously exported
 // snapshot. The controller's aggregate Stats are not touched; restore them
 // separately with SetStats.
 func (c *Controller) ImportBranch(id trace.BranchID, st BranchState) {
-	b := c.branchFor(id)
-	b.state = st.State
-	b.dep = deployment{
-		liveDir:   st.LiveDir,
-		liveUntil: st.LiveUntil,
-		nextDir:   st.NextDir,
-		nextAt:    st.NextAt,
-	}
-	b.monSeen, b.monExecs, b.monTaken = st.MonSeen, st.MonExecs, st.MonTaken
-	b.direction = st.Direction
-	b.counter = st.Counter
-	b.cyclePos = st.CyclePos
-	b.smpExecs, b.smpWrong = st.SmpExecs, st.SmpWrong
-	b.waitLeft = st.WaitLeft
-	b.execs = st.Execs
-	b.optCount = st.OptCount
-	b.evictions = st.Evictions
-	b.everBiased = st.EverBiased
+	unitAt(&c.branches, id).Import(st)
 }
 
 // TouchedBranches returns the IDs of every branch ExportBranch would report
@@ -110,8 +126,8 @@ func (c *Controller) ImportBranch(id trace.BranchID, st BranchState) {
 func (c *Controller) TouchedBranches() []trace.BranchID {
 	var ids []trace.BranchID
 	for i := range c.branches {
-		b := &c.branches[i]
-		if b.execs == 0 && b.state == Monitor {
+		u := &c.branches[i]
+		if u.execs == 0 && u.state == Monitor {
 			continue
 		}
 		ids = append(ids, trace.BranchID(i))

@@ -162,11 +162,11 @@ func BuildSpanReport(spans []Span, dropped int) SpanReport {
 			pct = stageInBatch[st] / batchTotal * 100
 		}
 		rep.Stages = append(rep.Stages, StageStat{
-			Stage: st,
-			Count: len(ds),
-			P50:   percentile(ds, 0.50),
-			P99:   percentile(ds, 0.99),
-			Mean:  sum / float64(len(ds)),
+			Stage:      st,
+			Count:      len(ds),
+			P50:        percentile(ds, 0.50),
+			P99:        percentile(ds, 0.99),
+			Mean:       sum / float64(len(ds)),
 			PctOfBatch: pct,
 		})
 	}

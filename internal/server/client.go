@@ -38,8 +38,8 @@ type Client struct {
 	// over the same socket.
 	unixPath string
 	hc       *http.Client
-	retries int           // extra attempts after the first, transport errors only
-	backoff time.Duration // sleep between attempts, doubled each retry
+	retries  int           // extra attempts after the first, transport errors only
+	backoff  time.Duration // sleep between attempts, doubled each retry
 	// paramsPin, when non-empty, is appended as the params= query pin on
 	// every ingest request and checked against /v1/info by VerifyParams.
 	paramsPin string

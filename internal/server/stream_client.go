@@ -31,9 +31,9 @@ type Stream struct {
 	bw   *bufio.Writer
 
 	window  int
-	proto   uint32      // negotiated session protocol version
-	program string      // handshake program, stamped on client spans
-	tracer  *obs.Tracer // nil when the session is untraced
+	proto   uint32            // negotiated session protocol version
+	program string            // handshake program, stamped on client spans
+	tracer  *obs.Tracer       // nil when the session is untraced
 	credits chan struct{}     // capacity window; a token = permission to send one frame
 	results chan streamResult // capacity window; reader never blocks on it
 

@@ -2,56 +2,67 @@ package server
 
 import (
 	"sort"
+	"strings"
 	"sync"
 
 	"reactivespec/internal/core"
 	"reactivespec/internal/trace"
 )
 
-// Table is a sharded, lock-striped table of speculation-control policies
-// keyed by (program, branch ID), where the program key may carry an encoded
+// Table is a sharded, lock-striped table of speculation-control units keyed
+// by (program, branch ID), where the program key may carry an encoded
 // speculation kind (trace.EncodeKindProgram) — branch keys are the plain
 // program name, so every pre-kind artifact (WAL, snapshot, shard hash,
 // replication stream) is byte-identical. Each key owns an independent
-// single-unit policy, so per-unit decisions are bit-for-bit identical to an
+// core.Unit, so per-unit decisions are bit-for-bit identical to an
 // in-process policy observing the same (outcome, instruction-count)
 // sequence — the striping changes only who may update concurrently, never
 // what any unit decides.
 //
-// The policy is fixed at construction for the whole table. The default
-// (core.PolicyReactive) keeps the paper's FSM on a direct *core.Controller
-// fast path — entry.ctl non-nil — so the serving hot path pays only one
-// predictable nil check over the pre-policy build; other policies dispatch
-// through the core.Policy interface (entry.pol).
+// The policy and its parameters are fixed at construction for the whole
+// table and held once, as a core.Rule; every policy runs through the same
+// entry type and the same Rule.Step. An entry is the unit's state and its
+// Stats by value, stored in a per-shard slab: a shard maps
+// (program ID, branch) to a slab index, and neither the map nor the slab
+// holds a pointer. Program keys are interned into table-local IDs once per
+// call, so the per-event lookup hashes a uint64 instead of a string. The
+// interning is invisible outside the table: the shard hash is still FNV-1a
+// over the program bytes and branch, and snapshots still sort by program
+// name.
 //
 // Lock discipline: every key maps to exactly one shard (by hash), and all
 // access to a shard's entries happens under that shard's mutex. Events for
 // *different* keys proceed in parallel up to the shard count; events for the
 // same key serialize, which is exactly the ordering the controller needs.
+// Program IDs are read lock-free, once per call; assigning a new one takes
+// the intern lock, never while a shard lock is held.
 type Table struct {
-	params core.Params
-	policy string
+	rule   core.Rule
 	shards []tableShard
+
+	progIDs   sync.Map   // program key (string) → program ID (uint32)
+	progMu    sync.Mutex // serializes new IDs; guards progNames
+	progNames []string   // program ID → program key
 }
 
 type tableShard struct {
 	mu      sync.RWMutex
-	entries map[tableKey]*tableEntry
+	index   map[uint64]int32 // entryKey(program ID, branch) → entries index
+	entries []tableEntry
 	metrics ShardMetrics
 	_       [64]byte // pad shards onto separate cache lines
 }
 
-type tableKey struct {
-	program string
-	branch  trace.BranchID
+// tableEntry is one (program, branch) unit: its policy state and lifetime
+// counters, by value.
+type tableEntry struct {
+	unit  core.Unit
+	stats core.Stats
 }
 
-// tableEntry is one (program, branch) unit. Exactly one of ctl/pol is
-// non-nil: ctl for the reactive policy (direct calls, no interface
-// dispatch), pol for everything else.
-type tableEntry struct {
-	ctl *core.Controller
-	pol core.Policy
+// entryKey packs an interned program ID and a branch into a shard index key.
+func entryKey(pid uint32, id trace.BranchID) uint64 {
+	return uint64(pid)<<32 | uint64(id)
 }
 
 // NewTable returns a table running the default reactive policy with the
@@ -66,27 +77,25 @@ func NewTable(params core.Params, shards int) *Table {
 
 // NewTablePolicy is NewTable with a registered policy name ("" = reactive).
 func NewTablePolicy(params core.Params, shards int, policy string) (*Table, error) {
-	if _, err := core.NewPolicy(policy, params); err != nil {
+	rule, err := core.NewRule(policy, params)
+	if err != nil {
 		return nil, err
-	}
-	if policy == "" {
-		policy = core.PolicyReactive
 	}
 	if shards < 1 {
 		shards = 1
 	}
-	t := &Table{params: params, policy: policy, shards: make([]tableShard, shards)}
+	t := &Table{rule: rule, shards: make([]tableShard, shards)}
 	for i := range t.shards {
-		t.shards[i].entries = make(map[tableKey]*tableEntry)
+		t.shards[i].index = make(map[uint64]int32)
 	}
 	return t, nil
 }
 
-// Params returns the controller parameters every entry is created with.
-func (t *Table) Params() core.Params { return t.params }
+// Params returns the controller parameters every entry runs with.
+func (t *Table) Params() core.Params { return t.rule.Params() }
 
 // Policy returns the registered policy name every entry runs.
-func (t *Table) Policy() string { return t.policy }
+func (t *Table) Policy() string { return t.rule.Name() }
 
 // Shards returns the shard count.
 func (t *Table) Shards() int { return len(t.shards) }
@@ -124,96 +133,61 @@ func (t *Table) shardFor(program string, id trace.BranchID) *tableShard {
 	return &t.shards[t.shardIndex(programHash(program), id)]
 }
 
+// lookup returns program's ID, if it has one.
+func (t *Table) lookup(program string) (uint32, bool) {
+	pid, ok := t.progIDs.Load(program)
+	if !ok {
+		return 0, false
+	}
+	return pid.(uint32), true
+}
+
+// intern returns program's ID, assigning the next one on first sight.
+func (t *Table) intern(program string) uint32 {
+	if pid, ok := t.lookup(program); ok {
+		return pid
+	}
+	t.progMu.Lock()
+	defer t.progMu.Unlock()
+	if pid, ok := t.lookup(program); ok {
+		return pid
+	}
+	// The caller's string may alias a reused buffer; keep a copy.
+	program = strings.Clone(program)
+	pid := uint32(len(t.progNames))
+	t.progNames = append(t.progNames, program)
+	t.progIDs.Store(program, pid)
+	return pid
+}
+
 // getLocked returns the entry for key, creating it on first sight. The
-// caller holds sh.mu.
-func (sh *tableShard) getLocked(key tableKey, t *Table) *tableEntry {
-	e := sh.entries[key]
-	if e == nil {
-		e = &tableEntry{}
-		// Count classification transitions into the shard's metrics.
-		// OnEvent only runs under sh.mu, so the hook does too.
-		hook := func(tr core.Transition) {
-			sh.metrics.Transitions[tr.To]++
-		}
-		if t.policy == core.PolicyReactive {
-			e.ctl = core.New(t.params)
-			e.ctl.OnTransition = hook
-		} else {
-			pol, err := core.NewPolicy(t.policy, t.params)
-			if err != nil {
-				// NewTablePolicy validated the name; this cannot happen.
-				panic(err)
-			}
-			pol.OnTransition(hook)
-			e.pol = pol
-		}
-		sh.entries[key] = e
+// caller holds sh.mu. The pointer is valid until the next getLocked on the
+// same shard, which may grow the slab.
+func (sh *tableShard) getLocked(key uint64) *tableEntry {
+	i, ok := sh.index[key]
+	if !ok {
+		i = int32(len(sh.entries))
+		sh.entries = append(sh.entries, tableEntry{})
+		sh.index[key] = i
 	}
-	return e
+	return &sh.entries[i]
 }
 
-// applyEvent advances entry e by one event whose absolute instruction count
-// is instr and returns the decision. The caller holds the entry's shard
-// lock. The reactive fast path calls the controller directly; other
-// policies go through the interface.
-func (e *tableEntry) applyEvent(ev trace.Event, instr uint64) Decision {
+// applyOne advances entry e by one event whose absolute instruction count
+// is instr, bumps the shard counters, and returns the decision. The caller
+// holds the entry's shard lock.
+func (t *Table) applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr uint64) Decision {
 	gap := uint64(ev.Gap)
-	if ctl := e.ctl; ctl != nil {
-		ctl.AddInstrs(gap)
-		v := ctl.OnBranch(0, ev.Taken, instr)
-		st := ctl.BranchState(0)
-		dir, live := ctl.Speculating(0)
-		return Decision{Verdict: v, State: st, Dir: dir, Live: live}
+	e.stats.Instrs += gap
+	from := e.unit.State()
+	v := t.rule.Step(&e.unit, &e.stats, ev.Taken, instr)
+	st := e.unit.State()
+	if st != from {
+		m.Transitions[st]++
 	}
-	e.pol.AddInstrs(gap)
-	v, st, dir, live := e.pol.OnEvent(ev.Taken, instr)
-	return Decision{Verdict: v, State: st, Dir: dir, Live: live}
-}
-
-// decide reads the entry's current decision without observing an event.
-func (e *tableEntry) decide() Decision {
-	if ctl := e.ctl; ctl != nil {
-		dir, live := ctl.Speculating(0)
-		return Decision{State: ctl.BranchState(0), Dir: dir, Live: live}
-	}
-	dir, live := e.pol.Speculating()
-	return Decision{State: e.pol.State(), Dir: dir, Live: live}
-}
-
-// export returns the entry's serializable unit state, aggregate counters,
-// and whether the unit has been touched.
-func (e *tableEntry) export() (core.BranchState, core.Stats, bool) {
-	if ctl := e.ctl; ctl != nil {
-		st, ok := ctl.ExportBranch(0)
-		return st, ctl.Stats(), ok
-	}
-	st, ok := e.pol.Export()
-	return st, e.pol.Stats(), ok
-}
-
-// restore overwrites the entry's unit state and counters.
-func (e *tableEntry) restore(st core.BranchState, stats core.Stats) {
-	if ctl := e.ctl; ctl != nil {
-		ctl.ImportBranch(0, st)
-		ctl.SetStats(stats)
-		return
-	}
-	e.pol.Import(st)
-	e.pol.SetStats(stats)
-}
-
-// Apply observes one dynamic event for program at global instruction count
-// instr (monotonically non-decreasing per program) and returns the resulting
-// decision.
-func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
-	sh := t.shardFor(program, ev.Branch)
-	sh.mu.Lock()
-	e := sh.getLocked(tableKey{program, ev.Branch}, t)
-	d := e.applyEvent(ev, instr)
-	m := &sh.metrics
 	m.Events++
-	m.Instrs += uint64(ev.Gap)
-	switch d.Verdict {
+	m.Instrs += gap
+	switch v {
 	case core.Correct:
 		m.Correct++
 	case core.Misspec:
@@ -221,6 +195,18 @@ func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
 	default:
 		m.NotSpec++
 	}
+	dir, live := e.unit.Speculating()
+	return Decision{Verdict: v, State: st, Dir: dir, Live: live}
+}
+
+// Apply observes one dynamic event for program at global instruction count
+// instr (monotonically non-decreasing per program) and returns the resulting
+// decision.
+func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
+	pid := t.intern(program)
+	sh := t.shardFor(program, ev.Branch)
+	sh.mu.Lock()
+	d := t.applyOne(sh.getLocked(entryKey(pid, ev.Branch)), &sh.metrics, ev, instr)
 	sh.mu.Unlock()
 	return d
 }
@@ -233,14 +219,15 @@ func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
 // The decisions are bit-for-bit the ones len(events) successive Apply calls
 // would produce, and the shard counters advance identically
 // (TestApplyBatchMatchesApply pins both); only the constant-factor work
-// changes. The program-name hash is computed once per batch, and locks are
-// amortized one of two ways depending on batch size. Small batches (or a
-// single-shard table) walk the events in order, taking each shard's lock
-// once per run of consecutive same-shard events. Large batches switch to a
-// two-pass schedule (applySharded): pass one prefix-sums the instruction
-// cursor and counting-sorts the event indices by shard without any locks,
-// pass two visits each touched shard exactly once and applies its events
-// while holding the lock for the whole sub-batch. On branch-hopping traces
+// changes. The program key is hashed and interned once per batch, and
+// locks are amortized one of two ways depending on batch size. Small
+// batches (or a single-shard table) walk the events in order, taking each
+// shard's lock once per run of consecutive same-shard events. Large
+// batches switch to a two-pass schedule (applySharded): pass one
+// prefix-sums the instruction cursor and counting-sorts the event indices
+// by shard without any locks, pass two visits each touched shard exactly
+// once and applies its events while holding the lock for the whole
+// sub-batch. On branch-hopping traces
 // the run-grouped walk degenerates to a lock cycle per event; the two-pass
 // schedule bounds lock traffic at one acquisition per shard per batch.
 // Within a shard the original event order is preserved, and a branch never
@@ -259,6 +246,7 @@ func (t *Table) ApplyBatch(program string, events []trace.Event, startInstr uint
 	if len(events) >= applyShardedMin && len(t.shards) > 1 && t.shardHopHeavy(ph, events) {
 		return t.applySharded(ph, program, events, startInstr, dst)
 	}
+	pid := t.intern(program)
 	for i := 0; i < len(events); {
 		si := t.shardIndex(ph, events[i].Branch)
 		j := i + 1
@@ -275,11 +263,11 @@ func (t *Table) ApplyBatch(program string, events []trace.Event, startInstr uint
 		for _, ev := range events[i:j] {
 			e := lastEntry
 			if e == nil || ev.Branch != lastBranch {
-				e = sh.getLocked(tableKey{program, ev.Branch}, t)
+				e = sh.getLocked(entryKey(pid, ev.Branch))
 				lastBranch, lastEntry = ev.Branch, e
 			}
 			instr += uint64(ev.Gap)
-			dst = append(dst, applyOne(e, m, ev, instr))
+			dst = append(dst, t.applyOne(e, m, ev, instr).Encode())
 		}
 		sh.mu.Unlock()
 		i = j
@@ -337,24 +325,6 @@ type applyScratch struct {
 
 var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 
-// applyOne advances entry e by one event whose absolute instruction count
-// is instr, bumps the shard counters, and returns the encoded decision.
-// The caller holds the entry's shard lock.
-func applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr uint64) byte {
-	d := e.applyEvent(ev, instr)
-	m.Events++
-	m.Instrs += uint64(ev.Gap)
-	switch d.Verdict {
-	case core.Correct:
-		m.Correct++
-	case core.Misspec:
-		m.Misspec++
-	default:
-		m.NotSpec++
-	}
-	return d.Encode()
-}
-
 // applySharded is ApplyBatch's large-batch schedule: one lock acquisition
 // per touched shard instead of one per same-shard run. Pass one walks the
 // events lock-free, recording each event's absolute instruction count (the
@@ -364,6 +334,7 @@ func applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr uint64) byte
 // within each shard. Pass two applies each shard's sub-batch under a single
 // lock hold, writing every decision byte to its event's original position.
 func (t *Table) applySharded(ph uint64, program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
+	pid := t.intern(program)
 	n := len(events)
 	ns := len(t.shards)
 	sc := applyScratchPool.Get().(*applyScratch)
@@ -432,10 +403,10 @@ func (t *Table) applySharded(ph uint64, program string, events []trace.Event, st
 			ev := events[i]
 			e := lastEntry
 			if e == nil || ev.Branch != lastBranch {
-				e = sh.getLocked(tableKey{program, ev.Branch}, t)
+				e = sh.getLocked(entryKey(pid, ev.Branch))
 				lastBranch, lastEntry = ev.Branch, e
 			}
-			out[i] = applyOne(e, m, ev, sc.instr[i])
+			out[i] = t.applyOne(e, m, ev, sc.instr[i]).Encode()
 		}
 		sh.mu.Unlock()
 		start = end
@@ -475,18 +446,25 @@ func (t *Table) ApplyFrame(program string, payload []byte, startInstr uint64, ds
 }
 
 // Decide returns the unit's current classification without observing an
-// event. Unknown keys report the Monitor default (and are not created).
-// It takes only the shard's read lock, so concurrent deciders never
-// serialize against each other — only against writers on the same shard.
+// event. Unknown keys report the Monitor default; neither the key nor its
+// program is created. It takes only read locks, so concurrent deciders
+// never serialize against each other — only against writers on the same
+// shard.
 func (t *Table) Decide(program string, id trace.BranchID) Decision {
+	pid, ok := t.lookup(program)
+	if !ok {
+		return Decision{State: core.Monitor}
+	}
 	sh := t.shardFor(program, id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e := sh.entries[tableKey{program, id}]
-	if e == nil {
+	i, ok := sh.index[entryKey(pid, id)]
+	if !ok {
 		return Decision{State: core.Monitor}
 	}
-	return e.decide()
+	u := &sh.entries[i].unit
+	dir, live := u.Speculating()
+	return Decision{State: u.State(), Dir: dir, Live: live}
 }
 
 // DecideKind is Decide with an explicit speculation kind.
@@ -503,7 +481,7 @@ func (t *Table) Metrics() []ShardMetrics {
 		sh := &t.shards[i]
 		sh.mu.RLock()
 		out[i] = sh.metrics
-		out[i].Entries = uint64(len(sh.entries))
+		out[i].Entries = uint64(len(sh.index))
 		sh.mu.RUnlock()
 	}
 	return out
@@ -520,30 +498,38 @@ type EntrySnapshot struct {
 }
 
 // SnapshotEntries exports every touched entry, sorted by (program, branch)
-// so snapshots are deterministic. Each shard is captured atomically under
-// its lock; concurrent ingest interleaving between shards yields per-entry
-// (not cross-entry) consistency, which is sufficient because entries never
-// observe each other. The daemon's shutdown snapshot runs after the drain,
-// so it is fully consistent.
+// so snapshots are deterministic, whatever order the programs were first
+// seen in. Each shard is captured atomically under its lock; concurrent
+// ingest interleaving between shards yields per-entry (not cross-entry)
+// consistency, which is sufficient because entries never observe each
+// other. The daemon's shutdown snapshot runs after the drain, so it is
+// fully consistent.
 func (t *Table) SnapshotEntries() []EntrySnapshot {
-	var out []EntrySnapshot
+	var (
+		out  []EntrySnapshot
+		pids []uint32
+	)
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.mu.Lock()
-		for key, e := range sh.entries {
-			st, stats, ok := e.export()
+		sh.mu.RLock()
+		for key, idx := range sh.index {
+			e := &sh.entries[idx]
+			st, ok := e.unit.Export()
 			if !ok {
 				continue
 			}
-			out = append(out, EntrySnapshot{
-				Program: key.program,
-				Branch:  key.branch,
-				State:   st,
-				Stats:   stats,
-			})
+			out = append(out, EntrySnapshot{Branch: trace.BranchID(key), State: st, Stats: e.stats})
+			pids = append(pids, uint32(key>>32))
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
+	// Every ID seen above was interned before its entry was created, so
+	// reading the names afterwards finds them all.
+	t.progMu.Lock()
+	for i := range out {
+		out[i].Program = t.progNames[pids[i]]
+	}
+	t.progMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Program != out[j].Program {
 			return out[i].Program < out[j].Program
@@ -556,11 +542,21 @@ func (t *Table) SnapshotEntries() []EntrySnapshot {
 // RestoreEntries imports previously exported entries, overwriting any
 // existing state for the same keys.
 func (t *Table) RestoreEntries(entries []EntrySnapshot) {
-	for _, es := range entries {
-		sh := t.shardFor(es.Program, es.Branch)
+	var (
+		program string
+		pid     uint32
+		ph      uint64
+	)
+	for i, es := range entries {
+		// Snapshots come sorted by program: intern and hash each once.
+		if i == 0 || es.Program != program {
+			program, pid, ph = es.Program, t.intern(es.Program), programHash(es.Program)
+		}
+		sh := &t.shards[t.shardIndex(ph, es.Branch)]
 		sh.mu.Lock()
-		e := sh.getLocked(tableKey{es.Program, es.Branch}, t)
-		e.restore(es.State, es.Stats)
+		e := sh.getLocked(entryKey(pid, es.Branch))
+		e.unit.Import(es.State)
+		e.stats = es.Stats
 		sh.mu.Unlock()
 	}
 }

@@ -62,6 +62,8 @@ func TestTableMatchesInProcessController(t *testing.T) {
 	got := applyAll(tab, "prog", evs, &instr)
 
 	ctl := core.New(params)
+	var transitions [4]uint64
+	ctl.OnTransition = func(tr core.Transition) { transitions[tr.To]++ }
 	instr = 0
 	for i, ev := range evs {
 		instr += uint64(ev.Gap)
@@ -86,6 +88,9 @@ func TestTableMatchesInProcessController(t *testing.T) {
 	}
 	if total.Entries == 0 || total.Transitions[core.Biased] == 0 {
 		t.Fatalf("expected resident entries and biased transitions, got %+v", total)
+	}
+	if total.Transitions != transitions {
+		t.Fatalf("table transitions %v, controller hook saw %v", total.Transitions, transitions)
 	}
 }
 

@@ -4,9 +4,18 @@
 # experiment drivers), and an end-to-end smoke run of the serving mode
 # (reactiveload driving an ephemeral reactived over localhost with decision
 # verification on). Run from anywhere inside the repository.
+# Before any of that it fails on every Go file gofmt -l lists.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
