@@ -54,11 +54,13 @@ type FollowerConfig struct {
 	// WAL's NextSeq: the follower logs records before applying, so the
 	// resume point is exactly what survived locally.
 	NextSeq func() uint64
-	// Apply applies one shipped record. It must log-then-apply (the replica
-	// server's ApplyReplicated) so NextSeq advances with it. traceID is the
-	// record's span-trace context (zero when the originating batch was
-	// untraced or the primary speaks replication proto 1).
-	Apply func(program string, events []trace.Event, traceID uint64) error
+	// Apply applies one shipped record: frame is its trace frame payload,
+	// validated and exactly as the primary logged it, and only valid until
+	// Apply returns. It must log-then-apply (the replica server's
+	// ApplyReplicated) so NextSeq advances with it. traceID is the record's
+	// span-trace context (zero when the originating batch was untraced or
+	// the primary speaks replication proto 1).
+	Apply func(program string, frame []byte, traceID uint64) error
 	// Window is the requested credit window (0 = primary's default).
 	Window uint32
 	// Logf, when non-nil, receives operational log lines.
@@ -308,7 +310,6 @@ func (f *Follower) session() error {
 
 	var (
 		scratch  []byte
-		events   []trace.Event
 		ackBuf   []byte
 		expected = from
 	)
@@ -330,17 +331,17 @@ func (f *Follower) session() error {
 				return errPermanent{fmt.Errorf(
 					"replica: primary shipped seq %d, replica expected %d — logs have diverged", rec.Seq, expected)}
 			}
-			events, err = trace.DecodeFrameAppend(rec.Frame, events[:0])
+			nEvents, err := trace.ValidateFrame(rec.Frame)
 			if err != nil {
 				return errPermanent{fmt.Errorf("replica: shipped record %d does not decode: %w", rec.Seq, err)}
 			}
-			if err := f.cfg.Apply(rec.Program, events, rec.Trace); err != nil {
+			if err := f.cfg.Apply(rec.Program, rec.Frame, rec.Trace); err != nil {
 				return errPermanent{fmt.Errorf("replica: applying record %d: %w", rec.Seq, err)}
 			}
 			expected = rec.Seq + 1
 			f.lastApplied.Store(expected)
 			f.receivedRecords.Add(1)
-			f.receivedEvents.Add(uint64(len(events)))
+			f.receivedEvents.Add(uint64(nEvents))
 			f.receivedBytes.Add(uint64(len(payload)))
 			if rec.Durable > expected {
 				f.lagRecords.Store(rec.Durable - expected)

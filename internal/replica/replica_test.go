@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -84,7 +85,7 @@ func startPrimarySeg(t *testing.T, shards int, segBytes int64) *primaryEnv {
 	}
 	go sh.Serve(ln)
 	t.Cleanup(func() { sh.Close(); l.Close() })
-	return &primaryEnv{srv: s, client: server.NewClient(ts.URL, ts.Client()), log: l, shipper: sh, ln: ln, ts: ts}
+	return &primaryEnv{srv: s, client: server.Connect(ts.URL, server.WithHTTPClient(ts.Client())), log: l, shipper: sh, ln: ln, ts: ts}
 }
 
 // kill simulates a primary crash: the shipper, its listener, and the HTTP
@@ -127,7 +128,7 @@ func startReplica(t *testing.T, shards int, addr string, window uint32) *replica
 	})
 	s.SetSealFunc(f.Seal)
 	t.Cleanup(func() { f.Seal(); l.Close() })
-	return &replicaEnv{srv: s, client: server.NewClient(ts.URL, ts.Client()), log: l, follower: f}
+	return &replicaEnv{srv: s, client: server.Connect(ts.URL, server.WithHTTPClient(ts.Client())), log: l, follower: f}
 }
 
 // waitApplied blocks until the follower has applied through seq (the
@@ -236,7 +237,7 @@ func TestFollowerParamsMismatch(t *testing.T) {
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()) + 1,
 		NextSeq:    func() uint64 { return 0 },
-		Apply:      func(string, []trace.Event, uint64) error { return nil },
+		Apply:      func(string, []byte, uint64) error { return nil },
 		Logf:       t.Logf,
 	})
 	defer f.Seal()
@@ -277,7 +278,7 @@ func TestFollowerBehindCompaction(t *testing.T) {
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()),
 		NextSeq:    func() uint64 { return 0 },
-		Apply:      func(string, []trace.Event, uint64) error { return nil },
+		Apply:      func(string, []byte, uint64) error { return nil },
 		Logf:       t.Logf,
 	})
 	defer f.Seal()
@@ -365,7 +366,7 @@ func TestShipperRejectsFutureFrom(t *testing.T) {
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()),
 		NextSeq:    func() uint64 { return 999 },
-		Apply:      func(string, []trace.Event, uint64) error { return nil },
+		Apply:      func(string, []byte, uint64) error { return nil },
 		Logf:       t.Logf,
 	})
 	defer f.Seal()
@@ -376,5 +377,85 @@ func TestShipperRejectsFutureFrom(t *testing.T) {
 	}
 	if err := f.Err(); err == nil || !strings.Contains(err.Error(), "beyond the log end") {
 		t.Fatalf("error %v does not name the divergence", err)
+	}
+}
+
+// walRecord is one WAL record's identity: its sequence, table key and the
+// frame bytes exactly as logged.
+type walRecord struct {
+	seq     uint64
+	program string
+	frame   string
+}
+
+// readLog returns every record of the WAL directory behind l.
+func readLog(t *testing.T, l *wal.Log) []walRecord {
+	t.Helper()
+	r, err := wal.NewReader(wal.ReaderOptions{Dir: l.Dir(), ParamsHash: l.ParamsHash(), FrameOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var out []walRecord
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, walRecord{seq: rec.Seq, program: rec.Program, frame: string(rec.Frame)})
+	}
+}
+
+// TestReplicaLogMatchesPrimary pins that the replica logs every shipped
+// record byte for byte as the primary did: same sequence numbers, the same
+// kind-encoded program keys, the same frame payloads — across kinds, POST
+// batches of several frames, and stream frames.
+func TestReplicaLogMatchesPrimary(t *testing.T) {
+	p := startPrimary(t, 4)
+	r := startReplica(t, 4, p.ln.Addr().String(), 8)
+	ctx := context.Background()
+
+	for i, kind := range []trace.Kind{trace.KindBranch, trace.KindValue, trace.KindMemdep, trace.KindTLSpec} {
+		if _, err := p.client.IngestKind(ctx, "gzip", kind, synthEvents(300, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := [][]trace.Event{synthEvents(100, 10), synthEvents(200, 11), synthEvents(50, 12)}
+	if _, err := p.client.IngestFrames(ctx, "vpr", frames); err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.client.OpenStream(ctx, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, kind := range []trace.Kind{trace.KindBranch, trace.KindValue, trace.KindBranch} {
+		if err := st.SendKind(ctx, kind, synthEvents(250, uint64(20+i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, r.follower, p.log.NextSeq())
+
+	primary, replica := readLog(t, p.log), readLog(t, r.log)
+	if len(primary) != 10 {
+		t.Fatalf("primary logged %d records, want 10", len(primary))
+	}
+	if len(replica) != len(primary) {
+		t.Fatalf("replica logged %d records, primary %d", len(replica), len(primary))
+	}
+	for i := range primary {
+		if replica[i] != primary[i] {
+			t.Fatalf("record %d diverges: replica (seq %d, %q, %d frame bytes), primary (seq %d, %q, %d frame bytes)",
+				i, replica[i].seq, replica[i].program, len(replica[i].frame),
+				primary[i].seq, primary[i].program, len(primary[i].frame))
+		}
 	}
 }

@@ -150,18 +150,6 @@ func Connect(base string, opts ...Option) *Client {
 	return c
 }
 
-// NewClient returns a client for the daemon at base. A nil hc uses the
-// default client with a 60s timeout.
-//
-// Deprecated: use Connect with WithHTTPClient; NewClient remains for callers
-// of the pre-options API.
-func NewClient(base string, hc *http.Client) *Client {
-	if hc == nil {
-		return Connect(base)
-	}
-	return Connect(base, WithHTTPClient(hc))
-}
-
 // get performs one GET round trip with the retry policy (GETs here are all
 // idempotent reads).
 func (c *Client) get(ctx context.Context, op, url string) (*http.Response, error) {
@@ -625,12 +613,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
 }
-
-// MetricsText fetches the raw /metrics exposition.
-//
-// Deprecated: use Metrics; MetricsText remains for callers of the
-// pre-context API.
-func (c *Client) MetricsText(ctx context.Context) (string, error) { return c.Metrics(ctx) }
 
 // httpError decodes a non-200 response into an *APIError. Responses carrying
 // the unified JSON envelope keep their machine-readable code (and map onto

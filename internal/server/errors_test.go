@@ -56,6 +56,11 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"snapshot wrong method", liveTS.URL, http.MethodGet, "/v1/snapshot", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"snapshot draining", drainTS.URL, http.MethodPost, "/v1/snapshot", http.StatusServiceUnavailable, CodeDraining},
 		{"snapshot unconfigured", liveTS.URL, http.MethodPost, "/v1/snapshot", http.StatusInternalServerError, CodeInternal},
+		{"cursor wrong method", liveTS.URL, http.MethodPost, "/v1/cursor?program=p", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"cursor missing program", liveTS.URL, http.MethodGet, "/v1/cursor", http.StatusBadRequest, CodeMalformed},
+		{"cursor NUL program", liveTS.URL, http.MethodGet, "/v1/cursor?program=p%00q", http.StatusBadRequest, CodeMalformed},
+		{"promote wrong method", liveTS.URL, http.MethodGet, "/v1/promote", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"promote not a replica", liveTS.URL, http.MethodPost, "/v1/promote", http.StatusConflict, CodeNotReplica},
 
 		{"v2 ingest wrong method", liveTS.URL, http.MethodGet, "/v2/ingest?program=p&kind=value", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"v2 ingest draining", drainTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=value", http.StatusServiceUnavailable, CodeDraining},

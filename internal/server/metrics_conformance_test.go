@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"reactivespec/internal/replica"
-	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -34,7 +33,7 @@ func TestMetricsConformance(t *testing.T) {
 		Addr:       "127.0.0.1:1",
 		ParamsHash: ParamsHash(testParams()),
 		NextSeq:    wlog.NextSeq,
-		Apply:      func(string, []trace.Event, uint64) error { return nil },
+		Apply:      func(string, []byte, uint64) error { return nil },
 	})
 	f.RegisterMetrics(s.Registry())
 	defer f.Seal()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -27,9 +28,9 @@ type RecoveryResult struct {
 // snapshot, replay the write-ahead log from the snapshot's anchor, resume.
 // Controllers are deterministic functions of their per-program event
 // streams, so the result is byte-identical to the pre-crash state for every
-// durably logged record (TestRecoverMatchesUncrashed pins this). Call it
-// once, before serving — replay drives the table directly and takes no
-// ingest locks.
+// durably logged record (TestRecoverMatchesUncrashed pins this). Replay runs
+// each record through the same commit step as live ingest, with nothing to
+// log. Call it once, before serving.
 func (s *Server) Recover() (RecoveryResult, error) {
 	var res RecoveryResult
 	restored, err := s.RestoreFromDisk()
@@ -56,6 +57,7 @@ func (s *Server) Recover() (RecoveryResult, error) {
 		Dir:        s.cfg.WAL.Dir(),
 		ParamsHash: s.cfg.WAL.ParamsHash(),
 		From:       res.WALSeq,
+		FrameOnly:  true,
 	})
 	if err != nil {
 		return res, fmt.Errorf("server: opening wal for replay: %w", err)
@@ -70,11 +72,18 @@ func (s *Server) Recover() (RecoveryResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("server: replaying wal record %d: %w", r.NextSeq(), err)
 		}
-		cur := s.cursorFor(rec.Program)
-		discard, cur.instr = s.table.ApplyBatch(rec.Program, rec.Events, cur.instr, discard[:0])
-		cur.events += uint64(len(rec.Events))
+		// A CRC-valid record whose frame does not validate is a damaged
+		// segment, exactly as the decoding reader reports it.
+		n, err := trace.ValidateFrame(rec.Frame)
+		if err != nil {
+			return res, fmt.Errorf("server: replaying wal record %d: %w: record frame payload: %v",
+				rec.Seq, wal.ErrBadSegment, err)
+		}
+		frames := [1]frameSpan{{pend: len(rec.Frame), events: n}}
+		// Without a log to append to, commit cannot fail.
+		discard, _, _ = s.commit(nil, rec.Program, s.cursorFor(rec.Program), rec.Frame, frames[:], 0, nil, discard[:0])
 		res.ReplayedRecords++
-		res.ReplayedEvents += uint64(len(rec.Events))
+		res.ReplayedEvents += uint64(n)
 	}
 	s.ins.walReplayedRecords.Add(res.ReplayedRecords)
 	s.ins.walReplayedEvents.Add(res.ReplayedEvents)

@@ -78,46 +78,39 @@ func (s *Server) Promote() (PromoteResult, error) {
 	return PromoteResult{Mode: "primary", LastAppliedSeq: last}, nil
 }
 
-// ApplyReplicated applies one record shipped from the primary's WAL: append
-// it to the replica's own log, commit, then train the table — the same
-// log-before-apply contract as handleIngest, under the same locks, so
-// snapshots taken on the replica carry exact WAL anchors and replay after a
-// replica crash reproduces the same decisions. Callers (the replication
-// follower) deliver records in WAL-sequence order; the per-program cursor
-// lock preserves that order against the table. traceID, when non-zero, is the
-// trace the record's originating batch was sampled into on the primary; the
-// replica closes the cross-node chain with a follower_apply span under it.
-func (s *Server) ApplyReplicated(program string, events []trace.Event, traceID uint64) error {
+// ApplyReplicated applies one record shipped from the primary's WAL: frame
+// is the record's trace frame payload exactly as the primary logged it. It
+// runs the same commit step as primary ingest — log the frame verbatim, then
+// train the table, under the same locks — so the replica's log holds the
+// primary's record bytes, snapshots taken on the replica carry exact WAL
+// anchors, and replay after a replica crash reproduces the same decisions.
+// Callers (the replication follower) deliver records in WAL-sequence order;
+// the per-program cursor lock preserves that order against the table.
+// traceID, when non-zero, is the trace the record's originating batch was
+// sampled into on the primary; the replica closes the cross-node chain with a
+// follower_apply span under it.
+func (s *Server) ApplyReplicated(program string, frame []byte, traceID uint64) error {
 	if !s.readOnly.Load() {
 		return ErrNotReplica
 	}
 	start := time.Now()
-	cur := s.cursorFor(program)
-	s.replicaMu.Lock()
-	defer s.replicaMu.Unlock()
-	s.applyMu.RLock()
-	cur.mu.Lock()
-	var walErr error
+	n, err := trace.ValidateFrame(frame)
+	if err != nil {
+		return fmt.Errorf("server: replicated record: %w", err)
+	}
+	frames := [1]frameSpan{{pend: len(frame), events: n}}
+	// The replica discards its decisions; the pooled ingest scratch keeps
+	// the buffer they land in from allocating per record.
+	sc := ingestScratchPool.Get().(*ingestScratch)
 	var seq uint64
-	if wlog := s.cfg.WAL; wlog != nil {
-		if seq, walErr = wlog.Append(program, events); walErr == nil {
-			walErr = wlog.Commit()
-		}
-	}
-	if walErr == nil {
-		s.replicaScratch, cur.instr = s.table.ApplyBatch(program, events, cur.instr, s.replicaScratch[:0])
-		cur.events += uint64(len(events))
-	}
-	cur.mu.Unlock()
-	s.applyMu.RUnlock()
-	if walErr != nil {
-		s.ins.walAppendErrors.Inc()
-		return fmt.Errorf("server: replica wal append: %w", walErr)
+	sc.decisions, seq, err = s.commit(s.cfg.WAL, program, s.cursorFor(program), frame, frames[:], traceID, nil, sc.decisions[:0])
+	ingestScratchPool.Put(sc)
+	if err != nil {
+		return fmt.Errorf("server: replica wal append: %w", err)
 	}
 	s.ins.replicatedRecords.Inc()
-	s.ins.replicatedEvents.Add(uint64(len(events)))
-	s.cfg.Trace.NoteSeq(seq, traceID)
-	s.cfg.Trace.RecordStage(traceID, 0, "follower_apply", program, len(events), seq, start, time.Since(start))
+	s.ins.replicatedEvents.Add(uint64(n))
+	s.cfg.Trace.RecordStage(traceID, 0, "follower_apply", program, n, seq, start, time.Since(start))
 	return nil
 }
 
@@ -157,8 +150,7 @@ func (s *Server) handleCursor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	program := r.URL.Query().Get("program")
-	if program == "" {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "missing program parameter")
+	if !checkProgram(w, program) {
 		return
 	}
 	resp := CursorResponse{Program: program}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -73,7 +74,7 @@ func TestApplyReplicatedThenPromote(t *testing.T) {
 	s, c := newReplicaServer(t, 4)
 	var total uint64
 	for _, b := range batches {
-		if err := s.ApplyReplicated(b.program, synthEvents(b.n, b.seed), 0); err != nil {
+		if err := s.ApplyReplicated(b.program, trace.EncodeFrameAppend(nil, synthEvents(b.n, b.seed)), 0); err != nil {
 			t.Fatalf("ApplyReplicated: %v", err)
 		}
 		total += uint64(b.n)
@@ -112,7 +113,7 @@ func TestApplyReplicatedThenPromote(t *testing.T) {
 	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(50, 9)); err != nil {
 		t.Fatalf("ingest after promote: %v", err)
 	}
-	if err := s.ApplyReplicated("gzip", synthEvents(5, 1), 0); !errors.Is(err, ErrNotReplica) {
+	if err := s.ApplyReplicated("gzip", trace.EncodeFrameAppend(nil, synthEvents(5, 1)), 0); !errors.Is(err, ErrNotReplica) {
 		t.Fatalf("ApplyReplicated after promote: %v, want ErrNotReplica", err)
 	}
 

@@ -167,12 +167,6 @@ type Server struct {
 	// the last applied sequence before the server goes writable.
 	promoteMu sync.Mutex
 	sealFn    func() (uint64, error)
-	// replicaMu serializes ApplyReplicated's use of replicaScratch (shipped
-	// records already arrive in per-connection order; the cursor lock, not
-	// this one, is the ordering guarantee).
-	replicaMu      sync.Mutex
-	replicaScratch []byte
-
 	// applyMu fences WAL-append-plus-apply sections (read side) against
 	// snapshot capture (write side): a snapshot's WAL anchor is taken while
 	// no batch is between its WAL append and its table apply, so every
@@ -319,10 +313,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", s.handleIngest)
-	mux.HandleFunc("/v1/decide", s.handleDecide)
-	mux.HandleFunc("/v2/ingest", s.handleIngestV2)
-	mux.HandleFunc("/v2/decide", s.handleDecideV2)
+	// The /v1 routes pin kind=branch and never read kind or policy.
+	mux.HandleFunc("/v1/ingest", func(w http.ResponseWriter, r *http.Request) { s.handleIngest(w, r, false) })
+	mux.HandleFunc("/v2/ingest", func(w http.ResponseWriter, r *http.Request) { s.handleIngest(w, r, true) })
+	mux.HandleFunc("/v1/decide", func(w http.ResponseWriter, r *http.Request) { s.handleDecide(w, r, false) })
+	mux.HandleFunc("/v2/decide", func(w http.ResponseWriter, r *http.Request) { s.handleDecide(w, r, true) })
 	mux.HandleFunc("/v1/info", s.handleInfo)
 	mux.HandleFunc("/v1/stream", s.handleStream)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
@@ -361,7 +356,12 @@ type ingestScratch struct {
 
 var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+// handleIngest serves POST /v1/ingest and, with kinded set, /v2/ingest,
+// which also validates kind and policy. Below validation both run the same
+// batch path on the kind-encoded table key: the WAL record, the cursor, the
+// table keys and the response bytes of a /v2 kind=branch ingest are exactly
+// those of a /v1 ingest of the same body (the key is the plain name then).
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kinded bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
 		return
@@ -380,16 +380,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !checkProgram(w, program) {
 		return
 	}
+	kind := trace.KindBranch
+	if kinded {
+		var ok bool
+		if kind, ok = s.checkKindPolicy(w, q); !ok {
+			return
+		}
+	}
 	if !s.checkParamsPin(w, q.Get("params")) {
 		return
 	}
-	// pprof labels let a CPU profile split ingest work by program, transport
-	// and role; the body runs inside the labeled region so decode/apply
-	// samples carry them.
+	// pprof labels let a CPU profile split ingest work by program, kind,
+	// transport and role; the body runs inside the labeled region so
+	// decode/apply samples carry them.
 	pprof.Do(r.Context(), pprof.Labels(
-		"program", program, "transport", "post", "role", s.Mode(),
+		"program", program, "kind", kind.String(), "transport", "post", "role", s.Mode(),
 	), func(context.Context) {
-		s.ingestBatch(w, r, program)
+		s.ingestBatch(w, r, trace.EncodeKindProgram(kind, program), program)
 	})
 }
 
@@ -468,46 +475,10 @@ func (s *Server) checkKindPolicy(w http.ResponseWriter, q map[string][]string) (
 	return kind, true
 }
 
-func (s *Server) handleIngestV2(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	if s.readOnly.Load() {
-		writeError(w, http.StatusForbidden, CodeReadOnly,
-			"replica is read-only; ingest on the primary, or promote this replica first")
-		return
-	}
-	q := r.URL.Query()
-	program := q.Get("program")
-	if !checkProgram(w, program) {
-		return
-	}
-	kind, ok := s.checkKindPolicy(w, q)
-	if !ok {
-		return
-	}
-	if !s.checkParamsPin(w, q.Get("params")) {
-		return
-	}
-	// Everything below /v2 validation is the /v1 batch path on the encoded
-	// kind-program key: the WAL record, the cursor, the table keys, and the
-	// response bytes are exactly what a /v1 ingest of the same body would
-	// produce for kind=branch (the key is the plain name then).
-	pprof.Do(r.Context(), pprof.Labels(
-		"program", program, "kind", kind.String(), "transport", "post", "role", s.Mode(),
-	), func(context.Context) {
-		s.ingestBatch(w, r, trace.EncodeKindProgram(kind, program))
-	})
-}
-
-// ingestBatch is handleIngest's validated body: decode, log, apply, respond.
-func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program string) {
-	start := time.Now()
+// ingestBatch is handleIngest's validated body: decode, commit, respond.
+// key is the kind-encoded table key; program is the plain name spans carry.
+func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, program string) {
+	clk := stageClock{start: time.Now()}
 
 	// An X-Reactive-Trace header joins this batch to a trace the client
 	// started (its encode and network spans share the ID); otherwise the
@@ -528,15 +499,15 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 		ingestScratchPool.Put(sc)
 	}()
 
-	// Stage 1 — read + validate, no locks held. The whole body is consumed
+	// Decode — read + validate, no locks held. The whole body is consumed
 	// into pooled buffers before the program cursor is taken, so a client
 	// trickling bytes over a slow socket cannot stall other ingesters for
-	// the same program the way the old decode-under-lock loop could. Frames
-	// are validated (same accept/reject set and diagnostics as decoding) but
-	// kept as raw payload bytes: the WAL splices them in verbatim and
-	// ApplyFrame decodes them in place, so no []trace.Event is materialized.
-	decodeStart := time.Now()
+	// the same program. Frames are validated (same accept/reject set and
+	// diagnostics as decoding) but kept as raw payload bytes: the WAL
+	// splices them in verbatim and ApplyFrame decodes them in place, so no
+	// []trace.Event is materialized.
 	var truncated error
+	var events int
 	if sc.fr == nil {
 		sc.fr = trace.NewFrameReader(r.Body)
 	} else {
@@ -566,82 +537,21 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 		}
 		sc.payload = payload
 		sc.frames = append(sc.frames, frameSpan{pstart: p0, pend: len(payload), events: nEvents})
+		events += nEvents
 	}
-	decodeDur := time.Since(decodeStart)
+	clk.lap(stageDecode)
 
-	// Stage 2 — log, then ordered apply. The WAL append runs under the same
-	// cursor lock as the apply so a program's WAL record order is exactly
-	// its apply order (replay reproduces the same decisions), and one Commit
-	// covers the whole batch. Only the controller updates and the WAL append
-	// run under the lock, batched per frame so the table can amortize
-	// hashing and shard locking across each frame's events.
-	applyStart := time.Now()
-	cur := s.cursorFor(program)
-	s.applyMu.RLock()
-	cur.mu.Lock()
-	var walErr error
-	var firstSeq uint64
-	walStart := time.Now()
-	fsyncStart := walStart
-	var fsyncDur time.Duration
-	if wlog := s.cfg.WAL; wlog != nil {
-		for _, f := range sc.frames {
-			if f.errMsg != "" {
-				continue
-			}
-			var seq uint64
-			if seq, walErr = wlog.AppendPayload(program, sc.payload[f.pstart:f.pend]); walErr != nil {
-				break
-			}
-			if firstSeq == 0 {
-				firstSeq = seq
-			}
-			// The WAL stores no trace context; the seq→trace side table is
-			// how the replication shipper re-attaches the trace when it
-			// reads this record back off the log.
-			s.cfg.Trace.NoteSeq(seq, traceID)
-		}
-		fsyncStart = time.Now()
-		if walErr == nil {
-			walErr = wlog.Commit()
-		}
-		fsyncDur = time.Since(fsyncStart)
-	}
-	walDur := fsyncStart.Sub(walStart)
-	tableStart := time.Now()
-	var totalEvents int
-	if walErr == nil {
-		for i := range sc.frames {
-			f := &sc.frames[i]
-			if f.errMsg != "" {
-				continue
-			}
-			f.dstart = len(sc.decisions)
-			sc.decisions, cur.instr = s.table.ApplyFrame(program, sc.payload[f.pstart:f.pend], cur.instr, sc.decisions)
-			f.dend = len(sc.decisions)
-			totalEvents += f.events
-		}
-		cur.events += uint64(totalEvents)
-	}
-	tableDur := time.Since(tableStart)
-	cur.mu.Unlock()
-	s.applyMu.RUnlock()
-	if walErr != nil {
-		// Nothing was applied: a client that cannot durably log must not
-		// train the live table, or recovery would diverge from the state it
-		// acknowledged. (Frames appended before the failure may survive in
-		// the log; replaying unacknowledged events is safe — the client saw
-		// an error, not an ack.)
-		s.ins.walAppendErrors.Inc()
-		writeError(w, http.StatusInternalServerError, CodeInternal, "wal append: "+walErr.Error())
+	decisions, firstSeq, err := s.commit(s.cfg.WAL, key, s.cursorFor(key), sc.payload, sc.frames,
+		traceID, &clk, sc.decisions[:0])
+	sc.decisions = decisions
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, "wal append: "+err.Error())
 		return
 	}
-	applyDur := time.Since(applyStart)
 
-	// Stage 3 — encode and write the response from a pooled buffer. Each
+	// Respond — encode and write the response from a pooled buffer. Each
 	// applied frame recorded its span of the shared decision buffer while
 	// applying, one byte per event.
-	respondStart := time.Now()
 	resp := sc.resp[:0]
 	resp = append(resp, respMagic[:]...)
 	var tmp [binary.MaxVarintLen64]byte
@@ -651,7 +561,7 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 		if f.errMsg == "" {
 			resp = append(resp, ingestApplied)
 			putUvarint(uint64(f.events))
-			resp = append(resp, sc.decisions[f.dstart:f.dend]...)
+			resp = append(resp, decisions[f.dstart:f.dend]...)
 		} else {
 			resp = append(resp, ingestRejected)
 			putUvarint(uint64(len(f.errMsg)))
@@ -673,30 +583,8 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, program str
 		// are already applied, so all we can do is count it.
 		s.ins.responseErrors.Inc()
 	}
-	respondDur := time.Since(respondStart)
-	end := time.Now()
-
-	s.ins.batches.Inc()
-	s.ins.batchLat.Observe(end.Sub(start).Seconds())
-	s.ins.decodeLat.Observe(decodeDur.Seconds())
-	s.ins.applyLat.Observe(applyDur.Seconds())
-	s.ins.respondLat.Observe(respondDur.Seconds())
-	s.ins.batchEvents.Observe(float64(totalEvents))
-
-	if traceID != 0 {
-		// The batch root plus its contiguous children (decode through
-		// respond) is what `reactivespec spans` attributes wall time over;
-		// the children cover the root by construction.
-		tr := s.cfg.Trace
-		root := tr.SpanID()
-		tr.Record(obs.Span{Trace: traceID, Span: root, Stage: "batch", Program: program,
-			Events: totalEvents, Seq: firstSeq, Start: start.UnixNano(), Dur: int64(end.Sub(start))})
-		tr.RecordStage(traceID, root, "decode", program, totalEvents, 0, decodeStart, decodeDur)
-		tr.RecordStage(traceID, root, "wal_append", program, totalEvents, firstSeq, walStart, walDur)
-		tr.RecordStage(traceID, root, "fsync", program, 0, firstSeq, fsyncStart, fsyncDur)
-		tr.RecordStage(traceID, root, "apply", program, totalEvents, 0, tableStart, tableDur)
-		tr.RecordStage(traceID, root, "respond", program, 0, 0, respondStart, respondDur)
-	}
+	clk.lap(stageRespond)
+	s.finishBatch(&clk, traceID, program, events, firstSeq)
 }
 
 // DecideResponse is the JSON answer of /v1/decide.
@@ -706,35 +594,6 @@ type DecideResponse struct {
 	State     string `json:"state"`
 	Direction string `json:"direction"` // "taken" or "not-taken"
 	Live      bool   `json:"live"`
-}
-
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	program := r.URL.Query().Get("program")
-	if !checkProgram(w, program) {
-		return
-	}
-	branch, err := strconv.ParseUint(r.URL.Query().Get("branch"), 10, 32)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "bad branch parameter: "+err.Error())
-		return
-	}
-	d := s.table.Decide(program, trace.BranchID(branch))
-	dir := "not-taken"
-	if d.Dir {
-		dir = "taken"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, DecideResponse{
-		Program:   program,
-		Branch:    uint32(branch),
-		State:     d.State.String(),
-		Direction: dir,
-		Live:      d.Live,
-	})
 }
 
 // DecideV2Response is the JSON answer of /v2/decide. Unlike the v1 response
@@ -749,7 +608,9 @@ type DecideV2Response struct {
 	Live    bool   `json:"live"`
 }
 
-func (s *Server) handleDecideV2(w http.ResponseWriter, r *http.Request) {
+// handleDecide serves GET /v1/decide?branch=N and, with kinded set,
+// /v2/decide?kind=K&id=N, each in its own response shape.
+func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request, kinded bool) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
 		return
@@ -759,24 +620,42 @@ func (s *Server) handleDecideV2(w http.ResponseWriter, r *http.Request) {
 	if !checkProgram(w, program) {
 		return
 	}
-	kind, ok := s.checkKindPolicy(w, q)
-	if !ok {
-		return
+	kind, idParam := trace.KindBranch, "branch"
+	if kinded {
+		var ok bool
+		if kind, ok = s.checkKindPolicy(w, q); !ok {
+			return
+		}
+		idParam = "id"
 	}
-	id, err := strconv.ParseUint(q.Get("id"), 10, 32)
+	id, err := strconv.ParseUint(q.Get(idParam), 10, 32)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "bad id parameter: "+err.Error())
+		writeError(w, http.StatusBadRequest, CodeMalformed, "bad "+idParam+" parameter: "+err.Error())
 		return
 	}
 	d := s.table.DecideKind(program, kind, trace.BranchID(id))
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, DecideV2Response{
-		Program: program,
-		Kind:    kind.String(),
-		ID:      uint32(id),
-		State:   d.State.String(),
-		Dir:     d.Dir,
-		Live:    d.Live,
+	if kinded {
+		writeJSON(w, DecideV2Response{
+			Program: program,
+			Kind:    kind.String(),
+			ID:      uint32(id),
+			State:   d.State.String(),
+			Dir:     d.Dir,
+			Live:    d.Live,
+		})
+		return
+	}
+	dir := "not-taken"
+	if d.Dir {
+		dir = "taken"
+	}
+	writeJSON(w, DecideResponse{
+		Program:   program,
+		Branch:    uint32(id),
+		State:     d.State.String(),
+		Direction: dir,
+		Live:      d.Live,
 	})
 }
 

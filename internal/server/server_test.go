@@ -22,7 +22,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, NewClient(ts.URL, ts.Client())
+	return s, Connect(ts.URL, WithHTTPClient(ts.Client()))
 }
 
 func TestIngestAndDecide(t *testing.T) {

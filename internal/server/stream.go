@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"reactivespec/internal/obs"
 	"reactivespec/internal/trace"
 )
 
@@ -27,11 +26,11 @@ import (
 //   - a dedicated raw TCP listener (reactived -stream-addr) where the
 //     session protocol starts immediately after connect.
 //
-// Decisions are byte-identical to the /v1/ingest path: both train the same
-// Table under the same per-program cursor lock — the stream side through
-// ApplyFrame, pinned bit-identical to ApplyBatch — so a program's event
-// order, and therefore its decision sequence, is independent of the
-// transport (TestStreamMatchesIngest pins this).
+// Decisions are byte-identical to the /v1/ingest path: both run each frame
+// through the same commit step (log, then ApplyFrame, under the same
+// per-program cursor lock), so a program's event order, and therefore its
+// decision sequence, is independent of the transport
+// (TestStreamMatchesIngest pins this).
 //
 // Backpressure is window-based: the handshake ack advertises how many event
 // frames may be in flight, each decision (or reject) frame implicitly
@@ -284,12 +283,12 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 //
 // The read path is zero-copy at the byte level: ReadSessionFrameBuffered
 // hands back a payload aliasing the connection read buffer, the frame is
-// validated in place (trace.ValidateFrame — identical accept/reject set
-// and diagnostics to the old decode), the WAL splices the validated bytes
-// verbatim (wal.AppendPayload writes the same record bytes Append would),
-// and Table.ApplyFrame decodes into a pooled scratch that never escapes
-// it. Steady state allocates nothing per frame, and the payload is fully
-// consumed before the next read invalidates it.
+// validated in place (trace.ValidateFrame), and commit splices the
+// validated bytes into the WAL verbatim and applies them with
+// Table.ApplyFrame. Steady state allocates nothing per frame, and the
+// payload is fully consumed before the next read invalidates it. Each
+// applied frame is one batch on the ingest histograms and spans, timed by
+// the same stage clock as a POST batch.
 func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
 	ss *streamSession, program string, proto, flags uint32, writeWire func([]byte) error) {
 	// terminal ends the session with a typed frame; the client surfaces
@@ -337,7 +336,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 		switch typ {
 		case trace.StreamFrameEvents:
 			s.ins.streamFrames.Inc()
-			batchStart := time.Now()
+			clk := stageClock{start: time.Now()}
 			// At proto 2 the payload leads with a trace context: a non-zero
 			// ID joins the frame to the client's trace, zero means untraced
 			// and the server's own sampler gets its say.
@@ -358,12 +357,11 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 			if err == nil && traceID == 0 {
 				traceID = s.cfg.Trace.SampleBatch()
 			}
-			decodeStart := time.Now()
 			var nEvents int
 			if err == nil {
 				nEvents, err = trace.ValidateFrame(body)
 			}
-			decodeDur := time.Since(decodeStart)
+			clk.lap(stageDecode)
 			if err != nil {
 				// The session framing is intact — reject this frame
 				// alone and keep the session, mirroring the POST
@@ -383,66 +381,22 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 					cur = s.cursorFor(key)
 					keys[kind], curs[kind] = key, cur
 				}
-				applyStart := time.Now()
-				s.applyMu.RLock()
-				cur.mu.Lock()
-				var walErr error
+				frame := [1]frameSpan{{pend: len(body), events: nEvents}}
 				var seq uint64
-				walStart := time.Now()
-				fsyncStart := walStart
-				var fsyncDur time.Duration
-				if wlog := s.cfg.WAL; wlog != nil {
-					// Same contract as the POST path: the frame is logged
-					// under the cursor lock (WAL order == apply order) and
-					// committed before it trains the table. The validated
-					// wire payload is spliced in verbatim — the record
-					// bytes match what Append would have written for the
-					// decoded events.
-					seq, walErr = wlog.AppendPayload(key, body)
-					if walErr == nil {
-						s.cfg.Trace.NoteSeq(seq, traceID)
-					}
-					fsyncStart = time.Now()
-					if walErr == nil {
-						walErr = wlog.Commit()
-					}
-					fsyncDur = time.Since(fsyncStart)
-				}
-				walDur := fsyncStart.Sub(walStart)
-				tableStart := time.Now()
-				if walErr == nil {
-					decisions, cur.instr = s.table.ApplyFrame(key, body, cur.instr, decisions[:0])
-				}
-				tableDur := time.Since(tableStart)
-				cur.mu.Unlock()
-				s.applyMu.RUnlock()
-				if walErr != nil {
+				decisions, seq, err = s.commit(s.cfg.WAL, key, cur, body, frame[:], traceID, &clk, decisions[:0])
+				if err != nil {
 					// The frame was not applied; end the session with a
 					// typed server-side error rather than acknowledging
 					// events that were never durably logged.
-					s.ins.walAppendErrors.Inc()
-					terminal(trace.StreamCodeInternal, "wal append: "+walErr.Error())
+					terminal(trace.StreamCodeInternal, "wal append: "+err.Error())
 					return
 				}
-				s.ins.applyLat.Observe(time.Since(applyStart).Seconds())
-				s.ins.batchEvents.Observe(float64(nEvents))
-				respondStart := time.Now()
 				wireBuf, decScratch = appendDecisionsFrameCoalesced(wireBuf[:0], decisions, proto, flags, decScratch)
 				if writeWire(wireBuf) != nil {
 					return
 				}
-				if traceID != 0 {
-					tr := s.cfg.Trace
-					end := time.Now()
-					root := tr.SpanID()
-					tr.Record(obs.Span{Trace: traceID, Span: root, Stage: "batch", Program: program,
-						Events: nEvents, Seq: seq, Start: batchStart.UnixNano(), Dur: int64(end.Sub(batchStart))})
-					tr.RecordStage(traceID, root, "decode", program, nEvents, 0, decodeStart, decodeDur)
-					tr.RecordStage(traceID, root, "wal_append", program, nEvents, seq, walStart, walDur)
-					tr.RecordStage(traceID, root, "fsync", program, 0, seq, fsyncStart, fsyncDur)
-					tr.RecordStage(traceID, root, "apply", program, nEvents, 0, tableStart, tableDur)
-					tr.RecordStage(traceID, root, "respond", program, 0, 0, respondStart, end.Sub(respondStart))
-				}
+				clk.lap(stageRespond)
+				s.finishBatch(&clk, traceID, program, nEvents, seq)
 			}
 			// Flush only when no further frame is already buffered: a
 			// pipelining client keeps the session busy, and its credits

@@ -237,7 +237,16 @@ func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
 // Events for the same program must not be applied concurrently (the caller's
 // cursor lock already guarantees this on the ingest path); batches for
 // different programs may run in parallel exactly like Apply.
+//
+// The serving paths reach this code through ApplyFrame; ApplyBatch is for
+// callers that already hold decoded events.
 func (t *Table) ApplyBatch(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
+	return t.applyEvents(program, events, startInstr, dst)
+}
+
+// applyEvents is ApplyBatch's body, shared with ApplyBatchKind and
+// ApplyFrame.
+func (t *Table) applyEvents(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
 	instr := startInstr
 	if len(events) == 0 {
 		return dst, instr
@@ -279,7 +288,7 @@ func (t *Table) ApplyBatch(program string, events []trace.Event, startInstr uint
 // is encoded into the table key (trace.EncodeKindProgram), so kind=branch is
 // byte-identical to ApplyBatch on the plain program name.
 func (t *Table) ApplyBatchKind(program string, kind trace.Kind, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
-	return t.ApplyBatch(trace.EncodeKindProgram(kind, program), events, startInstr, dst)
+	return t.applyEvents(trace.EncodeKindProgram(kind, program), events, startInstr, dst)
 }
 
 // applyShardedMin is the batch size below which the two-pass shard
@@ -439,7 +448,7 @@ func (t *Table) ApplyFrame(program string, payload []byte, startInstr uint64, ds
 		frameEventsPool.Put(evp)
 		panic("server: ApplyFrame on unvalidated payload: " + err.Error())
 	}
-	dst, instr := t.ApplyBatch(program, evs, startInstr, dst)
+	dst, instr := t.applyEvents(program, evs, startInstr, dst)
 	*evp = evs[:0]
 	frameEventsPool.Put(evp)
 	return dst, instr

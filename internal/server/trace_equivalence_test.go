@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"reactivespec/internal/obs"
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -108,7 +109,7 @@ func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) 
 	defer rlog.Close()
 	r := New(Config{Params: testParams(), Shards: 4, WAL: rlog, Replica: true, Trace: tracer})
 	for off := 0; off < len(evs); off += chunk {
-		if err := r.ApplyReplicated("repl-prog", evs[off:off+chunk], replicaTrace); err != nil {
+		if err := r.ApplyReplicated("repl-prog", trace.EncodeFrameAppend(nil, evs[off:off+chunk]), replicaTrace); err != nil {
 			t.Fatal(err)
 		}
 	}

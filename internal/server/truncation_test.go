@@ -69,7 +69,7 @@ func TestIngestTruncatedBatchPartialApply(t *testing.T) {
 	}
 
 	// The truncation is counted.
-	m, err := NewClient(ts.URL, ts.Client()).Metrics(context.Background())
+	m, err := Connect(ts.URL, WithHTTPClient(ts.Client())).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestClientSurfacesBatchTruncation(t *testing.T) {
 	}))
 	defer canned.Close()
 
-	c := NewClient(canned.URL, canned.Client())
+	c := Connect(canned.URL, WithHTTPClient(canned.Client()))
 	frames := [][]trace.Event{synthEvents(10, 1), synthEvents(20, 2), synthEvents(30, 3)}
 	results, err := c.IngestFrames(context.Background(), "p", frames)
 	var te *BatchTruncatedError

@@ -26,11 +26,12 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# The observability layer and the server share lock-striped and atomic hot
-# paths; run them twice under the race detector so scheduling-order races
-# get a second chance to surface.
-echo "==> go test -race -count=2 ./internal/obs ./internal/server"
-go test -race -count=2 ./internal/obs ./internal/server
+# The observability layer, the server and the replication follower share
+# lock-striped and atomic hot paths (the follower applies through the
+# server's commit step); run them twice under the race detector so
+# scheduling-order races get a second chance to surface.
+echo "==> go test -race -count=2 ./internal/obs ./internal/server ./internal/replica"
+go test -race -count=2 ./internal/obs ./internal/server ./internal/replica
 
 echo "==> serving-mode smoke (reactiveload vs ephemeral reactived)"
 SMOKE_DIR=$(mktemp -d)
