@@ -14,11 +14,6 @@
 //	-addr-file f          write the bound address to f once listening (for scripts)
 //	-stream-addr a        also accept raw-TCP streaming ingest sessions on this address
 //	-stream-addr-file f   write the bound stream address to f once listening
-//	-stream-unix p        also accept streaming ingest sessions on a unix-domain
-//	                      socket at path p (co-located producers skip the TCP stack;
-//	                      a stale socket file from a crashed daemon is removed if
-//	                      nothing is listening, and the file is unlinked on shutdown)
-//	-stream-unix-file f   write the stream socket target (unix://p) to f once listening
 //	-shards n             lock-stripe count for the controller table (default 16)
 //	-param-scale k        divide the paper's Table 2 parameters by k (default 10)
 //	-policy p             speculation policy every table entry runs: reactive
@@ -63,16 +58,15 @@
 // after the flip. GET /v1/cursor reports per-program applied-event counts,
 // the resume point failover clients re-send from.
 //
-// Endpoints: POST /v1/ingest, GET /v1/decide, GET /v1/info, POST /v1/stream
-// (upgrade to a streaming ingest session), GET /healthz, GET /metrics,
-// POST /v1/snapshot. Streaming sessions are also reachable without HTTP via
-// -stream-addr. With -debug-addr, a second listener serves the runtime
-// profiling surface — GET /debug/pprof/ (CPU, heap, goroutine, block
-// profiles) and GET /debug/vars (expvar, including a "reactived" variable
-// summarizing table totals and WAL position) — kept off the serving address
-// so profiling traffic can be firewalled separately. SIGINT/SIGTERM drain
-// in-flight batches, take a final snapshot (when -snapshot-dir is set), and
-// exit 0.
+// Endpoints: POST /v1/ingest, GET /v1/decide, GET /v1/info, GET /healthz,
+// GET /metrics, POST /v1/snapshot. Streaming ingest sessions are served on
+// the raw TCP listener -stream-addr. With -debug-addr, a second listener
+// serves the runtime profiling surface — GET /debug/pprof/ (CPU, heap,
+// goroutine, block profiles) and GET /debug/vars (expvar, including a
+// "reactived" variable summarizing table totals and WAL position) — kept
+// off the serving address so profiling traffic can be firewalled
+// separately. SIGINT/SIGTERM drain in-flight batches, take a final snapshot
+// (when -snapshot-dir is set), and exit 0.
 package main
 
 import (
@@ -227,10 +221,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"also accept raw-TCP streaming ingest sessions on this address (use :0 for a random port)")
 	streamAddrFile := fs.String("stream-addr-file", "",
 		"write the bound stream address to this file once listening")
-	streamUnix := fs.String("stream-unix", "",
-		"also accept streaming ingest sessions on a unix-domain socket at this path")
-	streamUnixFile := fs.String("stream-unix-file", "",
-		"write the stream socket target (unix://path) to this file once listening")
 	shards := fs.Int("shards", 16, "lock-stripe count for the controller table")
 	paramScale := fs.Uint64("param-scale", 10, "divide the paper's Table 2 parameters by this factor")
 	policyFlag := fs.String("policy", core.PolicyReactive,
@@ -436,8 +426,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	// The raw stream listener shares the server's session loop with the
-	// POST /v1/stream upgrade path; only the transport differs.
+	// The raw stream listener: every streaming ingest session arrives here.
 	if *streamAddr != "" {
 		sln, err := net.Listen("tcp", *streamAddr)
 		if err != nil {
@@ -454,27 +443,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			// The accept error is expected at shutdown when the deferred
 			// Close tears the listener down.
 			s.ServeStream(sln)
-		}()
-	}
-
-	// The unix-domain stream listener: same session loop again, minus the
-	// TCP stack, for producers on the same host.
-	if *streamUnix != "" {
-		uln, err := listenUnixStream(*streamUnix)
-		if err != nil {
-			return fmt.Errorf("listening on -stream-unix: %w", err)
-		}
-		// *net.UnixListener unlinks the socket file on Close, so the
-		// deferred Close doubles as the graceful-shutdown cleanup.
-		defer uln.Close()
-		if *streamUnixFile != "" {
-			if err := os.WriteFile(*streamUnixFile, []byte("unix://"+*streamUnix), 0o644); err != nil {
-				return fmt.Errorf("writing -stream-unix-file: %w", err)
-			}
-		}
-		logf("stream listener on unix:%s", *streamUnix)
-		go func() {
-			s.ServeStream(uln)
 		}()
 	}
 
@@ -542,9 +510,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			logf("shutting down: draining in-flight batches and stream sessions")
 			s.BeginDrain()
 			shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			// Hijacked stream connections are outside http.Server's
-			// bookkeeping, so Shutdown alone would not wait for them:
-			// WaitStreams covers the sessions BeginDrain just nudged.
+			// Stream connections are outside http.Server's bookkeeping,
+			// so Shutdown alone would not wait for them: WaitStreams
+			// covers the sessions BeginDrain just nudged.
 			if err := s.WaitStreams(shutdownCtx); err != nil {
 				logf("shutdown: %v", err)
 			}
@@ -562,30 +530,4 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return nil
 		}
 	}
-}
-
-// listenUnixStream binds the -stream-unix listener at path. A socket file
-// left behind by a crashed daemon (SIGKILL skips the unlink) would make a
-// plain Listen fail with "address already in use", so on that failure the
-// pre-existing file is probed: if something answers a dial the path is
-// genuinely taken and the bind error stands; if nothing is listening the
-// stale file is removed and the bind retried, so a restart reuses its path
-// without manual cleanup. Files that are not sockets are never touched.
-func listenUnixStream(path string) (net.Listener, error) {
-	ln, err := net.Listen("unix", path)
-	if err == nil {
-		return ln, nil
-	}
-	fi, statErr := os.Lstat(path)
-	if statErr != nil || fi.Mode()&os.ModeSocket == 0 {
-		return nil, err
-	}
-	if probe, dialErr := net.DialTimeout("unix", path, 500*time.Millisecond); dialErr == nil {
-		probe.Close()
-		return nil, fmt.Errorf("socket is in use by a live listener: %w", err)
-	}
-	if rmErr := os.Remove(path); rmErr != nil {
-		return nil, fmt.Errorf("removing stale socket: %w", rmErr)
-	}
-	return net.Listen("unix", path)
 }

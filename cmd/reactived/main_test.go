@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -178,146 +177,13 @@ func TestRunStreamListener(t *testing.T) {
 	}
 }
 
-// TestRunStreamUnixListener exercises the unix-domain stream listener end to
-// end: the daemon writes the dial target to -stream-unix-file, a session
-// ingests over the socket, and graceful shutdown unlinks the socket file.
-func TestRunStreamUnixListener(t *testing.T) {
-	dir := t.TempDir()
-	sock := filepath.Join(dir, "s.sock")
-	sockFile := filepath.Join(dir, "stream-unix")
-	base, shutdown := startDaemon(t,
-		"-stream-unix", sock,
-		"-stream-unix-file", sockFile)
-
-	deadline := time.Now().Add(10 * time.Second)
-	var target string
-	for {
-		b, err := os.ReadFile(sockFile)
-		if err == nil && len(b) > 0 {
-			target = strings.TrimSpace(string(b))
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never wrote its unix stream target file")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if target != "unix://"+sock {
-		t.Fatalf("stream-unix-file = %q, want %q", target, "unix://"+sock)
-	}
-
-	ctx := context.Background()
-	c := server.Connect(base)
-	info, err := c.Info(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := server.ParseInfoParamsHash(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := server.DialStream(ctx, target, "p", hash)
-	if err != nil {
-		t.Fatalf("DialStream(%q): %v", target, err)
-	}
-	evs := make([]trace.Event, 200)
-	for i := range evs {
-		evs[i] = trace.Event{Branch: trace.BranchID(i % 8), Taken: i%3 == 0, Gap: 5}
-	}
-	if err := st.Send(ctx, evs); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := st.Recv(ctx)
-	if err != nil || len(ds) != len(evs) {
-		t.Fatalf("Recv = %d decisions, %v; want %d", len(ds), err, len(evs))
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	if err := shutdown(); err != nil {
-		t.Fatalf("run returned %v on graceful shutdown", err)
-	}
-	// Graceful shutdown unlinks the socket file.
-	if _, err := os.Lstat(sock); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("socket file still present after shutdown: Lstat err = %v", err)
-	}
-}
-
-// TestRunStreamUnixReusesStalePath pins crash recovery: a socket file left
-// behind by a killed daemon (nothing listening) must not block a restart on
-// the same path.
-func TestRunStreamUnixReusesStalePath(t *testing.T) {
-	sock := filepath.Join(t.TempDir(), "stale.sock")
-	// Fabricate the crash artifact: bind, suppress the unlink, close. The
-	// file remains with no listener behind it — exactly what SIGKILL leaves.
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln.(*net.UnixListener).SetUnlinkOnClose(false)
-	ln.Close()
-	if _, err := os.Lstat(sock); err != nil {
-		t.Fatalf("stale socket file missing before the restart: %v", err)
-	}
-
-	base, shutdown := startDaemon(t, "-stream-unix", sock)
-	defer shutdown()
-
-	ctx := context.Background()
-	c := server.Connect(base)
-	info, err := c.Info(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := server.ParseInfoParamsHash(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := server.DialStream(ctx, "unix://"+sock, "p", hash)
-	if err != nil {
-		t.Fatalf("DialStream after stale-socket recovery: %v", err)
-	}
-	if err := st.Send(ctx, []trace.Event{{Branch: 1, Taken: true, Gap: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if ds, err := st.Recv(ctx); err != nil || len(ds) != 1 {
-		t.Fatalf("Recv = %d decisions, %v; want 1", len(ds), err)
-	}
-	st.Close()
-}
-
-// TestListenUnixStreamGuards covers the two refusals: a path held by a live
-// listener, and a path occupied by a non-socket file (never touched).
-func TestListenUnixStreamGuards(t *testing.T) {
-	dir := t.TempDir()
-
-	live := filepath.Join(dir, "live.sock")
-	ln, err := net.Listen("unix", live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if _, err := listenUnixStream(live); err == nil {
-		t.Fatal("listenUnixStream stole a live listener's socket")
-	}
-
-	file := filepath.Join(dir, "not-a-socket")
-	if err := os.WriteFile(file, []byte("data"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := listenUnixStream(file); err == nil {
-		t.Fatal("listenUnixStream bound over a regular file")
-	}
-	if b, err := os.ReadFile(file); err != nil || string(b) != "data" {
-		t.Fatalf("listenUnixStream touched a non-socket file: %q, %v", b, err)
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-addr", "not a listen address"},
 		{"positional"},
+		// Streaming ingest listens on -stream-addr alone.
+		{"-stream-unix", "s.sock"},
+		{"-stream-unix-file", "s.txt"},
 	} {
 		if err := run(context.Background(), args, os.Stderr); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

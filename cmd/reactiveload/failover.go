@@ -29,6 +29,11 @@ type FailoverReport struct {
 	PromotedWalSeq  uint64 `json:"promoted_wal_seq"`
 	WorkersResumed  int    `json:"workers_resumed"`
 	ResentEvents    uint64 `json:"resent_events"`
+	// AppliedUnacked counts events the primary applied and shipped but
+	// whose response the crash cut: the replica's cursor is past the
+	// worker's last ack, so they resume as applied without ever returning a
+	// decision to verify. They are not part of the report's Events.
+	AppliedUnacked uint64 `json:"applied_unacked"`
 }
 
 // failoverCtl coordinates the crash and the promotion across workers: it
@@ -56,8 +61,9 @@ type failoverCtl struct {
 	promoteErr  error
 	res         server.PromoteResult
 
-	resumed atomic.Uint64 // workers that failed over to the follower
-	resent  atomic.Uint64 // events re-sent to the follower after promotion
+	resumed        atomic.Uint64 // workers that failed over to the follower
+	resent         atomic.Uint64 // events re-sent to the follower after promotion
+	appliedUnacked atomic.Uint64 // events replicated past a worker's last ack
 }
 
 func newFailoverCtl(follower *server.Client, pid int, after uint64) *failoverCtl {
@@ -250,6 +256,17 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 	if resume > len(events) {
 		res.err = fmt.Errorf("replica cursor %d is beyond the %d-event stream", resume, len(events))
 		return res
+	}
+	if resume > tallied {
+		// The crash cut the response to a batch the primary had already
+		// applied and shipped. The worker sends one batch at a time, so
+		// at most that one batch can be ahead of the last ack.
+		if resume-tallied > cfg.batch {
+			res.err = fmt.Errorf("replica cursor %d is more than one %d-event batch past the last acked event %d of %s",
+				resume, cfg.batch, tallied, cfg.program)
+			return res
+		}
+		fc.appliedUnacked.Add(uint64(resume - tallied))
 	}
 	fc.resumed.Add(1)
 	fc.resent.Add(uint64(len(events) - resume))

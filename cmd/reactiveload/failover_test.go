@@ -2,14 +2,14 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"reactivespec/internal/core"
 	"reactivespec/internal/replica"
@@ -23,10 +23,25 @@ import (
 type failoverPair struct {
 	primaryURL string
 	replicaURL string
-	kill       func() // crash the primary: HTTP front end, shipper, listener
 }
 
-func startFailoverPair(t *testing.T) *failoverPair {
+// statusWriter records the status code a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// startFailoverPair starts the pair and crashes the primary once killProgram
+// has killAfter acked /v1/ingest batches: from then on the primary's front
+// end cuts every request without a response, and the whole primary goes
+// away. Keying the crash to the handler, not to a poller, lands it mid-run
+// however fast the run is.
+func startFailoverPair(t *testing.T, killProgram string, killAfter uint64) *failoverPair {
 	t.Helper()
 	params := core.DefaultParams().Scaled(10) // reactiveload's default -param-scale
 	hash := server.ParamsHash(params)
@@ -36,7 +51,26 @@ func startFailoverPair(t *testing.T) *failoverPair {
 		t.Fatal(err)
 	}
 	ps := server.New(server.Config{Params: params, Shards: 4, WAL: pl})
-	pts := httptest.NewServer(ps.Handler())
+	var (
+		kill  func()
+		acked atomic.Uint64
+		dead  atomic.Bool
+	)
+	inner := ps.Handler()
+	pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dead.Load() {
+			panic(http.ErrAbortHandler) // the crashed primary never answers
+		}
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		inner.ServeHTTP(sw, r)
+		if r.URL.Path == "/v1/ingest" && r.URL.Query().Get("program") == killProgram &&
+			sw.status == http.StatusOK && acked.Add(1) == killAfter {
+			dead.Store(true)
+			// Closing the server waits for in-flight handlers, this one
+			// included, so the teardown runs on its own goroutine.
+			go kill()
+		}
+	}))
 	sh := replica.NewShipper(replica.ShipperConfig{Log: pl, Logf: t.Logf})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -60,7 +94,7 @@ func startFailoverPair(t *testing.T) *failoverPair {
 	rs.SetSealFunc(f.Seal)
 
 	var killOnce sync.Once
-	kill := func() {
+	kill = func() {
 		killOnce.Do(func() {
 			pts.CloseClientConnections()
 			pts.Close()
@@ -75,31 +109,17 @@ func startFailoverPair(t *testing.T) *failoverPair {
 		kill()
 		pl.Close()
 	})
-	return &failoverPair{primaryURL: pts.URL, replicaURL: rts.URL, kill: kill}
+	return &failoverPair{primaryURL: pts.URL, replicaURL: rts.URL}
 }
 
 // TestRunFailover drives -failover end to end in-process, on the external-
-// crash path (-failover-pid 0): the primary dies without drain after a few
-// acked batches, the run promotes the replica, resumes each worker from the
-// replica's cursor, and every decision — pre-crash, re-sent overlap, and
-// post-failover tail — verifies against the absolute-index mirror.
+// crash path (-failover-pid 0): the primary dies without drain once worker 0
+// has three acked batches, the run promotes the replica, resumes each worker
+// from the replica's cursor, and every decision — pre-crash, re-sent
+// overlap, and post-failover tail — verifies against the absolute-index
+// mirror.
 func TestRunFailover(t *testing.T) {
-	p := startFailoverPair(t)
-
-	// The external killer: crash the primary once worker 0 has a few batches
-	// acked, so the loss lands mid-run.
-	go func() {
-		cl := server.Connect(p.primaryURL)
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			cur, err := cl.Cursor(context.Background(), "gzip@0")
-			if err == nil && cur.Events >= 3*256 {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		p.kill()
-	}()
+	p := startFailoverPair(t, "gzip@0", 3)
 
 	var out bytes.Buffer
 	err := run([]string{
@@ -126,10 +146,16 @@ func TestRunFailover(t *testing.T) {
 	if rep.Failover.WorkersResumed == 0 {
 		t.Fatalf("no worker resumed on the replica: %+v", rep.Failover)
 	}
-	// Every unique event index got exactly one verified decision: the tally
-	// covers the full stream despite the crash and the re-sent overlap.
-	if want := uint64(2 * 6000); rep.Events != want {
-		t.Fatalf("events = %d, want %d", rep.Events, want)
+	// Every unique event index is accounted for exactly once despite the
+	// crash and the re-sent overlap: either it got a verified decision
+	// (Events), or the primary applied and shipped its batch but the crash
+	// cut the response (AppliedUnacked) — at most one batch per worker.
+	if want := uint64(2 * 6000); rep.Events+rep.Failover.AppliedUnacked != want {
+		t.Fatalf("events %d + applied-unacked %d = %d, want %d",
+			rep.Events, rep.Failover.AppliedUnacked, rep.Events+rep.Failover.AppliedUnacked, want)
+	}
+	if limit := uint64(2 * 256); rep.Failover.AppliedUnacked > limit {
+		t.Fatalf("applied-unacked = %d, more than one batch per worker (%d)", rep.Failover.AppliedUnacked, limit)
 	}
 	var verdictTotal uint64
 	for _, n := range rep.Verdicts {
@@ -155,7 +181,7 @@ func TestRunFailoverFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-addr", "http://x", "-failover-pid", "1"},                              // pid without -failover
 		{"-addr", "http://x", "-failover-after-batches", "4"},                    // threshold without -failover
-		{"-addr", "http://x", "-failover", "http://y", "-stream"},                // stream conflict
+		{"-addr", "http://x", "-failover", "http://y", "-stream-addr", "z:1"},    // stream conflict
 		{"-addr", "http://x", "-failover", "http://y", "-frames", "2"},           // frames conflict
 		{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"}, // pid without threshold
 	} {

@@ -9,8 +9,8 @@
 // program is deterministic. With -kind, workers round-robin over the listed
 // speculation kinds (worker w drives kinds[w mod len]), exercising the
 // daemon's kind-generic serving path: branch events ride the v1 wire
-// unchanged, other kinds go through /v2 (POST mode) or proto-4 kind-tagged
-// frames (stream mode). With -verify, every worker simultaneously runs an
+// unchanged, other kinds go through /v2 (POST mode) or kind-tagged frames
+// (stream mode). With -verify, every worker simultaneously runs an
 // in-process policy set (-policy selects which) over the identical event
 // sequence and fails if any networked decision differs — the end-to-end
 // closed-loop equivalence check, per kind. Verification first checks the
@@ -18,9 +18,8 @@
 // /v1/info, so a misconfigured pairing fails up front with a typed mismatch
 // instead of diverging mid-run.
 //
-// With -stream, workers replace per-batch POSTs with one streaming ingest
-// session each (POST /v1/stream upgrade, or a raw -stream-addr listener):
-// batches pipeline over the session up to the granted window, and decisions
+// With -stream-addr, workers replace per-batch POSTs with one streaming
+// ingest session each on the daemon's raw stream listener: batches pipeline over the session up to the granted window, and decisions
 // come back on the same connection. Decisions are byte-identical to POST
 // ingest — -verify works identically in both modes.
 //
@@ -58,12 +57,10 @@
 //	-intensity f     fault-injection intensity in [0,1] (default 0)
 //	-param-scale k   controller parameter scale for -verify; must match the daemon (default 10)
 //	-verify          cross-check every decision against an in-process policy set
-//	-stream          use streaming ingest sessions instead of per-batch POSTs
+//	-stream-addr a   use one streaming ingest session per worker on the daemon's raw
+//	                 stream listener at host:port instead of per-batch POSTs
 //	-window n        requested stream pipeline window in frames (0 = server default)
-//	-decisions e     stream decision-frame encoding: rle (default), plain or change
-//	-stream-addr a   dial the daemon's raw stream listener instead of upgrading over HTTP;
-//	                 accepts host:port or unix:///path/to.sock
-//	-preencode       generate + encode every batch before the timed run (stream modes only),
+//	-preencode       generate + encode every batch before the timed run (stream mode only),
 //	                 so the measurement isolates transport and serving cost
 //	-failover url            follower base URL: verify failover by resuming against it (implies -verify)
 //	-failover-pid n          primary pid to SIGKILL once the batch threshold is acked
@@ -105,17 +102,16 @@ import (
 
 // Report is the JSON result written to stdout.
 type Report struct {
-	Benchmark     string  `json:"benchmark"`
-	Input         string  `json:"input"`
-	Mode          string  `json:"mode"` // "post", "stream" or "failover"
-	Concurrency   int     `json:"concurrency"`
-	Batch         int     `json:"batch"`
-	Frames        int     `json:"frames_per_batch"`
-	Window        int     `json:"window,omitempty"`           // granted stream window
-	DecisionsWire string  `json:"stream_decisions,omitempty"` // requested decision-frame encoding (stream modes)
-	Preencode     bool    `json:"preencode,omitempty"`        // batches were encoded before the timed run
-	Intensity     float64 `json:"intensity"`
-	Verified      bool    `json:"verified"`
+	Benchmark   string  `json:"benchmark"`
+	Input       string  `json:"input"`
+	Mode        string  `json:"mode"` // "post", "stream" or "failover"
+	Concurrency int     `json:"concurrency"`
+	Batch       int     `json:"batch"`
+	Frames      int     `json:"frames_per_batch"`
+	Window      int     `json:"window,omitempty"`    // granted stream window
+	Preencode   bool    `json:"preencode,omitempty"` // batches were encoded before the timed run
+	Intensity   float64 `json:"intensity"`
+	Verified    bool    `json:"verified"`
 
 	// Kinds lists the speculation kinds workers drove (round-robin by
 	// worker index); Policy names the decision policy the -verify mirror
@@ -225,14 +221,11 @@ func run(args []string, out io.Writer) error {
 	intensity := fs.Float64("intensity", 0, "fault-injection intensity in [0,1]")
 	paramScale := fs.Uint64("param-scale", 10, "controller parameter scale for -verify (must match the daemon)")
 	verify := fs.Bool("verify", false, "cross-check every decision against an in-process controller")
-	streamMode := fs.Bool("stream", false, "use streaming ingest sessions instead of per-batch POSTs")
-	window := fs.Int("window", 0, "requested stream pipeline window in frames (0 = server default)")
-	decisionsMode := fs.String("decisions", "rle",
-		"stream decision-frame encoding: rle, plain or change (stream modes only)")
 	streamAddr := fs.String("stream-addr", "",
-		"dial the daemon's raw stream listener at this address instead of upgrading over HTTP (implies -stream)")
+		"use one streaming ingest session per worker on the daemon's raw stream listener at this host:port instead of per-batch POSTs")
+	window := fs.Int("window", 0, "requested stream pipeline window in frames (0 = server default)")
 	preencode := fs.Bool("preencode", false,
-		"generate and encode every batch before the timed run (stream modes only): the measured loop ships ready wire frames, isolating transport and serving cost from workload generation")
+		"generate and encode every batch before the timed run (stream mode only): the measured loop ships ready wire frames, isolating transport and serving cost from workload generation")
 	failoverURL := fs.String("failover", "",
 		"follower base URL: verify failover by promoting it when the primary dies and resuming against it (implies -verify)")
 	failoverPid := fs.Int("failover-pid", 0,
@@ -276,32 +269,19 @@ func run(args []string, out io.Writer) error {
 	if !core.ValidPolicy(*policy) {
 		return fmt.Errorf("-policy %q is not registered (want one of %v)", *policy, core.PolicyNames())
 	}
-	if *streamAddr != "" {
-		*streamMode = true
+	streamMode := *streamAddr != ""
+	if *frames != 1 && streamMode {
+		return fmt.Errorf("-frames does not apply to -stream-addr (each batch is one frame on the session)")
 	}
-	var streamDecisions server.StreamDecisions
-	switch *decisionsMode {
-	case "rle":
-		streamDecisions = server.StreamDecisionsRLE
-	case "plain":
-		streamDecisions = server.StreamDecisionsPlain
-	case "change":
-		streamDecisions = server.StreamDecisionsChangeOnly
-	default:
-		return fmt.Errorf("unknown -decisions %q (want rle, plain or change)", *decisionsMode)
-	}
-	if *frames != 1 && *streamMode {
-		return fmt.Errorf("-frames does not apply to -stream (each batch is one frame on the session)")
-	}
-	if *preencode && !*streamMode {
-		return fmt.Errorf("-preencode applies to stream modes only")
+	if *preencode && !streamMode {
+		return fmt.Errorf("-preencode applies to stream mode (-stream-addr) only")
 	}
 	if *failoverURL == "" && (*failoverPid != 0 || *failoverAfter != 0) {
 		return fmt.Errorf("-failover-pid and -failover-after-batches require -failover")
 	}
 	if *failoverURL != "" {
-		if *streamMode {
-			return fmt.Errorf("-failover drives per-batch POSTs; it does not combine with -stream")
+		if streamMode {
+			return fmt.Errorf("-failover drives per-batch POSTs; it does not combine with -stream-addr")
 		}
 		if *frames != 1 {
 			return fmt.Errorf("-frames does not apply to -failover")
@@ -415,7 +395,6 @@ func run(args []string, out io.Writer) error {
 			verify:     *verify,
 			window:     *window,
 			streamAddr: *streamAddr,
-			decisions:  streamDecisions,
 			tracer:     tracer,
 		}
 	}
@@ -440,7 +419,7 @@ func run(args []string, out io.Writer) error {
 			switch {
 			case fc != nil:
 				results[w] = runFailoverWorker(ctx, client, ins, cfg, fc)
-			case *streamMode:
+			case streamMode:
 				results[w] = runStreamWorker(ctx, client, ins, cfg)
 			default:
 				results[w] = runWorker(ctx, client, ins, cfg)
@@ -451,7 +430,7 @@ func run(args []string, out io.Writer) error {
 	elapsed := time.Since(start)
 
 	mode := "post"
-	if *streamMode {
+	if streamMode {
 		mode = "stream"
 	}
 	if fc != nil {
@@ -470,8 +449,7 @@ func run(args []string, out io.Writer) error {
 		Verdicts:    map[string]uint64{},
 		Decisions:   map[string]uint64{},
 	}
-	if *streamMode {
-		rep.DecisionsWire = *decisionsMode
+	if streamMode {
 		rep.Preencode = *preencode
 	}
 	if len(kinds) > 1 || kinds[0] != trace.KindBranch {
@@ -509,6 +487,7 @@ func run(args []string, out io.Writer) error {
 			PromotedWalSeq:  fc.res.LastAppliedSeq,
 			WorkersResumed:  int(fc.resumed.Load()),
 			ResentEvents:    fc.resent.Load(),
+			AppliedUnacked:  fc.appliedUnacked.Load(),
 		}
 	}
 	if elapsed > 0 {
@@ -517,7 +496,7 @@ func run(args []string, out io.Writer) error {
 	rep.BatchP50Ms = ins.batch.Quantile(0.5) * 1e3
 	rep.BatchP90Ms = ins.batch.Quantile(0.9) * 1e3
 	rep.BatchP99Ms = ins.batch.Quantile(0.99) * 1e3
-	if !*streamMode {
+	if !streamMode {
 		rep.Phases = map[string]PhaseLatency{
 			"encode":  phase(ins.encode),
 			"network": phase(ins.network),
@@ -560,7 +539,6 @@ type workerConfig struct {
 	verify     bool
 	window     int
 	streamAddr string
-	decisions  server.StreamDecisions
 	tracer     *obs.Tracer
 	pre        *prebuilt // non-nil under -preencode
 }
@@ -817,29 +795,21 @@ func runStreamWorker(ctx context.Context, client *server.Client, ins *instrument
 	if cfg.window > 0 {
 		opts = append(opts, server.WithStreamWindow(cfg.window))
 	}
-	opts = append(opts, server.WithStreamDecisions(cfg.decisions))
 	if cfg.tracer != nil {
-		// OpenStream inherits the client's tracer; DialStream bypasses the
-		// client, so the raw-listener path needs it passed explicitly.
 		opts = append(opts, server.WithStreamTracer(cfg.tracer))
 	}
-	var st *server.Stream
-	if cfg.streamAddr != "" {
-		// A raw listener has no /v1/info; resolve the hash over HTTP.
-		info, ierr := client.Info(ctx)
-		if ierr != nil {
-			res.err = fmt.Errorf("resolving params hash for -stream-addr: %w", ierr)
-			return res
-		}
-		hash, herr := server.ParseInfoParamsHash(info)
-		if herr != nil {
-			res.err = herr
-			return res
-		}
-		st, err = server.DialStream(ctx, cfg.streamAddr, cfg.program, hash, opts...)
-	} else {
-		st, err = client.OpenStream(ctx, cfg.program, opts...)
+	// The stream listener has no /v1/info; resolve the hash over HTTP.
+	info, err := client.Info(ctx)
+	if err != nil {
+		res.err = fmt.Errorf("resolving params hash for -stream-addr: %w", err)
+		return res
 	}
+	hash, err := server.ParseInfoParamsHash(info)
+	if err != nil {
+		res.err = err
+		return res
+	}
+	st, err := server.DialStream(ctx, cfg.streamAddr, cfg.program, hash, opts...)
 	if err != nil {
 		res.err = err
 		return res

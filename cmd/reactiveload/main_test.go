@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -16,11 +17,24 @@ import (
 // testDaemon serves a real server.Server over httptest with the default
 // reactiveload parameter scale so -verify can mirror it.
 func testDaemon(t *testing.T) string {
+	base, _ := testStreamDaemon(t)
+	return base
+}
+
+// testStreamDaemon is testDaemon plus a raw TCP stream listener; it returns
+// the HTTP base URL and the stream listener's address.
+func testStreamDaemon(t *testing.T) (base, streamAddr string) {
 	t.Helper()
 	s := server.New(server.Config{Params: core.DefaultParams().Scaled(10), Shards: 4})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return ts.URL
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go s.ServeStream(ln)
+	return ts.URL, ln.Addr().String()
 }
 
 func TestRunVerifiedLoad(t *testing.T) {
@@ -114,12 +128,12 @@ func TestRunVerifyDetectsParamMismatch(t *testing.T) {
 	}
 }
 
-// TestRunStreamVerifiedLoad drives -stream end to end with verification:
+// TestRunStreamVerifiedLoad drives -stream-addr end to end with verification:
 // every decision received over the session must match the in-process mirror,
 // which transitively pins stream decisions to the POST path (the mirror is
 // the same controller the POST equivalence tests check against).
 func TestRunStreamVerifiedLoad(t *testing.T) {
-	base := testDaemon(t)
+	base, streamAddr := testStreamDaemon(t)
 	var out bytes.Buffer
 	err := run([]string{
 		"-addr", base,
@@ -127,7 +141,7 @@ func TestRunStreamVerifiedLoad(t *testing.T) {
 		"-scale", "0.01",
 		"-concurrency", "2",
 		"-batch", "512",
-		"-stream",
+		"-stream-addr", streamAddr,
 		"-window", "4",
 		"-verify",
 	}, &out)
@@ -177,7 +191,8 @@ func TestRunStreamMatchesPostTallies(t *testing.T) {
 	if err := run(args(testDaemon(t)), &postOut); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(args(testDaemon(t), "-stream"), &streamOut); err != nil {
+	base, streamAddr := testStreamDaemon(t)
+	if err := run(args(base, "-stream-addr", streamAddr), &streamOut); err != nil {
 		t.Fatal(err)
 	}
 	var post, stream Report
@@ -199,7 +214,7 @@ func TestRunStreamMatchesPostTallies(t *testing.T) {
 }
 
 func TestRunStreamRejectsFramesFlag(t *testing.T) {
-	err := run([]string{"-addr", "http://127.0.0.1:1", "-stream", "-frames", "2"}, &bytes.Buffer{})
+	err := run([]string{"-addr", "http://127.0.0.1:1", "-stream-addr", "127.0.0.1:1", "-frames", "2"}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "-frames") {
 		t.Fatalf("err = %v, want -frames conflict", err)
 	}
@@ -238,6 +253,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-addr", "http://x", "-concurrency", "0"},
 		{"-addr", "http://x", "-intensity", "1.5"},
 		{"-addr", "http://x", "positional"},
+		// Stream mode is selected by -stream-addr alone, with one decision wire.
+		{"-addr", "http://x", "-stream"},
+		{"-addr", "http://x", "-decisions", "plain"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -58,8 +58,7 @@ type FollowerConfig struct {
 	// validated and exactly as the primary logged it, and only valid until
 	// Apply returns. It must log-then-apply (the replica server's
 	// ApplyReplicated) so NextSeq advances with it. traceID is the record's
-	// span-trace context (zero when the originating batch was untraced or
-	// the primary speaks replication proto 1).
+	// span-trace context (zero when the originating batch was untraced).
 	Apply func(program string, frame []byte, traceID uint64) error
 	// Window is the requested credit window (0 = primary's default).
 	Window uint32
@@ -290,12 +289,9 @@ func (f *Follower) session() error {
 	if ack.Err != nil {
 		return f.classify(*ack.Err)
 	}
-	// A proto-1 primary acks 1 and ships trace-less records; anything
-	// outside [min, current] is a peer this build cannot speak to.
-	proto := ack.Proto
-	if proto < trace.ReplicationProtoMin || proto > trace.ReplicationProtoVersion {
-		return errPermanent{fmt.Errorf("replica: primary acked protocol %d, follower supports [%d, %d]",
-			proto, trace.ReplicationProtoMin, trace.ReplicationProtoVersion)}
+	if ack.Proto != trace.ReplicationProtoVersion {
+		return errPermanent{fmt.Errorf("replica: primary acked protocol %d, follower speaks %d",
+			ack.Proto, trace.ReplicationProtoVersion)}
 	}
 	conn.SetDeadline(time.Time{})
 	if f.cfg.Trace.SampleInfra() {
@@ -321,7 +317,7 @@ func (f *Follower) session() error {
 		}
 		switch typ {
 		case trace.ReplFrameRecord:
-			rec, err := trace.DecodeReplRecord(payload, proto)
+			rec, err := trace.DecodeReplRecord(payload)
 			if err != nil {
 				return fmt.Errorf("replica: decoding shipped record: %w", err)
 			}

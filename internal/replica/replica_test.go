@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"net"
@@ -380,6 +381,34 @@ func TestShipperRejectsFutureFrom(t *testing.T) {
 	}
 }
 
+// TestShipperRejectsOtherProtos pins that the primary speaks exactly one
+// replication protocol: a hello at any other revision gets a proto_mismatch
+// ack instead of a session.
+func TestShipperRejectsOtherProtos(t *testing.T) {
+	p := startPrimary(t, 2)
+	for _, proto := range []uint32{0, 1, trace.ReplicationProtoVersion + 1} {
+		conn, err := net.Dial("tcp", p.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		hello := trace.AppendReplHello(nil, trace.ReplHello{
+			Proto: proto, ParamsHash: server.ParamsHash(testParams()),
+		})
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := trace.ReadReplAck(bufio.NewReader(conn))
+		conn.Close()
+		if err != nil {
+			t.Fatalf("proto %d: ReadReplAck: %v", proto, err)
+		}
+		if ack.Err == nil || ack.Err.Code != trace.StreamCodeProtoMismatch {
+			t.Fatalf("proto %d: ack = %+v, want a proto_mismatch reject", proto, ack)
+		}
+	}
+}
+
 // walRecord is one WAL record's identity: its sequence, table key and the
 // frame bytes exactly as logged.
 type walRecord struct {
@@ -427,7 +456,13 @@ func TestReplicaLogMatchesPrimary(t *testing.T) {
 	if _, err := p.client.IngestFrames(ctx, "vpr", frames); err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.client.OpenStream(ctx, "mcf")
+	sln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sln.Close()
+	go p.srv.ServeStream(sln)
+	st, err := server.DialStream(ctx, sln.Addr().String(), "mcf", server.ParamsHash(testParams()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,12 +312,11 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 	}
 	log := sh.cfg.Log
 	oldest, next := log.OldestSeq(), log.NextSeq()
-	proto, protoOK := trace.NegotiateReplProto(hello.Proto)
 	switch {
-	case !protoOK:
+	case hello.Proto != trace.ReplicationProtoVersion:
 		reject(trace.StreamCodeProtoMismatch, fmt.Sprintf(
-			"follower speaks replication protocol %d, primary supports [%d, %d]",
-			hello.Proto, trace.ReplicationProtoMin, trace.ReplicationProtoVersion))
+			"follower speaks replication protocol %d, primary speaks %d",
+			hello.Proto, trace.ReplicationProtoVersion))
 		return
 	case hello.ParamsHash != log.ParamsHash():
 		reject(trace.StreamCodeParamMismatch, fmt.Sprintf(
@@ -358,7 +357,7 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 	defer r.Close()
 
 	wireBuf = trace.AppendReplAck(wireBuf[:0], trace.ReplAck{
-		Proto: proto, Window: window, Oldest: oldest, Next: next,
+		Proto: trace.ReplicationProtoVersion, Window: window, Oldest: oldest, Next: next,
 	})
 	if writeWire(wireBuf) != nil || bw.Flush() != nil {
 		return
@@ -376,8 +375,8 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 		delete(sh.states, state)
 		sh.mu.Unlock()
 	}()
-	sh.logf("replication: follower %s attached from seq %d (window %d, proto %d)",
-		conn.RemoteAddr(), hello.From, window, proto)
+	sh.logf("replication: follower %s attached from seq %d (window %d)",
+		conn.RemoteAddr(), hello.From, window)
 
 	terminal := func(code, msg string) {
 		wireBuf = trace.AppendSessionFrame(wireBuf[:0], trace.StreamFrameTerminal,
@@ -488,7 +487,7 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 			Trace:            traceID,
 			Program:          rec.Program,
 			Frame:            rec.Frame,
-		}, proto)
+		})
 		if writeWire(frameBuf) != nil {
 			return
 		}

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -32,14 +31,10 @@ import (
 // serializes them anyway; interleaving would make the decision order
 // nondeterministic).
 type Client struct {
-	base string
-	// unixPath is set when base was a unix:// target: HTTP requests dial
-	// the socket file through a custom transport, and OpenStream upgrades
-	// over the same socket.
-	unixPath string
-	hc       *http.Client
-	retries  int           // extra attempts after the first, transport errors only
-	backoff  time.Duration // sleep between attempts, doubled each retry
+	base    string
+	hc      *http.Client
+	retries int           // extra attempts after the first, transport errors only
+	backoff time.Duration // sleep between attempts, doubled each retry
 	// paramsPin, when non-empty, is appended as the params= query pin on
 	// every ingest request and checked against /v1/info by VerifyParams.
 	paramsPin string
@@ -112,37 +107,19 @@ func WithPolicy(name string) Option {
 
 // WithTracer samples this client's ingest batches into t: a sampled batch
 // records client_encode and client_network spans and ships its trace ID to
-// the server (X-Reactive-Trace header on POST, trace context on stream
-// frames), so the server's batch spans join the client's trace.
+// the server in the X-Reactive-Trace header, so the server's batch spans join
+// the client's trace.
 func WithTracer(t *obs.Tracer) Option {
 	return func(c *Client) { c.tracer = t }
 }
 
-// Connect returns a client for the daemon at base: "http://127.0.0.1:8344"
-// for TCP, or "unix:///path/to.sock" for a daemon whose HTTP API listens on
-// a unix-domain socket — every request (and an OpenStream upgrade) then
-// dials the socket file instead of a TCP address. It performs no I/O — the
-// name records intent, not a dial; the first request finds out whether the
-// daemon is there.
+// Connect returns a client for the daemon at base, e.g.
+// "http://127.0.0.1:8344". It performs no I/O — the name records intent, not
+// a dial; the first request finds out whether the daemon is there.
 func Connect(base string, opts ...Option) *Client {
 	c := &Client{
 		base: base,
 		hc:   &http.Client{Timeout: 60 * time.Second},
-	}
-	if path, ok := cutUnixTarget(base); ok {
-		// HTTP plumbing needs a URL with a host; the socket path does the
-		// real addressing through the transport's dialer.
-		c.unixPath = path
-		c.base = "http://unix"
-		var d net.Dialer
-		c.hc = &http.Client{
-			Timeout: 60 * time.Second,
-			Transport: &http.Transport{
-				DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
-					return d.DialContext(ctx, "unix", path)
-				},
-			},
-		}
 	}
 	for _, opt := range opts {
 		opt(c)

@@ -17,8 +17,8 @@ import (
 )
 
 // tracedServer returns a WAL-backed server whose tracer samples every batch,
-// its HTTP front end, and the tracer.
-func tracedServer(t *testing.T) (*Server, *httptest.Server, *obs.Tracer) {
+// and the tracer.
+func tracedServer(t *testing.T) (*Server, *obs.Tracer) {
 	t.Helper()
 	wlog, err := wal.Open(wal.Options{Dir: t.TempDir(), ParamsHash: ParamsHash(testParams())})
 	if err != nil {
@@ -27,10 +27,7 @@ func tracedServer(t *testing.T) (*Server, *httptest.Server, *obs.Tracer) {
 	t.Cleanup(func() { wlog.Close() })
 	tracer := obs.NewTracer("primary", 1)
 	t.Cleanup(func() { tracer.Close() })
-	s := New(Config{Params: testParams(), Shards: 4, WAL: wlog, Trace: tracer})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts, tracer
+	return New(Config{Params: testParams(), Shards: 4, WAL: wlog, Trace: tracer}), tracer
 }
 
 // postBatch serves one POST ingest of evs as a single frame through the
@@ -51,10 +48,10 @@ func postBatch(t *testing.T, s *Server, path string, evs []trace.Event) {
 
 // streamFrame sends evs as one stream frame of the given kind and waits for
 // its decisions; the server records the frame's spans before it flushes them.
-func streamFrame(t *testing.T, ts *httptest.Server, kind trace.Kind, evs []trace.Event) {
+func streamFrame(t *testing.T, s *Server, kind trace.Kind, evs []trace.Event) {
 	t.Helper()
 	ctx := context.Background()
-	st, err := Connect(ts.URL, WithHTTPClient(ts.Client())).OpenStream(ctx, "gzip")
+	st, err := openStream(t, s, "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +84,9 @@ func recordedSpans(t *testing.T, tr *obs.Tracer) []obs.Span {
 // program the client sent, never the kind-encoded table key, on both ingest
 // transports.
 func TestServerSpansCarryPlainProgram(t *testing.T) {
-	s, ts, tracer := tracedServer(t)
+	s, tracer := tracedServer(t)
 	postBatch(t, s, "/v2/ingest?program=gzip&kind=value", synthEvents(300, 1))
-	streamFrame(t, ts, trace.KindValue, synthEvents(300, 2))
+	streamFrame(t, s, trace.KindValue, synthEvents(300, 2))
 
 	var batches int
 	for _, sp := range recordedSpans(t, tracer) {
@@ -113,9 +110,9 @@ func TestServerSpansCarryPlainProgram(t *testing.T) {
 // exactly the five pipeline stages and fit inside it, and both feed the
 // same batch and stage histograms.
 func TestIngestTransportsShareStageVocabulary(t *testing.T) {
-	s, ts, tracer := tracedServer(t)
+	s, tracer := tracedServer(t)
 	postBatch(t, s, "/v1/ingest?program=gzip", synthEvents(300, 1))
-	streamFrame(t, ts, trace.KindBranch, synthEvents(300, 2))
+	streamFrame(t, s, trace.KindBranch, synthEvents(300, 2))
 
 	spans := recordedSpans(t, tracer)
 	var roots []obs.Span

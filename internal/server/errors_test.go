@@ -51,8 +51,6 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"decide missing program", liveTS.URL, http.MethodGet, "/v1/decide?branch=0", http.StatusBadRequest, CodeMalformed},
 		{"decide bad branch", liveTS.URL, http.MethodGet, "/v1/decide?program=p&branch=x", http.StatusBadRequest, CodeMalformed},
 		{"info wrong method", liveTS.URL, http.MethodPost, "/v1/info", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"stream wrong method", liveTS.URL, http.MethodGet, "/v1/stream", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"stream draining", drainTS.URL, http.MethodPost, "/v1/stream", http.StatusServiceUnavailable, CodeDraining},
 		{"snapshot wrong method", liveTS.URL, http.MethodGet, "/v1/snapshot", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"snapshot draining", drainTS.URL, http.MethodPost, "/v1/snapshot", http.StatusServiceUnavailable, CodeDraining},
 		{"snapshot unconfigured", liveTS.URL, http.MethodPost, "/v1/snapshot", http.StatusInternalServerError, CodeInternal},

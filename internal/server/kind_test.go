@@ -1,13 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"reflect"
 	"testing"
@@ -151,82 +149,6 @@ func TestV1V2ByteExactBranch(t *testing.T) {
 	}
 	if !reflect.DeepEqual(mixed, want) {
 		t.Fatal("alternating v1/v2 ingest diverged from a pure v1 stream")
-	}
-}
-
-// TestStreamProto3Proto4InteropByteExact is the cross-version stream matrix:
-// a proto-3 session (no kind tag) and a proto-4 session carrying the
-// explicit kind=branch tag must receive byte-identical ack tails and
-// byte-identical decision frames for the same events. The only permitted
-// wire difference is the negotiated proto number itself.
-func TestStreamProto3Proto4InteropByteExact(t *testing.T) {
-	type session struct {
-		conn net.Conn
-		br   *bufio.Reader
-	}
-	open := func(proto uint32) (*session, trace.Ack) {
-		t.Helper()
-		s, _ := newTestServer(t, Config{Shards: 4})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		go s.ServeStream(ln)
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		hs := trace.Handshake{Proto: proto, ParamsHash: s.paramsHash, Window: 4, Program: "gzip"}
-		if _, err := conn.Write(trace.AppendHandshake(nil, hs)); err != nil {
-			t.Fatal(err)
-		}
-		br := bufio.NewReader(conn)
-		ack, err := trace.ReadAck(br)
-		if err != nil {
-			t.Fatalf("proto %d ack: %v", proto, err)
-		}
-		if ack.Err != nil {
-			t.Fatalf("proto %d rejected: %v", proto, ack.Err)
-		}
-		if ack.Proto != proto {
-			t.Fatalf("proto %d negotiated %d", proto, ack.Proto)
-		}
-		return &session{conn: conn, br: br}, ack
-	}
-
-	s3, ack3 := open(3)
-	s4, ack4 := open(4)
-	if ack3.Window != ack4.Window || ack3.Flags != ack4.Flags || ack3.ParamsHash != ack4.ParamsHash {
-		t.Fatalf("ack tails diverge: proto3 %+v proto4 %+v", ack3, ack4)
-	}
-
-	evs := synthEvents(8000, 13)
-	var scratch3, scratch4 []byte
-	for i, b := range streamBatches(evs, 1000) {
-		p3 := trace.EncodeFrameAppend(trace.AppendTraceContext(nil, 0), b)
-		p4 := trace.EncodeFrameAppend(trace.AppendKind(trace.AppendTraceContext(nil, 0), trace.KindBranch), b)
-		if _, err := s3.conn.Write(trace.AppendSessionFrame(nil, trace.StreamFrameEvents, p3)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s4.conn.Write(trace.AppendSessionFrame(nil, trace.StreamFrameEvents, p4)); err != nil {
-			t.Fatal(err)
-		}
-		typ3, pay3, sc3, err := trace.ReadSessionFrame(s3.br, scratch3)
-		if err != nil {
-			t.Fatalf("batch %d proto3: %v", i, err)
-		}
-		scratch3 = sc3
-		typ4, pay4, sc4, err := trace.ReadSessionFrame(s4.br, scratch4)
-		if err != nil {
-			t.Fatalf("batch %d proto4: %v", i, err)
-		}
-		scratch4 = sc4
-		if typ3 != typ4 || !bytes.Equal(pay3, pay4) {
-			t.Fatalf("batch %d: proto-3 and proto-4 decision frames diverge:\n p3 %c %x\n p4 %c %x",
-				i, typ3, pay3, typ4, pay4)
-		}
 	}
 }
 

@@ -35,7 +35,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 		apiErr.Status != 403 || apiErr.Code != CodeReadOnly {
 		t.Fatalf("ingest envelope: %v", err)
 	}
-	if _, err := c.OpenStream(context.Background(), "gzip"); !errors.Is(err, ErrReadOnly) {
+	if _, err := openStream(t, s, "gzip"); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("stream handshake on a replica: %v, want ErrReadOnly", err)
 	}
 

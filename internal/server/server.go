@@ -56,7 +56,6 @@ import (
 //
 //	GET  /v1/decide?program=P&branch=N   → JSON DecideResponse
 //	GET  /v1/info                        → JSON Info (API/proto version, params hash)
-//	POST /v1/stream                      → upgrade to a streaming ingest session (stream.go)
 //	GET  /healthz                        → JSON health summary
 //	GET  /metrics                        → Prometheus text exposition
 //	POST /v1/snapshot                    → force a snapshot, JSON result
@@ -319,7 +318,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/decide", func(w http.ResponseWriter, r *http.Request) { s.handleDecide(w, r, false) })
 	mux.HandleFunc("/v2/decide", func(w http.ResponseWriter, r *http.Request) { s.handleDecide(w, r, true) })
 	mux.HandleFunc("/v1/info", s.handleInfo)
-	mux.HandleFunc("/v1/stream", s.handleStream)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/promote", s.handlePromote)
 	mux.HandleFunc("/v1/cursor", s.handleCursor)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -17,14 +16,9 @@ import (
 // Streaming ingest sessions: instead of one HTTP POST per batch, a client
 // performs one handshake and then pipelines event frames over a long-lived
 // connection, receiving decision frames back on the same connection
-// (internal/trace stream.go defines the wire format). Two transports reach
-// the same session loop:
-//
-//   - POST /v1/stream on the serving address: the handler hijacks the
-//     connection, answers "101 Switching Protocols", and hands the raw
-//     socket to the session;
-//   - a dedicated raw TCP listener (reactived -stream-addr) where the
-//     session protocol starts immediately after connect.
+// (internal/trace stream.go defines the wire format). Sessions arrive on a
+// dedicated raw TCP listener (reactived -stream-addr), where the session
+// protocol starts immediately after connect.
 //
 // Decisions are byte-identical to the /v1/ingest path: both run each frame
 // through the same commit step (log, then ApplyFrame, under the same
@@ -140,50 +134,16 @@ func (s *Server) ServeStream(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		go s.serveStreamConn(conn,
-			bufio.NewReaderSize(conn, 1<<16), bufio.NewWriterSize(conn, 1<<16))
+		go s.serveStreamConn(conn)
 	}
-}
-
-// handleStream upgrades POST /v1/stream into a streaming session: the
-// connection is hijacked from the HTTP server, answered with 101 Switching
-// Protocols, and handed to the session loop.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	hj, ok := w.(http.Hijacker)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, CodeInternal,
-			"transport does not support connection hijacking")
-		return
-	}
-	conn, bufrw, err := hj.Hijack()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-		return
-	}
-	if _, werr := bufrw.WriteString("HTTP/1.1 101 Switching Protocols\r\n" +
-		"Upgrade: reactived-stream/1\r\nConnection: Upgrade\r\n\r\n"); werr != nil {
-		conn.Close()
-		return
-	}
-	if werr := bufrw.Flush(); werr != nil {
-		conn.Close()
-		return
-	}
-	s.serveStreamConn(conn, bufrw.Reader, bufrw.Writer)
 }
 
 // serveStreamConn runs one streaming session to completion: handshake,
 // event/decision frame loop, terminal frame. It owns conn and closes it.
-func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
+func (s *Server) serveStreamConn(conn net.Conn) {
 	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 1<<16)
+	bw := bufio.NewWriterSize(conn, 1<<16)
 
 	// A write shared by every outbound frame: bounded by a write deadline
 	// so a stalled client cannot pin the goroutine.
@@ -210,13 +170,11 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 			bw.Flush()
 		}
 	}
-	proto, protoOK := trace.NegotiateStreamProto(hs.Proto)
-	flags := trace.NegotiateStreamFlags(proto, hs.Flags)
 	switch {
-	case !protoOK:
+	case hs.Proto != trace.StreamProtoVersion:
 		reject(trace.StreamCodeProtoMismatch, fmt.Sprintf(
-			"client speaks stream protocol %d, server supports %d..%d",
-			hs.Proto, trace.StreamProtoMin, trace.StreamProtoVersion))
+			"client speaks stream protocol %d, server speaks %d",
+			hs.Proto, trace.StreamProtoVersion))
 		return
 	case hs.Program == "":
 		reject(trace.StreamCodeMalformed, "missing program name")
@@ -230,9 +188,6 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 			formatParamsHash(hs.ParamsHash), formatParamsHash(s.paramsHash)))
 		return
 	case s.readOnly.Load():
-		// Both transports (hijacked /v1/stream and the raw TCP listener)
-		// funnel through here, so one check covers replica mode for all
-		// streaming ingest.
 		reject(trace.StreamCodeReadOnly,
 			"replica is read-only; ingest on the primary, or promote this replica first")
 		return
@@ -254,7 +209,7 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	s.ins.streamSessions.Inc()
 
 	wireBuf = trace.AppendAck(wireBuf[:0], trace.Ack{
-		Proto: proto, Flags: flags, Window: window, ParamsHash: s.paramsHash,
+		Proto: trace.StreamProtoVersion, Window: window, ParamsHash: s.paramsHash,
 	})
 	if writeWire(wireBuf) != nil || bw.Flush() != nil {
 		return
@@ -266,23 +221,19 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	pprof.Do(context.Background(), pprof.Labels(
 		"program", hs.Program, "transport", "stream", "role", s.Mode(),
 	), func(context.Context) {
-		s.streamFrameLoop(conn, br, bw, ss, hs.Program, proto, flags, writeWire)
+		s.streamFrameLoop(conn, br, bw, ss, hs.Program, writeWire)
 	})
 }
 
 // streamFrameLoop runs one established session's event/decision loop to
 // completion: event frames in, decision (or reject) frames out, terminal
-// frame last. proto is the negotiated session protocol; at 2 every event
-// frame payload starts with a trace context; at 3 decision frames may be
-// coalesced per flags; at 4 a speculation-kind tag follows the trace
-// context, routing each frame to its own (program, kind) cursor and table
-// keys. Below proto 4 every frame is implicitly kind=branch and the session
-// is byte-identical to the pre-kind protocol. A frame tagged with a kind the
+// frame last. Every event frame payload starts with a trace context and a
+// speculation-kind tag; the kind routes the frame to its own (program, kind)
+// cursor and table key. A frame tagged with a kind the
 // daemon does not serve is rejected per-frame ('R'), like a corrupt payload:
 // the session survives, and the other kinds' frames keep applying.
 //
-// The read path is zero-copy at the byte level: ReadSessionFrameBuffered
-// hands back a payload aliasing the connection read buffer, the frame is
+// The read path is zero-copy at the byte level: ReadSessionFrame hands back a payload aliasing the connection read buffer, the frame is
 // validated in place (trace.ValidateFrame), and commit splices the
 // validated bytes into the WAL verbatim and applies them with
 // Table.ApplyFrame. Steady state allocates nothing per frame, and the
@@ -290,7 +241,7 @@ func (s *Server) serveStreamConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 // applied frame is one batch on the ingest histograms and spans, timed by
 // the same stage clock as a POST batch.
 func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
-	ss *streamSession, program string, proto, flags uint32, writeWire func([]byte) error) {
+	ss *streamSession, program string, writeWire func([]byte) error) {
 	// terminal ends the session with a typed frame; the client surfaces
 	// the code (ErrDraining for "draining", io.EOF for "bye") instead of a
 	// bare connection reset.
@@ -306,8 +257,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	// Session-local scratch, reused across frames: the steady-state loop
 	// allocates nothing. The cursor and table key are per (program, kind);
 	// both are resolved lazily per kind and cached for the session, so a
-	// branch-only session (every session below proto 4) pays exactly the old
-	// single-cursor cost.
+	// branch-only session pays for exactly one cursor lookup.
 	var (
 		payloadScratch []byte
 		decisions      []byte
@@ -321,7 +271,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	curs[trace.KindBranch] = s.cursorFor(program)
 	for {
 		var typ byte
-		typ, payload, payloadScratch, err = trace.ReadSessionFrameBuffered(br, payloadScratch)
+		typ, payload, payloadScratch, err = trace.ReadSessionFrame(br, payloadScratch)
 		if err != nil {
 			if ss.draining.Load() {
 				conn.SetReadDeadline(time.Time{})
@@ -337,18 +287,16 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 		case trace.StreamFrameEvents:
 			s.ins.streamFrames.Inc()
 			clk := stageClock{start: time.Now()}
-			// At proto 2 the payload leads with a trace context: a non-zero
-			// ID joins the frame to the client's trace, zero means untraced
-			// and the server's own sampler gets its say.
-			var traceID uint64
-			body := payload
-			if proto >= 2 {
-				traceID, body, err = trace.CutTraceContext(payload)
-			}
-			// At proto 4 a kind tag follows the trace context; older
-			// sessions carry branches only.
-			kind := trace.KindBranch
-			if err == nil && proto >= 4 {
+			// The payload leads with a trace context — a non-zero ID joins
+			// the frame to the client's trace, zero means untraced and the
+			// server's own sampler gets its say — then a kind tag.
+			var (
+				traceID uint64
+				kind    trace.Kind
+				body    []byte
+			)
+			traceID, body, err = trace.CutTraceContext(payload)
+			if err == nil {
 				kind, body, err = trace.CutKind(body)
 				if err == nil && (!kind.Valid() || !s.kinds[kind]) {
 					err = fmt.Errorf("kind %s is not served by this daemon", kind)
@@ -391,7 +339,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 					terminal(trace.StreamCodeInternal, "wal append: "+err.Error())
 					return
 				}
-				wireBuf, decScratch = appendDecisionsFrameCoalesced(wireBuf[:0], decisions, proto, flags, decScratch)
+				wireBuf, decScratch = appendDecisionsFrameRLE(wireBuf[:0], decisions, decScratch)
 				if writeWire(wireBuf) != nil {
 					return
 				}
@@ -428,28 +376,17 @@ func appendDecisionsFrame(dst, decisions []byte) []byte {
 	return append(dst, decisions...)
 }
 
-// appendDecisionsFrameCoalesced appends the session frame answering one
-// applied event frame, in the encoding the session negotiated: plain 'D'
-// below proto 3, run-length 'd' at proto 3, change-list 'x' when the
-// change-only flag was granted. Either coalesced form falls back to the
-// plain frame whenever it does not strictly shrink the payload, so the wire
-// cost is bounded by today's encoding. scratch stages the candidate payload
-// and is returned for reuse.
-func appendDecisionsFrameCoalesced(dst, decisions []byte, proto, flags uint32, scratch []byte) (wire, newScratch []byte) {
-	if proto < 3 {
-		return appendDecisionsFrame(dst, decisions), scratch
-	}
-	typ := trace.StreamFrameDecisionsRLE
-	if flags&trace.StreamFlagChangeOnly != 0 {
-		typ = trace.StreamFrameDecisionsChanges
-		scratch = trace.AppendDecisionsChanges(scratch[:0], decisions)
-	} else {
-		scratch = trace.AppendDecisionsRLE(scratch[:0], decisions)
-	}
+// appendDecisionsFrameRLE appends the session frame answering one applied
+// event frame: run-length 'd', falling back to the plain 'D' frame whenever
+// run-length encoding does not strictly shrink the payload, so the wire cost
+// is bounded by the plain encoding. scratch stages the candidate payload and
+// is returned for reuse.
+func appendDecisionsFrameRLE(dst, decisions, scratch []byte) (wire, newScratch []byte) {
+	scratch = trace.AppendDecisionsRLE(scratch[:0], decisions)
 	if len(scratch) >= uvarintLen(uint64(len(decisions)))+len(decisions) {
 		return appendDecisionsFrame(dst, decisions), scratch
 	}
-	return trace.AppendSessionFrame(dst, typ, scratch), scratch
+	return trace.AppendSessionFrame(dst, trace.StreamFrameDecisionsRLE, scratch), scratch
 }
 
 // uvarintLen returns how many bytes v's uvarint encoding takes.

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,7 +28,6 @@ type Stream struct {
 	bw   *bufio.Writer
 
 	window  int
-	proto   uint32            // negotiated session protocol version
 	program string            // handshake program, stamped on client spans
 	tracer  *obs.Tracer       // nil when the session is untraced
 	credits chan struct{}     // capacity window; a token = permission to send one frame
@@ -52,60 +48,14 @@ type streamResult struct {
 	err       error // per-frame rejection (session continues)
 }
 
-// streamConfig collects OpenStream options.
+// streamConfig collects DialStream options.
 type streamConfig struct {
-	window     uint32
-	paramsHash *uint64
-	tracer     *obs.Tracer
-	decisions  StreamDecisions
+	window uint32
+	tracer *obs.Tracer
 }
 
-// StreamOption configures OpenStream.
+// StreamOption configures DialStream.
 type StreamOption func(*streamConfig)
-
-// StreamDecisions selects the decision-frame encoding a session negotiates.
-// Every mode yields identical per-event decisions from Recv — the encoding
-// only changes the wire bytes carrying them.
-type StreamDecisions int
-
-const (
-	// StreamDecisionsRLE (the default) negotiates stream proto 3: the
-	// server coalesces each decision frame with run-length encoding,
-	// falling back to the plain form per frame whenever RLE would not
-	// shrink it. The client decodes transparently.
-	StreamDecisionsRLE StreamDecisions = iota
-	// StreamDecisionsPlain pins the handshake to stream proto 2 — the
-	// pre-coalescing protocol, byte-for-byte: every decision frame
-	// arrives as a plain 'D' frame.
-	StreamDecisionsPlain
-	// StreamDecisionsChangeOnly negotiates proto 3 with the change-only
-	// session flag: the server sends (index, decision) deltas per frame
-	// and the client reconstructs the full vector.
-	StreamDecisionsChangeOnly
-)
-
-// streamProtoPlainDecisions is the newest protocol version whose decision
-// frames are always plain; StreamDecisionsPlain pins the handshake to it.
-const streamProtoPlainDecisions = 2
-
-// handshakeProtoFlags maps the requested decision mode onto the handshake's
-// protocol version and session flags.
-func (sc *streamConfig) handshakeProtoFlags() (proto, flags uint32) {
-	switch sc.decisions {
-	case StreamDecisionsPlain:
-		return streamProtoPlainDecisions, 0
-	case StreamDecisionsChangeOnly:
-		return trace.StreamProtoVersion, trace.StreamFlagChangeOnly
-	default:
-		return trace.StreamProtoVersion, 0
-	}
-}
-
-// WithStreamDecisions selects the session's decision-frame encoding; see the
-// StreamDecisions constants. The default is StreamDecisionsRLE.
-func WithStreamDecisions(mode StreamDecisions) StreamOption {
-	return func(sc *streamConfig) { sc.decisions = mode }
-}
 
 // WithStreamWindow requests a pipeline window of n in-flight event frames.
 // The server clamps the grant to [1, MaxStreamWindow]; 0 (the default)
@@ -118,173 +68,45 @@ func WithStreamWindow(n int) StreamOption {
 	}
 }
 
-// WithStreamParams pins the handshake to the given controller-parameter
-// hash, overriding the client's WithParamsHash pin and the /v1/info lookup.
-func WithStreamParams(h uint64) StreamOption {
-	return func(sc *streamConfig) { sc.paramsHash = &h }
-}
-
 // WithStreamTracer samples this session's Send calls into t: a sampled frame
-// records client_encode and client_network spans and, at stream protocol 2,
-// carries its trace ID to the server in the frame's trace context.
+// records client_encode and client_network spans and carries its trace ID to
+// the server in the frame's trace context.
 func WithStreamTracer(t *obs.Tracer) StreamOption {
 	return func(sc *streamConfig) { sc.tracer = t }
 }
 
-// OpenStream upgrades a POST /v1/stream request into a streaming ingest
-// session for program. The controller-parameter hash for the handshake comes
-// from WithStreamParams, else the client's WithParamsHash pin, else a
-// GET /v1/info lookup (trust-on-connect). ctx governs the dial and handshake
-// only; the returned Stream outlives it.
-func (c *Client) OpenStream(ctx context.Context, program string, opts ...StreamOption) (*Stream, error) {
+// DialStream opens a streaming session on reactived's raw TCP stream
+// listener (reactived -stream-addr, addr is host:port); the session protocol
+// starts immediately after connect. The controller-parameter hash must be
+// supplied explicitly — the stream listener has no /v1/info to consult
+// (compute it with ParamsHash, or copy it from an Info lookup on the HTTP
+// address). ctx governs the dial and handshake only; the returned Stream
+// outlives it.
+func DialStream(ctx context.Context, addr, program string, paramsHash uint64, opts ...StreamOption) (*Stream, error) {
 	var sc streamConfig
 	for _, opt := range opts {
 		opt(&sc)
 	}
-	hash, err := c.streamParamsHash(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-
-	u, err := url.Parse(c.base)
-	if err != nil {
-		return nil, fmt.Errorf("server: stream: parsing base URL: %w", err)
-	}
-	if u.Scheme != "http" {
-		return nil, fmt.Errorf("server: stream: unsupported scheme %q (http only)", u.Scheme)
-	}
 	var d net.Dialer
-	var conn net.Conn
-	if c.unixPath != "" {
-		// A unix:// client reaches the same /v1/stream upgrade over the
-		// socket file every other request uses.
-		conn, err = d.DialContext(ctx, "unix", c.unixPath)
-	} else {
-		host := u.Host
-		if u.Port() == "" {
-			host = net.JoinHostPort(u.Hostname(), "80")
-		}
-		conn, err = d.DialContext(ctx, "tcp", host)
-	}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: stream: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
 
-	// Upgrade request, written by hand: the connection stops speaking HTTP
-	// the moment the server answers 101.
-	_, err = fmt.Fprintf(bw, "POST /v1/stream HTTP/1.1\r\nHost: %s\r\n"+
-		"Upgrade: reactived-stream/1\r\nConnection: Upgrade\r\nContent-Length: 0\r\n\r\n",
-		u.Host)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: writing upgrade request: %w", err)
-	}
-	applyDeadline(ctx, conn)
-	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: reading upgrade response: %w", err)
-	}
-	if resp.StatusCode != http.StatusSwitchingProtocols {
-		defer conn.Close()
-		defer resp.Body.Close()
-		return nil, httpError("stream", resp)
-	}
-	if sc.tracer == nil {
-		sc.tracer = c.tracer
-	}
-	proto, flags := sc.handshakeProtoFlags()
-	return newStream(ctx, conn, br, bw, trace.Handshake{
-		Proto:      proto,
-		Flags:      flags,
-		ParamsHash: hash,
-		Window:     sc.window,
-		Program:    program,
-	}, sc.tracer)
-}
-
-// DialStream opens a streaming session on a raw stream listener, no HTTP
-// preamble: either a TCP one (reactived -stream-addr, addr is host:port) or
-// a unix-domain one (reactived -stream-unix, addr is "unix:///path/to.sock"
-// or "unix:/path/to.sock"). The controller-parameter hash must be supplied
-// explicitly — a raw listener has no /v1/info to consult (compute it with
-// ParamsHash, or copy it from an Info lookup on the HTTP address).
-func DialStream(ctx context.Context, addr, program string, paramsHash uint64, opts ...StreamOption) (*Stream, error) {
-	var sc streamConfig
-	for _, opt := range opts {
-		opt(&sc)
-	}
-	if sc.paramsHash != nil {
-		paramsHash = *sc.paramsHash
-	}
-	network, target := "tcp", addr
-	if path, ok := cutUnixTarget(addr); ok {
-		network, target = "unix", path
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, network, target)
-	if err != nil {
-		return nil, fmt.Errorf("server: stream: %w", err)
-	}
-	proto, flags := sc.handshakeProtoFlags()
-	return newStream(ctx, conn,
-		bufio.NewReaderSize(conn, 1<<16), bufio.NewWriterSize(conn, 1<<16),
-		trace.Handshake{
-			Proto:      proto,
-			Flags:      flags,
-			ParamsHash: paramsHash,
-			Window:     sc.window,
-			Program:    program,
-		}, sc.tracer)
-}
-
-// cutUnixTarget recognizes a unix-domain target — "unix:///path/to.sock" or
-// "unix:/path/to.sock" — and returns the socket path.
-func cutUnixTarget(addr string) (path string, ok bool) {
-	rest, found := strings.CutPrefix(addr, "unix://")
-	if !found {
-		rest, found = strings.CutPrefix(addr, "unix:")
-	}
-	if !found || rest == "" {
-		return "", false
-	}
-	return rest, true
-}
-
-// streamParamsHash resolves the handshake hash: explicit option, client pin,
-// else a /v1/info lookup.
-func (c *Client) streamParamsHash(ctx context.Context, sc streamConfig) (uint64, error) {
-	if sc.paramsHash != nil {
-		return *sc.paramsHash, nil
-	}
-	if c.paramsPin != "" {
-		return parseParamsHash(c.paramsPin)
-	}
-	info, err := c.Info(ctx)
-	if err != nil {
-		return 0, fmt.Errorf("server: stream: resolving params hash: %w", err)
-	}
-	return parseParamsHash(info.ParamsHash)
-}
-
-// applyDeadline projects ctx's deadline (if any) onto conn for the handshake
-// phase; newStream clears it once the session is established.
-func applyDeadline(ctx context.Context, conn net.Conn) {
+	// The handshake runs under ctx's deadline, cleared once the session is
+	// established.
 	if dl, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(dl)
 	}
-}
-
-// newStream performs the session handshake on an established connection and
-// starts the reader goroutine. It owns conn and closes it on failure.
-func newStream(ctx context.Context, conn net.Conn, br *bufio.Reader, bw *bufio.Writer, hs trace.Handshake, tracer *obs.Tracer) (*Stream, error) {
-	applyDeadline(ctx, conn)
-	_, err := bw.Write(trace.AppendHandshake(nil, hs))
+	hs := trace.Handshake{
+		Proto:      trace.StreamProtoVersion,
+		ParamsHash: paramsHash,
+		Window:     sc.window,
+		Program:    program,
+	}
+	_, err = bw.Write(trace.AppendHandshake(nil, hs))
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -301,19 +123,10 @@ func newStream(ctx context.Context, conn net.Conn, br *bufio.Reader, bw *bufio.W
 		conn.Close()
 		return nil, streamTerminalError(*ack.Err)
 	}
-	// An older server acks a lower protocol version and the session speaks
-	// it (dropping the trace context); anything outside the supported range
-	// is a broken peer.
-	if ack.Proto < trace.StreamProtoMin || ack.Proto > hs.Proto {
+	if ack.Proto != hs.Proto {
 		conn.Close()
-		return nil, fmt.Errorf("server: stream: server acked protocol %d, client supports %d..%d",
-			ack.Proto, trace.StreamProtoMin, hs.Proto)
-	}
-	// The server may grant fewer flags than requested (or none, below proto
-	// 3) — never more.
-	if ack.Flags&^hs.Flags != 0 {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: server granted unrequested session flags %#x", ack.Flags&^hs.Flags)
+		return nil, fmt.Errorf("server: stream: server acked protocol %d, client speaks %d",
+			ack.Proto, hs.Proto)
 	}
 	if ack.Window == 0 {
 		conn.Close()
@@ -325,9 +138,8 @@ func newStream(ctx context.Context, conn net.Conn, br *bufio.Reader, bw *bufio.W
 		conn:       conn,
 		bw:         bw,
 		window:     int(ack.Window),
-		proto:      ack.Proto,
 		program:    hs.Program,
-		tracer:     tracer,
+		tracer:     sc.tracer,
 		credits:    make(chan struct{}, ack.Window),
 		results:    make(chan streamResult, ack.Window),
 		readerDone: make(chan struct{}),
@@ -363,6 +175,8 @@ func (st *Stream) readLoop(br *bufio.Reader) {
 	defer close(st.readerDone)
 	defer close(st.results)
 	var scratch, decScratch []byte
+	// Every payload is consumed (decoded into fresh Decisions, formatted,
+	// or copied into a StreamError) before the next read invalidates it.
 	finish := func(err error) { st.termErr = err }
 	for {
 		typ, payload, newScratch, err := trace.ReadSessionFrame(br, scratch)
@@ -380,15 +194,10 @@ func (st *Stream) readLoop(br *bufio.Reader) {
 			}
 			st.results <- streamResult{decisions: decisions}
 			st.credits <- struct{}{}
-		case trace.StreamFrameDecisionsRLE, trace.StreamFrameDecisionsChanges:
-			// Coalesced forms decode to exactly the bytes a plain 'D'
-			// frame would have carried; Recv callers never see the
-			// difference.
-			if typ == trace.StreamFrameDecisionsRLE {
-				decScratch, err = trace.DecodeDecisionsRLE(payload, decScratch[:0])
-			} else {
-				decScratch, err = trace.DecodeDecisionsChanges(payload, decScratch[:0])
-			}
+		case trace.StreamFrameDecisionsRLE:
+			// The RLE form decodes to exactly the bytes a plain 'D' frame
+			// would have carried; Recv callers never see the difference.
+			decScratch, err = trace.DecodeDecisionsRLE(payload, decScratch[:0])
 			if err != nil {
 				finish(fmt.Errorf("server: stream: decoding coalesced decisions frame: %w", err))
 				return
@@ -447,17 +256,13 @@ func (st *Stream) Window() int { return st.window }
 // Send ships one batch of events as a single in-flight frame. It blocks
 // while the window is exhausted, until the receiver frees a slot, ctx ends,
 // or the session terminates. Each successful Send owes exactly one Recv.
-//
-// Send is the kind=branch compatibility surface — its wire bytes are
-// identical at every protocol version; kind-aware callers use SendKind.
+// Send is SendKind with kind=branch.
 func (st *Stream) Send(ctx context.Context, events []trace.Event) error {
 	return st.send(ctx, trace.KindBranch, events, nil, len(events))
 }
 
-// SendKind is Send with an explicit speculation kind. kind=branch is Send
-// exactly (and works at every negotiated protocol version); other kinds
-// require the session to have negotiated stream protocol 4 — against an
-// older server SendKind fails without consuming a window credit.
+// SendKind is Send with an explicit speculation kind. An invalid kind fails
+// without consuming a window credit.
 func (st *Stream) SendKind(ctx context.Context, kind trace.Kind, events []trace.Event) error {
 	return st.send(ctx, kind, events, nil, len(events))
 }
@@ -480,10 +285,6 @@ func (st *Stream) SendEncodedKind(ctx context.Context, kind trace.Kind, frame []
 }
 
 func (st *Stream) send(ctx context.Context, kind trace.Kind, events []trace.Event, frame []byte, nevents int) error {
-	if kind != trace.KindBranch && st.proto < 4 {
-		return fmt.Errorf("server: stream: kind %s needs stream protocol 4, session negotiated %d (%w)",
-			kind, st.proto, ErrUnsupportedKind)
-	}
 	if !kind.Valid() {
 		return fmt.Errorf("server: stream: invalid kind %s (%w)", kind, ErrUnsupportedKind)
 	}
@@ -506,24 +307,15 @@ func (st *Stream) send(ctx context.Context, kind trace.Kind, events []trace.Even
 	if st.closed {
 		return fmt.Errorf("server: stream: send after Close")
 	}
-	// Sampling happens per frame; at proto 2 every event payload leads with
-	// a trace context (zero = untraced) so the wire shape is uniform.
-	var traceID uint64
-	if st.proto >= 2 {
-		traceID = st.tracer.SampleBatch()
-	}
+	// Sampling happens per frame; every event payload leads with a trace
+	// context (zero = untraced) and a kind tag (branch is a single zero
+	// byte), so the wire shape is uniform.
+	traceID := st.tracer.SampleBatch()
 	encodeStart := time.Now()
 	// The session frame carries its own length, so the payload is the bare
 	// trace frame (no AppendFrame length prefix).
-	st.evBuf = st.evBuf[:0]
-	if st.proto >= 2 {
-		st.evBuf = trace.AppendTraceContext(st.evBuf, traceID)
-	}
-	if st.proto >= 4 {
-		// The kind tag is unconditional at proto 4 so the wire shape stays
-		// uniform; branch encodes as a single zero byte.
-		st.evBuf = trace.AppendKind(st.evBuf, kind)
-	}
+	st.evBuf = trace.AppendTraceContext(st.evBuf[:0], traceID)
+	st.evBuf = trace.AppendKind(st.evBuf, kind)
 	if frame != nil {
 		st.evBuf = append(st.evBuf, frame...)
 	} else {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -26,6 +25,26 @@ func streamBatches(evs []trace.Event, batch int) [][]trace.Event {
 		out = append(out, evs[off:end])
 	}
 	return out
+}
+
+// streamAddr starts a raw TCP stream listener serving s for the rest of the
+// test and returns its address.
+func streamAddr(t testing.TB, s *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go s.ServeStream(ln)
+	return ln.Addr().String()
+}
+
+// openStream dials a session for program on a fresh raw stream listener
+// serving s, pinned to s's parameter hash.
+func openStream(t testing.TB, s *Server, program string, opts ...StreamOption) (*Stream, error) {
+	t.Helper()
+	return DialStream(context.Background(), streamAddr(t, s), program, s.paramsHash, opts...)
 }
 
 // runSession pushes every batch through st pipelined (sender goroutine,
@@ -76,10 +95,10 @@ func TestStreamMatchesIngest(t *testing.T) {
 		}
 		for _, window := range []int{1, 4, 16} {
 			t.Run(fmt.Sprintf("shards=%d/window=%d", shards, window), func(t *testing.T) {
-				_, c := newTestServer(t, Config{Shards: shards})
-				st, err := c.OpenStream(context.Background(), "gzip", WithStreamWindow(window))
+				s, _ := newTestServer(t, Config{Shards: shards})
+				st, err := openStream(t, s, "gzip", WithStreamWindow(window))
 				if err != nil {
-					t.Fatalf("OpenStream: %v", err)
+					t.Fatalf("DialStream: %v", err)
 				}
 				if st.Window() != window {
 					t.Fatalf("granted window %d, requested %d", st.Window(), window)
@@ -101,8 +120,9 @@ func TestStreamMatchesIngest(t *testing.T) {
 	}
 }
 
-// TestStreamRawTCPListener drives a session over ServeStream's raw listener
-// (no HTTP upgrade) and pins it to the same decisions as the table.
+// TestStreamRawTCPListener drives a session over ServeStream's raw listener,
+// with the hash looked up over HTTP, and pins it to the same decisions as
+// the table.
 func TestStreamRawTCPListener(t *testing.T) {
 	s, c := newTestServer(t, Config{Shards: 4})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -146,8 +166,8 @@ func TestStreamRawTCPListener(t *testing.T) {
 // TestStreamSnapshotWhileStreaming interleaves snapshots with an active
 // session: both must succeed, and the snapshot must land on disk.
 func TestStreamSnapshotWhileStreaming(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 4, SnapshotDir: t.TempDir()})
-	st, err := c.OpenStream(context.Background(), "snap", WithStreamWindow(4))
+	s, _ := newTestServer(t, Config{Shards: 4, SnapshotDir: t.TempDir()})
+	st, err := openStream(t, s, "snap", WithStreamWindow(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +208,8 @@ func TestStreamSnapshotWhileStreaming(t *testing.T) {
 // an idle session with a terminal "draining" frame, so the client observes
 // ErrDraining — a typed error, not a connection reset.
 func TestStreamDrainSendsTerminal(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 2})
-	st, err := c.OpenStream(context.Background(), "drain")
+	s, _ := newTestServer(t, Config{Shards: 2})
+	st, err := openStream(t, s, "drain")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,25 +240,26 @@ func TestStreamDrainSendsTerminal(t *testing.T) {
 		t.Fatalf("WaitStreams: %v", err)
 	}
 
-	// New sessions are refused while draining, with the typed error on both
-	// transports.
-	if _, err := c.OpenStream(context.Background(), "late"); !errors.Is(err, ErrDraining) {
-		t.Fatalf("OpenStream while draining = %v, want ErrDraining", err)
+	// New sessions are refused while draining, with the typed error.
+	if _, err := openStream(t, s, "late"); !errors.Is(err, ErrDraining) {
+		t.Fatalf("DialStream while draining = %v, want ErrDraining", err)
 	}
 }
 
 // TestStreamHandshakeParamMismatch pins the typed rejection of a handshake
 // whose controller-parameter hash differs from the server's.
 func TestStreamHandshakeParamMismatch(t *testing.T) {
-	_, c := newTestServer(t, Config{Shards: 2})
-	_, err := c.OpenStream(context.Background(), "p", WithStreamParams(0xdeadbeef))
+	s, _ := newTestServer(t, Config{Shards: 2})
+	_, err := DialStream(context.Background(), streamAddr(t, s), "p", 0xdeadbeef)
 	if !errors.Is(err, ErrParamsMismatch) {
-		t.Fatalf("OpenStream with wrong hash = %v, want ErrParamsMismatch", err)
+		t.Fatalf("DialStream with wrong hash = %v, want ErrParamsMismatch", err)
 	}
 }
 
 // TestStreamHandshakeProtoMismatch drives the raw wire format directly: a
 // handshake with an unknown protocol version gets a typed reject ack.
+// TestStreamWireRejectsOtherProtos covers every version next to the one the
+// server speaks.
 func TestStreamHandshakeProtoMismatch(t *testing.T) {
 	s, _ := newTestServer(t, Config{Shards: 2})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -253,9 +274,7 @@ func TestStreamHandshakeProtoMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A peer newer than us negotiates down (NegotiateStreamProto), so the
-	// reject only fires below the supported minimum.
-	hs := trace.Handshake{Proto: trace.StreamProtoMin - 1, ParamsHash: s.paramsHash, Program: "p"}
+	hs := trace.Handshake{Proto: 0, ParamsHash: s.paramsHash, Program: "p"}
 	if _, err := conn.Write(trace.AppendHandshake(nil, hs)); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +331,7 @@ func TestStreamRejectFrameKeepsSession(t *testing.T) {
 		t.Fatalf("frame type %q, want reject", typ)
 	}
 	// The session survived the rejection: a valid frame still applies. The
-	// handshake negotiated proto >= 4, so the payload leads with a trace
-	// context (zero = untraced) and a kind tag.
+	// payload leads with a trace context (zero = untraced) and a kind tag.
 	good := trace.EncodeFrameAppend(
 		trace.AppendKind(trace.AppendTraceContext(nil, 0), trace.KindBranch),
 		synthEvents(10, 4))
@@ -324,8 +342,8 @@ func TestStreamRejectFrameKeepsSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("after reject: %v", err)
 	}
-	// At proto 3 the server may coalesce ('d'); both forms decode to the
-	// same decisions.
+	// The server may coalesce ('d') or fall back to plain ('D'); both forms
+	// decode to the same decisions.
 	var ds []Decision
 	switch typ {
 	case trace.StreamFrameDecisions:
@@ -346,8 +364,8 @@ func TestStreamRejectFrameKeepsSession(t *testing.T) {
 // TestStreamCloseRemovesSession checks the registry bookkeeping around a
 // clean close.
 func TestStreamCloseRemovesSession(t *testing.T) {
-	s, c := newTestServer(t, Config{Shards: 2})
-	st, err := c.OpenStream(context.Background(), "p")
+	s, _ := newTestServer(t, Config{Shards: 2})
+	st, err := openStream(t, s, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,9 +398,9 @@ func TestStreamCloseRemovesSession(t *testing.T) {
 // waiting on credit. Close must discard the undelivered results, fail the
 // blocked Send, and still complete the bye handshake — not deadlock.
 func TestStreamCloseUnblocksAbandonedSession(t *testing.T) {
-	_, c := newTestServer(t, Config{Shards: 2})
+	s, _ := newTestServer(t, Config{Shards: 2})
 	ctx := context.Background()
-	st, err := c.OpenStream(ctx, "p", WithStreamWindow(2))
+	st, err := openStream(t, s, "p", WithStreamWindow(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,20 +438,17 @@ func TestStreamCloseUnblocksAbandonedSession(t *testing.T) {
 	}
 }
 
-// TestStreamUpgradeOnRealServer sanity-checks the HTTP hijack path against a
-// stock httptest server end to end (newTestServer uses one already; this
-// pins the 101 upgrade specifically by driving a second session while the
-// first is open).
-func TestStreamUpgradeOnRealServer(t *testing.T) {
-	s := New(Config{Params: testParams(), Shards: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := Connect(ts.URL)
-	st1, err := c.OpenStream(context.Background(), "a")
+// TestStreamTwoSessionsOnOneListener drives a second session while the
+// first is open on the same raw listener: both are registered and both
+// apply.
+func TestStreamTwoSessionsOnOneListener(t *testing.T) {
+	s, _ := newTestServer(t, Config{Shards: 2})
+	addr := streamAddr(t, s)
+	st1, err := DialStream(context.Background(), addr, "a", s.paramsHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := c.OpenStream(context.Background(), "b")
+	st2, err := DialStream(context.Background(), addr, "b", s.paramsHash)
 	if err != nil {
 		t.Fatal(err)
 	}

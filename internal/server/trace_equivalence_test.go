@@ -84,7 +84,7 @@ func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) 
 		tally(ds)
 	}
 
-	st, err := c.OpenStream(ctx, "stream-prog")
+	st, err := openStream(t, s, "stream-prog", WithStreamTracer(tracer))
 	if err != nil {
 		t.Fatal(err)
 	}

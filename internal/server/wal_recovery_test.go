@@ -122,9 +122,9 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 			ingest := func(b walBatch) {
 				events := synthEvents(b.n, b.seed)
 				if tc.stream {
-					st, err := vc.OpenStream(context.Background(), b.program)
+					st, err := openStream(t, victim, b.program)
 					if err != nil {
-						t.Fatalf("OpenStream: %v", err)
+						t.Fatalf("DialStream: %v", err)
 					}
 					if err := st.Send(context.Background(), events); err != nil {
 						t.Fatalf("Send: %v", err)
@@ -368,9 +368,9 @@ func TestWALAppendErrorFailsIngest(t *testing.T) {
 		t.Fatalf("table trained %d entries despite WAL failure", len(entries))
 	}
 
-	st, err := c.OpenStream(context.Background(), "gzip")
+	st, err := openStream(t, s, "gzip")
 	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
+		t.Fatalf("DialStream: %v", err)
 	}
 	defer st.Close()
 	if err := st.Send(context.Background(), synthEvents(100, 1)); err != nil {

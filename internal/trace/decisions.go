@@ -5,30 +5,23 @@ import (
 	"fmt"
 )
 
-// Decision coalescing for stream-proto-3 sessions. A 'D' frame carries one
+// Decision coalescing for stream sessions. A plain 'D' payload carries one
 // applied event frame's decisions verbatim — a uvarint count followed by one
 // byte per event — which is overwhelmingly redundant: the controller holds a
 // steady verdict for long stretches, so a 1024-event frame typically carries
-// a handful of distinct values. Proto 3 adds two coalesced forms, both
-// decoding to exactly the bytes the plain frame would have carried:
+// a handful of distinct values. The 'd' form run-length encodes the same
+// vector and decodes to exactly the bytes the plain frame would have carried:
 //
 //	'd'  run-length encoded:
 //	  count  uvarint  (decision bytes this frame decodes to)
 //	  runs:  (runLen uvarint >= 1, value byte) pairs; runLens sum to count
 //
-//	'x'  change list (the decisions-on-change-only session mode):
-//	  count  uvarint
-//	  first  byte     (the decision at index 0; absent when count is 0)
-//	  pairs: (gap uvarint >= 1, value byte) — each pair changes the value
-//	         at index lastIndex+gap; indices stay < count; every index
-//	         between changes repeats the previous value
-//
-// Both forms are self-contained per frame (no state carried across frames),
-// so a lost or reordered read cannot desynchronize reconstruction. Worst
-// case (a vector that changes every byte) each form costs two bytes per
-// decision; senders are expected to fall back to the plain 'D' form whenever
-// coalescing does not strictly shrink the payload, which bounds the wire
-// cost at the plain encoding.
+// The form is self-contained per frame (no state carried across frames), so
+// a lost or reordered read cannot desynchronize reconstruction. Worst case (a
+// vector that changes every byte) it costs two bytes per decision; senders
+// fall back to the plain 'D' form whenever run-length encoding does not
+// strictly shrink the payload, which bounds the wire cost at the plain
+// encoding.
 
 // AppendDecisionsPlain appends the plain 'D' decisions payload — a uvarint
 // count followed by the raw decision bytes — to dst.
@@ -98,87 +91,6 @@ func DecodeDecisionsRLE(payload []byte, dst []byte) ([]byte, error) {
 	if off != len(payload) {
 		return dst[:base], fmt.Errorf("%w: %d trailing bytes after %d RLE decisions",
 			ErrBadFrame, len(payload)-off, count)
-	}
-	return dst, nil
-}
-
-// AppendDecisionsChanges appends the change-list 'x' payload for decisions
-// to dst.
-func AppendDecisionsChanges(dst []byte, decisions []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(decisions)))]...)
-	if len(decisions) == 0 {
-		return dst
-	}
-	dst = append(dst, decisions[0])
-	last := 0
-	for i := 1; i < len(decisions); i++ {
-		if decisions[i] != decisions[last] {
-			dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(i-last))]...)
-			dst = append(dst, decisions[i])
-			last = i
-		}
-	}
-	return dst
-}
-
-// DecodeDecisionsChanges decodes an 'x' payload, appending the reconstructed
-// decision bytes to dst and returning the extended slice. Malformed input —
-// a zero gap, an index at or past count, a truncated pair, trailing bytes —
-// fails with an error wrapping ErrBadFrame, and dst is returned unchanged.
-// The declared count is capped at MaxFramePayload.
-func DecodeDecisionsChanges(payload []byte, dst []byte) ([]byte, error) {
-	base := len(dst)
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return dst, fmt.Errorf("%w: reading change-list decisions count", ErrBadFrame)
-	}
-	if count > MaxFramePayload {
-		return dst, fmt.Errorf("%w: change-list decisions count %d exceeds the %d cap",
-			ErrBadFrame, count, uint64(MaxFramePayload))
-	}
-	off := n
-	if count == 0 {
-		if off != len(payload) {
-			return dst, fmt.Errorf("%w: %d trailing bytes after empty change list",
-				ErrBadFrame, len(payload)-off)
-		}
-		return dst, nil
-	}
-	if off >= len(payload) {
-		return dst, fmt.Errorf("%w: change list missing its first decision (count %d)",
-			ErrBadFrame, count)
-	}
-	v := payload[off]
-	off++
-	dst = append(dst, v)
-	idx := uint64(0)
-	for off < len(payload) {
-		gap, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return dst[:base], fmt.Errorf("%w: reading change gap at byte offset %d (index %d of %d)",
-				ErrBadFrame, off, idx, count)
-		}
-		off += n
-		if gap == 0 || gap > count-1-idx {
-			return dst[:base], fmt.Errorf("%w: change gap %d invalid at byte offset %d (index %d of %d)",
-				ErrBadFrame, gap, off, idx, count)
-		}
-		if off >= len(payload) {
-			return dst[:base], fmt.Errorf("%w: change value truncated at byte offset %d (index %d of %d)",
-				ErrBadFrame, off, idx, count)
-		}
-		nv := payload[off]
-		off++
-		for i := uint64(1); i < gap; i++ {
-			dst = append(dst, v)
-		}
-		dst = append(dst, nv)
-		idx += gap
-		v = nv
-	}
-	for i := idx + 1; i < count; i++ {
-		dst = append(dst, v)
 	}
 	return dst, nil
 }

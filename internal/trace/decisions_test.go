@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -58,34 +57,14 @@ func TestDecisionsRLERoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecisionsChangesRoundTrip(t *testing.T) {
-	for name, want := range decisionVectors() {
-		enc := AppendDecisionsChanges(nil, want)
-		got, err := DecodeDecisionsChanges(enc, nil)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: round trip changed the bytes: got %d, want %d", name, len(got), len(want))
-		}
-	}
-}
-
 // TestDecisionsCoalescedShrink pins the point of coalescing: on a run-heavy
-// vector both forms beat the plain payload, and on a constant tail the change
-// list beats RLE.
+// vector the RLE form beats the plain payload.
 func TestDecisionsCoalescedShrink(t *testing.T) {
 	v := bytes.Repeat([]byte{1}, 1024)
 	plain := AppendDecisionsPlain(nil, v)
 	rle := AppendDecisionsRLE(nil, v)
-	changes := AppendDecisionsChanges(nil, v)
-	if len(rle) >= len(plain) || len(changes) >= len(plain) {
-		t.Fatalf("coalescing did not shrink a constant vector: plain %d, rle %d, changes %d",
-			len(plain), len(rle), len(changes))
-	}
-	if len(changes) >= len(rle) {
-		t.Fatalf("change list (%d bytes) should beat RLE (%d bytes) on a constant vector",
-			len(changes), len(rle))
+	if len(rle) >= len(plain) {
+		t.Fatalf("coalescing did not shrink a constant vector: plain %d, rle %d", len(plain), len(rle))
 	}
 }
 
@@ -122,92 +101,6 @@ func TestDecodeDecisionsRLERejectsDamage(t *testing.T) {
 	}
 }
 
-func TestDecodeDecisionsChangesRejectsDamage(t *testing.T) {
-	good := AppendDecisionsChanges(nil, []byte{1, 1, 2, 2, 3})
-	cases := map[string][]byte{
-		"empty":           {},
-		"truncated pair":  good[:len(good)-1],
-		"missing first":   uv(3),
-		"trailing empty":  append(uv(0), 9),
-		"zero gap":        append(uv(3), 5, 0, 6),
-		"gap past count":  append(uv(3), 5, 3, 6),
-		"truncated value": append(uv(3), 5, 2),
-		"giant count":     uv(MaxFramePayload + 1),
-	}
-	for name, enc := range cases {
-		dst := []byte{42}
-		got, err := DecodeDecisionsChanges(enc, dst)
-		if !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
-		}
-		if len(got) != 1 || got[0] != 42 {
-			t.Errorf("%s: dst changed on error: %v", name, got)
-		}
-	}
-}
-
-// TestHandshakeFlagsRoundTrip checks that session flags survive both the
-// handshake and the ack, and that a zero flags field produces exactly the
-// pre-flag wire bytes — the proto-2 compatibility claim.
-func TestHandshakeFlagsRoundTrip(t *testing.T) {
-	h := Handshake{Proto: StreamProtoVersion, Flags: StreamFlagChangeOnly,
-		ParamsHash: 0xfeed, Window: 8, Program: "gzip@0"}
-	got, err := ReadHandshake(bufio.NewReader(bytes.NewReader(AppendHandshake(nil, h))))
-	if err != nil || got != h {
-		t.Fatalf("handshake flags round trip: %+v, %v", got, err)
-	}
-	a := Ack{Proto: StreamProtoVersion, Flags: StreamFlagChangeOnly, Window: 8, ParamsHash: 0xfeed}
-	gotA, err := ReadAck(bufio.NewReader(bytes.NewReader(AppendAck(nil, a))))
-	if err != nil || gotA != a {
-		t.Fatalf("ack flags round trip: %+v, %v", gotA, err)
-	}
-}
-
-// TestHandshakeZeroFlagsBytesUnchanged reproduces the proto-2 encoders by
-// hand and pins that today's Append functions with zero Flags emit exactly
-// those bytes, both directions.
-func TestHandshakeZeroFlagsBytesUnchanged(t *testing.T) {
-	var tmp [binary.MaxVarintLen64]byte
-	old := append([]byte{}, 'R', 'S', 'H', 'S')
-	put := func(v uint64) { old = append(old, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	put(2) // proto, as a proto-2 client encoded it
-	put(0xabc)
-	put(16)
-	put(uint64(len("vpr@1")))
-	old = append(old, "vpr@1"...)
-	now := AppendHandshake(nil, Handshake{Proto: 2, ParamsHash: 0xabc, Window: 16, Program: "vpr@1"})
-	if !bytes.Equal(now, old) {
-		t.Fatalf("zero-flag handshake bytes differ from the proto-2 encoding:\n got %x\nwant %x", now, old)
-	}
-
-	oldAck := append([]byte{}, 'R', 'S', 'H', 'A', 0)
-	putA := func(v uint64) { oldAck = append(oldAck, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	putA(2)
-	putA(16)
-	putA(0xabc)
-	nowAck := AppendAck(nil, Ack{Proto: 2, Window: 16, ParamsHash: 0xabc})
-	if !bytes.Equal(nowAck, oldAck) {
-		t.Fatalf("zero-flag ack bytes differ from the proto-2 encoding:\n got %x\nwant %x", nowAck, oldAck)
-	}
-}
-
-func TestNegotiateStreamFlags(t *testing.T) {
-	cases := []struct {
-		proto, requested, want uint32
-	}{
-		{1, StreamFlagChangeOnly, 0},
-		{2, StreamFlagChangeOnly, 0},
-		{3, StreamFlagChangeOnly, StreamFlagChangeOnly},
-		{3, 0, 0},
-		{3, StreamFlagChangeOnly | 0x8000, StreamFlagChangeOnly}, // unknown bits dropped
-	}
-	for _, c := range cases {
-		if got := NegotiateStreamFlags(c.proto, c.requested); got != c.want {
-			t.Errorf("NegotiateStreamFlags(%d, %#x) = %#x, want %#x", c.proto, c.requested, got, c.want)
-		}
-	}
-}
-
 // FuzzDecisionsRLE differentially checks the RLE codec: every encoded vector
 // decodes back to itself, and arbitrary payload bytes either decode cleanly
 // or fail wrapping ErrBadFrame without touching dst.
@@ -240,38 +133,6 @@ func FuzzDecisionsRLE(f *testing.F) {
 		// Robustness: data as a raw payload must decode or reject cleanly.
 		dst := []byte{99}
 		got, err := DecodeDecisionsRLE(data, dst)
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("decode error %v does not wrap ErrBadFrame", err)
-			}
-			if len(got) != 1 || got[0] != 99 {
-				t.Fatalf("dst changed on error")
-			}
-		}
-	})
-}
-
-// FuzzDecisionsChanges is FuzzDecisionsRLE for the change-list codec.
-func FuzzDecisionsChanges(f *testing.F) {
-	f.Add([]byte{1, 1, 1, 2, 2, 3})
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{7}, 300))
-	enc := AppendDecisionsChanges(nil, []byte{1, 1, 2, 3, 3, 3})
-	f.Add(enc)
-	f.Add(enc[:len(enc)-1])
-	f.Add(enc[:1])
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		enc := AppendDecisionsChanges(nil, data)
-		dec, err := DecodeDecisionsChanges(enc, nil)
-		if err != nil {
-			t.Fatalf("decoding our own encoding failed: %v", err)
-		}
-		if !bytes.Equal(dec, data) {
-			t.Fatalf("round trip changed the bytes: %d != %d", len(dec), len(data))
-		}
-		dst := []byte{99}
-		got, err := DecodeDecisionsChanges(data, dst)
 		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("decode error %v does not wrap ErrBadFrame", err)

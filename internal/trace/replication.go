@@ -50,19 +50,12 @@ import (
 // with cumulative acks instead of per-frame credits because WAL sequence
 // numbers give a total order for free.
 const (
-	// ReplicationProtoVersion is the newest replication protocol revision
-	// this build speaks. Like the ingest stream, the hello negotiates
-	// down: the primary acks min(follower, primary), so proto-1 peers are
-	// untouched.
-	//
-	// Version history:
-	//
-	//	1  the original record format
-	//	2  'S' record frames gain a uvarint trace ID between the ship
-	//	   timestamp and the program (0 = the record's batch was untraced)
+	// ReplicationProtoVersion is the one replication protocol revision this
+	// build speaks. Like the ingest stream there is no negotiation: the
+	// primary acks exactly this revision and answers any other hello with
+	// proto_mismatch. The value stays 2 so the bytes on the wire match
+	// every earlier build's proto-2 session.
 	ReplicationProtoVersion = 2
-	// ReplicationProtoMin is the oldest protocol revision still accepted.
-	ReplicationProtoMin = 1
 
 	// ReplFrameRecord carries one WAL record (primary → follower).
 	ReplFrameRecord = byte('S')
@@ -79,19 +72,6 @@ const ReplCodeCompacted = "compacted"
 // MaxReplPayload caps one replication session frame's payload: a full trace
 // frame payload plus the program name and the record header varints.
 const MaxReplPayload = MaxFramePayload + MaxHandshakeProgram + 5*binary.MaxVarintLen64
-
-// NegotiateReplProto picks the replication protocol both sides will speak:
-// the older of the follower's and this build's revisions. ok is false when
-// the follower is older than ReplicationProtoMin.
-func NegotiateReplProto(followerProto uint32) (proto uint32, ok bool) {
-	if followerProto < ReplicationProtoMin {
-		return 0, false
-	}
-	if followerProto < ReplicationProtoVersion {
-		return followerProto, true
-	}
-	return ReplicationProtoVersion, true
-}
 
 var (
 	replHelloMagic = [4]byte{'R', 'S', 'R', 'H'}
@@ -254,9 +234,9 @@ type ReplRecord struct {
 	// applies, as with any cross-host lag measure).
 	ShippedUnixNanos uint64
 	// Trace is the span-trace ID of the ingest batch that appended this
-	// record, zero when untraced. On the wire only at proto ≥ 2, between
-	// the ship timestamp and the program — it cannot trail the payload
-	// because Frame is defined as "the rest".
+	// record, zero when untraced. On the wire it sits between the ship
+	// timestamp and the program — it cannot trail the payload because
+	// Frame is defined as "the rest".
 	Trace   uint64
 	Program string
 	// Frame is the raw trace frame payload. Decoding on ship would be
@@ -264,32 +244,26 @@ type ReplRecord struct {
 	Frame []byte
 }
 
-// AppendReplRecord appends rec as a complete 'S' session frame to dst, in
-// the layout of the negotiated protocol revision (proto 1 omits Trace).
-func AppendReplRecord(dst []byte, rec ReplRecord, proto uint32) []byte {
+// AppendReplRecord appends rec as a complete 'S' session frame to dst.
+func AppendReplRecord(dst []byte, rec ReplRecord) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
 	dst = append(dst, ReplFrameRecord)
 	payloadLen := uvarintLen(rec.Seq) + uvarintLen(rec.Durable) + uvarintLen(rec.ShippedUnixNanos) +
-		uvarintLen(uint64(len(rec.Program))) + len(rec.Program) + len(rec.Frame)
-	if proto >= 2 {
-		payloadLen += uvarintLen(rec.Trace)
-	}
+		uvarintLen(rec.Trace) + uvarintLen(uint64(len(rec.Program))) + len(rec.Program) + len(rec.Frame)
 	put(uint64(payloadLen))
 	put(rec.Seq)
 	put(rec.Durable)
 	put(rec.ShippedUnixNanos)
-	if proto >= 2 {
-		put(rec.Trace)
-	}
+	put(rec.Trace)
 	put(uint64(len(rec.Program)))
 	dst = append(dst, rec.Program...)
 	return append(dst, rec.Frame...)
 }
 
-// DecodeReplRecord decodes an 'S' frame payload in the layout of the
-// negotiated protocol revision. The returned record's Frame aliases payload.
-func DecodeReplRecord(payload []byte, proto uint32) (ReplRecord, error) {
+// DecodeReplRecord decodes an 'S' frame payload. The returned record's Frame
+// aliases payload.
+func DecodeReplRecord(payload []byte) (ReplRecord, error) {
 	var rec ReplRecord
 	next := func(field string) (uint64, error) {
 		v, n := binary.Uvarint(payload)
@@ -309,10 +283,8 @@ func DecodeReplRecord(payload []byte, proto uint32) (ReplRecord, error) {
 	if rec.ShippedUnixNanos, err = next("ship timestamp"); err != nil {
 		return rec, err
 	}
-	if proto >= 2 {
-		if rec.Trace, err = next("trace context"); err != nil {
-			return rec, err
-		}
+	if rec.Trace, err = next("trace context"); err != nil {
+		return rec, err
 	}
 	progLen, err := next("program length")
 	if err != nil {
@@ -346,10 +318,10 @@ func DecodeReplAckFrame(payload []byte) (uint64, error) {
 	return acked, nil
 }
 
-// ReadReplFrame reads one replication session frame — like ReadSessionFrame
-// but with the larger replication payload cap.
+// ReadReplFrame reads one replication session frame — ReadSessionFrame, with
+// its payload lifetime, but with the larger replication payload cap.
 func ReadReplFrame(r *bufio.Reader, scratch []byte) (typ byte, payload, newScratch []byte, err error) {
-	return readSessionFrameCap(r, scratch, MaxReplPayload)
+	return readFrame(r, scratch, MaxReplPayload)
 }
 
 // uvarintLen is the encoded size of v.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestReplHelloRoundTrip(t *testing.T) {
 
 func TestReplAckRoundTrip(t *testing.T) {
 	for _, want := range []ReplAck{
-		{Proto: 1, Window: 256, Oldest: 10, Next: 999},
+		{Proto: ReplicationProtoVersion, Window: 256, Oldest: 10, Next: 999},
 		{Err: &StreamError{Code: ReplCodeCompacted, Msg: "records [0, 512) compacted away"}},
 	} {
 		wire := AppendReplAck(nil, want)
@@ -55,83 +56,80 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		Program:          "gzip",
 		Frame:            frame,
 	}
-	for _, proto := range []uint32{1, 2} {
-		wire := AppendReplRecord(nil, want, proto)
+	wire := AppendReplRecord(nil, want)
 
-		br := bufio.NewReader(bytes.NewReader(wire))
-		typ, payload, _, err := ReadReplFrame(br, nil)
-		if err != nil {
-			t.Fatalf("proto %d: ReadReplFrame: %v", proto, err)
-		}
-		if typ != ReplFrameRecord {
-			t.Fatalf("proto %d: frame type %q, want %q", proto, typ, ReplFrameRecord)
-		}
-		got, err := DecodeReplRecord(payload, proto)
-		if err != nil {
-			t.Fatalf("proto %d: DecodeReplRecord: %v", proto, err)
-		}
-		if got.Seq != want.Seq || got.Durable != want.Durable ||
-			got.ShippedUnixNanos != want.ShippedUnixNanos || got.Program != want.Program {
-			t.Fatalf("proto %d: record header round trip: got %+v", proto, got)
-		}
-		// The trace context is a proto-2 field: proto 1 never carries it.
-		wantTrace := uint64(0)
-		if proto >= 2 {
-			wantTrace = want.Trace
-		}
-		if got.Trace != wantTrace {
-			t.Fatalf("proto %d: trace = %#x, want %#x", proto, got.Trace, wantTrace)
-		}
-		if !reflect.DeepEqual(got.Frame, frame) {
-			t.Fatalf("proto %d: frame payload diverges", proto)
-		}
-		// Malformed payloads must be rejected, not misparsed.
-		for cut := 0; cut < len(payload); cut++ {
-			if rec, err := DecodeReplRecord(payload[:cut], proto); err == nil {
-				// Shorter prefixes can still parse if the frame payload is
-				// merely shortened — the trace decode happens later — but the
-				// program field must never read out of bounds.
-				if len(rec.Program) > len(payload) {
-					t.Fatalf("proto %d: cut %d produced an out-of-bounds program", proto, cut)
-				}
+	br := bufio.NewReader(bytes.NewReader(wire))
+	typ, payload, _, err := ReadReplFrame(br, nil)
+	if err != nil {
+		t.Fatalf("ReadReplFrame: %v", err)
+	}
+	if typ != ReplFrameRecord {
+		t.Fatalf("frame type %q, want %q", typ, ReplFrameRecord)
+	}
+	got, err := DecodeReplRecord(payload)
+	if err != nil {
+		t.Fatalf("DecodeReplRecord: %v", err)
+	}
+	if got.Seq != want.Seq || got.Durable != want.Durable || got.ShippedUnixNanos != want.ShippedUnixNanos ||
+		got.Trace != want.Trace || got.Program != want.Program {
+		t.Fatalf("record header round trip: got %+v", got)
+	}
+	if !reflect.DeepEqual(got.Frame, frame) {
+		t.Fatal("frame payload diverges")
+	}
+	// Malformed payloads must be rejected, not misparsed.
+	for cut := 0; cut < len(payload); cut++ {
+		if rec, err := DecodeReplRecord(payload[:cut]); err == nil {
+			// Shorter prefixes can still parse if the frame payload is
+			// merely shortened — the trace decode happens later — but the
+			// program field must never read out of bounds.
+			if len(rec.Program) > len(payload) {
+				t.Fatalf("cut %d produced an out-of-bounds program", cut)
 			}
 		}
 	}
 }
 
-func TestNegotiateProtos(t *testing.T) {
-	streamCases := []struct {
-		peer uint32
-		want uint32
-		ok   bool
-	}{
-		{0, 0, false},
-		{1, 1, true},
-		{2, 2, true},
-		{3, 3, true},
-		{4, 4, true},
-		{5, 4, true}, // a newer peer speaks down to us
+// FuzzDecodeReplRecord feeds arbitrary 'S' payloads to the decoder a follower
+// runs on shipped network bytes: it must never panic, every failure wraps
+// ErrBadFrame, and a decoded record re-encodes to exactly the input bytes.
+func FuzzDecodeReplRecord(f *testing.F) {
+	frame := EncodeFrameAppend(nil, []Event{{Branch: 7, Taken: true, Gap: 3}, {Branch: 9, Gap: 1}})
+	wire := AppendReplRecord(nil, ReplRecord{Seq: 1 << 40, Durable: 1<<40 + 1,
+		ShippedUnixNanos: 1754550000123456789, Trace: 0xbeef, Program: "gzip@0", Frame: frame})
+	_, payload, _, err := ReadReplFrame(bufio.NewReader(bytes.NewReader(wire)), nil)
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, c := range streamCases {
-		if got, ok := NegotiateStreamProto(c.peer); got != c.want || ok != c.ok {
-			t.Fatalf("NegotiateStreamProto(%d) = %d,%v want %d,%v", c.peer, got, ok, c.want, c.ok)
+	f.Add(payload)
+	f.Add(payload[:5])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeReplRecord(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("decode error %v does not wrap ErrBadFrame", err)
+			}
+			return
 		}
-	}
-	replCases := []struct {
-		peer uint32
-		want uint32
-		ok   bool
-	}{
-		{0, 0, false},
-		{1, 1, true},
-		{2, 2, true},
-		{3, 2, true}, // a newer peer speaks down to us
-	}
-	for _, c := range replCases {
-		if got, ok := NegotiateReplProto(c.peer); got != c.want || ok != c.ok {
-			t.Fatalf("NegotiateReplProto(%d) = %d,%v want %d,%v", c.peer, got, ok, c.want, c.ok)
+		if len(rec.Program) > MaxHandshakeProgram {
+			t.Fatalf("program of %d bytes exceeds the %d-byte cap", len(rec.Program), MaxHandshakeProgram)
 		}
-	}
+		// Uvarints have more than one spelling (non-minimal encodings), so
+		// the input only round-trips when it was minimally encoded; the
+		// re-encoded record itself must always decode back to rec.
+		again := AppendReplRecord(nil, rec)
+		typ, p, _, err := ReadReplFrame(bufio.NewReader(bytes.NewReader(again)), nil)
+		if err != nil || typ != ReplFrameRecord {
+			t.Fatalf("re-encoded record does not read back: %q, %v", typ, err)
+		}
+		back, err := DecodeReplRecord(p)
+		if err != nil || !reflect.DeepEqual(back, rec) {
+			t.Fatalf("re-encoded record decodes to %+v, %v; want %+v", back, err, rec)
+		}
+	})
 }
 
 func TestTraceContextRoundTrip(t *testing.T) {

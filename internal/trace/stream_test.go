@@ -139,14 +139,15 @@ func TestSessionFrameRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestSessionFrameScratchReuse pins the allocation contract: feeding the
-// returned scratch back in reuses one buffer across frames.
+// TestSessionFrameScratchReuse pins the allocation contract: for payloads
+// too large to peek from the bufio buffer, feeding the returned scratch back
+// in reuses one buffer across frames.
 func TestSessionFrameScratchReuse(t *testing.T) {
 	var wire []byte
 	for i := 0; i < 8; i++ {
 		wire = AppendSessionFrame(wire, StreamFrameDecisions, bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	br := bufio.NewReader(bytes.NewReader(wire))
+	br := bufio.NewReaderSize(bytes.NewReader(wire), 16) // 64-byte payloads do not fit
 	_, first, scratch, err := ReadSessionFrame(br, make([]byte, 0, 64))
 	if err != nil {
 		t.Fatal(err)

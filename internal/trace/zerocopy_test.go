@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -187,10 +188,10 @@ func TestNextPayloadAppendRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
-// TestReadSessionFrameBufferedMatches pins the zero-copy session-frame reader
-// against the copying one: identical frames, and the fast path's payload
-// aliases the bufio buffer rather than scratch.
-func TestReadSessionFrameBufferedMatches(t *testing.T) {
+// TestReadSessionFramePeeksWhenItFits pins the session-frame reader's two
+// paths: a payload that fits the bufio buffer aliases that buffer and leaves
+// scratch untouched, and a larger one is read into scratch.
+func TestReadSessionFramePeeksWhenItFits(t *testing.T) {
 	var wire []byte
 	payloads := [][]byte{bytes.Repeat([]byte{1}, 100), {}, bytes.Repeat([]byte{2}, 4000)}
 	for i, p := range payloads {
@@ -200,7 +201,7 @@ func TestReadSessionFrameBufferedMatches(t *testing.T) {
 	br := bufio.NewReaderSize(bytes.NewReader(wire), 1<<16)
 	var scratch []byte
 	for i, want := range payloads {
-		typ, payload, newScratch, err := ReadSessionFrameBuffered(br, scratch)
+		typ, payload, newScratch, err := ReadSessionFrame(br, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -208,52 +209,56 @@ func TestReadSessionFrameBufferedMatches(t *testing.T) {
 			t.Fatalf("frame %d: type %q payload %d bytes", i, typ, len(payload))
 		}
 		if len(newScratch) != len(scratch) || (len(scratch) > 0 && &newScratch[0] != &scratch[0]) {
-			// The buffered fast path must not have grown scratch.
+			// The peek path must not have grown scratch.
 			t.Fatalf("frame %d: scratch changed on the zero-copy path", i)
 		}
 		scratch = newScratch
 	}
-	if _, _, _, err := ReadSessionFrameBuffered(br, scratch); err != io.EOF {
+	if _, _, _, err := ReadSessionFrame(br, scratch); err != io.EOF {
 		t.Fatalf("tail: err = %v, want io.EOF", err)
 	}
 
-	// A frame larger than the bufio buffer falls back to scratch and still
+	// A frame larger than the bufio buffer is read into scratch and still
 	// round-trips.
 	big := bytes.Repeat([]byte{9}, 8000)
 	wire = AppendSessionFrame(nil, StreamFrameDecisions, big)
 	small := bufio.NewReaderSize(bytes.NewReader(wire), 1<<9) // bufio min size is 16; 512 < 8000
-	typ, payload, _, err := ReadSessionFrameBuffered(small, nil)
+	typ, payload, scratch, err := ReadSessionFrame(small, nil)
 	if err != nil || typ != StreamFrameDecisions || !bytes.Equal(payload, big) {
-		t.Fatalf("fallback path: type %q len %d err %v", typ, len(payload), err)
+		t.Fatalf("scratch path: type %q len %d err %v", typ, len(payload), err)
+	}
+	if &payload[0] != &scratch[0] {
+		t.Fatal("scratch path: payload does not alias the returned scratch")
 	}
 }
 
-// TestReadSessionFrameBufferedRejectsDamage checks the zero-copy reader
-// reports the same ErrBadFrame-wrapped failures as ReadSessionFrame.
-func TestReadSessionFrameBufferedRejectsDamage(t *testing.T) {
-	good := AppendSessionFrame(nil, StreamFrameEvents, []byte("payload"))
+// TestReadSessionFramePathsRejectDamage checks that the peek path and the
+// scratch path report identical ErrBadFrame-wrapped diagnostics.
+func TestReadSessionFramePathsRejectDamage(t *testing.T) {
+	good := AppendSessionFrame(nil, StreamFrameEvents, bytes.Repeat([]byte{'p'}, 100))
 	for name, wire := range map[string][]byte{
 		"truncated payload": good[:len(good)-2],
 		"length only":       good[:2],
 		"over-cap length": {StreamFrameEvents,
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 	} {
-		_, _, _, err := ReadSessionFrameBuffered(bufio.NewReader(bytes.NewReader(wire)), nil)
-		if !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
+		// 100 bytes fit a 64 KiB buffer (peek) but not a 16-byte one (scratch).
+		_, _, _, peekErr := ReadSessionFrame(bufio.NewReaderSize(bytes.NewReader(wire), 1<<16), nil)
+		_, _, _, copyErr := ReadSessionFrame(bufio.NewReaderSize(bytes.NewReader(wire), 16), nil)
+		if !errors.Is(peekErr, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", name, peekErr)
 		}
-		// The copying reader must agree on accept/reject.
-		_, _, _, refErr := ReadSessionFrame(bufio.NewReader(bytes.NewReader(wire)), nil)
-		if (err == nil) != (refErr == nil) {
-			t.Errorf("%s: buffered err=%v, copying err=%v", name, err, refErr)
+		if fmt.Sprint(peekErr) != fmt.Sprint(copyErr) {
+			t.Errorf("%s: peek err=%v, scratch err=%v", name, peekErr, copyErr)
 		}
 	}
 }
 
-// FuzzReadSessionFrameBuffered differentially checks the zero-copy session
-// reader against ReadSessionFrame over arbitrary byte streams, at both a
-// large buffer (fast path) and the minimum one (fallback path).
-func FuzzReadSessionFrameBuffered(f *testing.F) {
+// FuzzReadSessionFramePaths differentially checks the session-frame reader
+// over arbitrary byte streams at the minimum bufio size (most payloads take
+// the scratch path) and a large one (every payload is peeked): both must
+// agree on every frame and on every error text.
+func FuzzReadSessionFramePaths(f *testing.F) {
 	events := AppendSessionFrame(nil, StreamFrameEvents, EncodeFrameAppend(nil, mkEvents(10)))
 	f.Add(events)
 	f.Add(events[:len(events)-4])
@@ -261,33 +266,28 @@ func FuzzReadSessionFrameBuffered(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, size := range []int{16, 1 << 16} {
-			ref := bufio.NewReader(bytes.NewReader(data))
-			zc := bufio.NewReaderSize(bytes.NewReader(data), size)
-			var refScratch, zcScratch []byte
-			for n := 0; ; n++ {
-				refTyp, refPayload, rs, refErr := ReadSessionFrame(ref, refScratch)
-				zcTyp, zcPayload, zs, zcErr := ReadSessionFrameBuffered(zc, zcScratch)
-				refScratch, zcScratch = rs, zs
-				if (refErr == nil) != (zcErr == nil) {
-					t.Fatalf("size %d frame %d: ref err=%v, zc err=%v", size, n, refErr, zcErr)
+		small := bufio.NewReaderSize(bytes.NewReader(data), 16)
+		large := bufio.NewReaderSize(bytes.NewReader(data), 1<<16)
+		var smallScratch, largeScratch []byte
+		for n := 0; ; n++ {
+			sTyp, sPayload, ss, sErr := ReadSessionFrame(small, smallScratch)
+			lTyp, lPayload, ls, lErr := ReadSessionFrame(large, largeScratch)
+			smallScratch, largeScratch = ss, ls
+			if fmt.Sprint(sErr) != fmt.Sprint(lErr) {
+				t.Fatalf("frame %d: small err=%v, large err=%v", n, sErr, lErr)
+			}
+			if lErr != nil {
+				if lErr != io.EOF && !errors.Is(lErr, ErrBadFrame) {
+					t.Fatalf("error %v is neither EOF nor ErrBadFrame", lErr)
 				}
-				if refErr != nil {
-					if zcErr != io.EOF && !errors.Is(zcErr, ErrBadFrame) {
-						t.Fatalf("size %d: zc error %v is neither EOF nor ErrBadFrame", size, zcErr)
-					}
-					if (refErr == io.EOF) != (zcErr == io.EOF) {
-						t.Fatalf("size %d frame %d: EOF disagreement: ref %v, zc %v", size, n, refErr, zcErr)
-					}
-					break
-				}
-				if refTyp != zcTyp || !bytes.Equal(refPayload, zcPayload) {
-					t.Fatalf("size %d frame %d: type %q/%q payloads %d/%d bytes",
-						size, n, refTyp, zcTyp, len(refPayload), len(zcPayload))
-				}
-				if n > len(data) {
-					t.Fatal("more frames than the input could encode")
-				}
+				break
+			}
+			if sTyp != lTyp || !bytes.Equal(sPayload, lPayload) {
+				t.Fatalf("frame %d: type %q/%q payloads %d/%d bytes",
+					n, sTyp, lTyp, len(sPayload), len(lPayload))
+			}
+			if n > len(data) {
+				t.Fatal("more frames than the input could encode")
 			}
 		}
 	})

@@ -121,9 +121,9 @@ awk -v branch="$(bench_eps BenchmarkTableApplyBatch)" \
 # streaming session at several credit windows against an ephemeral reactived,
 # and records throughput and p99 batch latency per transport in
 # BENCH_stream.json. The windows bracket the backpressure regimes: window 1
-# is fully serialized (one frame in flight), larger windows pipeline. On top
-# of the legacy HTTP-upgrade rows, a raw-listener matrix crosses TCP vs
-# unix-domain sockets with every decision encoding (plain, RLE, change-only).
+# is fully serialized (one frame in flight), larger windows pipeline. Every
+# stream row runs a session on the raw -stream-addr TCP listener, with the
+# one decision wire (run-length frames, plain fallback per frame).
 STREAM_OUT=BENCH_stream.json
 
 echo "==> building reactived + reactiveload for the transport comparison" >&2
@@ -163,21 +163,18 @@ stop_daemon() {
 
 start_daemon transport \
     -stream-addr 127.0.0.1:0 \
-    -stream-addr-file "$BENCH_DIR/stream-addr" \
-    -stream-unix "$BENCH_DIR/bench.sock" \
-    -stream-unix-file "$BENCH_DIR/stream-unix.txt"
+    -stream-addr-file "$BENCH_DIR/stream-addr"
 i=0
-while [ ! -s "$BENCH_DIR/stream-addr" ] || [ ! -s "$BENCH_DIR/stream-unix.txt" ]; do
+while [ ! -s "$BENCH_DIR/stream-addr" ]; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-        echo "reactived (transport) never published its stream addresses" >&2
+        echo "reactived (transport) never published its stream address" >&2
         cat "$BENCH_DIR/reactived-transport.log" >&2
         exit 1
     fi
     sleep 0.1
 done
 TCP_STREAM_ADDR=$(cat "$BENCH_DIR/stream-addr")
-UDS_STREAM_ADDR=$(cat "$BENCH_DIR/stream-unix.txt")
 
 # Every run replays the same seeded gzip workload at batch 1024, so the
 # transports are compared on identical event sequences.
@@ -220,38 +217,27 @@ run_load_best() { # $1 = report label; rest = transport-selecting flags
 # All runs replay the same programs, so the first one also pays the cold
 # cost of populating the controller table; burn that on an unrecorded
 # warmup so every measured run sees the same converged table state.
-#
-# The legacy rows (post, stream-w*) predate decision coalescing and pin
-# -decisions plain so their committed baselines keep measuring the same
-# wire; the matrix rows below cover the coalesced encodings.
 run_load warmup
 run_load post
-run_load stream-w1 -stream -window 1 -decisions plain
-run_load stream-w4 -stream -window 4 -decisions plain
-run_load stream-w16 -stream -window 16 -decisions plain
-run_load stream-w32 -stream -window 32 -decisions plain
+run_load stream-w1 -stream-addr "$TCP_STREAM_ADDR" -window 1
+run_load stream-w4 -stream-addr "$TCP_STREAM_ADDR" -window 4
+run_load stream-w16 -stream-addr "$TCP_STREAM_ADDR" -window 16
+run_load stream-w32 -stream-addr "$TCP_STREAM_ADDR" -window 32
 
-# The transport × decision-encoding matrix: raw TCP vs unix-domain stream
-# listeners crossed with every decision wire (plain, RLE, change-only) at
-# two credit windows. Row names are stable (<transport>-<decisions>-w<N>)
-# so the regression gate below tracks each cell individually.
+# The preencoded stream rows at two credit windows. Row names are stable
+# (tcp-rle-w<N>) so the regression gate below tracks each row individually.
 #
-# Matrix rows run with -preencode (every batch generated and encoded before
-# the clock starts) and 10x the events of the legacy rows. The legacy rows
-# measure the whole pipeline including client-side workload generation,
-# which on a small host shares the CPU with the daemon and caps every
-# transport at the same generator-bound ceiling; preencoding isolates what
-# the matrix is actually comparing — transport + daemon serving capacity —
-# and the longer run drops per-cell noise to a few percent. Flags given
-# after run_load's fixed ones win (Go's flag package keeps the last value),
-# so -events here overrides the default.
+# These rows run with -preencode (every batch generated and encoded before
+# the clock starts) and 10x the events of the rows above. Those measure the
+# whole pipeline including client-side workload generation, which on a
+# small host shares the CPU with the daemon and caps every transport at the
+# same generator-bound ceiling; preencoding isolates transport + daemon
+# serving capacity, and the longer run drops per-row noise to a few
+# percent. Flags given after run_load's fixed ones win (Go's flag package
+# keeps the last value), so -events here overrides the default.
 MATRIX_WINDOWS="16 64"
-MATRIX_MODES="plain rle change"
 for w in $MATRIX_WINDOWS; do
-    for mode in $MATRIX_MODES; do
-        run_load_best "tcp-$mode-w$w" -stream-addr "$TCP_STREAM_ADDR" -window "$w" -decisions "$mode" -events 500000 -preencode
-        run_load_best "uds-$mode-w$w" -stream-addr "$UDS_STREAM_ADDR" -window "$w" -decisions "$mode" -events 500000 -preencode
-    done
+    run_load_best "tcp-rle-w$w" -stream-addr "$TCP_STREAM_ADDR" -window "$w" -events 500000 -preencode
 done
 
 {
@@ -268,15 +254,11 @@ done
             "$(field "$label" batch_latency_p99_ms)"
     done
     for w in $MATRIX_WINDOWS; do
-        for mode in $MATRIX_MODES; do
-            for transport in tcp uds; do
-                label="$transport-$mode-w$w"
-                printf ',\n  {"name": "%s", "transport": "%s", "decisions": "%s", "window": %s, "batch": 1024, "events_per_sec": %s, "batch_latency_p99_ms": %s}' \
-                    "$label" "$transport" "$mode" "$w" \
-                    "$(field "$label" events_per_sec)" \
-                    "$(field "$label" batch_latency_p99_ms)"
-            done
-        done
+        label="tcp-rle-w$w"
+        printf ',\n  {"name": "%s", "transport": "tcp", "decisions": "rle", "window": %s, "batch": 1024, "events_per_sec": %s, "batch_latency_p99_ms": %s}' \
+            "$label" "$w" \
+            "$(field "$label" events_per_sec)" \
+            "$(field "$label" batch_latency_p99_ms)"
     done
     printf '\n]\n'
 } >"$STREAM_OUT"
@@ -284,32 +266,6 @@ done
 echo "==> wrote $STREAM_OUT" >&2
 cat "$STREAM_OUT"
 stop_daemon
-
-# On localhost the unix transport skips the TCP stack entirely, so it must
-# not lose to TCP at any window. Both loopback transports are CPU-bound to
-# the same apply ceiling on a small host and individual cells differ by
-# scheduler jitter, so the comparison sums each window's cells across the
-# decision modes (averaging the jitter down) and allows slack (default
-# 10%). The gate is for transport-level regressions — a unix listener
-# misconfigured into an extra copy or a per-batch syscall loses by tens of
-# percent, not single digits.
-UDS_SLACK_PCT="${BENCH_UDS_SLACK_PCT:-10}"
-for w in $MATRIX_WINDOWS; do
-    tcp_sum=0
-    uds_sum=0
-    for mode in $MATRIX_MODES; do
-        tcp_sum=$(awk -v a="$tcp_sum" -v b="$(field "tcp-$mode-w$w" events_per_sec)" 'BEGIN{print a+b}')
-        uds_sum=$(awk -v a="$uds_sum" -v b="$(field "uds-$mode-w$w" events_per_sec)" 'BEGIN{print a+b}')
-    done
-    awk -v tcp="$tcp_sum" -v uds="$uds_sum" \
-        -v slack="$UDS_SLACK_PCT" -v w="$w" 'BEGIN {
-        printf "==> uds vs tcp (w=%d, summed over modes): %.0f vs %.0f events/sec\n", w, uds, tcp
-        if (uds < tcp * (1 - slack / 100)) {
-            print "TRANSPORT REGRESSION: unix-domain stream lost to TCP on localhost"
-            exit 1
-        }
-    }' >&2
-done
 
 # --- WAL ingest cost ------------------------------------------------------
 # Replays the identical seeded POST workload against a daemon without a WAL,

@@ -74,8 +74,6 @@ go build -o "$SMOKE_DIR/reactivespec" ./cmd/reactivespec
     -addr-file "$SMOKE_DIR/addr" \
     -stream-addr 127.0.0.1:0 \
     -stream-addr-file "$SMOKE_DIR/stream-addr" \
-    -stream-unix "$SMOKE_DIR/reactived.sock" \
-    -stream-unix-file "$SMOKE_DIR/stream-unix.txt" \
     -snapshot-dir "$SMOKE_DIR/snaps" \
     -snapshot-interval 0 \
     -trace-spans "$SMOKE_DIR/spans-serve.jsonl" \
@@ -125,23 +123,12 @@ echo "==> mixed-kind smoke (branch,value,memdep,tlspec on one daemon)"
     -policy reactive \
     -verify
 
-# A verified workload over a streaming session (POST /v1/stream upgrade):
-# decisions must match the in-process mirror exactly, pinning
+# A verified workload over a streaming session on the raw -stream-addr TCP
+# listener: decisions must match the in-process mirror exactly, pinning
 # stream-transport equivalence end to end. Each smoke run uses a distinct
 # benchmark so its programs hit fresh controllers — the daemon keeps the
 # state the previous run trained, and -verify's mirror starts cold.
-echo "==> streaming-mode smoke (reactiveload -stream -verify)"
-"$SMOKE_DIR/reactiveload" \
-    -addr "http://$ADDR" \
-    -bench vpr \
-    -scale 0.02 \
-    -concurrency 2 \
-    -batch 512 \
-    -stream \
-    -window 8 \
-    -verify
-
-# And once more over the raw -stream-addr TCP listener (no HTTP upgrade).
+echo "==> streaming-mode smoke (reactiveload -stream-addr -verify)"
 "$SMOKE_DIR/reactiveload" \
     -addr "http://$ADDR" \
     -stream-addr "$(cat "$SMOKE_DIR/stream-addr")" \
@@ -149,35 +136,7 @@ echo "==> streaming-mode smoke (reactiveload -stream -verify)"
     -scale 0.02 \
     -concurrency 2 \
     -batch 512 \
-    -verify
-
-# And over the unix-domain stream listener: the daemon published its dial
-# target ("unix://<path>") through -stream-unix-file, and reactiveload's
-# -stream-addr accepts it directly. The .txt target file doubles as the
-# post-mortem artifact naming the socket path on failure.
-echo "==> unix-socket smoke (reactiveload -verify over unix://)"
-"$SMOKE_DIR/reactiveload" \
-    -addr "http://$ADDR" \
-    -stream-addr "$(cat "$SMOKE_DIR/stream-unix.txt")" \
-    -bench bzip2 \
-    -scale 0.02 \
-    -concurrency 2 \
-    -batch 512 \
-    -verify
-
-# Mixed-proto smoke: -decisions plain pins the client handshake to stream
-# proto 2 — the wire an old build speaks — so this run proves the proto-3
-# server still hands pre-coalescing clients byte-correct decisions.
-echo "==> mixed-proto smoke (proto-2 client vs proto-3 server)"
-"$SMOKE_DIR/reactiveload" \
-    -addr "http://$ADDR" \
-    -bench vortex \
-    -scale 0.02 \
-    -concurrency 2 \
-    -batch 512 \
-    -stream \
     -window 8 \
-    -decisions plain \
     -verify
 
 # Graceful shutdown must drain and leave a final snapshot behind.
@@ -186,11 +145,6 @@ wait "$DAEMON_PID"
 DAEMON_PID=""
 if [ ! -f "$SMOKE_DIR/snaps/current.snap" ]; then
     echo "reactived shutdown left no snapshot" >&2
-    exit 1
-fi
-# Graceful shutdown must also have unlinked the unix stream socket.
-if [ -e "$SMOKE_DIR/reactived.sock" ]; then
-    echo "reactived shutdown left its unix stream socket behind" >&2
     exit 1
 fi
 
@@ -426,6 +380,14 @@ echo "==> cross-node span chain (reactivespec -require-chain spans)"
     "$SMOKE_DIR/spans-primary.jsonl" \
     "$SMOKE_DIR/spans-replica.jsonl" \
     "$SMOKE_DIR/spans-loadgen.jsonl" >"$SMOKE_DIR/spans-failover-report.txt"
+
+# A short fuzz run of every decoder that reads bytes off a wire: the stream
+# handshake and ack, session frames, RLE decision payloads, and shipped
+# replication records.
+for target in FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord; do
+    echo "==> go test -fuzz=$target -fuzztime=5s ./internal/trace"
+    go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/trace
+done
 
 # One iteration of every benchmark, so a bench that rots (compile error,
 # panic, bad setup) fails the gate long before anyone needs its numbers.
