@@ -1,7 +1,7 @@
-// Benchmarks for the batched ingest hot path: per-event Apply vs the
-// batch-grouped ApplyBatch on the same event stream, and the full HTTP
-// ingest handler (decode + apply + respond) with allocation accounting.
-// scripts/bench.sh runs these and records the numbers in BENCH_ingest.json.
+// Benchmarks for the batched ingest hot path: ApplyBatchKind for the branch
+// and value kinds on the same event stream, ApplyFrame on a fleet-sized
+// table, and the full HTTP ingest handler (decode + apply + respond) with
+// allocation accounting.
 package reactivespec_test
 
 import (
@@ -53,62 +53,28 @@ const (
 	benchIngestShards = 4
 )
 
-// BenchmarkTableApply is the per-event baseline: one shard lock acquisition
-// and one map lookup per event.
-func BenchmarkTableApply(b *testing.B) {
-	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
-	t := server.NewTable(core.DefaultParams().Scaled(10), benchIngestShards)
-	var instr uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, ev := range evs {
-			instr += uint64(ev.Gap)
-			t.Apply("bench", ev, instr)
-		}
-	}
-	b.ReportMetric(float64(len(evs)), "events/op")
-}
-
-// BenchmarkTableApplyBatch is the batch-grouped path over the identical
-// stream: one lock acquisition per same-shard run, map lookups skipped for
-// repeated branches.
-func BenchmarkTableApplyBatch(b *testing.B) {
-	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
-	t := server.NewTable(core.DefaultParams().Scaled(10), benchIngestShards)
-	var instr uint64
-	dst := make([]byte, 0, len(evs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, instr = t.ApplyBatch("bench", evs, instr, dst[:0])
-		if len(dst) != len(evs) {
-			b.Fatalf("%d decisions for %d events", len(dst), len(evs))
-		}
-	}
-	b.ReportMetric(float64(len(evs)), "events/op")
-}
-
-// BenchmarkTableApplyBatchKind is the kind-generic serving path over the
-// identical stream: same batch grouping, but the events enter as a
-// non-branch kind, so every apply pays the kind-program key encoding the
-// v2 API threads through the table. scripts/bench.sh gates this row
-// against BenchmarkTableApplyBatch: generalizing the hot path over kinds
-// must cost at most a few percent versus branch-only.
+// BenchmarkTableApplyBatchKind applies the bursty stream in one batch per
+// op, as the branch kind (keyed by the plain program name) and as the value
+// kind (keyed by the encoded kind-program), so the pair shows what the kind
+// key costs. The key is encoded once per batch, on a path both kinds share.
 func BenchmarkTableApplyBatchKind(b *testing.B) {
 	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
-	t := server.NewTable(core.DefaultParams().Scaled(10), benchIngestShards)
-	var instr uint64
-	dst := make([]byte, 0, len(evs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, instr = t.ApplyBatchKind("bench", trace.KindValue, evs, instr, dst[:0])
-		if len(dst) != len(evs) {
-			b.Fatalf("%d decisions for %d events", len(dst), len(evs))
-		}
+	for _, kind := range []trace.Kind{trace.KindBranch, trace.KindValue} {
+		b.Run("kind="+kind.String(), func(b *testing.B) {
+			t := server.NewTable(core.DefaultParams().Scaled(10), benchIngestShards)
+			var instr uint64
+			dst := make([]byte, 0, len(evs))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, instr = t.ApplyBatchKind("bench", kind, evs, instr, dst[:0])
+				if len(dst) != len(evs) {
+					b.Fatalf("%d decisions for %d events", len(dst), len(evs))
+				}
+			}
+			b.ReportMetric(float64(len(evs)), "events/op")
+		})
 	}
-	b.ReportMetric(float64(len(evs)), "events/op")
 }
 
 // BenchmarkTableApplyFrameFleet is ApplyFrame on a table too large to stay
@@ -116,8 +82,9 @@ func BenchmarkTableApplyBatchKind(b *testing.B) {
 // stream cut into 1024-event workload frames applied round-robin over the
 // streams, into a 16-shard table like the daemon's. The table is filled by
 // one pass over every frame before timing, so the timed loop touches
-// ~6·10⁴ existing entries and creates none. The small tables of
-// BenchmarkTableApply* stay cache-resident and hide per-entry memory costs.
+// ~6·10⁴ existing entries and creates none. The small table of
+// BenchmarkTableApplyBatchKind stays cache-resident and hides per-entry
+// memory costs.
 func BenchmarkTableApplyFrameFleet(b *testing.B) {
 	const (
 		frameEvents  = 1024

@@ -386,11 +386,15 @@ func benchTableParallel(b *testing.B, apply func(string, trace.Event, uint64),
 }
 
 // benchShardedTable benchmarks the lock-striped table at a given stripe
-// count; compare against BenchmarkTableBaseline* for the striping win.
+// count, one event per ApplyBatchKind call; compare against
+// BenchmarkTableBaseline* for the striping win.
 func benchShardedTable(b *testing.B, shards int, writeFrac float64) {
 	t := server.NewTable(core.DefaultParams().Scaled(10), shards)
 	benchTableParallel(b,
-		func(p string, ev trace.Event, instr uint64) { t.Apply(p, ev, instr) },
+		func(p string, ev trace.Event, instr uint64) {
+			var dec [1]byte
+			t.ApplyBatchKind(p, trace.KindBranch, []trace.Event{ev}, instr-uint64(ev.Gap), dec[:0])
+		},
 		func(p string, id trace.BranchID) { t.Decide(p, id) },
 		writeFrac)
 }

@@ -87,7 +87,7 @@ func TestTimelineFromWALMatchesTable(t *testing.T) {
 	tbl := server.NewTable(params, 4)
 	var instr uint64
 	for _, events := range batches["gzip"] {
-		_, instr = tbl.ApplyBatch("gzip", events, instr, nil)
+		_, instr = tbl.ApplyBatchKind("gzip", trace.KindBranch, events, instr, nil)
 		wantEvents += uint64(len(events))
 		for _, ev := range events {
 			wantInstrs += uint64(ev.Gap)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"reactivespec/internal/server"
+	"reactivespec/internal/trace"
 )
 
 // TestFailoverBitwiseIdentical is the subsystem's end-to-end claim: kill the
@@ -36,12 +37,7 @@ func runFailover(t *testing.T, shards int, seed uint64) {
 
 	// The uncrashed control: one in-process table sees the whole stream.
 	tab := server.NewTable(testParams(), 1)
-	var instr uint64
-	control := make([]byte, 0, len(events))
-	for _, ev := range events {
-		instr += uint64(ev.Gap)
-		control = append(control, tab.Apply(program, ev, instr).Encode())
-	}
+	control, _ := tab.ApplyBatchKind(program, trace.KindBranch, events, 0, nil)
 
 	p := startPrimary(t, shards)
 	r := startReplica(t, shards, p.ln.Addr().String(), 8)

@@ -10,8 +10,8 @@ import (
 	"reactivespec/internal/trace"
 )
 
-// applyAllBatched drives events through the table with ApplyBatch in chunks
-// of batch, returning the encoded decision sequence.
+// applyAllBatched drives events through the table as branch-kind batches of
+// batch events, returning the encoded decision sequence.
 func applyAllBatched(t *Table, program string, evs []trace.Event, instr *uint64, batch int) []byte {
 	out := make([]byte, 0, len(evs))
 	for off := 0; off < len(evs); off += batch {
@@ -19,21 +19,45 @@ func applyAllBatched(t *Table, program string, evs []trace.Event, instr *uint64,
 		if end > len(evs) {
 			end = len(evs)
 		}
-		out, *instr = t.ApplyBatch(program, evs[off:end], *instr, out)
+		out, *instr = t.ApplyBatchKind(program, trace.KindBranch, evs[off:end], *instr, out)
 	}
 	return out
 }
 
+// runHeavyEvents is a trace of long single-branch runs over a few branches:
+// 500 events of each branch in turn, so most consecutive events share a
+// shard.
+func runHeavyEvents(n int) []trace.Event {
+	evs := make([]trace.Event, 0, n)
+	for i := 0; len(evs) < n; i++ {
+		b := trace.BranchID(i % 7)
+		for j := 0; j < 500 && len(evs) < n; j++ {
+			evs = append(evs, trace.Event{Branch: b, Taken: j%3 != 0, Gap: uint32(1 + j%5)})
+		}
+	}
+	return evs
+}
+
 // TestApplyBatchMatchesApply is the batching equivalence pin: across shard
-// counts, seeds, and batch sizes, the batched path must produce the
-// byte-identical decision stream and identical shard metrics (including
-// transition counts and entry counts) as per-event Apply.
+// counts, branch-hopping and run-heavy traces, and batch sizes, the batched
+// path must produce the byte-identical decision stream and identical shard
+// metrics (including transition counts and entry counts) as applying each
+// event on its own.
 func TestApplyBatchMatchesApply(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		for _, seed := range []uint64{1, 7, 42} {
+	type input struct {
+		name string
+		evs  []trace.Event
+	}
+	var inputs []input
+	for _, seed := range []uint64{1, 7, 42} {
+		inputs = append(inputs, input{fmt.Sprintf("seed=%d", seed), synthEvents(30_000, seed)})
+	}
+	inputs = append(inputs, input{"runs", runHeavyEvents(20_000)})
+	for _, shards := range []int{1, 2, 4, 16} {
+		for _, in := range inputs {
 			for _, batch := range []int{1, 13, 1024, 60_000} {
-				t.Run(fmt.Sprintf("shards=%d/seed=%d/batch=%d", shards, seed, batch), func(t *testing.T) {
-					evs := synthEvents(30_000, seed)
+				t.Run(fmt.Sprintf("shards=%d/%s/batch=%d", shards, in.name, batch), func(t *testing.T) {
+					evs := in.evs
 
 					perEvent := NewTable(testParams(), shards)
 					var instrA uint64
@@ -67,7 +91,7 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 }
 
 // TestApplyBatchTightLoop exercises the last-entry cache: long runs of a
-// single branch must still match per-event Apply exactly.
+// single branch must still match the per-event reference exactly.
 func TestApplyBatchTightLoop(t *testing.T) {
 	evs := make([]trace.Event, 0, 40_000)
 	state := uint64(3)
@@ -100,17 +124,17 @@ func TestApplyBatchTightLoop(t *testing.T) {
 // only advances dst.
 func TestApplyBatchEmpty(t *testing.T) {
 	tab := NewTable(testParams(), 4)
-	dst, instr := tab.ApplyBatch("p", nil, 17, nil)
+	dst, instr := tab.ApplyBatchKind("p", trace.KindBranch, nil, 17, nil)
 	if len(dst) != 0 || instr != 17 {
 		t.Fatalf("empty batch: %d decisions, instr %d", len(dst), instr)
 	}
-	dst, instr = tab.ApplyBatch("p", []trace.Event{{Branch: 1, Taken: true, Gap: 5}}, instr, dst)
+	dst, instr = tab.ApplyBatchKind("p", trace.KindBranch, []trace.Event{{Branch: 1, Taken: true, Gap: 5}}, instr, dst)
 	if len(dst) != 1 || instr != 22 {
 		t.Fatalf("one-event batch: %d decisions, instr %d", len(dst), instr)
 	}
 }
 
-// TestApplyBatchConcurrentWithReaders drives concurrent ApplyBatch calls for
+// TestApplyBatchConcurrentWithReaders drives concurrent batched applies for
 // distinct programs while Decide and Metrics readers spin (the race detector
 // validates the RWMutex discipline), then asserts every program's decision
 // stream and the aggregate counters match a serial replay.
@@ -179,23 +203,36 @@ func TestApplyBatchConcurrentWithReaders(t *testing.T) {
 	}
 }
 
-// TestApplyShardedMatchesApply pins the two-pass shard schedule directly,
-// bypassing the hop-density heuristic that normally routes batches to it:
-// for branch-hopping and run-heavy traces alike it must produce the
-// byte-identical decision stream, final instruction count, and shard
-// metrics as per-event Apply. (TestApplyBatchMatchesApply covers the
-// dispatcher; this covers the schedule the heuristic might not pick.)
-func TestApplyShardedMatchesApply(t *testing.T) {
-	runs := make([]trace.Event, 0, 20_000)
-	for i := 0; len(runs) < 20_000; i++ {
-		b := trace.BranchID(i % 7)
-		for j := 0; j < 500 && len(runs) < 20_000; j++ {
-			runs = append(runs, trace.Event{Branch: b, Taken: j%3 != 0, Gap: uint32(1 + j%5)})
+// TestScratchPoolsDropOversizedBatches pins the pool cap: after a batch
+// larger than maxPooledEvents goes through both apply entry points, neither
+// scratch pool hands back a buffer above the cap, so one huge POST cannot
+// pin its scratch for the life of the process. (Race builds drop pool puts
+// at random, which can only leave the pools emptier.)
+func TestScratchPoolsDropOversizedBatches(t *testing.T) {
+	evs := synthEvents(maxPooledEvents+1, 5)
+	tab := NewTable(testParams(), 4)
+	_, instr := tab.ApplyBatchKind("p", trace.KindBranch, evs, 0, nil)
+	tab.ApplyFrame("p", trace.EncodeFrameAppend(nil, evs), instr, nil)
+	for i := 0; i < 8; i++ {
+		if sc := applyScratchPool.Get().(*applyScratch); cap(sc.instr) > maxPooledEvents {
+			t.Fatalf("apply scratch pool returned a %d-event buffer; cap is %d", cap(sc.instr), maxPooledEvents)
+		}
+		if evp := frameEventsPool.Get().(*[]trace.Event); cap(*evp) > maxPooledEvents {
+			t.Fatalf("frame events pool returned a %d-event buffer; cap is %d", cap(*evp), maxPooledEvents)
 		}
 	}
+}
+
+// TestApplyShardedMatchesApply pins the two-pass shard schedule itself,
+// calling applyEvents directly with each whole trace as one batch: for a
+// branch-hopping trace (a seed the batching pin does not use) and the
+// run-heavy trace alike, it must produce the byte-identical decision
+// stream, final instruction count, and shard metrics as applying each
+// event on its own.
+func TestApplyShardedMatchesApply(t *testing.T) {
 	traces := map[string][]trace.Event{
 		"hopping": synthEvents(20_000, 3),
-		"runs":    runs,
+		"runs":    runHeavyEvents(20_000),
 	}
 	for name, evs := range traces {
 		for _, shards := range []int{2, 16} {
@@ -205,7 +242,7 @@ func TestApplyShardedMatchesApply(t *testing.T) {
 				want := applyAll(perEvent, "prog", evs, &instrA)
 
 				sharded := NewTable(testParams(), shards)
-				got, instrB := sharded.applySharded(programHash("prog"), "prog", evs, 0, nil)
+				got, instrB := sharded.applyEvents("prog", evs, 0, nil)
 
 				if instrA != instrB {
 					t.Fatalf("final instruction count %d, want %d", instrB, instrA)

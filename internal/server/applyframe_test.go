@@ -31,7 +31,7 @@ func applyAllFramed(tb testing.TB, t *Table, program string, evs []trace.Event, 
 // TestApplyFrameMatchesApplyBatch is the zero-copy apply equivalence pin:
 // across shard counts, seeds, and frame sizes, decoding-while-applying a wire
 // payload must produce the byte-identical decision stream, final instruction
-// count, and shard metrics as ApplyBatch over the decoded events.
+// count, and shard metrics as ApplyBatchKind over the decoded events.
 func TestApplyFrameMatchesApplyBatch(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		for _, seed := range []uint64{1, 7, 42} {

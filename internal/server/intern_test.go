@@ -32,8 +32,9 @@ func internStreams(programs []string, n int) []internStream {
 	return out
 }
 
-// internBatchSizes cycles through sizes on both sides of applyShardedMin, so
-// the run-grouped walk and the two-pass schedule both run.
+// internBatchSizes cycles through short and long batches, so each round cuts
+// every stream at a different offset and batches touch a few shards or all
+// of them.
 var internBatchSizes = []int{37, 300, 128, 5}
 
 // ingestInterleaved applies the streams batch by batch, visiting the

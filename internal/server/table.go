@@ -106,8 +106,7 @@ const (
 )
 
 // programHash is the FNV-1a hash of the program name: the shared prefix of
-// every (program, branch) shard hash. Apply recomputes it per event;
-// ApplyBatch computes it once per batch.
+// every (program, branch) shard hash, computed once per batch.
 func programHash(program string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(program); i++ {
@@ -199,130 +198,31 @@ func (t *Table) applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr u
 	return Decision{Verdict: v, State: st, Dir: dir, Live: live}
 }
 
-// Apply observes one dynamic event for program at global instruction count
-// instr (monotonically non-decreasing per program) and returns the resulting
-// decision.
-func (t *Table) Apply(program string, ev trace.Event, instr uint64) Decision {
-	pid := t.intern(program)
-	sh := t.shardFor(program, ev.Branch)
-	sh.mu.Lock()
-	d := t.applyOne(sh.getLocked(entryKey(pid, ev.Branch)), &sh.metrics, ev, instr)
-	sh.mu.Unlock()
-	return d
-}
-
-// ApplyBatch observes a run of dynamic events for program, in order,
-// starting at global instruction count startInstr, appending one encoded
-// decision byte per event to dst. It returns the extended slice and the
-// instruction count after the last event.
+// ApplyBatchKind observes a run of dynamic events for program under a
+// speculation kind, in order, starting at global instruction count
+// startInstr, and appends one encoded decision byte per event to dst. It
+// returns the extended slice and the instruction count after the last
+// event. The kind is encoded into the table key (trace.EncodeKindProgram),
+// so kind=branch keys the plain program name.
 //
-// The decisions are bit-for-bit the ones len(events) successive Apply calls
-// would produce, and the shard counters advance identically
-// (TestApplyBatchMatchesApply pins both); only the constant-factor work
-// changes. The program key is hashed and interned once per batch, and
-// locks are amortized one of two ways depending on batch size. Small
-// batches (or a single-shard table) walk the events in order, taking each
-// shard's lock once per run of consecutive same-shard events. Large
-// batches switch to a two-pass schedule (applySharded): pass one
-// prefix-sums the instruction cursor and counting-sorts the event indices
-// by shard without any locks, pass two visits each touched shard exactly
-// once and applies its events while holding the lock for the whole
-// sub-batch. On branch-hopping traces
-// the run-grouped walk degenerates to a lock cycle per event; the two-pass
-// schedule bounds lock traffic at one acquisition per shard per batch.
-// Within a shard the original event order is preserved, and a branch never
-// spans shards, so every controller still sees its events in trace order at
-// the same instruction counts — the schedule is invisible in the output.
-//
-// Events for the same program must not be applied concurrently (the caller's
-// cursor lock already guarantees this on the ingest path); batches for
-// different programs may run in parallel exactly like Apply.
-//
-// The serving paths reach this code through ApplyFrame; ApplyBatch is for
-// callers that already hold decoded events.
-func (t *Table) ApplyBatch(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
-	return t.applyEvents(program, events, startInstr, dst)
-}
-
-// applyEvents is ApplyBatch's body, shared with ApplyBatchKind and
-// ApplyFrame.
-func (t *Table) applyEvents(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
-	instr := startInstr
-	if len(events) == 0 {
-		return dst, instr
-	}
-	ph := programHash(program)
-	if len(events) >= applyShardedMin && len(t.shards) > 1 && t.shardHopHeavy(ph, events) {
-		return t.applySharded(ph, program, events, startInstr, dst)
-	}
-	pid := t.intern(program)
-	for i := 0; i < len(events); {
-		si := t.shardIndex(ph, events[i].Branch)
-		j := i + 1
-		for j < len(events) && t.shardIndex(ph, events[j].Branch) == si {
-			j++
-		}
-		sh := &t.shards[si]
-		sh.mu.Lock()
-		var (
-			lastBranch trace.BranchID
-			lastEntry  *tableEntry
-		)
-		m := &sh.metrics
-		for _, ev := range events[i:j] {
-			e := lastEntry
-			if e == nil || ev.Branch != lastBranch {
-				e = sh.getLocked(entryKey(pid, ev.Branch))
-				lastBranch, lastEntry = ev.Branch, e
-			}
-			instr += uint64(ev.Gap)
-			dst = append(dst, t.applyOne(e, m, ev, instr).Encode())
-		}
-		sh.mu.Unlock()
-		i = j
-	}
-	return dst, instr
-}
-
-// ApplyBatchKind is ApplyBatch with an explicit speculation kind: the kind
-// is encoded into the table key (trace.EncodeKindProgram), so kind=branch is
-// byte-identical to ApplyBatch on the plain program name.
+// Events for the same program and kind must not be applied concurrently
+// (the ingest path's cursor lock already guarantees this); batches for
+// different keys may run in parallel. The serving paths reach the table
+// through ApplyFrame; ApplyBatchKind is for callers that already hold
+// decoded events.
 func (t *Table) ApplyBatchKind(program string, kind trace.Kind, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
 	return t.applyEvents(trace.EncodeKindProgram(kind, program), events, startInstr, dst)
 }
 
-// applyShardedMin is the batch size below which the two-pass shard
-// partition costs more than the run-grouped walk's locks.
-const applyShardedMin = 96
+// maxPooledEvents caps the batch size whose scratch goes back to
+// applyScratchPool and frameEventsPool. POST bodies and frames carry no
+// event cap of their own, so without it one huge batch would pin its
+// scratch (about 28 B per event across both pools) for as long as traffic
+// keeps the pools warm; an over-cap batch allocates its own and leaves it
+// to the GC.
+const maxPooledEvents = 1 << 16
 
-// shardHopHeavy samples the head of the batch and reports whether the
-// trace hops between shards often enough that applySharded's partition
-// overhead beats the run-grouped walk's lock cycling. A run-grouped walk
-// pays one lock acquisition per same-shard run (~25ns), the two-pass
-// schedule pays a flat few ns per event for the counting sort, so the
-// crossover sits at an average run length of about four events. Loop-heavy
-// traces (long runs) stay on the run-grouped walk; branch-hopping traces
-// (the expensive case) switch. The sample can misjudge a trace whose
-// character shifts mid-batch, but both schedules produce bit-identical
-// output, so the choice only moves constant factors.
-func (t *Table) shardHopHeavy(ph uint64, events []trace.Event) bool {
-	sample := len(events)
-	if sample > 256 {
-		sample = 256
-	}
-	trans := 0
-	prev := t.shardIndex(ph, events[0].Branch)
-	for i := 1; i < sample; i++ {
-		si := t.shardIndex(ph, events[i].Branch)
-		if si != prev {
-			trans++
-			prev = si
-		}
-	}
-	return trans*4 >= sample
-}
-
-// applyScratch is the per-batch workspace applySharded needs: the absolute
+// applyScratch is the per-batch workspace applyEvents needs: the absolute
 // instruction count at each event, the counting-sort of event indices by
 // shard, and the per-shard bucket cursors.
 type applyScratch struct {
@@ -334,15 +234,26 @@ type applyScratch struct {
 
 var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 
-// applySharded is ApplyBatch's large-batch schedule: one lock acquisition
-// per touched shard instead of one per same-shard run. Pass one walks the
-// events lock-free, recording each event's absolute instruction count (the
-// prefix sum of gaps over the whole batch — a controller only needs its own
-// events' counts, which don't depend on when other shards apply) and
-// counting-sorting the event indices by shard, preserving original order
-// within each shard. Pass two applies each shard's sub-batch under a single
-// lock hold, writing every decision byte to its event's original position.
-func (t *Table) applySharded(ph uint64, program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
+// applyEvents is the one apply schedule, shared by ApplyBatchKind and
+// ApplyFrame: one lock acquisition per touched shard per batch. Pass one
+// walks the events lock-free, recording each event's absolute instruction
+// count (the prefix sum of gaps over the whole batch — a controller only
+// needs its own events' counts, which don't depend on when other shards
+// apply) and counting-sorting the event indices by shard, preserving
+// original order within each shard. Pass two applies each shard's
+// sub-batch under a single lock hold, writing every decision byte to its
+// event's original position.
+//
+// A branch never spans shards, so every controller still sees its events
+// in trace order at the same instruction counts: the decisions and shard
+// counters are bit-for-bit those of applying the events one at a time
+// (TestApplyBatchMatchesApply pins both). The program key is hashed and
+// interned once per batch.
+func (t *Table) applyEvents(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
+	if len(events) == 0 {
+		return dst, startInstr
+	}
+	ph := programHash(program)
 	pid := t.intern(program)
 	n := len(events)
 	ns := len(t.shards)
@@ -420,7 +331,9 @@ func (t *Table) applySharded(ph uint64, program string, events []trace.Event, st
 		sh.mu.Unlock()
 		start = end
 	}
-	applyScratchPool.Put(sc)
+	if cap(sc.instr) <= maxPooledEvents {
+		applyScratchPool.Put(sc)
+	}
 	return dst, instr
 }
 
@@ -428,16 +341,15 @@ func (t *Table) applySharded(ph uint64, program string, events []trace.Event, st
 // decodes payloads into; steady state it allocates nothing.
 var frameEventsPool = sync.Pool{New: func() any { return new([]trace.Event) }}
 
-// ApplyFrame is ApplyBatch over a validated wire frame payload: it decodes
-// the payload into a pooled scratch slice (amortized zero-alloc — the
-// events never escape the call) and applies it as one batch, so large
-// frames get ApplyBatch's two-pass shard schedule instead of a lock cycle
-// per branch hop. The payload must already have passed trace.ValidateFrame
-// — rejection happens before any state mutates, exactly like the decoding
-// path.
+// ApplyFrame is ApplyBatchKind over a validated wire frame payload, with
+// the kind already encoded into program: it decodes the payload into a
+// pooled scratch slice (amortized zero-alloc — the events never escape the
+// call) and applies it as one batch. The payload must already have passed
+// trace.ValidateFrame — rejection happens before any state mutates,
+// exactly like the decoding path.
 //
 // The decisions, the final instruction count, and every shard counter are
-// bit-for-bit what ApplyBatch(program, DecodeFrame(payload), ...) would
+// bit-for-bit what applying DecodeFrame(payload) as one batch would
 // produce (TestApplyFrameMatchesApplyBatch pins this).
 func (t *Table) ApplyFrame(program string, payload []byte, startInstr uint64, dst []byte) ([]byte, uint64) {
 	evp := frameEventsPool.Get().(*[]trace.Event)
@@ -449,8 +361,10 @@ func (t *Table) ApplyFrame(program string, payload []byte, startInstr uint64, ds
 		panic("server: ApplyFrame on unvalidated payload: " + err.Error())
 	}
 	dst, instr := t.applyEvents(program, evs, startInstr, dst)
-	*evp = evs[:0]
-	frameEventsPool.Put(evp)
+	if cap(evs) <= maxPooledEvents {
+		*evp = evs[:0]
+		frameEventsPool.Put(evp)
+	}
 	return dst, instr
 }
 

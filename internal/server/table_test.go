@@ -39,27 +39,39 @@ func synthEvents(n int, seed uint64) []trace.Event {
 	return evs
 }
 
-// applyAll drives events through the table for one program, returning the
-// encoded decision sequence.
+// applyRef is the per-event reference the batching pins compare against:
+// one event under its shard's lock at absolute instruction count instr, with
+// no batch schedule in between.
+func applyRef(t *Table, program string, ev trace.Event, instr uint64) Decision {
+	pid := t.intern(program)
+	sh := t.shardFor(program, ev.Branch)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return t.applyOne(sh.getLocked(entryKey(pid, ev.Branch)), &sh.metrics, ev, instr)
+}
+
+// applyAll drives events through the table one at a time with applyRef,
+// returning the encoded decision sequence.
 func applyAll(t *Table, program string, evs []trace.Event, instr *uint64) []byte {
 	out := make([]byte, 0, len(evs))
 	for _, ev := range evs {
 		*instr += uint64(ev.Gap)
-		out = append(out, t.Apply(program, ev, *instr).Encode())
+		out = append(out, applyRef(t, program, ev, *instr).Encode())
 	}
 	return out
 }
 
 // TestTableMatchesInProcessController checks the central equivalence claim:
-// the table's per-event decisions are bitwise-identical to a single
-// in-process core.Controller observing the same stream.
+// the decisions the table serves for 1024-event wire frames are
+// bitwise-identical to a single in-process core.Controller observing the
+// same stream.
 func TestTableMatchesInProcessController(t *testing.T) {
 	params := testParams()
 	evs := synthEvents(60_000, 7)
 
 	tab := NewTable(params, 16)
 	var instr uint64
-	got := applyAll(tab, "prog", evs, &instr)
+	got := applyAllFramed(t, tab, "prog", evs, &instr, 1024)
 
 	ctl := core.New(params)
 	var transitions [4]uint64
@@ -100,11 +112,11 @@ func TestTableProgramsAreIndependent(t *testing.T) {
 	tab := NewTable(testParams(), 4)
 	var instrA, instrB uint64
 	// Program A sees branch 0 always-taken; program B sees it never-taken.
+	taken := []trace.Event{{Branch: 0, Taken: true, Gap: 3}}
+	notTaken := []trace.Event{{Branch: 0, Taken: false, Gap: 3}}
 	for i := 0; i < 5000; i++ {
-		instrA += 3
-		tab.Apply("a", trace.Event{Branch: 0, Taken: true, Gap: 3}, instrA)
-		instrB += 3
-		tab.Apply("b", trace.Event{Branch: 0, Taken: false, Gap: 3}, instrB)
+		_, instrA = tab.ApplyBatchKind("a", trace.KindBranch, taken, instrA, nil)
+		_, instrB = tab.ApplyBatchKind("b", trace.KindBranch, notTaken, instrB, nil)
 	}
 	da := tab.Decide("a", 0)
 	db := tab.Decide("b", 0)
@@ -134,14 +146,15 @@ func TestTableConcurrentApply(t *testing.T) {
 			defer wg.Done()
 			program := string(rune('a' + w%4))
 			evs := synthEvents(perW, uint64(w)*977)
-			var instr uint64
-			for _, ev := range evs {
-				instr += uint64(ev.Gap)
-				tab.Apply(program, ev, instr)
+			var (
+				instr uint64
+				dst   []byte
+			)
+			for off := 0; off < len(evs); off += 64 {
+				batch := evs[off:min(off+64, len(evs))]
+				dst, instr = tab.ApplyBatchKind(program, trace.KindBranch, batch, instr, dst[:0])
 				// Interleave reads to exercise Decide under contention.
-				if instr%4096 == 0 {
-					tab.Decide(program, ev.Branch)
-				}
+				tab.Decide(program, batch[0].Branch)
 			}
 		}(w)
 	}

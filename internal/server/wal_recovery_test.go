@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -66,7 +67,7 @@ func controlState(t *testing.T, shards int, batches []walBatch, upto int) ([]Ent
 	var discard []byte
 	for _, b := range batches[:upto] {
 		cur := s.cursorFor(b.program)
-		discard, cur.instr = s.table.ApplyBatch(b.program, synthEvents(b.n, b.seed), cur.instr, discard[:0])
+		discard, cur.instr = s.table.ApplyBatchKind(b.program, trace.KindBranch, synthEvents(b.n, b.seed), cur.instr, discard[:0])
 	}
 	return s.table.SnapshotEntries(), s
 }
@@ -78,7 +79,7 @@ func futureDecisions(t *testing.T, s *Server, b walBatch) []byte {
 	t.Helper()
 	cur := s.cursorFor(b.program)
 	var out []byte
-	out, cur.instr = s.table.ApplyBatch(b.program, synthEvents(b.n, b.seed), cur.instr, nil)
+	out, cur.instr = s.table.ApplyBatchKind(b.program, trace.KindBranch, synthEvents(b.n, b.seed), cur.instr, nil)
 	return out
 }
 

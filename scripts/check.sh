@@ -33,6 +33,11 @@ go test -race ./...
 echo "==> go test -race -count=2 ./internal/obs ./internal/server ./internal/replica"
 go test -race -count=2 ./internal/obs ./internal/server ./internal/replica
 
+# perfbench is its own Go module, so the root ./... above never builds it,
+# yet it compiles against the server's table and stream APIs.
+echo "==> (cd perfbench && go vet ./... && go test ./...)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> serving-mode smoke (reactiveload vs ephemeral reactived)"
 SMOKE_DIR=$(mktemp -d)
 DAEMON_PID=""
