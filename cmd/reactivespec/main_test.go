@@ -149,7 +149,7 @@ func TestRunWALTimeline(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		events = append(events, trace.Event{Branch: trace.BranchID(1 + i%2), Taken: i%2 == 0, Gap: 9})
 	}
-	if _, err := l.Append("gzip", events); err != nil {
+	if _, err := l.AppendPayload("gzip", trace.EncodeFrameAppend(nil, events)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -48,7 +48,7 @@ func writeTimelineWAL(t *testing.T, dir string, hash uint64, programs []string, 
 	for round := 0; round < rounds; round++ {
 		for _, prog := range programs {
 			events := synthWALEvents(round, perBatch)
-			if _, err := l.Append(prog, events); err != nil {
+			if _, err := l.AppendPayload(prog, trace.EncodeFrameAppend(nil, events)); err != nil {
 				t.Fatalf("Append: %v", err)
 			}
 			batches[prog] = append(batches[prog], events)
@@ -205,7 +205,7 @@ func TestTimelineFromWALLiveDir(t *testing.T) {
 
 	perBatch := 30
 	for round := 0; round < 3; round++ {
-		if _, err := l.Append("gcc", synthWALEvents(round, perBatch)); err != nil {
+		if _, err := l.AppendPayload("gcc", trace.EncodeFrameAppend(nil, synthWALEvents(round, perBatch))); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		if err := l.Commit(); err != nil {
@@ -228,7 +228,7 @@ func TestTimelineFromWALLiveDir(t *testing.T) {
 	// The log keeps growing; a fresh pass sees the new records, while the
 	// completed pass was unaffected by them.
 	for round := 3; round < 5; round++ {
-		if _, err := l.Append("gcc", synthWALEvents(round, perBatch)); err != nil {
+		if _, err := l.AppendPayload("gcc", trace.EncodeFrameAppend(nil, synthWALEvents(round, perBatch))); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		if err := l.Commit(); err != nil {

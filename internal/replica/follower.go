@@ -54,12 +54,14 @@ type FollowerConfig struct {
 	// WAL's NextSeq: the follower logs records before applying, so the
 	// resume point is exactly what survived locally.
 	NextSeq func() uint64
-	// Apply applies one shipped record: frame is its trace frame payload,
-	// validated and exactly as the primary logged it, and only valid until
-	// Apply returns. It must log-then-apply (the replica server's
-	// ApplyReplicated) so NextSeq advances with it. traceID is the record's
-	// span-trace context (zero when the originating batch was untraced).
-	Apply func(program string, frame []byte, traceID uint64) error
+	// Apply applies one shipped record: frame is its trace frame payload
+	// exactly as the primary logged it, not yet decoded, and only valid
+	// until Apply returns. It must decode the frame, refuse it if it does
+	// not decode, and log-then-apply (the replica server's ApplyReplicated)
+	// so NextSeq advances with it; it returns the record's event count.
+	// traceID is the record's span-trace context (zero when the originating
+	// batch was untraced).
+	Apply func(program string, frame []byte, traceID uint64) (int, error)
 	// Window is the requested credit window (0 = primary's default).
 	Window uint32
 	// Logf, when non-nil, receives operational log lines.
@@ -327,11 +329,8 @@ func (f *Follower) session() error {
 				return errPermanent{fmt.Errorf(
 					"replica: primary shipped seq %d, replica expected %d — logs have diverged", rec.Seq, expected)}
 			}
-			nEvents, err := trace.ValidateFrame(rec.Frame)
+			nEvents, err := f.cfg.Apply(rec.Program, rec.Frame, rec.Trace)
 			if err != nil {
-				return errPermanent{fmt.Errorf("replica: shipped record %d does not decode: %w", rec.Seq, err)}
-			}
-			if err := f.cfg.Apply(rec.Program, rec.Frame, rec.Trace); err != nil {
 				return errPermanent{fmt.Errorf("replica: applying record %d: %w", rec.Seq, err)}
 			}
 			expected = rec.Seq + 1

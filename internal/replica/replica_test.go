@@ -3,6 +3,7 @@ package replica
 import (
 	"bufio"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -238,7 +239,7 @@ func TestFollowerParamsMismatch(t *testing.T) {
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()) + 1,
 		NextSeq:    func() uint64 { return 0 },
-		Apply:      func(string, []byte, uint64) error { return nil },
+		Apply:      func(string, []byte, uint64) (int, error) { return 0, nil },
 		Logf:       t.Logf,
 	})
 	defer f.Seal()
@@ -279,7 +280,7 @@ func TestFollowerBehindCompaction(t *testing.T) {
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()),
 		NextSeq:    func() uint64 { return 0 },
-		Apply:      func(string, []byte, uint64) error { return nil },
+		Apply:      func(string, []byte, uint64) (int, error) { return 0, nil },
 		Logf:       t.Logf,
 	})
 	defer f.Seal()
@@ -367,7 +368,7 @@ func TestShipperRejectsFutureFrom(t *testing.T) {
 		Addr:       p.ln.Addr().String(),
 		ParamsHash: server.ParamsHash(testParams()),
 		NextSeq:    func() uint64 { return 999 },
-		Apply:      func(string, []byte, uint64) error { return nil },
+		Apply:      func(string, []byte, uint64) (int, error) { return 0, nil },
 		Logf:       t.Logf,
 	})
 	defer f.Seal()
@@ -492,5 +493,44 @@ func TestReplicaLogMatchesPrimary(t *testing.T) {
 				i, replica[i].seq, replica[i].program, len(replica[i].frame),
 				primary[i].seq, primary[i].program, len(primary[i].frame))
 		}
+	}
+}
+
+// TestFollowerStopsOnUndecodableRecord ships a WAL record whose CRC is valid
+// but whose frame does not decode. The shipper forwards records without
+// decoding them, so the replica's one decode is the guard: the follower
+// must stop with a permanent error, and the replica's WAL and table must
+// stay untouched.
+func TestFollowerStopsOnUndecodableRecord(t *testing.T) {
+	p := startPrimary(t, 2)
+	if _, err := p.log.AppendPayload("gzip", []byte("not a trace frame")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.log.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r := startReplica(t, 2, p.ln.Addr().String(), 8)
+	select {
+	case <-r.follower.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower did not stop on an undecodable record")
+	}
+	if st := r.follower.State(); st != StateFailed {
+		t.Fatalf("state %q, want failed", st)
+	}
+	if err := r.follower.Err(); !errors.Is(err, trace.ErrBadTrace) || !strings.Contains(err.Error(), "record 0") {
+		t.Fatalf("error %v does not name record 0's decode failure", err)
+	}
+	if got := r.follower.LastApplied(); got != 0 {
+		t.Fatalf("follower applied through seq %d, want 0", got)
+	}
+	if got := r.log.NextSeq(); got != 0 {
+		t.Fatalf("replica WAL advanced to seq %d", got)
+	}
+	if recs := readLog(t, r.log); len(recs) != 0 {
+		t.Fatalf("replica WAL holds %d records", len(recs))
+	}
+	if entries := r.srv.Table().SnapshotEntries(); len(entries) != 0 {
+		t.Fatalf("replica table holds %d entries", len(entries))
 	}
 }

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -369,7 +369,7 @@ func (c *Client) ingestFramesTimed(ctx context.Context, ingestURL, program strin
 	}
 
 	decodeStart := time.Now()
-	results, truncMsg, err := parseIngestResponse(bytes.NewReader(raw))
+	results, truncMsg, err := parseIngestResponse(raw)
 	tm.Decode = time.Since(decodeStart)
 	if err != nil {
 		return nil, tm, err
@@ -394,73 +394,79 @@ func (c *Client) ingestFramesTimed(ctx context.Context, ingestURL, program strin
 
 // parseIngestResponse decodes the binary ingest response body. A trailing
 // truncation record (status 2) is returned as a non-empty truncated message
-// alongside the frame results that preceded it.
-func parseIngestResponse(body io.Reader) (results []IngestResult, truncated string, err error) {
-	br := bufio.NewReader(body)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, "", fmt.Errorf("server: reading response magic: %w", err)
+// alongside the frame results that preceded it. Every count is bounded by
+// the bytes left in raw before it sizes anything, so a corrupt body fails
+// with an error instead of forcing a giant allocation.
+func parseIngestResponse(raw []byte) (results []IngestResult, truncated string, err error) {
+	if len(raw) < len(respMagic) {
+		return nil, "", fmt.Errorf("server: reading response magic: %w", io.ErrUnexpectedEOF)
 	}
-	if magic != respMagic {
+	if magic := [4]byte(raw); magic != respMagic {
 		return nil, "", fmt.Errorf("server: bad response magic %q", magic[:])
 	}
-	frames, err := binary.ReadUvarint(br)
+	raw = raw[len(respMagic):]
+	// count reads a uvarint counting items of at least size bytes each,
+	// which must all fit in what is left of raw.
+	count := func(size int) (uint64, error) {
+		v, n := binary.Uvarint(raw)
+		if n <= 0 {
+			return 0, errors.New("malformed or truncated uvarint")
+		}
+		raw = raw[n:]
+		if v > uint64(len(raw)/size) {
+			return 0, fmt.Errorf("%d exceeds the %d bytes left in the response", v, len(raw))
+		}
+		return v, nil
+	}
+	take := func(n uint64) []byte {
+		b := raw[:n]
+		raw = raw[n:]
+		return b
+	}
+	// Each frame result is at least a status byte and a length byte.
+	frames, err := count(2)
 	if err != nil {
 		return nil, "", fmt.Errorf("server: reading frame count: %w", err)
 	}
 	results = make([]IngestResult, 0, frames)
 	for i := uint64(0); i < frames; i++ {
-		status, err := br.ReadByte()
-		if err != nil {
-			return nil, "", fmt.Errorf("server: reading frame %d status: %w", i, err)
+		if len(raw) == 0 {
+			return nil, "", fmt.Errorf("server: reading frame %d status: %w", i, io.ErrUnexpectedEOF)
 		}
-		n, err := binary.ReadUvarint(br)
+		status := raw[0]
+		raw = raw[1:]
+		n, err := count(1)
 		if err != nil {
 			return nil, "", fmt.Errorf("server: reading frame %d length: %w", i, err)
 		}
 		switch status {
 		case ingestApplied:
 			decisions := make([]Decision, n)
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, "", fmt.Errorf("server: reading frame %d decisions: %w", i, err)
-			}
-			for j, b := range buf {
+			for j, b := range take(n) {
 				if decisions[j], err = DecodeDecision(b); err != nil {
 					return nil, "", fmt.Errorf("server: frame %d event %d: %w", i, j, err)
 				}
 			}
 			results = append(results, IngestResult{Decisions: decisions})
 		case ingestRejected:
-			msg := make([]byte, n)
-			if _, err := io.ReadFull(br, msg); err != nil {
-				return nil, "", fmt.Errorf("server: reading frame %d error: %w", i, err)
-			}
-			results = append(results, IngestResult{Err: fmt.Errorf("server: frame rejected: %s", msg)})
+			results = append(results, IngestResult{Err: fmt.Errorf("server: frame rejected: %s", take(n))})
 		default:
 			return nil, "", fmt.Errorf("server: unknown frame status %d", status)
 		}
 	}
 	// A truncation record may follow the per-frame results.
-	status, err := br.ReadByte()
-	if err == io.EOF {
+	if len(raw) == 0 {
 		return results, "", nil
 	}
-	if err != nil {
-		return nil, "", fmt.Errorf("server: reading truncation record: %w", err)
-	}
-	if status != ingestTruncated {
+	if status := raw[0]; status != ingestTruncated {
 		return nil, "", fmt.Errorf("server: unexpected trailing status %d", status)
 	}
-	n, err := binary.ReadUvarint(br)
+	raw = raw[1:]
+	n, err := count(1)
 	if err != nil {
 		return nil, "", fmt.Errorf("server: reading truncation length: %w", err)
 	}
-	msg := make([]byte, n)
-	if _, err := io.ReadFull(br, msg); err != nil {
-		return nil, "", fmt.Errorf("server: reading truncation message: %w", err)
-	}
-	return results, string(msg), nil
+	return results, string(take(n)), nil
 }
 
 // Decide queries a branch's current classification.

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"reactivespec/internal/obs"
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -13,7 +14,7 @@ import (
 type stage int
 
 const (
-	stageDecode    stage = iota // read and validate the frames, no locks held
+	stageDecode    stage = iota // read and decode the frames, no locks held
 	stageWALAppend              // take the program's cursor lock, append to the log
 	stageFsync                  // Commit: make the appended records durable
 	stageApply                  // train the table and advance the cursor
@@ -47,20 +48,22 @@ func (c *stageClock) begin(st stage) time.Time {
 func (c *stageClock) dur(st stage) time.Duration { return c.ends[st].Sub(c.begin(st)) }
 
 // commit is the one log→apply step behind every way events reach the table:
-// POST ingest, stream frames, replicated records and recovery replay. Under
+// POST ingest, stream frames, replicated records and recovery replay. Each
+// path decodes its frames once, where they enter, so commit gets both forms:
+// payload holds the raw frame bytes (frames locate each frame's span) and
+// events the decoded events of every applied frame, in frame order. Under
 // applyMu's read side (fencing snapshot capture) and the program's cursor
-// lock, it appends every applied frame of payload to wlog, commits once, then
-// applies the frames in order and advances the cursor — so per program, log
-// order is apply order and replay reproduces the same decisions. Rejected
-// frames (errMsg set) are skipped. A nil wlog logs nothing: a server without
-// a WAL, or replay of records that came from the log. On a log failure
-// nothing is applied.
+// lock, it appends every applied frame of payload to wlog verbatim, commits
+// once, then applies the events and advances the cursor — so per program,
+// log order is apply order and replay reproduces the same decisions.
+// Rejected frames (errMsg set) are skipped. A nil wlog logs nothing: a server
+// without a WAL, or replay of records that came from the log. On a log
+// failure nothing is applied.
 //
-// commit appends one decision byte per event to dst, records each frame's
-// decision span in frames, and returns the extended slice and the first
-// sequence number logged.
-func (s *Server) commit(wlog *wal.Log, key string, cur *cursor, payload []byte, frames []frameSpan,
-	traceID uint64, clk *stageClock, dst []byte) ([]byte, uint64, error) {
+// commit appends one decision byte per event to dst, in frame order, and
+// returns the extended slice and the first sequence number logged.
+func (s *Server) commit(wlog *wal.Log, key string, cur *cursor, payload []byte, events []trace.Event,
+	frames []frameSpan, traceID uint64, clk *stageClock, dst []byte) ([]byte, uint64, error) {
 	s.applyMu.RLock()
 	defer s.applyMu.RUnlock()
 	cur.mu.Lock()
@@ -101,16 +104,11 @@ func (s *Server) commit(wlog *wal.Log, key string, cur *cursor, payload []byte, 
 		s.ins.walAppendErrors.Inc()
 		return dst, firstSeq, err
 	}
-	for i := range frames {
-		f := &frames[i]
-		if f.errMsg != "" {
-			continue
-		}
-		f.dstart = len(dst)
-		dst, cur.instr = s.table.ApplyFrame(key, payload[f.pstart:f.pend], cur.instr, dst)
-		f.dend = len(dst)
-		cur.events += uint64(f.events)
-	}
+	// One batch for every applied frame: each event's instruction count is
+	// the running sum of gaps either way, so the decisions are those of
+	// applying the frames one by one, as replay of their records does.
+	dst, cur.instr = s.table.applyEvents(key, events, cur.instr, dst)
+	cur.events += uint64(len(events))
 	clk.lap(stageApply)
 	return dst, firstSeq, nil
 }

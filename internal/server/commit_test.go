@@ -216,7 +216,7 @@ func TestApplyReplicatedConcurrentPrograms(t *testing.T) {
 	control, _ := controlState(t, 4, batches, len(batches))
 
 	s, _ := newReplicaServer(t, 4)
-	if err := s.ApplyReplicated("gzip", []byte("not a trace frame"), 0); err == nil {
+	if _, err := s.ApplyReplicated("gzip", []byte("not a trace frame"), 0); err == nil {
 		t.Fatal("ApplyReplicated accepted an invalid frame")
 	}
 	var wg sync.WaitGroup
@@ -228,7 +228,7 @@ func TestApplyReplicatedConcurrentPrograms(t *testing.T) {
 				if b.program != p {
 					continue
 				}
-				if err := s.ApplyReplicated(p, trace.EncodeFrameAppend(nil, synthEvents(b.n, b.seed)), 0); err != nil {
+				if _, err := s.ApplyReplicated(p, trace.EncodeFrameAppend(nil, synthEvents(b.n, b.seed)), 0); err != nil {
 					t.Errorf("ApplyReplicated(%s): %v", p, err)
 					return
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -53,11 +52,13 @@ func (s *Server) Recover() (RecoveryResult, error) {
 		return res, fmt.Errorf("server: aligning wal to snapshot anchor: %w", err)
 	}
 
+	// The decoding reader walks each record's frame once: a CRC-valid
+	// record whose frame does not decode fails the replay as a damaged
+	// segment.
 	r, err := wal.NewReader(wal.ReaderOptions{
 		Dir:        s.cfg.WAL.Dir(),
 		ParamsHash: s.cfg.WAL.ParamsHash(),
 		From:       res.WALSeq,
-		FrameOnly:  true,
 	})
 	if err != nil {
 		return res, fmt.Errorf("server: opening wal for replay: %w", err)
@@ -72,18 +73,12 @@ func (s *Server) Recover() (RecoveryResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("server: replaying wal record %d: %w", r.NextSeq(), err)
 		}
-		// A CRC-valid record whose frame does not validate is a damaged
-		// segment, exactly as the decoding reader reports it.
-		n, err := trace.ValidateFrame(rec.Frame)
-		if err != nil {
-			return res, fmt.Errorf("server: replaying wal record %d: %w: record frame payload: %v",
-				rec.Seq, wal.ErrBadSegment, err)
-		}
-		frames := [1]frameSpan{{pend: len(rec.Frame), events: n}}
+		frames := [1]frameSpan{{pend: len(rec.Frame), events: len(rec.Events)}}
 		// Without a log to append to, commit cannot fail.
-		discard, _, _ = s.commit(nil, rec.Program, s.cursorFor(rec.Program), rec.Frame, frames[:], 0, nil, discard[:0])
+		discard, _, _ = s.commit(nil, rec.Program, s.cursorFor(rec.Program), rec.Frame, rec.Events,
+			frames[:], 0, nil, discard[:0])
 		res.ReplayedRecords++
-		res.ReplayedEvents += uint64(n)
+		res.ReplayedEvents += uint64(len(rec.Events))
 	}
 	s.ins.walReplayedRecords.Add(res.ReplayedRecords)
 	s.ins.walReplayedEvents.Add(res.ReplayedEvents)

@@ -79,39 +79,44 @@ func (s *Server) Promote() (PromoteResult, error) {
 }
 
 // ApplyReplicated applies one record shipped from the primary's WAL: frame
-// is the record's trace frame payload exactly as the primary logged it. It
-// runs the same commit step as primary ingest — log the frame verbatim, then
-// train the table, under the same locks — so the replica's log holds the
-// primary's record bytes, snapshots taken on the replica carry exact WAL
-// anchors, and replay after a replica crash reproduces the same decisions.
-// Callers (the replication follower) deliver records in WAL-sequence order;
-// the per-program cursor lock preserves that order against the table.
-// traceID, when non-zero, is the trace the record's originating batch was
-// sampled into on the primary; the replica closes the cross-node chain with a
-// follower_apply span under it.
-func (s *Server) ApplyReplicated(program string, frame []byte, traceID uint64) error {
+// is the record's trace frame payload exactly as the primary logged it, not
+// yet decoded. It decodes the frame once and runs the same commit step as
+// primary ingest — log the frame verbatim, then train the table, under the
+// same locks — so the replica's log holds the primary's record bytes,
+// snapshots taken on the replica carry exact WAL anchors, and replay after a
+// replica crash reproduces the same decisions. A frame that does not decode
+// is refused before it reaches the log or the table. Callers (the
+// replication follower) deliver records in WAL-sequence order; the
+// per-program cursor lock preserves that order against the table. traceID,
+// when non-zero, is the trace the record's originating batch was sampled
+// into on the primary; the replica closes the cross-node chain with a
+// follower_apply span under it. It returns the record's event count.
+func (s *Server) ApplyReplicated(program string, frame []byte, traceID uint64) (int, error) {
 	if !s.readOnly.Load() {
-		return ErrNotReplica
+		return 0, ErrNotReplica
 	}
 	start := time.Now()
-	n, err := trace.ValidateFrame(frame)
-	if err != nil {
-		return fmt.Errorf("server: replicated record: %w", err)
-	}
-	frames := [1]frameSpan{{pend: len(frame), events: n}}
-	// The replica discards its decisions; the pooled ingest scratch keeps
-	// the buffer they land in from allocating per record.
+	// The pooled ingest scratch holds the decoded events and the decisions
+	// the replica discards, so neither allocates per record.
 	sc := ingestScratchPool.Get().(*ingestScratch)
-	var seq uint64
-	sc.decisions, seq, err = s.commit(s.cfg.WAL, program, s.cursorFor(program), frame, frames[:], traceID, nil, sc.decisions[:0])
-	ingestScratchPool.Put(sc)
+	defer putIngestScratch(sc)
+	events, err := trace.DecodeFrameAppend(frame, sc.events[:0])
 	if err != nil {
-		return fmt.Errorf("server: replica wal append: %w", err)
+		return 0, fmt.Errorf("server: replicated record: %w", err)
+	}
+	sc.events = events
+	n := len(events)
+	frames := [1]frameSpan{{pend: len(frame), events: n}}
+	var seq uint64
+	sc.decisions, seq, err = s.commit(s.cfg.WAL, program, s.cursorFor(program), frame, events, frames[:],
+		traceID, nil, sc.decisions[:0])
+	if err != nil {
+		return 0, fmt.Errorf("server: replica wal append: %w", err)
 	}
 	s.ins.replicatedRecords.Inc()
 	s.ins.replicatedEvents.Add(uint64(n))
 	s.cfg.Trace.RecordStage(traceID, 0, "follower_apply", program, n, seq, start, time.Since(start))
-	return nil
+	return n, nil
 }
 
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {

@@ -326,26 +326,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// frameSpan locates one frame of a batch inside the shared payload and
-// decision buffers: applied frames own [pstart, pend) of the raw payload
-// bytes and [dstart, dend) of the decisions, with events counting the
-// frame's validated records; rejected frames are empty spans carrying the
-// rejection diagnostic.
+// frameSpan locates one frame of a batch: an applied frame owns
+// [pstart, pend) of the shared raw payload buffer and events of the decoded
+// events (and as many decision bytes), in frame order; a rejected frame is an
+// empty span carrying the rejection diagnostic.
 type frameSpan struct {
 	pstart, pend int
-	dstart, dend int
 	events       int
 	errMsg       string
 }
 
 // ingestScratch is the pooled per-request working set of the ingest hot
-// path: the validated raw payload bytes of every applied frame (one shared
-// buffer, frames as spans over it — events are never materialized into
-// structs; ApplyFrame decodes them in place), the per-event decision bytes,
-// and the encoded response. Pooling these — plus the FrameReader's internal
-// read buffer — makes the steady-state handler allocation-free.
+// path: the raw payload bytes of every applied frame (one shared buffer,
+// frames as spans over it, which the WAL stores verbatim), their decoded
+// events, the per-event decision bytes, and the encoded response. Pooling
+// these — plus the FrameReader's internal read buffer — makes the
+// steady-state handler allocation-free.
 type ingestScratch struct {
 	payload   []byte
+	events    []trace.Event
 	frames    []frameSpan
 	decisions []byte
 	resp      []byte
@@ -353,6 +352,28 @@ type ingestScratch struct {
 }
 
 var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+// maxPooledBytes caps the byte buffers of a pooled ingestScratch (raw
+// payload, response) the way maxPooledEvents caps its per-event ones.
+const maxPooledBytes = 16 * maxPooledEvents
+
+// putIngestScratch empties sc and returns it to the pool — unless an
+// oversized batch grew it past the caps, in which case it is left to the GC
+// so one huge POST cannot pin its buffers for as long as traffic keeps the
+// pool warm.
+func putIngestScratch(sc *ingestScratch) {
+	if cap(sc.events) > maxPooledEvents || cap(sc.frames) > maxPooledEvents ||
+		cap(sc.decisions) > maxPooledEvents || cap(sc.payload) > maxPooledBytes ||
+		cap(sc.resp) > maxPooledBytes {
+		return
+	}
+	sc.payload = sc.payload[:0]
+	sc.events = sc.events[:0]
+	sc.frames = sc.frames[:0]
+	sc.decisions = sc.decisions[:0]
+	sc.resp = sc.resp[:0]
+	ingestScratchPool.Put(sc)
+}
 
 // handleIngest serves POST /v1/ingest and, with kinded set, /v2/ingest,
 // which also validates kind and policy. Below validation both run the same
@@ -489,23 +510,15 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, progra
 	}
 
 	sc := ingestScratchPool.Get().(*ingestScratch)
-	defer func() {
-		sc.payload = sc.payload[:0]
-		sc.frames = sc.frames[:0]
-		sc.decisions = sc.decisions[:0]
-		sc.resp = sc.resp[:0]
-		ingestScratchPool.Put(sc)
-	}()
+	defer putIngestScratch(sc)
 
-	// Decode — read + validate, no locks held. The whole body is consumed
-	// into pooled buffers before the program cursor is taken, so a client
-	// trickling bytes over a slow socket cannot stall other ingesters for
-	// the same program. Frames are validated (same accept/reject set and
-	// diagnostics as decoding) but kept as raw payload bytes: the WAL
-	// splices them in verbatim and ApplyFrame decodes them in place, so no
-	// []trace.Event is materialized.
+	// Decode — read and decode every frame, no locks held. The whole body is
+	// consumed into pooled buffers before the program cursor is taken, so a
+	// client trickling bytes over a slow socket cannot stall other ingesters
+	// for the same program. Each frame is walked once: its raw bytes go to
+	// sc.payload for the WAL to store verbatim, its events to sc.events for
+	// the table.
 	var truncated error
-	var events int
 	if sc.fr == nil {
 		sc.fr = trace.NewFrameReader(r.Body)
 	} else {
@@ -513,8 +526,8 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, progra
 	}
 	fr := sc.fr
 	for {
-		p0 := len(sc.payload)
-		payload, nEvents, err := fr.NextPayloadAppend(sc.payload)
+		p0, e0 := len(sc.payload), len(sc.events)
+		payload, events, err := fr.NextPayloadAppend(sc.payload, sc.events)
 		if err == io.EOF {
 			break
 		}
@@ -533,13 +546,12 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, progra
 			truncated = err
 			break
 		}
-		sc.payload = payload
-		sc.frames = append(sc.frames, frameSpan{pstart: p0, pend: len(payload), events: nEvents})
-		events += nEvents
+		sc.payload, sc.events = payload, events
+		sc.frames = append(sc.frames, frameSpan{pstart: p0, pend: len(payload), events: len(events) - e0})
 	}
 	clk.lap(stageDecode)
 
-	decisions, firstSeq, err := s.commit(s.cfg.WAL, key, s.cursorFor(key), sc.payload, sc.frames,
+	decisions, firstSeq, err := s.commit(s.cfg.WAL, key, s.cursorFor(key), sc.payload, sc.events, sc.frames,
 		traceID, &clk, sc.decisions[:0])
 	sc.decisions = decisions
 	if err != nil {
@@ -547,9 +559,9 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, progra
 		return
 	}
 
-	// Respond — encode and write the response from a pooled buffer. Each
-	// applied frame recorded its span of the shared decision buffer while
-	// applying, one byte per event.
+	// Respond — encode and write the response from a pooled buffer. The
+	// decisions come one byte per event in frame order, so each applied
+	// frame takes the next f.events of them.
 	resp := sc.resp[:0]
 	resp = append(resp, respMagic[:]...)
 	var tmp [binary.MaxVarintLen64]byte
@@ -559,7 +571,8 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, progra
 		if f.errMsg == "" {
 			resp = append(resp, ingestApplied)
 			putUvarint(uint64(f.events))
-			resp = append(resp, decisions[f.dstart:f.dend]...)
+			resp = append(resp, decisions[:f.events]...)
+			decisions = decisions[f.events:]
 		} else {
 			resp = append(resp, ingestRejected)
 			putUvarint(uint64(len(f.errMsg)))
@@ -582,7 +595,7 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, progra
 		s.ins.responseErrors.Inc()
 	}
 	clk.lap(stageRespond)
-	s.finishBatch(&clk, traceID, program, events, firstSeq)
+	s.finishBatch(&clk, traceID, program, len(sc.events), firstSeq)
 }
 
 // DecideResponse is the JSON answer of /v1/decide.

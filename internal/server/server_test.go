@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,10 +129,7 @@ func TestIngestRejectsBadFramePerBatch(t *testing.T) {
 
 	good1 := synthEvents(500, 11)
 	good2 := synthEvents(500, 13)
-	corrupt, err := trace.EncodeFrame(synthEvents(400, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	corrupt := trace.EncodeFrameAppend(nil, synthEvents(400, 12))
 	corrupt[len(corrupt)/2] ^= 0xff
 
 	var body bytes.Buffer
@@ -156,7 +154,11 @@ func TestIngestRejectsBadFramePerBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s, want 200 (per-batch rejection, not per-connection)", resp.Status)
 	}
-	results, truncated, err := parseIngestResponse(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, truncated, err := parseIngestResponse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +278,62 @@ func TestConcurrentIngestDistinctPrograms(t *testing.T) {
 	}
 	if want := uint64(workers * 5_000); total.Events != want {
 		t.Fatalf("total events %d, want %d", total.Events, want)
+	}
+}
+
+// TestParseIngestResponseBoundsCounts feeds the client's response parser
+// bodies whose counts claim far more than the body holds — a frame count of
+// 2^63-1, and per-frame decision, rejection-text and truncation-text lengths
+// just as large. Each must fail with an error instead of sizing an
+// allocation from the claim.
+func TestParseIngestResponseBoundsCounts(t *testing.T) {
+	const huge = 1<<63 - 1
+	body := func(parts ...[]byte) []byte {
+		raw := []byte("RSPD")
+		for _, p := range parts {
+			raw = append(raw, p...)
+		}
+		return raw
+	}
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	for name, raw := range map[string][]byte{
+		"frame count":     body(uv(huge)),
+		"decision count":  body(uv(1), []byte{ingestApplied}, uv(huge), []byte{0, 0}),
+		"rejection text":  body(uv(1), []byte{ingestRejected}, uv(huge), []byte("oops")),
+		"truncation text": body(uv(0), []byte{ingestTruncated}, uv(huge), []byte("cut")),
+	} {
+		if _, _, err := parseIngestResponse(raw); err == nil {
+			t.Errorf("%s 2^63-1: parsed without error", name)
+		} else if !strings.Contains(err.Error(), "bytes left") {
+			t.Errorf("%s 2^63-1: error %q does not name the bound", name, err)
+		}
+	}
+}
+
+// TestIngestScratchPoolDropsOversizedBatches pins the ingest scratch cap:
+// after a POST batch and a replicated record larger than maxPooledEvents,
+// the pool never hands back a scratch holding buffers above the caps, so one
+// huge request cannot pin its payload, events or response for the life of
+// the process. (Race builds drop pool puts at random, which can only leave
+// the pool emptier.)
+func TestIngestScratchPoolDropsOversizedBatches(t *testing.T) {
+	evs := synthEvents(maxPooledEvents+1, 5)
+	_, c := newTestServer(t, Config{Shards: 4})
+	if _, err := c.Ingest(context.Background(), "p", evs); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newReplicaServer(t, 4)
+	if _, err := r.ApplyReplicated("p", trace.EncodeFrameAppend(nil, evs), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		sc := ingestScratchPool.Get().(*ingestScratch)
+		if cap(sc.events) > maxPooledEvents || cap(sc.frames) > maxPooledEvents ||
+			cap(sc.decisions) > maxPooledEvents || cap(sc.payload) > maxPooledBytes ||
+			cap(sc.resp) > maxPooledBytes {
+			t.Fatalf("ingest scratch pool returned an oversized scratch: %d events, %d frames, "+
+				"%d decisions, %d payload bytes, %d response bytes",
+				cap(sc.events), cap(sc.frames), cap(sc.decisions), cap(sc.payload), cap(sc.resp))
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // protocol starts immediately after connect.
 //
 // Decisions are byte-identical to the /v1/ingest path: both run each frame
-// through the same commit step (log, then ApplyFrame, under the same
+// through the same commit step (log, then apply, under the same
 // per-program cursor lock), so a program's event order, and therefore its
 // decision sequence, is independent of the transport
 // (TestStreamMatchesIngest pins this).
@@ -233,11 +233,11 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 // daemon does not serve is rejected per-frame ('R'), like a corrupt payload:
 // the session survives, and the other kinds' frames keep applying.
 //
-// The read path is zero-copy at the byte level: ReadSessionFrame hands back a payload aliasing the connection read buffer, the frame is
-// validated in place (trace.ValidateFrame), and commit splices the
-// validated bytes into the WAL verbatim and applies them with
-// Table.ApplyFrame. Steady state allocates nothing per frame, and the
-// payload is fully consumed before the next read invalidates it. Each
+// Each frame is walked once: ReadSessionFrame hands back a payload aliasing
+// the connection read buffer, trace.DecodeFrameAppend decodes it into the
+// session's event scratch, and commit logs the payload bytes verbatim and
+// applies the decoded events. Steady state allocates nothing per frame, and
+// the payload is fully consumed before the next read invalidates it. Each
 // applied frame is one batch on the ingest histograms and spans, timed by
 // the same stage clock as a POST batch.
 func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
@@ -260,6 +260,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 	// branch-only session pays for exactly one cursor lookup.
 	var (
 		payloadScratch []byte
+		events         []trace.Event
 		decisions      []byte
 		decScratch     []byte
 		payload        []byte
@@ -305,9 +306,8 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 			if err == nil && traceID == 0 {
 				traceID = s.cfg.Trace.SampleBatch()
 			}
-			var nEvents int
 			if err == nil {
-				nEvents, err = trace.ValidateFrame(body)
+				events, err = trace.DecodeFrameAppend(body, events[:0])
 			}
 			clk.lap(stageDecode)
 			if err != nil {
@@ -329,9 +329,9 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 					cur = s.cursorFor(key)
 					keys[kind], curs[kind] = key, cur
 				}
-				frame := [1]frameSpan{{pend: len(body), events: nEvents}}
+				frame := [1]frameSpan{{pend: len(body), events: len(events)}}
 				var seq uint64
-				decisions, seq, err = s.commit(s.cfg.WAL, key, cur, body, frame[:], traceID, &clk, decisions[:0])
+				decisions, seq, err = s.commit(s.cfg.WAL, key, cur, body, events, frame[:], traceID, &clk, decisions[:0])
 				if err != nil {
 					// The frame was not applied; end the session with a
 					// typed server-side error rather than acknowledging
@@ -339,12 +339,18 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 					terminal(trace.StreamCodeInternal, "wal append: "+err.Error())
 					return
 				}
-				wireBuf, decScratch = appendDecisionsFrameRLE(wireBuf[:0], decisions, decScratch)
+				wireBuf, decScratch = trace.AppendDecisionsFrame(wireBuf[:0], decisions, decScratch)
 				if writeWire(wireBuf) != nil {
 					return
 				}
 				clk.lap(stageRespond)
-				s.finishBatch(&clk, traceID, program, nEvents, seq)
+				s.finishBatch(&clk, traceID, program, len(events), seq)
+			}
+			// Like the pooled ingest scratch, the session keeps its event
+			// scratch only up to maxPooledEvents: one huge frame must not
+			// pin its events for the rest of a long-lived session.
+			if cap(events) > maxPooledEvents {
+				events = nil
 			}
 			// Flush only when no further frame is already buffered: a
 			// pipelining client keeps the session busy, and its credits
@@ -362,48 +368,4 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 			return
 		}
 	}
-}
-
-// appendDecisionsFrame appends one 'D' session frame carrying the decision
-// bytes (count uvarint + one byte per event) to dst. The header is built in
-// place — the payload length is computable without staging the payload — so
-// the hot respond path allocates nothing.
-func appendDecisionsFrame(dst, decisions []byte) []byte {
-	dst = append(dst, trace.StreamFrameDecisions)
-	countLen := uvarintLen(uint64(len(decisions)))
-	dst = appendUvarint(dst, uint64(countLen+len(decisions)))
-	dst = appendUvarint(dst, uint64(len(decisions)))
-	return append(dst, decisions...)
-}
-
-// appendDecisionsFrameRLE appends the session frame answering one applied
-// event frame: run-length 'd', falling back to the plain 'D' frame whenever
-// run-length encoding does not strictly shrink the payload, so the wire cost
-// is bounded by the plain encoding. scratch stages the candidate payload and
-// is returned for reuse.
-func appendDecisionsFrameRLE(dst, decisions, scratch []byte) (wire, newScratch []byte) {
-	scratch = trace.AppendDecisionsRLE(scratch[:0], decisions)
-	if len(scratch) >= uvarintLen(uint64(len(decisions)))+len(decisions) {
-		return appendDecisionsFrame(dst, decisions), scratch
-	}
-	return trace.AppendSessionFrame(dst, trace.StreamFrameDecisionsRLE, scratch), scratch
-}
-
-// uvarintLen returns how many bytes v's uvarint encoding takes.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// appendUvarint appends v's uvarint encoding to dst.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
 }

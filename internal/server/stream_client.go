@@ -268,11 +268,10 @@ func (st *Stream) SendKind(ctx context.Context, kind trace.Kind, events []trace.
 }
 
 // SendEncoded ships one pre-encoded event frame — the exact bytes
-// trace.EncodeFrameAppend produces for a batch — without re-encoding. It is
-// the client-side mirror of the server's zero-copy ingest: callers that
-// already hold wire frames (benchmark drivers isolating transport cost, WAL
-// replayers) skip the per-event encode entirely. nevents must be the
-// frame's event count; it feeds span metadata only. Blocking and credit
+// trace.EncodeFrameAppend produces for a batch — without re-encoding.
+// Callers that already hold wire frames (benchmarks isolating transport
+// cost, WAL replayers) skip the per-event encode entirely. nevents must be
+// the frame's event count; it feeds span metadata only. Blocking and credit
 // semantics are identical to Send.
 func (st *Stream) SendEncoded(ctx context.Context, frame []byte, nevents int) error {
 	return st.send(ctx, trace.KindBranch, nil, frame, nevents)

@@ -207,19 +207,20 @@ func (t *Table) applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr u
 //
 // Events for the same program and kind must not be applied concurrently
 // (the ingest path's cursor lock already guarantees this); batches for
-// different keys may run in parallel. The serving paths reach the table
-// through ApplyFrame; ApplyBatchKind is for callers that already hold
-// decoded events.
+// different keys may run in parallel. The serving paths decode each frame
+// once on ingress and reach the table through commit, which calls
+// applyEvents on the kind-encoded key directly.
 func (t *Table) ApplyBatchKind(program string, kind trace.Kind, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
 	return t.applyEvents(trace.EncodeKindProgram(kind, program), events, startInstr, dst)
 }
 
 // maxPooledEvents caps the batch size whose scratch goes back to
-// applyScratchPool and frameEventsPool. POST bodies and frames carry no
-// event cap of their own, so without it one huge batch would pin its
-// scratch (about 28 B per event across both pools) for as long as traffic
-// keeps the pools warm; an over-cap batch allocates its own and leaves it
-// to the GC.
+// applyScratchPool, frameEventsPool and ingestScratchPool, and the event
+// scratch a stream session keeps between frames. POST bodies and frames
+// carry no event cap of their own, so without it one huge batch would pin
+// its scratch (about 28 B per event for apply, 12 B per decoded event) for
+// as long as traffic keeps the pools warm; an over-cap batch allocates its
+// own and leaves it to the GC.
 const maxPooledEvents = 1 << 16
 
 // applyScratch is the per-batch workspace applyEvents needs: the absolute
@@ -234,8 +235,8 @@ type applyScratch struct {
 
 var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
 
-// applyEvents is the one apply schedule, shared by ApplyBatchKind and
-// ApplyFrame: one lock acquisition per touched shard per batch. Pass one
+// applyEvents is the one apply schedule, shared by commit, ApplyBatchKind
+// and ApplyFrame: one lock acquisition per touched shard per batch. Pass one
 // walks the events lock-free, recording each event's absolute instruction
 // count (the prefix sum of gaps over the whole batch — a controller only
 // needs its own events' counts, which don't depend on when other shards
@@ -344,9 +345,10 @@ var frameEventsPool = sync.Pool{New: func() any { return new([]trace.Event) }}
 // ApplyFrame is ApplyBatchKind over a validated wire frame payload, with
 // the kind already encoded into program: it decodes the payload into a
 // pooled scratch slice (amortized zero-alloc — the events never escape the
-// call) and applies it as one batch. The payload must already have passed
-// trace.ValidateFrame — rejection happens before any state mutates,
-// exactly like the decoding path.
+// call) and applies it as one batch. The serving paths never call it — they
+// decode on ingress and hand commit the events — but perfbench's traced
+// replay drives the table through it. The payload must already have passed
+// trace.ValidateFrame; an undecodable one panics rather than apply a prefix.
 //
 // The decisions, the final instruction count, and every shard counter are
 // bit-for-bit what applying DecodeFrame(payload) as one batch would

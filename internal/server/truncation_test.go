@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -45,7 +46,11 @@ func TestIngestTruncatedBatchPartialApply(t *testing.T) {
 		t.Fatal("Content-Length not set on ingest response")
 	}
 
-	results, truncated, err := parseIngestResponse(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, truncated, err := parseIngestResponse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +94,7 @@ func TestClientSurfacesBatchTruncation(t *testing.T) {
 	// framing was lost.
 	canned := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fr := trace.NewFrameReader(r.Body)
-		events, err := fr.Next()
+		_, events, err := fr.NextPayloadAppend(nil, nil)
 		if err != nil {
 			t.Errorf("canned daemon: %v", err)
 		}

@@ -31,6 +31,23 @@ func AppendDecisionsPlain(dst []byte, decisions []byte) []byte {
 	return append(dst, decisions...)
 }
 
+// AppendDecisionsFrame appends the session frame answering one applied event
+// frame to dst: run-length 'd', falling back to the plain 'D' frame whenever
+// run-length encoding does not strictly shrink the payload, so the wire cost
+// is bounded by the plain encoding. scratch stages the candidate payload and
+// is returned for reuse; the plain frame's header is built in place, so the
+// hot respond path allocates nothing.
+func AppendDecisionsFrame(dst, decisions, scratch []byte) (wire, newScratch []byte) {
+	scratch = AppendDecisionsRLE(scratch[:0], decisions)
+	plainLen := uvarintLen(uint64(len(decisions))) + len(decisions)
+	if len(scratch) < plainLen {
+		return AppendSessionFrame(dst, StreamFrameDecisionsRLE, scratch), scratch
+	}
+	dst = append(dst, StreamFrameDecisions)
+	dst = binary.AppendUvarint(dst, uint64(plainLen))
+	return AppendDecisionsPlain(dst, decisions), scratch
+}
+
 // AppendDecisionsRLE appends the run-length-encoded 'd' payload for
 // decisions to dst.
 func AppendDecisionsRLE(dst []byte, decisions []byte) []byte {

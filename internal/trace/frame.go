@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Streaming frames wrap the trace codec for transport: each frame is a
@@ -47,15 +48,9 @@ func (e *FrameError) Error() string {
 
 func (e *FrameError) Unwrap() error { return e.Err }
 
-// EncodeFrame serializes events as one frame payload (without the length
-// prefix): a complete trace blob.
-func EncodeFrame(events []Event) ([]byte, error) {
-	return EncodeFrameAppend(nil, events), nil
-}
-
-// EncodeFrameAppend appends the frame payload for events to dst and returns
-// the extended slice. It produces exactly the bytes EncodeFrame produces but
-// never allocates beyond growing dst, so hot senders can reuse one buffer
+// EncodeFrameAppend appends the frame payload for events — a complete trace
+// blob, without the length prefix — to dst and returns the extended slice.
+// It never allocates beyond growing dst, so hot senders can reuse one buffer
 // across frames.
 func EncodeFrameAppend(dst []byte, events []Event) []byte {
 	dst = append(dst, traceMagic[:]...)
@@ -94,7 +89,7 @@ func AppendFrame(dst []byte, events []Event) []byte {
 	return dst
 }
 
-// DecodeFrame decodes one frame payload produced by EncodeFrame. Every
+// DecodeFrame decodes one frame payload produced by EncodeFrameAppend. Every
 // payload byte must be consumed: trailing garbage, truncation, and record
 // corruption all fail with an error wrapping ErrBadTrace.
 func DecodeFrame(payload []byte) ([]Event, error) {
@@ -128,7 +123,7 @@ func DecodeFrame(payload []byte) ([]Event, error) {
 	return events, nil
 }
 
-// DecodeFrameAppend decodes one frame payload produced by EncodeFrame,
+// DecodeFrameAppend decodes one frame payload produced by EncodeFrameAppend,
 // appending the events to dst and returning the extended slice. It accepts
 // exactly the payloads DecodeFrame accepts and rejects exactly the ones it
 // rejects (FuzzDecodeFrameAppend pins the equivalence), but parses the byte
@@ -136,164 +131,78 @@ func DecodeFrame(payload []byte) ([]Event, error) {
 // allocation is growing dst. On error dst is returned unchanged (events
 // appended before the corruption was detected are dropped).
 func DecodeFrameAppend(payload []byte, dst []Event) ([]Event, error) {
+	dst, _, err := walkFrame(payload, dst, true)
+	return dst, err
+}
+
+// ValidateFrame runs DecodeFrameAppend's checks over one frame payload
+// without materializing any Event and returns the event count: the same
+// accept/reject set and the identical diagnostics (FuzzValidateFrame pins
+// both).
+func ValidateFrame(payload []byte) (int, error) {
+	_, n, err := walkFrame(payload, nil, false)
+	return n, err
+}
+
+// walkFrame is the one frame payload walker: magic, version, declared
+// count, every record's varint shape and ranges, trailing bytes. With keep
+// set it appends each event to dst; either way it returns the event count.
+// On error dst is returned unchanged.
+func walkFrame(payload []byte, dst []Event, keep bool) ([]Event, int, error) {
 	base := len(dst)
 	d := frameDecoder{buf: payload}
 	if len(payload) < len(traceMagic) {
-		return dst[:base], fmt.Errorf("%w: truncated header: %d bytes (file shorter than the %d-byte magic)",
+		return dst, 0, fmt.Errorf("%w: truncated header: %d bytes (file shorter than the %d-byte magic)",
 			ErrBadTrace, len(payload), len(traceMagic))
 	}
 	if *(*[4]byte)(payload) != traceMagic {
-		return dst[:base], fmt.Errorf("%w: bad magic %q at byte offset 0 (want %q)",
+		return dst, 0, fmt.Errorf("%w: bad magic %q at byte offset 0 (want %q)",
 			ErrBadTrace, payload[:4], traceMagic[:])
 	}
 	d.off = len(traceMagic)
 	version, err := d.uvarint()
 	if err != nil {
-		return dst[:base], fmt.Errorf("%w: reading version at byte offset %d: %v", ErrBadTrace, d.off, err)
+		return dst, 0, fmt.Errorf("%w: reading version at byte offset %d: %v", ErrBadTrace, d.off, err)
 	}
 	if version != traceVersion {
-		return dst[:base], fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadTrace, version, traceVersion)
+		return dst, 0, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadTrace, version, traceVersion)
 	}
 	total, err := d.uvarint()
 	if err != nil {
-		return dst[:base], fmt.Errorf("%w: reading event count at byte offset %d: %v", ErrBadTrace, d.off, err)
+		return dst, 0, fmt.Errorf("%w: reading event count at byte offset %d: %v", ErrBadTrace, d.off, err)
 	}
 	var prevID int64
 	for i := uint64(0); i < total; i++ {
 		delta, err := d.varint()
 		if err != nil {
-			return dst[:base], d.fail("branch delta", i, total, err)
+			return dst[:base], 0, d.fail("branch delta", i, total, err)
 		}
 		gapTaken, err := d.uvarint()
 		if err != nil {
-			return dst[:base], d.fail("gap/outcome", i, total, err)
+			return dst[:base], 0, d.fail("gap/outcome", i, total, err)
 		}
 		prevID += delta
 		if prevID < 0 || prevID > int64(^uint32(0)) {
-			return dst[:base], fmt.Errorf("%w: branch id %d out of range at byte offset %d (event %d of %d)",
+			return dst[:base], 0, fmt.Errorf("%w: branch id %d out of range at byte offset %d (event %d of %d)",
 				ErrBadTrace, prevID, d.off, i, total)
 		}
 		if gapTaken>>1 > uint64(^uint32(0)) {
-			return dst[:base], fmt.Errorf("%w: gap %d out of range at byte offset %d (event %d of %d)",
+			return dst[:base], 0, fmt.Errorf("%w: gap %d out of range at byte offset %d (event %d of %d)",
 				ErrBadTrace, gapTaken>>1, d.off, i, total)
 		}
-		dst = append(dst, Event{
-			Branch: BranchID(prevID),
-			Taken:  gapTaken&1 == 1,
-			Gap:    uint32(gapTaken >> 1),
-		})
-	}
-	if d.off != len(payload) {
-		return dst[:base], fmt.Errorf("%w: %d trailing bytes after event %d",
-			ErrBadTrace, len(payload)-d.off, total)
-	}
-	return dst, nil
-}
-
-// ValidateFrame walks one frame payload performing exactly the checks
-// DecodeFrameAppend performs — magic, version, declared count, every
-// record's varint shape and ranges, trailing bytes — without materializing
-// any Event, and returns the event count. It accepts exactly the payloads
-// DecodeFrameAppend accepts and fails with the identical diagnostics, so a
-// zero-copy reader can reject a corrupt frame before applying it and still
-// report the same error text the decoding path always has.
-func ValidateFrame(payload []byte) (int, error) {
-	d := frameDecoder{buf: payload}
-	if len(payload) < len(traceMagic) {
-		return 0, fmt.Errorf("%w: truncated header: %d bytes (file shorter than the %d-byte magic)",
-			ErrBadTrace, len(payload), len(traceMagic))
-	}
-	if *(*[4]byte)(payload) != traceMagic {
-		return 0, fmt.Errorf("%w: bad magic %q at byte offset 0 (want %q)",
-			ErrBadTrace, payload[:4], traceMagic[:])
-	}
-	d.off = len(traceMagic)
-	version, err := d.uvarint()
-	if err != nil {
-		return 0, fmt.Errorf("%w: reading version at byte offset %d: %v", ErrBadTrace, d.off, err)
-	}
-	if version != traceVersion {
-		return 0, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadTrace, version, traceVersion)
-	}
-	total, err := d.uvarint()
-	if err != nil {
-		return 0, fmt.Errorf("%w: reading event count at byte offset %d: %v", ErrBadTrace, d.off, err)
-	}
-	var prevID int64
-	for i := uint64(0); i < total; i++ {
-		delta, err := d.varint()
-		if err != nil {
-			return 0, d.fail("branch delta", i, total, err)
-		}
-		gapTaken, err := d.uvarint()
-		if err != nil {
-			return 0, d.fail("gap/outcome", i, total, err)
-		}
-		prevID += delta
-		if prevID < 0 || prevID > int64(^uint32(0)) {
-			return 0, fmt.Errorf("%w: branch id %d out of range at byte offset %d (event %d of %d)",
-				ErrBadTrace, prevID, d.off, i, total)
-		}
-		if gapTaken>>1 > uint64(^uint32(0)) {
-			return 0, fmt.Errorf("%w: gap %d out of range at byte offset %d (event %d of %d)",
-				ErrBadTrace, gapTaken>>1, d.off, i, total)
+		if keep {
+			dst = append(dst, Event{
+				Branch: BranchID(prevID),
+				Taken:  gapTaken&1 == 1,
+				Gap:    uint32(gapTaken >> 1),
+			})
 		}
 	}
 	if d.off != len(payload) {
-		return 0, fmt.Errorf("%w: %d trailing bytes after event %d",
+		return dst[:base], 0, fmt.Errorf("%w: %d trailing bytes after event %d",
 			ErrBadTrace, len(payload)-d.off, total)
 	}
-	return int(total), nil
-}
-
-// FrameIter iterates a frame payload's events in place, one at a time,
-// without building an []Event. It assumes the payload already passed
-// ValidateFrame: Next stops at the declared count and performs no per-record
-// validation of its own (an unvalidated payload yields truncated or
-// undefined events, never a panic).
-type FrameIter struct {
-	d      frameDecoder
-	prevID int64
-	n      uint64
-	total  uint64
-}
-
-// NewFrameIter returns an iterator over a validated frame payload.
-func NewFrameIter(payload []byte) FrameIter {
-	d := frameDecoder{buf: payload, off: len(traceMagic)}
-	d.uvarint() // version; already validated
-	total, err := d.uvarint()
-	if err != nil {
-		total = 0
-	}
-	return FrameIter{d: d, total: total}
-}
-
-// Events returns the payload's declared event count.
-func (it *FrameIter) Events() int { return int(it.total) }
-
-// Next returns the next event; ok is false after the last one.
-func (it *FrameIter) Next() (ev Event, ok bool) {
-	if it.n >= it.total {
-		return Event{}, false
-	}
-	it.n++
-	delta, err := it.d.varint()
-	if err != nil {
-		it.n = it.total
-		return Event{}, false
-	}
-	gapTaken, err := it.d.uvarint()
-	if err != nil {
-		it.n = it.total
-		return Event{}, false
-	}
-	it.prevID += delta
-	return Event{
-		Branch: BranchID(it.prevID),
-		Taken:  gapTaken&1 == 1,
-		Gap:    uint32(gapTaken >> 1),
-	}, true
+	return dst, int(total), nil
 }
 
 // frameDecoder walks one frame payload in place, mirroring Reader's varint
@@ -350,25 +259,15 @@ func (d *frameDecoder) fail(field string, event, total uint64, err error) error 
 
 // WriteFrame writes one length-prefixed frame carrying events.
 func WriteFrame(w io.Writer, events []Event) error {
-	payload, err := EncodeFrame(events)
-	if err != nil {
-		return err
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	_, err := w.Write(AppendFrame(nil, events))
 	return err
 }
 
 // FrameReader reads a sequence of length-prefixed frames.
 type FrameReader struct {
-	r       *bufio.Reader
-	index   int
-	err     error  // sticky fatal error
-	payload []byte // scratch reused across NextAppend calls
+	r     *bufio.Reader
+	index int
+	err   error // sticky fatal error
 }
 
 // NewFrameReader returns a reader over a stream of frames.
@@ -377,34 +276,30 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Reset discards the reader's position and any sticky error and rewires it
-// to read frames from r. The internal buffers (the 64 KiB read buffer and
-// the payload scratch) are kept, so one FrameReader can be pooled across
-// many streams without re-allocating them.
+// to read frames from r. The 64 KiB read buffer is kept, so one FrameReader
+// can be pooled across many streams without re-allocating it.
 func (fr *FrameReader) Reset(r io.Reader) {
 	fr.r.Reset(r)
 	fr.index = 0
 	fr.err = nil
 }
 
-// Next returns the next frame's events.
+// NextPayloadAppend reads the next frame, appends its raw payload bytes to
+// payload and its decoded events to events (DecodeFrameAppend: one walk over
+// the bytes), and returns both extended slices; the frame's event count is
+// how far events grew. Callers that keep the bytes — the WAL stores them
+// verbatim — and apply the events never walk the frame twice.
 //
 //   - io.EOF signals a clean end of the stream (at a frame boundary).
 //   - A *FrameError reports a frame whose payload was corrupt; the reader
 //     has skipped it and the following call resumes at the next frame.
 //   - Any other error is fatal and sticky: the frame boundaries themselves
 //     are lost.
-func (fr *FrameReader) Next() ([]Event, error) {
-	return fr.NextAppend(nil)
-}
-
-// NextAppend is Next with caller-owned storage: the frame's events are
-// appended to dst and the extended slice is returned. The reader reuses one
-// internal payload buffer across calls, so a loop that feeds the returned
-// slice back in decodes an entire stream with no per-frame allocation. On
-// any error (including a rejected frame) dst is returned unchanged.
-func (fr *FrameReader) NextAppend(dst []Event) ([]Event, error) {
+//
+// On any error both slices are returned unchanged.
+func (fr *FrameReader) NextPayloadAppend(payload []byte, events []Event) ([]byte, []Event, error) {
 	if fr.err != nil {
-		return dst, fr.err
+		return payload, events, fr.err
 	}
 	length, err := binary.ReadUvarint(fr.r)
 	if err != nil {
@@ -413,81 +308,27 @@ func (fr *FrameReader) NextAppend(dst []Event) ([]Event, error) {
 		} else {
 			fr.err = fmt.Errorf("%w: reading length of frame %d: %v", ErrBadFrame, fr.index, err)
 		}
-		return dst, fr.err
+		return payload, events, fr.err
 	}
 	if length > MaxFramePayload {
 		fr.err = fmt.Errorf("%w: frame %d length %d exceeds the %d-byte cap",
 			ErrBadFrame, fr.index, length, MaxFramePayload)
-		return dst, fr.err
+		return payload, events, fr.err
 	}
-	if uint64(cap(fr.payload)) < length {
-		fr.payload = make([]byte, length)
-	}
-	payload := fr.payload[:length]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	base := len(payload)
+	grown := slices.Grow(payload, int(length))[:base+int(length)]
+	if _, err := io.ReadFull(fr.r, grown[base:]); err != nil {
 		fr.err = fmt.Errorf("%w: frame %d truncated (%d-byte payload): %v",
 			ErrBadFrame, fr.index, length, err)
-		return dst, fr.err
+		return payload, events, fr.err
 	}
 	index := fr.index
 	fr.index++
-	events, err := DecodeFrameAppend(payload, dst)
+	decoded, err := DecodeFrameAppend(grown[base:], events)
 	if err != nil {
-		return dst, &FrameError{Index: index, Err: err}
+		return payload, events, &FrameError{Index: index, Err: err}
 	}
-	return events, nil
-}
-
-// NextPayloadAppend reads the next frame's raw payload bytes, appends them
-// to dst, validates them, and returns the extended slice plus the frame's
-// event count. It is the zero-materialization sibling of NextAppend: the
-// payload is checked with ValidateFrame (same accept/reject set, same
-// diagnostics) but no Event structs are built — callers iterate the bytes in
-// place (FrameIter) or splice them onward verbatim. On any error (including
-// a rejected frame) dst is returned unchanged; a rejected frame is reported
-// as a *FrameError and the reader stays positioned at the next frame.
-func (fr *FrameReader) NextPayloadAppend(dst []byte) ([]byte, int, error) {
-	if fr.err != nil {
-		return dst, 0, fr.err
-	}
-	length, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		if err == io.EOF {
-			fr.err = io.EOF
-		} else {
-			fr.err = fmt.Errorf("%w: reading length of frame %d: %v", ErrBadFrame, fr.index, err)
-		}
-		return dst, 0, fr.err
-	}
-	if length > MaxFramePayload {
-		fr.err = fmt.Errorf("%w: frame %d length %d exceeds the %d-byte cap",
-			ErrBadFrame, fr.index, length, MaxFramePayload)
-		return dst, 0, fr.err
-	}
-	base := len(dst)
-	need := base + int(length)
-	if cap(dst) < need {
-		newCap := 2 * cap(dst)
-		if newCap < need {
-			newCap = need
-		}
-		grown := make([]byte, base, newCap)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	if _, err := io.ReadFull(fr.r, dst[base:]); err != nil {
-		fr.err = fmt.Errorf("%w: frame %d truncated (%d-byte payload): %v",
-			ErrBadFrame, fr.index, length, err)
-		return dst[:base], 0, fr.err
-	}
-	index := fr.index
-	fr.index++
-	events, err := ValidateFrame(dst[base:])
-	if err != nil {
-		return dst[:base], 0, &FrameError{Index: index, Err: err}
-	}
-	return dst, events, nil
+	return grown, decoded, nil
 }
 
 // Frames returns how many frames have been consumed (including rejected

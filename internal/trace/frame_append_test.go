@@ -8,22 +8,24 @@ import (
 	"testing"
 )
 
-// TestEncodeFrameAppendMatchesEncodeFrame pins that the append-style encoder
-// produces byte-identical payloads, including when appending after existing
-// bytes.
-func TestEncodeFrameAppendMatchesEncodeFrame(t *testing.T) {
+// TestEncodeFrameAppendMatchesWriter pins that the append-style frame
+// encoder produces byte-identical payloads to the trace codec's Writer (a
+// frame payload is a complete trace blob), including when appending after
+// existing bytes.
+func TestEncodeFrameAppendMatchesWriter(t *testing.T) {
 	for _, evs := range [][]Event{
 		nil,
 		frameTestEvents(1, 0),
 		frameTestEvents(100, 1),
 		frameTestEvents(1000, 5),
 	} {
-		want, err := EncodeFrame(evs)
-		if err != nil {
+		var blob bytes.Buffer
+		if _, err := Capture(&blob, NewSliceStream(evs), uint64(len(evs))); err != nil {
 			t.Fatal(err)
 		}
+		want := blob.Bytes()
 		if got := EncodeFrameAppend(nil, evs); !bytes.Equal(got, want) {
-			t.Fatalf("%d events: EncodeFrameAppend differs from EncodeFrame", len(evs))
+			t.Fatalf("%d events: EncodeFrameAppend differs from the codec Writer", len(evs))
 		}
 		prefix := []byte("existing")
 		got := EncodeFrameAppend(append([]byte(nil), prefix...), evs)
@@ -57,10 +59,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 // TestDecodeFrameAppendMatchesDecodeFrame checks agreement on valid payloads,
 // truncations, and single-byte corruptions: same events, same accept/reject.
 func TestDecodeFrameAppendMatchesDecodeFrame(t *testing.T) {
-	payload, err := EncodeFrame(frameTestEvents(200, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := EncodeFrameAppend(nil, frameTestEvents(200, 3))
 	check := func(p []byte) {
 		t.Helper()
 		want, wantErr := DecodeFrame(p)
@@ -101,10 +100,7 @@ func TestDecodeFrameAppendMatchesDecodeFrame(t *testing.T) {
 // TestDecodeFrameAppendPreservesDstOnError checks that a rejected payload
 // leaves previously appended events intact and adds nothing.
 func TestDecodeFrameAppendPreservesDstOnError(t *testing.T) {
-	good, err := EncodeFrame(frameTestEvents(10, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := EncodeFrameAppend(nil, frameTestEvents(10, 1))
 	bad := append(append([]byte(nil), good...), 0x7f) // trailing garbage
 	dst, err := DecodeFrameAppend(good, nil)
 	if err != nil {
@@ -125,15 +121,14 @@ func TestDecodeFrameAppendPreservesDstOnError(t *testing.T) {
 	}
 }
 
-// TestNextAppendAccumulates decodes a multi-frame stream into one shared
-// buffer, rejected frame in the middle, and checks positions and contents.
+// TestNextAppendAccumulates reads a multi-frame stream, rejected frame in the
+// middle, into shared buffers through NextPayloadAppend and checks positions
+// and contents: the events of every good frame accumulate in order and the
+// rejected frame leaves both buffers unchanged.
 func TestNextAppendAccumulates(t *testing.T) {
 	good1 := frameTestEvents(50, 2)
 	good2 := frameTestEvents(70, 3)
-	corrupt, err := EncodeFrame(frameTestEvents(60, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	corrupt := EncodeFrameAppend(nil, frameTestEvents(60, 4))
 	corrupt[len(corrupt)/2] ^= 0xff
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, good1); err != nil {
@@ -148,20 +143,22 @@ func TestNextAppendAccumulates(t *testing.T) {
 	}
 
 	fr := NewFrameReader(&buf)
+	var payload []byte
 	var all []Event
-	all, err = fr.NextAppend(all)
+	payload, all, err := fr.NextPayloadAppend(payload, all)
 	if err != nil || len(all) != len(good1) {
 		t.Fatalf("frame 0: %d events, err %v", len(all), err)
 	}
-	got, err := fr.NextAppend(all)
+	gotPayload, got, err := fr.NextPayloadAppend(payload, all)
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("frame 1: err = %v, want *FrameError", err)
 	}
-	if len(got) != len(all) {
-		t.Fatalf("rejected frame changed dst length: %d -> %d", len(all), len(got))
+	if len(got) != len(all) || len(gotPayload) != len(payload) {
+		t.Fatalf("rejected frame changed dst lengths: %d -> %d events, %d -> %d bytes",
+			len(all), len(got), len(payload), len(gotPayload))
 	}
-	all, err = fr.NextAppend(all)
+	payload, all, err = fr.NextPayloadAppend(payload, all)
 	if err != nil || len(all) != len(good1)+len(good2) {
 		t.Fatalf("frame 2: %d events, err %v", len(all), err)
 	}
@@ -175,7 +172,59 @@ func TestNextAppendAccumulates(t *testing.T) {
 			t.Fatalf("event %d: %+v != %+v", len(good1)+i, all[len(good1)+i], want)
 		}
 	}
-	if _, err := fr.NextAppend(all); err != io.EOF {
+	if _, _, err := fr.NextPayloadAppend(payload, all); err != io.EOF {
 		t.Fatalf("end: err = %v, want io.EOF", err)
+	}
+}
+
+// TestNextPayloadAppendMatchesNextAppend checks that the two buffers
+// NextPayloadAppend fills agree: each frame's payload span decodes to its
+// batch, and the events appended for that frame are that same batch.
+func TestNextPayloadAppendMatchesNextAppend(t *testing.T) {
+	var wire bytes.Buffer
+	batches := [][]Event{mkEvents(10), mkEvents(100), mkEvents(3)}
+	for _, b := range batches {
+		if err := WriteFrame(&wire, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(bytes.NewReader(wire.Bytes()))
+	var buf []byte
+	var evs []Event
+	var spans [][2]int
+	for i := range batches {
+		start, e0 := len(buf), len(evs)
+		var err error
+		buf, evs, err = fr.NextPayloadAppend(buf, evs)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if n := len(evs) - e0; n != len(batches[i]) {
+			t.Fatalf("frame %d: count %d, want %d", i, n, len(batches[i]))
+		}
+		for j, want := range batches[i] {
+			if evs[e0+j] != want {
+				t.Fatalf("frame %d event %d: %+v != %+v", i, j, evs[e0+j], want)
+			}
+		}
+		spans = append(spans, [2]int{start, len(buf)})
+	}
+	if _, _, err := fr.NextPayloadAppend(buf, evs); err != io.EOF {
+		t.Fatalf("after last frame: err = %v, want io.EOF", err)
+	}
+	// Each accumulated span decodes to its batch.
+	for i, sp := range spans {
+		got, err := DecodeFrameAppend(buf[sp[0]:sp[1]], nil)
+		if err != nil {
+			t.Fatalf("span %d: %v", i, err)
+		}
+		if len(got) != len(batches[i]) {
+			t.Fatalf("span %d: %d events, want %d", i, len(got), len(batches[i]))
+		}
+		for j := range got {
+			if got[j] != batches[i][j] {
+				t.Fatalf("span %d event %d mismatch", i, j)
+			}
+		}
 	}
 }

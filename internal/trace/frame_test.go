@@ -20,6 +20,12 @@ func frameTestEvents(n, salt int) []Event {
 	return evs
 }
 
+// nextFrame reads the next frame's events through the one reader method.
+func nextFrame(fr *FrameReader) ([]Event, error) {
+	_, evs, err := fr.NextPayloadAppend(nil, nil)
+	return evs, err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	batches := [][]Event{
@@ -35,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	fr := NewFrameReader(&buf)
 	for i, want := range batches {
-		got, err := fr.Next()
+		got, err := nextFrame(fr)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -48,7 +54,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := fr.Next(); err != io.EOF {
+	if _, err := nextFrame(fr); err != io.EOF {
 		t.Fatalf("after last frame: err = %v, want io.EOF", err)
 	}
 	if fr.Frames() != len(batches) {
@@ -63,10 +69,7 @@ func TestFrameReaderSkipsCorruptFrame(t *testing.T) {
 	good2 := frameTestEvents(70, 3)
 
 	// Hand-build the middle frame: valid length prefix, garbage payload.
-	payload, err := EncodeFrame(frameTestEvents(60, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := EncodeFrameAppend(nil, frameTestEvents(60, 4))
 	payload[len(payload)/2] ^= 0xff // corrupt a record
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, good1); err != nil {
@@ -81,10 +84,10 @@ func TestFrameReaderSkipsCorruptFrame(t *testing.T) {
 	}
 
 	fr := NewFrameReader(&buf)
-	if _, err := fr.Next(); err != nil {
+	if _, err := nextFrame(fr); err != nil {
 		t.Fatalf("frame 0: %v", err)
 	}
-	_, err = fr.Next()
+	_, err := nextFrame(fr)
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("frame 1: err = %v, want *FrameError", err)
@@ -95,14 +98,14 @@ func TestFrameReaderSkipsCorruptFrame(t *testing.T) {
 	if !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("FrameError should wrap ErrBadTrace, got %v", err)
 	}
-	got, err := fr.Next()
+	got, err := nextFrame(fr)
 	if err != nil {
 		t.Fatalf("frame 2 after rejected frame: %v", err)
 	}
 	if len(got) != len(good2) {
 		t.Fatalf("frame 2: %d events, want %d", len(got), len(good2))
 	}
-	if _, err := fr.Next(); err != io.EOF {
+	if _, err := nextFrame(fr); err != io.EOF {
 		t.Fatalf("end: err = %v, want io.EOF", err)
 	}
 }
@@ -116,11 +119,11 @@ func TestFrameReaderFatalErrors(t *testing.T) {
 		}
 		full := buf.Bytes()
 		fr := NewFrameReader(bytes.NewReader(full[:len(full)-5]))
-		_, err := fr.Next()
+		_, err := nextFrame(fr)
 		if !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("err = %v, want ErrBadFrame", err)
 		}
-		if _, err2 := fr.Next(); !errors.Is(err2, ErrBadFrame) {
+		if _, err2 := nextFrame(fr); !errors.Is(err2, ErrBadFrame) {
 			t.Fatalf("fatal error not sticky: %v", err2)
 		}
 	})
@@ -128,7 +131,7 @@ func TestFrameReaderFatalErrors(t *testing.T) {
 		var hdr [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(hdr[:], MaxFramePayload+1)
 		fr := NewFrameReader(bytes.NewReader(hdr[:n]))
-		if _, err := fr.Next(); !errors.Is(err, ErrBadFrame) {
+		if _, err := nextFrame(fr); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("err = %v, want ErrBadFrame", err)
 		}
 	})
@@ -137,10 +140,7 @@ func TestFrameReaderFatalErrors(t *testing.T) {
 // TestDecodeFrameTrailingGarbage checks that extra payload bytes after the
 // declared events are rejected, not silently ignored.
 func TestDecodeFrameTrailingGarbage(t *testing.T) {
-	payload, err := EncodeFrame(frameTestEvents(10, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := EncodeFrameAppend(nil, frameTestEvents(10, 6))
 	payload = append(payload, 0x00, 0x01)
 	if _, err := DecodeFrame(payload); !errors.Is(err, ErrBadTrace) {
 		t.Fatalf("err = %v, want ErrBadTrace for trailing garbage", err)

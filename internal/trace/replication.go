@@ -240,7 +240,7 @@ type ReplRecord struct {
 	Trace   uint64
 	Program string
 	// Frame is the raw trace frame payload. Decoding on ship would be
-	// wasted work — the follower decodes exactly once on apply.
+	// wasted work — the replica decodes it exactly once, on apply.
 	Frame []byte
 }
 

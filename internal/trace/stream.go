@@ -44,7 +44,7 @@ import (
 // Client → server frame types:
 //
 //	'E'  events   trace ID uvarint + kind uvarint + one trace blob
-//	              (EncodeFrame payload)
+//	              (EncodeFrameAppend payload)
 //	'C'  close    empty payload; the client is done sending
 //
 // Server → client frame types:

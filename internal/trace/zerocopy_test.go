@@ -70,88 +70,9 @@ func FuzzValidateFrame(f *testing.F) {
 	})
 }
 
-// TestFrameIterMatchesDecode pins FrameIter: over a validated payload it
-// yields exactly the events DecodeFrameAppend materializes, in order.
-func TestFrameIterMatchesDecode(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 500} {
-		payload := EncodeFrameAppend(nil, mkEvents(n))
-		want, err := DecodeFrameAppend(payload, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it := NewFrameIter(payload)
-		if it.Events() != n {
-			t.Fatalf("n=%d: Events() = %d", n, it.Events())
-		}
-		for i := 0; ; i++ {
-			ev, ok := it.Next()
-			if !ok {
-				if i != len(want) {
-					t.Fatalf("n=%d: iterator stopped after %d of %d events", n, i, len(want))
-				}
-				break
-			}
-			if ev != want[i] {
-				t.Fatalf("n=%d event %d: %+v != %+v", n, i, ev, want[i])
-			}
-		}
-		// Exhausted iterators stay exhausted.
-		if _, ok := it.Next(); ok {
-			t.Fatalf("n=%d: Next succeeded after exhaustion", n)
-		}
-	}
-}
-
-// TestNextPayloadAppendMatchesNextAppend pins the zero-materialization frame
-// reader against the decoding one: same payload bytes, same counts, same
-// accept/reject decisions, same buffer-append semantics.
-func TestNextPayloadAppendMatchesNextAppend(t *testing.T) {
-	var wire bytes.Buffer
-	batches := [][]Event{mkEvents(10), mkEvents(100), mkEvents(3)}
-	for _, b := range batches {
-		if err := WriteFrame(&wire, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fr := NewFrameReader(bytes.NewReader(wire.Bytes()))
-	var buf []byte
-	var spans [][2]int
-	for i := range batches {
-		start := len(buf)
-		var n int
-		var err error
-		buf, n, err = fr.NextPayloadAppend(buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if n != len(batches[i]) {
-			t.Fatalf("frame %d: count %d, want %d", i, n, len(batches[i]))
-		}
-		spans = append(spans, [2]int{start, len(buf)})
-	}
-	if _, _, err := fr.NextPayloadAppend(buf); err != io.EOF {
-		t.Fatalf("after last frame: err = %v, want io.EOF", err)
-	}
-	// Each accumulated span decodes to its batch.
-	for i, sp := range spans {
-		got, err := DecodeFrameAppend(buf[sp[0]:sp[1]], nil)
-		if err != nil {
-			t.Fatalf("span %d: %v", i, err)
-		}
-		if len(got) != len(batches[i]) {
-			t.Fatalf("span %d: %d events, want %d", i, len(got), len(batches[i]))
-		}
-		for j := range got {
-			if got[j] != batches[i][j] {
-				t.Fatalf("span %d event %d mismatch", i, j)
-			}
-		}
-	}
-}
-
 // TestNextPayloadAppendRejectsCorruptPayload checks the reject-and-continue
-// contract: a frame whose payload fails validation comes back as *FrameError
-// with dst unchanged, and the reader resumes at the following frame.
+// contract: a frame whose payload fails to decode comes back as *FrameError
+// with both buffers unchanged, and the reader resumes at the following frame.
 func TestNextPayloadAppendRejectsCorruptPayload(t *testing.T) {
 	var wire bytes.Buffer
 	if err := WriteFrame(&wire, mkEvents(5)); err != nil {
@@ -166,24 +87,24 @@ func TestNextPayloadAppendRejectsCorruptPayload(t *testing.T) {
 	}
 
 	fr := NewFrameReader(bytes.NewReader(wire.Bytes()))
-	buf, n, err := fr.NextPayloadAppend(nil)
-	if err != nil || n != 5 {
-		t.Fatalf("frame 0: n=%d err=%v", n, err)
+	buf, evs, err := fr.NextPayloadAppend(nil, nil)
+	if err != nil || len(evs) != 5 {
+		t.Fatalf("frame 0: n=%d err=%v", len(evs), err)
 	}
-	mark := len(buf)
-	buf, _, err = fr.NextPayloadAppend(buf)
+	mark, emark := len(buf), len(evs)
+	buf, evs, err = fr.NextPayloadAppend(buf, evs)
 	var fe *FrameError
 	if !errors.As(err, &fe) || fe.Index != 1 {
 		t.Fatalf("frame 1: err = %v, want *FrameError index 1", err)
 	}
-	if len(buf) != mark {
-		t.Fatalf("rejected frame extended dst by %d bytes", len(buf)-mark)
+	if len(buf) != mark || len(evs) != emark {
+		t.Fatalf("rejected frame extended dst by %d bytes, %d events", len(buf)-mark, len(evs)-emark)
 	}
-	buf, n, err = fr.NextPayloadAppend(buf)
-	if err != nil || n != 7 {
+	buf, evs, err = fr.NextPayloadAppend(buf, evs)
+	if n := len(evs) - emark; err != nil || n != 7 {
 		t.Fatalf("frame 2 after reject: n=%d err=%v", n, err)
 	}
-	if _, _, err := fr.NextPayloadAppend(buf); err != io.EOF {
+	if _, _, err := fr.NextPayloadAppend(buf, evs); err != io.EOF {
 		t.Fatalf("tail: err = %v, want io.EOF", err)
 	}
 }

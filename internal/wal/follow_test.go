@@ -31,7 +31,7 @@ func TestFollowReaderConcurrentAppend(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < batches; i++ {
 			want[i] = synthEvents(8+i%13, uint64(i))
-			if _, err := l.Append("gzip", want[i]); err != nil {
+			if _, err := l.AppendPayload("gzip", trace.EncodeFrameAppend(nil, want[i])); err != nil {
 				t.Errorf("Append: %v", err)
 				return
 			}
@@ -198,7 +198,7 @@ func TestDurableSeqAndSubscribe(t *testing.T) {
 	notify, cancel := l.SubscribeDurable()
 	defer cancel()
 
-	if _, err := l.Append("twolf", synthEvents(4, 1)); err != nil {
+	if _, err := l.AppendPayload("twolf", trace.EncodeFrameAppend(nil, synthEvents(4, 1))); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	if err := l.Commit(); err != nil {

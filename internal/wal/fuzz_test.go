@@ -22,7 +22,7 @@ func validSegmentBytes(f *testing.F, records int) []byte {
 		f.Fatal(err)
 	}
 	for i := 0; i < records; i++ {
-		if _, err := l.Append("gzip", synthEvents(8+i, uint64(i))); err != nil {
+		if _, err := l.AppendPayload("gzip", trace.EncodeFrameAppend(nil, synthEvents(8+i, uint64(i)))); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -36,8 +36,9 @@ type ReaderOptions struct {
 	// decisions, so a mismatch is a hard error.
 	ParamsHash uint64
 	// From is the first sequence number to yield. Records below it are
-	// skipped (the reader seeks to the covering segment, so skipping is
-	// cheap). Zero replays everything retained.
+	// skipped (the reader seeks to the covering segment, and skipped records
+	// are CRC-checked but never decoded, so skipping is cheap). Zero replays
+	// everything retained.
 	From uint64
 	// Follow makes the reader tolerate a live log growing underneath it:
 	// instead of treating the in-progress tail as torn, Next returns a
@@ -156,7 +157,8 @@ func (r *Reader) Next() (Record, error) {
 				return Record{}, err
 			}
 		}
-		program, frame, events, err := r.dec.next(r.events[:0], !r.opts.FrameOnly)
+		// Records below the floor are skipped, so they are not decoded.
+		program, frame, events, err := r.dec.next(r.events[:0], !r.opts.FrameOnly && r.nextSeq >= r.floor)
 		if err == io.EOF {
 			// Clean end of this segment at a record boundary.
 			endSeq := r.nextSeq

@@ -20,7 +20,7 @@
 //	  crc     uint32 LE  (CRC-32/IEEE over the payload)
 //	  payload:
 //	    programLen uvarint, program bytes
-//	    frame      a complete trace frame payload (trace.EncodeFrame)
+//	    frame      a complete trace frame payload (trace.EncodeFrameAppend)
 //
 // Records are numbered consecutively from the segment's base, so a record's
 // sequence number is derived, never stored: seq = baseSeq + index. Segment
@@ -222,8 +222,8 @@ type Stats struct {
 	DurableSeq uint64
 }
 
-// Log is the append side of the write-ahead log. Append and Commit are safe
-// for concurrent use; one Log owns its directory.
+// Log is the append side of the write-ahead log. AppendPayload and Commit
+// are safe for concurrent use; one Log owns its directory.
 type Log struct {
 	opts Options
 
@@ -254,7 +254,7 @@ type Log struct {
 	subs  map[chan struct{}]struct{}
 
 	// OnFsync, when non-nil, observes every fsync's duration (wired to a
-	// latency histogram by the server). Set it before the first Append.
+	// latency histogram by the server). Set it before the first AppendPayload.
 	OnFsync func(time.Duration)
 
 	stop chan struct{}
@@ -295,7 +295,8 @@ func (w *bufWriter) Flush() error {
 // segments, validates their headers against opts.ParamsHash, truncates a
 // torn tail at the last valid record boundary, and positions the log to
 // append after the last durable record. The first segment is created lazily
-// on the first Append, so an empty directory stays empty until written to.
+// on the first AppendPayload, so an empty directory stays empty until
+// written to.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("wal: no directory configured")
@@ -541,41 +542,12 @@ func (l *Log) AlignSeq(seq uint64) error {
 	return nil
 }
 
-// Append encodes one record — program plus its event batch — into the
-// active segment and returns the record's sequence number. Append only
+// AppendPayload appends one record — program plus one trace frame payload
+// (the bytes trace.EncodeFrameAppend produces) — to the active segment and
+// returns the record's sequence number. The frame is stored verbatim, so
+// the ingest paths log the bytes exactly as the client sent them. It only
 // buffers; call Commit after the batch to apply the sync policy. Rotation
 // happens transparently when the active segment exceeds the threshold.
-func (l *Log) Append(program string, events []trace.Event) (uint64, error) {
-	if len(program) > maxProgramLen {
-		return 0, fmt.Errorf("wal: program name %d bytes exceeds the %d-byte cap", len(program), maxProgramLen)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.f == nil {
-		if err := l.createSegmentLocked(); err != nil {
-			return 0, err
-		}
-	}
-
-	// payload: programLen, program, frame payload.
-	var tmp [binary.MaxVarintLen64]byte
-	payload := l.scratch[:0]
-	payload = append(payload, tmp[:binary.PutUvarint(tmp[:], uint64(len(program)))]...)
-	payload = append(payload, program...)
-	payload = trace.EncodeFrameAppend(payload, events)
-	l.scratch = payload
-	return l.appendRecordLocked(payload)
-}
-
-// AppendPayload is Append for a pre-encoded event frame: framePayload must
-// hold one complete trace frame payload (the bytes trace.EncodeFrameAppend
-// produces; any frame that passed trace.ValidateFrame qualifies). The record
-// stores the frame payload verbatim — exactly the bytes Append would have
-// written for the decoded events — so the zero-copy ingest path can splice
-// client wire bytes straight into the log without re-materializing events.
 func (l *Log) AppendPayload(program string, framePayload []byte) (uint64, error) {
 	if len(program) > maxProgramLen {
 		return 0, fmt.Errorf("wal: program name %d bytes exceeds the %d-byte cap", len(program), maxProgramLen)
@@ -629,7 +601,8 @@ func (l *Log) appendRecordLocked(payload []byte) (uint64, error) {
 // Commit makes the records appended so far as durable as the sync policy
 // promises: SyncAlways flushes and fsyncs now, SyncInterval leaves them for
 // the background tick, SyncNever leaves them to the OS. Call it once per
-// ingest batch, after the batch's Appends and before applying the events.
+// ingest batch, after the batch's AppendPayload calls and before applying
+// the events.
 func (l *Log) Commit() error {
 	if l.opts.Policy != SyncAlways {
 		return nil

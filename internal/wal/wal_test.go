@@ -45,7 +45,7 @@ func appendBatches(t *testing.T, l *Log, program string, n int, seed uint64) [][
 	batches := make([][]trace.Event, n)
 	for i := range batches {
 		batches[i] = synthEvents(16+i, seed+uint64(i))
-		if _, err := l.Append(program, batches[i]); err != nil {
+		if _, err := l.AppendPayload(program, trace.EncodeFrameAppend(nil, batches[i])); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		if err := l.Commit(); err != nil {
@@ -492,7 +492,7 @@ func TestSyncIntervalFlushes(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer l.Close()
-	if _, err := l.Append("gzip", synthEvents(8, 1)); err != nil {
+	if _, err := l.AppendPayload("gzip", trace.EncodeFrameAppend(nil, synthEvents(8, 1))); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	if err := l.Commit(); err != nil {
@@ -567,7 +567,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := l.Append("gzip", synthEvents(1, 1)); !errors.Is(err, ErrClosed) {
+	if _, err := l.AppendPayload("gzip", trace.EncodeFrameAppend(nil, synthEvents(1, 1))); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {

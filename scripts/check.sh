@@ -387,9 +387,11 @@ echo "==> cross-node span chain (reactivespec -require-chain spans)"
     "$SMOKE_DIR/spans-loadgen.jsonl" >"$SMOKE_DIR/spans-failover-report.txt"
 
 # A short fuzz run of every decoder that reads bytes off a wire: the stream
-# handshake and ack, session frames, RLE decision payloads, and shipped
-# replication records.
-for target in FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord; do
+# handshake and ack, session frames, RLE decision payloads, shipped
+# replication records, and the one trace frame walker — DecodeFrameAppend,
+# the only decoder every ingest path runs, and ValidateFrame beside it.
+for target in FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord \
+    FuzzDecodeFrameAppend FuzzValidateFrame; do
     echo "==> go test -fuzz=$target -fuzztime=5s ./internal/trace"
     go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/trace
 done
