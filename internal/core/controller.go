@@ -131,24 +131,16 @@ func (d *deployment) undeploy(at uint64) {
 // caller, so a Controller keeps a slice of Units and the serving table keeps
 // one Unit per (program, branch) entry.
 //
+// The window counters are 32-bit because Params bounds each of them
+// (Params.Validate keeps those bounds within uint32): monSeen, monExecs and
+// monTaken by MonitorPeriod, cyclePos by SamplePeriod, smpExecs and
+// smpWrong by SampleLen, and waitLeft by WaitPeriod. Only execs, which
+// counts every event the unit ever sees, keeps 64 bits.
+//
 // Each policy uses a subset of the fields; the others stay zero, so Export
 // yields the same BranchState whichever policy produced it.
 type Unit struct {
 	dep deployment
-
-	// Monitor-state window. probweight counts its warmup in monSeen.
-	monSeen  uint64
-	monExecs uint64
-	monTaken uint64
-
-	// Biased-state bookkeeping (counter is below, with the other narrow
-	// fields).
-	cyclePos uint64 // eviction-by-sampling cycle position
-	smpExecs uint64
-	smpWrong uint64
-
-	// Unbiased-state bookkeeping.
-	waitLeft uint64
 
 	// Lifecycle statistics.
 	execs uint64
@@ -156,7 +148,20 @@ type Unit struct {
 	// est is probweight's EWMA estimate of P(outcome=true).
 	est float64
 
-	counter    uint32
+	// Monitor-state window. probweight counts its warmup in monSeen.
+	monSeen  uint32
+	monExecs uint32
+	monTaken uint32
+
+	// Biased-state bookkeeping.
+	cyclePos uint32 // eviction-by-sampling cycle position
+	smpExecs uint32
+	smpWrong uint32
+	counter  uint32
+
+	// Unbiased-state bookkeeping.
+	waitLeft uint32
+
 	optCount   uint32
 	evictions  uint32
 	state      State
@@ -175,19 +180,15 @@ func (u *Unit) Speculating() (dir, live bool) { return u.dep.liveDir, u.dep.live
 // observe is every policy's common prefix of one event: count the
 // execution, advance the deployment clock, and score the outcome against
 // the speculative code live at this instant.
-func (u *Unit) observe(s *Stats, outcome bool, instr uint64) Verdict {
+func (u *Unit) observe(outcome bool, instr uint64) Verdict {
 	u.execs++
-	s.Events++
 	u.dep.tick(instr)
 	if u.dep.liveUntil == 0 { // not live; kept inlinable
-		s.NotSpec++
 		return NotSpeculated
 	}
 	if outcome == u.dep.liveDir {
-		s.Correct++
 		return Correct
 	}
-	s.Misspec++
 	return Misspec
 }
 
@@ -207,7 +208,9 @@ type Controller struct {
 	stats Stats
 }
 
-// Stats aggregates a controller's lifetime counters.
+// Stats aggregates a controller's lifetime counters. Every field but Instrs
+// follows from each step's verdict and the (from, to) state pair it made,
+// which is all count needs.
 type Stats struct {
 	// Events is the number of dynamic branch instances observed.
 	Events uint64
@@ -220,6 +223,30 @@ type Stats struct {
 	// biased→monitor transitions; Retirals counts branches hitting the
 	// oscillation limit.
 	Selections, Evictions, Retirals uint64
+}
+
+// count accounts one step: its verdict, and the transition from → to if the
+// step made one. Selections are transitions into Biased, Evictions
+// Biased→Monitor, and Retirals transitions into Retired.
+func (s *Stats) count(v Verdict, from, to State) {
+	s.Events++
+	switch v {
+	case NotSpeculated:
+		s.NotSpec++
+	case Correct:
+		s.Correct++
+	default:
+		s.Misspec++
+	}
+	switch {
+	case to == from:
+	case to == Biased:
+		s.Selections++
+	case to == Retired:
+		s.Retirals++
+	case from == Biased && to == Monitor:
+		s.Evictions++
+	}
 }
 
 // CorrectFrac returns correct speculations as a fraction of all events.
@@ -244,8 +271,12 @@ func frac(n, d uint64) float64 {
 	return float64(n) / float64(d)
 }
 
-// New returns a controller with the given parameters.
+// New returns a controller with the given parameters. It panics with
+// Validate's error, which wraps ErrParamRange, when params are out of range.
 func New(params Params) *Controller {
+	if err := params.Validate(); err != nil {
+		panic(err)
+	}
 	return &Controller{params: params}
 }
 
@@ -269,14 +300,12 @@ func unitAt(units *[]Unit, id trace.BranchID) *Unit {
 // classification state.
 func (c *Controller) OnBranch(id trace.BranchID, taken bool, instr uint64) Verdict {
 	u := unitAt(&c.branches, id)
-	if c.OnTransition == nil {
-		return u.stepReactive(&c.params, &c.stats, taken, instr)
-	}
 	from := u.state
-	v := u.stepReactive(&c.params, &c.stats, taken, instr)
+	v := u.stepReactive(&c.params, taken, instr)
+	c.stats.count(v, from, u.state)
 	// A step makes at most one transition, and every transition changes
 	// the state, as its last effect on the fields a Transition reports.
-	if u.state != from {
+	if c.OnTransition != nil && u.state != from {
 		c.OnTransition(Transition{Branch: id, From: from, To: u.state, Instr: instr, Exec: u.execs, Counter: u.counter})
 	}
 	return v
@@ -290,20 +319,20 @@ func (c *Controller) AddInstrs(n uint64) { c.stats.Instrs += n }
 // Rule.Step both run it. The per-event work of each state is written out
 // here so a step costs one call; the rare window-end classification and
 // the sampling and eviction paths are calls.
-func (u *Unit) stepReactive(p *Params, s *Stats, taken bool, instr uint64) Verdict {
-	v := u.observe(s, taken, instr)
+func (u *Unit) stepReactive(p *Params, taken bool, instr uint64) Verdict {
+	v := u.observe(taken, instr)
 	switch u.state {
 	case Monitor:
 		u.monSeen++
-		rate := uint64(p.MonitorSampleRate)
+		rate := p.MonitorSampleRate
 		if rate < 2 || u.monSeen%rate == 0 {
 			u.monExecs++
 			if taken {
 				u.monTaken++
 			}
 		}
-		if u.monSeen >= p.MonitorPeriod {
-			u.classify(p, s, instr)
+		if uint64(u.monSeen) >= p.MonitorPeriod {
+			u.classify(p, instr)
 		}
 	case Biased:
 		// Only count outcomes once the speculative code is actually live
@@ -313,7 +342,7 @@ func (u *Unit) stepReactive(p *Params, s *Stats, taken bool, instr uint64) Verdi
 			break
 		}
 		if p.EvictBySampling {
-			u.onBiasedSampling(p, s, taken, instr)
+			u.onBiasedSampling(p, taken, instr)
 			break
 		}
 		if taken != u.direction {
@@ -328,7 +357,7 @@ func (u *Unit) stepReactive(p *Params, s *Stats, taken bool, instr uint64) Verdi
 			u.counter = 0
 		}
 		if u.counter >= p.EvictThreshold {
-			u.evict(p, s, instr)
+			u.evict(p, instr)
 		}
 	case Unbiased:
 		if p.NoRevisit {
@@ -348,25 +377,25 @@ func (u *Unit) stepReactive(p *Params, s *Stats, taken bool, instr uint64) Verdi
 }
 
 // classify ends a complete monitor window: select, retire, or mark the
-// unit unbiased.
-func (u *Unit) classify(p *Params, s *Stats, instr uint64) {
-	taken64, execs := u.monTaken, u.monExecs
+// unit unbiased. The window may hold up to MaxUint32 executions, so the
+// majority test runs in 64 bits.
+func (u *Unit) classify(p *Params, instr uint64) {
+	taken, execs := uint64(u.monTaken), uint64(u.monExecs)
 	u.monSeen, u.monExecs, u.monTaken = 0, 0, 0
 	if execs == 0 {
 		u.state = Unbiased
-		u.waitLeft = p.WaitPeriod
+		u.waitLeft = uint32(p.WaitPeriod)
 		return
 	}
-	majTaken := taken64*2 >= execs
-	maj := taken64
+	majTaken := taken*2 >= execs
+	maj := taken
 	if !majTaken {
-		maj = execs - taken64
+		maj = execs - taken
 	}
 	if float64(maj) >= p.SelectThreshold*float64(execs) {
 		if u.optCount >= p.MaxOptimizations {
 			// The oscillation limit: conservatively never
 			// speculate on this branch again.
-			s.Retirals++
 			u.state = Retired
 			return
 		}
@@ -376,42 +405,40 @@ func (u *Unit) classify(p *Params, s *Stats, instr uint64) {
 		u.cyclePos = 0
 		u.smpExecs, u.smpWrong = 0, 0
 		u.everBiased = true
-		s.Selections++
 		u.dep.deploy(majTaken, instr+p.OptLatency)
 		u.state = Biased
 		return
 	}
 	u.state = Unbiased
-	u.waitLeft = p.WaitPeriod
+	u.waitLeft = uint32(p.WaitPeriod)
 }
 
-func (u *Unit) onBiasedSampling(p *Params, s *Stats, taken bool, instr uint64) {
-	if u.cyclePos < p.SampleLen {
+func (u *Unit) onBiasedSampling(p *Params, taken bool, instr uint64) {
+	if uint64(u.cyclePos) < p.SampleLen {
 		u.smpExecs++
 		if taken != u.direction {
 			u.smpWrong++
 		}
 	}
 	u.cyclePos++
-	if u.cyclePos == p.SampleLen {
+	if uint64(u.cyclePos) == p.SampleLen {
 		// Sample complete: evaluate.
 		if u.smpExecs > 0 {
 			correct := float64(u.smpExecs-u.smpWrong) / float64(u.smpExecs)
 			if correct < p.EvictBias {
-				u.evict(p, s, instr)
+				u.evict(p, instr)
 				return
 			}
 		}
 		u.smpExecs, u.smpWrong = 0, 0
 	}
-	if u.cyclePos >= p.SamplePeriod {
+	if uint64(u.cyclePos) >= p.SamplePeriod {
 		u.cyclePos = 0
 	}
 }
 
-func (u *Unit) evict(p *Params, s *Stats, instr uint64) {
+func (u *Unit) evict(p *Params, instr uint64) {
 	u.evictions++
-	s.Evictions++
 	// The stale speculative code remains deployed until the repaired
 	// fragment is ready; its outcomes keep being counted.
 	u.dep.undeploy(instr + p.OptLatency)

@@ -21,6 +21,12 @@
 // ("lame duck" deployments), exactly as Section 3.1 describes.
 package core
 
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
 // Params configures the reactive model. The zero value is not meaningful;
 // start from DefaultParams.
 type Params struct {
@@ -74,6 +80,37 @@ type Params struct {
 	// MonitorSampleRate executions during the monitor state
 	// (Section 3.3, "sampling in monitor state": 1-in-8).
 	MonitorSampleRate uint32
+}
+
+// ErrParamRange reports a Params count too large for the 32-bit per-unit
+// counter it bounds. NewRule, NewPolicySet and the serving table return it;
+// New panics with it.
+var ErrParamRange = errors.New("core: parameter out of range")
+
+// Validate returns an error wrapping ErrParamRange when a count the unit
+// keeps in a 32-bit field could exceed it: MonitorPeriod bounds the monitor
+// window, WaitPeriod the revisit wait, and SampleLen and SamplePeriod the
+// eviction-sampling cycle. Sampling eviction also needs SampleLen ≤
+// SamplePeriod; a longer sample never completes, and its counts would grow
+// for the whole biased episode.
+func (p Params) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    uint64
+	}{
+		{"MonitorPeriod", p.MonitorPeriod},
+		{"WaitPeriod", p.WaitPeriod},
+		{"SampleLen", p.SampleLen},
+		{"SamplePeriod", p.SamplePeriod},
+	} {
+		if f.v > math.MaxUint32 {
+			return fmt.Errorf("%w: %s = %d exceeds %d", ErrParamRange, f.name, f.v, uint64(math.MaxUint32))
+		}
+	}
+	if p.EvictBySampling && p.SampleLen > p.SamplePeriod {
+		return fmt.Errorf("%w: SampleLen = %d exceeds SamplePeriod = %d", ErrParamRange, p.SampleLen, p.SamplePeriod)
+	}
+	return nil
 }
 
 // DefaultParams returns the paper's Table 2 parameters.

@@ -56,8 +56,12 @@ type Rule struct {
 	policy policyID
 }
 
-// NewRule returns the rule for a registered policy name ("" = reactive).
+// NewRule returns the rule for a registered policy name ("" = reactive). It
+// returns an error wrapping ErrParamRange when params fail Validate.
 func NewRule(name string, params Params) (Rule, error) {
+	if err := params.Validate(); err != nil {
+		return Rule{}, err
+	}
 	r := Rule{params: params}
 	switch name {
 	case "", PolicyReactive:
@@ -79,15 +83,16 @@ func (r *Rule) Name() string { return PolicyNames()[r.policy] }
 func (r *Rule) Params() Params { return r.params }
 
 // Step advances u by one event with the given outcome at global instruction
-// count instr, accounting the event in s, and returns the verdict. A step
-// makes at most one classification transition, so a caller counts
-// transitions by comparing u.State() before and after.
-func (r *Rule) Step(u *Unit, s *Stats, outcome bool, instr uint64) Verdict {
+// count instr and returns the verdict. A step makes at most one
+// classification transition, so the verdict and u.State() before and after
+// are all a caller needs to count the event in its Stats, as Controller and
+// PolicySet do.
+func (r *Rule) Step(u *Unit, outcome bool, instr uint64) Verdict {
 	switch r.policy {
 	case selfTrainID:
-		return u.stepSelfTrain(&r.params, s, outcome, instr)
+		return u.stepSelfTrain(&r.params, outcome, instr)
 	case probWeightID:
-		return u.stepProbWeight(&r.params, s, outcome, instr)
+		return u.stepProbWeight(&r.params, outcome, instr)
 	}
-	return u.stepReactive(&r.params, s, outcome, instr)
+	return u.stepReactive(&r.params, outcome, instr)
 }

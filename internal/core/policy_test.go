@@ -38,7 +38,9 @@ type policyFeeder struct {
 func (f *policyFeeder) event(outcome bool) (Verdict, State, bool, bool) {
 	f.instr += 5
 	f.stats.Instrs += 5
-	v := f.rule.Step(&f.unit, &f.stats, outcome, f.instr)
+	from := f.unit.State()
+	v := f.rule.Step(&f.unit, outcome, f.instr)
+	f.stats.count(v, from, f.unit.State())
 	dir, live := f.unit.Speculating()
 	return v, f.unit.State(), dir, live
 }
@@ -173,7 +175,9 @@ func TestPolicyExportImportRoundTrip(t *testing.T) {
 
 			clone := newFeeder(t, name)
 			clone.instr = orig.instr
-			clone.unit.Import(st)
+			if err := clone.unit.Import(st); err != nil {
+				t.Fatal(err)
+			}
 			clone.stats = orig.stats
 			for i := 500; i < 1500; i++ {
 				v1, s1, d1, l1 := orig.event(outcomes(i))

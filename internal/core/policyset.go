@@ -17,7 +17,7 @@ type PolicySet struct {
 }
 
 // NewPolicySet builds a per-unit policy set for the registered policy name
-// ("" = reactive).
+// ("" = reactive). Like NewRule it rejects out-of-range params.
 func NewPolicySet(name string, params Params) (*PolicySet, error) {
 	r, err := NewRule(name, params)
 	if err != nil {
@@ -32,16 +32,25 @@ func (s *PolicySet) Name() string { return s.rule.Name() }
 // OnBranch observes one dynamic event for the unit and returns the verdict —
 // the harness.Controller surface, serving every kind's boolean outcome.
 func (s *PolicySet) OnBranch(id trace.BranchID, outcome bool, instr uint64) Verdict {
-	return s.rule.Step(unitAt(&s.units, id), &s.stats, outcome, instr)
+	_, v := s.step(id, outcome, instr)
+	return v
 }
 
 // OnEvent observes one dynamic event and returns the full decision tuple,
 // mirroring what a serving-table entry encodes.
 func (s *PolicySet) OnEvent(id trace.BranchID, outcome bool, instr uint64) (Verdict, State, bool, bool) {
-	u := unitAt(&s.units, id)
-	v := s.rule.Step(u, &s.stats, outcome, instr)
+	u, v := s.step(id, outcome, instr)
 	dir, live := u.Speculating()
 	return v, u.state, dir, live
+}
+
+// step advances the unit by one event and counts it in the set's Stats.
+func (s *PolicySet) step(id trace.BranchID, outcome bool, instr uint64) (*Unit, Verdict) {
+	u := unitAt(&s.units, id)
+	from := u.state
+	v := s.rule.Step(u, outcome, instr)
+	s.stats.count(v, from, u.state)
+	return u, v
 }
 
 // AddInstrs accounts dynamic instructions at the set level.

@@ -28,13 +28,13 @@ const probPrior = 0.5
 // The policy is a pure function of the event sequence (the EWMA uses a fixed
 // step, never a clock or RNG), so replay and replication reproduce it
 // bit-exactly.
-func (u *Unit) stepProbWeight(p *Params, s *Stats, outcome bool, instr uint64) Verdict {
+func (u *Unit) stepProbWeight(p *Params, outcome bool, instr uint64) Verdict {
 	if u.execs == 0 {
 		// The zero Unit is untouched, and an untouched unit holds the
 		// prior; a touched one (execs ≥ 1) carries its own estimate.
 		u.est = probPrior
 	}
-	v := u.observe(s, outcome, instr)
+	v := u.observe(outcome, instr)
 
 	x := 0.0
 	if outcome {
@@ -45,7 +45,7 @@ func (u *Unit) stepProbWeight(p *Params, s *Stats, outcome bool, instr uint64) V
 	if u.state == Retired {
 		return v
 	}
-	if u.monSeen < p.MonitorPeriod {
+	if uint64(u.monSeen) < p.MonitorPeriod {
 		u.monSeen++
 		return v
 	}
@@ -59,14 +59,12 @@ func (u *Unit) stepProbWeight(p *Params, s *Stats, outcome bool, instr uint64) V
 	case Monitor:
 		if conf >= p.SelectThreshold {
 			if u.optCount >= p.MaxOptimizations {
-				s.Retirals++
 				u.state = Retired
 				break
 			}
 			u.optCount++
 			u.direction = dir
 			u.everBiased = true
-			s.Selections++
 			u.dep.deploy(dir, instr+p.OptLatency)
 			u.state = Biased
 		}
@@ -81,7 +79,6 @@ func (u *Unit) stepProbWeight(p *Params, s *Stats, outcome bool, instr uint64) V
 		}
 		if dir != u.direction || conf < p.EvictBias {
 			u.evictions++
-			s.Evictions++
 			u.dep.undeploy(instr + p.OptLatency)
 			u.state = Monitor
 		}

@@ -8,32 +8,32 @@ package core
 // This is the open-loop baseline the paper's Figure 5 plots as
 // "self-train-99": it captures initial behavior perfectly and reacts to
 // nothing, which is exactly the contrast the reactive arcs exist to fix.
-func (u *Unit) stepSelfTrain(p *Params, s *Stats, outcome bool, instr uint64) Verdict {
-	v := u.observe(s, outcome, instr)
+func (u *Unit) stepSelfTrain(p *Params, outcome bool, instr uint64) Verdict {
+	v := u.observe(outcome, instr)
 	if u.state == Monitor {
 		u.monSeen++
 		if outcome {
 			u.monTaken++
 		}
-		if u.monSeen >= p.MonitorPeriod {
-			u.classifyOnce(p, s, instr)
+		if uint64(u.monSeen) >= p.MonitorPeriod {
+			u.classifyOnce(p, instr)
 		}
 	}
 	return v
 }
 
 // classifyOnce makes the one-shot training decision at the end of the
-// window.
-func (u *Unit) classifyOnce(p *Params, s *Stats, instr uint64) {
-	majTaken := u.monTaken*2 >= u.monSeen
-	maj := u.monTaken
+// window, with classify's 64-bit majority test.
+func (u *Unit) classifyOnce(p *Params, instr uint64) {
+	taken, seen := uint64(u.monTaken), uint64(u.monSeen)
+	majTaken := taken*2 >= seen
+	maj := taken
 	if !majTaken {
-		maj = u.monSeen - u.monTaken
+		maj = seen - taken
 	}
-	if float64(maj) >= p.SelectThreshold*float64(u.monSeen) {
+	if float64(maj) >= p.SelectThreshold*float64(seen) {
 		u.direction = majTaken
 		u.everBiased = true
-		s.Selections++
 		u.dep.deploy(majTaken, instr+p.OptLatency)
 		u.state = Biased
 		return

@@ -1,6 +1,11 @@
 package core
 
-import "reactivespec/internal/trace"
+import (
+	"fmt"
+	"math"
+
+	"reactivespec/internal/trace"
+)
 
 // BranchState is the complete serializable state of one tracked branch:
 // classification, deployment lifecycle, the monitor/sampling windows, and the
@@ -61,15 +66,15 @@ func (u *Unit) Export() (BranchState, bool) {
 		LiveUntil:  u.dep.liveUntil,
 		NextDir:    u.dep.nextDir,
 		NextAt:     u.dep.nextAt,
-		MonSeen:    u.monSeen,
-		MonExecs:   u.monExecs,
-		MonTaken:   u.monTaken,
+		MonSeen:    uint64(u.monSeen),
+		MonExecs:   uint64(u.monExecs),
+		MonTaken:   uint64(u.monTaken),
 		Direction:  u.direction,
 		Counter:    u.counter,
-		CyclePos:   u.cyclePos,
-		SmpExecs:   u.smpExecs,
-		SmpWrong:   u.smpWrong,
-		WaitLeft:   u.waitLeft,
+		CyclePos:   uint64(u.cyclePos),
+		SmpExecs:   uint64(u.smpExecs),
+		SmpWrong:   uint64(u.smpWrong),
+		WaitLeft:   uint64(u.waitLeft),
 		Execs:      u.execs,
 		OptCount:   u.optCount,
 		Evictions:  u.evictions,
@@ -78,8 +83,39 @@ func (u *Unit) Export() (BranchState, bool) {
 	}, true
 }
 
+// Validate reports whether a Unit can hold st: its State is one of the four
+// states, and each window counter fits the Unit's 32-bit field. Every state
+// Export produces passes.
+func (st BranchState) Validate() error {
+	if st.State > Retired {
+		return fmt.Errorf("core: branch state %v is not a classification state", st.State)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    uint64
+	}{
+		{"MonSeen", st.MonSeen},
+		{"MonExecs", st.MonExecs},
+		{"MonTaken", st.MonTaken},
+		{"CyclePos", st.CyclePos},
+		{"SmpExecs", st.SmpExecs},
+		{"SmpWrong", st.SmpWrong},
+		{"WaitLeft", st.WaitLeft},
+	} {
+		if f.v > math.MaxUint32 {
+			return fmt.Errorf("core: branch state %s = %d exceeds %d", f.name, f.v, uint64(math.MaxUint32))
+		}
+	}
+	return nil
+}
+
 // Import overwrites the unit's state with a previously exported snapshot.
-func (u *Unit) Import(st BranchState) {
+// It returns Validate's error, and leaves the unit as it was, when st holds
+// a value the unit cannot represent.
+func (u *Unit) Import(st BranchState) error {
+	if err := st.Validate(); err != nil {
+		return err
+	}
 	*u = Unit{
 		dep: deployment{
 			liveDir:   st.LiveDir,
@@ -87,13 +123,13 @@ func (u *Unit) Import(st BranchState) {
 			nextDir:   st.NextDir,
 			nextAt:    st.NextAt,
 		},
-		monSeen:    st.MonSeen,
-		monExecs:   st.MonExecs,
-		monTaken:   st.MonTaken,
-		cyclePos:   st.CyclePos,
-		smpExecs:   st.SmpExecs,
-		smpWrong:   st.SmpWrong,
-		waitLeft:   st.WaitLeft,
+		monSeen:    uint32(st.MonSeen),
+		monExecs:   uint32(st.MonExecs),
+		monTaken:   uint32(st.MonTaken),
+		cyclePos:   uint32(st.CyclePos),
+		smpExecs:   uint32(st.SmpExecs),
+		smpWrong:   uint32(st.SmpWrong),
+		waitLeft:   uint32(st.WaitLeft),
 		execs:      st.Execs,
 		est:        st.ProbEst,
 		counter:    st.Counter,
@@ -103,6 +139,7 @@ func (u *Unit) Import(st BranchState) {
 		direction:  st.Direction,
 		everBiased: st.EverBiased,
 	}
+	return nil
 }
 
 // ExportBranch returns the branch's full state and whether the branch has
@@ -115,10 +152,11 @@ func (c *Controller) ExportBranch(id trace.BranchID) (BranchState, bool) {
 }
 
 // ImportBranch overwrites the branch's state with a previously exported
-// snapshot. The controller's aggregate Stats are not touched; restore them
-// separately with SetStats.
-func (c *Controller) ImportBranch(id trace.BranchID, st BranchState) {
-	unitAt(&c.branches, id).Import(st)
+// snapshot, or returns Validate's error and leaves the branch as it was.
+// The controller's aggregate Stats are not touched; restore them separately
+// with SetStats.
+func (c *Controller) ImportBranch(id trace.BranchID, st BranchState) error {
+	return unitAt(&c.branches, id).Import(st)
 }
 
 // TouchedBranches returns the IDs of every branch ExportBranch would report

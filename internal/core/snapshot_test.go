@@ -68,7 +68,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("branch %d in TouchedBranches but ExportBranch reports untouched", id)
 		}
-		restored.ImportBranch(id, st)
+		if err := restored.ImportBranch(id, st); err != nil {
+			t.Fatal(err)
+		}
 	}
 	restored.SetStats(orig.Stats())
 	if restored.Stats() != orig.Stats() {

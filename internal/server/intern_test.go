@@ -119,7 +119,9 @@ func TestSnapshotIndependentOfInternOrder(t *testing.T) {
 	}
 
 	restored := NewTable(testParams(), 16)
-	restored.RestoreEntries(want)
+	if err := restored.RestoreEntries(want); err != nil {
+		t.Fatal(err)
+	}
 	if got := restored.SnapshotEntries(); !reflect.DeepEqual(got, want) {
 		t.Fatal("SnapshotEntries differs after a restore into a fresh table")
 	}

@@ -802,8 +802,9 @@ func (s *Server) exportCursors() []CursorSnapshot {
 // RestoreFromDisk loads the configured snapshot directory's current
 // snapshot, if any, and imports it. It returns whether a snapshot was
 // restored. Restoring a snapshot whose controller parameters differ from the
-// server's fails with ErrSnapshotMismatch (decisions would diverge
-// mid-stream otherwise).
+// server's, or with an entry the table cannot hold (Table.RestoreEntries),
+// fails with ErrSnapshotMismatch and restores nothing (decisions would
+// diverge mid-stream otherwise).
 func (s *Server) RestoreFromDisk() (bool, error) {
 	if s.cfg.SnapshotDir == "" {
 		return false, nil
@@ -829,7 +830,9 @@ func (s *Server) RestoreFromDisk() (bool, error) {
 		return false, fmt.Errorf("%w: snapshot policy %q vs configured %q",
 			ErrSnapshotMismatch, snapPolicy, s.table.Policy())
 	}
-	s.table.RestoreEntries(snap.Entries)
+	if err := s.table.RestoreEntries(snap.Entries); err != nil {
+		return false, err
+	}
 	s.cursorsMu.Lock()
 	for _, cs := range snap.Cursors {
 		s.cursors[cs.Program] = &cursor{instr: cs.Instr, events: cs.Events}

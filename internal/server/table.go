@@ -1,6 +1,9 @@
 package server
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -21,8 +24,9 @@ import (
 //
 // The policy and its parameters are fixed at construction for the whole
 // table and held once, as a core.Rule; every policy runs through the same
-// entry type and the same Rule.Step. An entry is the unit's state and its
-// Stats by value, stored in a per-shard slab: a shard maps
+// entry type and the same Rule.Step. An entry is the unit's state and the
+// counters its Stats cannot derive from it, by value, stored in a
+// per-shard slab: a shard maps
 // (program ID, branch) to a slab index, and neither the map nor the slab
 // holds a pointer. Program keys are interned into table-local IDs once per
 // call, so the per-event lookup hashes a uint64 instead of a string. The
@@ -53,11 +57,32 @@ type tableShard struct {
 	_       [64]byte // pad shards onto separate cache lines
 }
 
-// tableEntry is one (program, branch) unit: its policy state and lifetime
-// counters, by value.
+// tableEntry is one (program, branch) unit, by value in two cache lines:
+// its policy state and the lifetime counters that state does not already
+// hold. stats rebuilds the unit's core.Stats from them. Each step makes at
+// most one transition and a unit is selected at most MaxOptimizations
+// (a uint32) times, evicted at most once per selection and retired once,
+// so the transition counts fit 32 bits.
 type tableEntry struct {
-	unit  core.Unit
-	stats core.Stats
+	unit                            core.Unit
+	instrs, correct, misspec        uint64
+	selections, evictions, retirals uint32
+}
+
+// stats rebuilds the entry's core.Stats. execs is the unit's execution
+// count, which is its Events; the events neither correct nor misspeculated
+// are NotSpec.
+func (e *tableEntry) stats(execs uint64) core.Stats {
+	return core.Stats{
+		Events:     execs,
+		Instrs:     e.instrs,
+		Correct:    e.correct,
+		Misspec:    e.misspec,
+		NotSpec:    execs - e.correct - e.misspec,
+		Selections: uint64(e.selections),
+		Evictions:  uint64(e.evictions),
+		Retirals:   uint64(e.retirals),
+	}
 }
 
 // entryKey packs an interned program ID and a branch into a shard index key.
@@ -173,23 +198,35 @@ func (sh *tableShard) getLocked(key uint64) *tableEntry {
 }
 
 // applyOne advances entry e by one event whose absolute instruction count
-// is instr, bumps the shard counters, and returns the decision. The caller
-// holds the entry's shard lock.
+// is instr, bumps the entry's and the shard's counters, and returns the
+// decision. The caller holds the entry's shard lock.
 func (t *Table) applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr uint64) Decision {
 	gap := uint64(ev.Gap)
-	e.stats.Instrs += gap
+	e.instrs += gap
 	from := e.unit.State()
-	v := t.rule.Step(&e.unit, &e.stats, ev.Taken, instr)
+	v := t.rule.Step(&e.unit, ev.Taken, instr)
 	st := e.unit.State()
 	if st != from {
 		m.Transitions[st]++
+		// The transitions core.Stats counts: into Biased is a selection,
+		// Biased→Monitor an eviction, into Retired a retiral.
+		switch {
+		case st == core.Biased:
+			e.selections++
+		case st == core.Retired:
+			e.retirals++
+		case from == core.Biased && st == core.Monitor:
+			e.evictions++
+		}
 	}
 	m.Events++
 	m.Instrs += gap
 	switch v {
 	case core.Correct:
+		e.correct++
 		m.Correct++
 	case core.Misspec:
+		e.misspec++
 		m.Misspec++
 	default:
 		m.NotSpec++
@@ -443,7 +480,7 @@ func (t *Table) SnapshotEntries() []EntrySnapshot {
 			if !ok {
 				continue
 			}
-			out = append(out, EntrySnapshot{Branch: trace.BranchID(key), State: st, Stats: e.stats})
+			out = append(out, EntrySnapshot{Branch: trace.BranchID(key), State: st, Stats: e.stats(st.Execs)})
 			pids = append(pids, uint32(key>>32))
 		}
 		sh.mu.RUnlock()
@@ -465,8 +502,16 @@ func (t *Table) SnapshotEntries() []EntrySnapshot {
 }
 
 // RestoreEntries imports previously exported entries, overwriting any
-// existing state for the same keys.
-func (t *Table) RestoreEntries(entries []EntrySnapshot) {
+// existing state for the same keys. It checks every entry first and, when
+// one holds what an entry cannot represent, returns an error wrapping
+// ErrSnapshotMismatch without touching the table.
+func (t *Table) RestoreEntries(entries []EntrySnapshot) error {
+	for i := range entries {
+		if err := checkEntry(&entries[i]); err != nil {
+			return fmt.Errorf("%w: entry %d (%q, branch %d): %v",
+				ErrSnapshotMismatch, i, entries[i].Program, entries[i].Branch, err)
+		}
+	}
 	var (
 		program string
 		pid     uint32
@@ -480,8 +525,36 @@ func (t *Table) RestoreEntries(entries []EntrySnapshot) {
 		sh := &t.shards[t.shardIndex(ph, es.Branch)]
 		sh.mu.Lock()
 		e := sh.getLocked(entryKey(pid, es.Branch))
-		e.unit.Import(es.State)
-		e.stats = es.Stats
+		if err := e.unit.Import(es.State); err != nil {
+			panic("server: RestoreEntries: checked entry failed Import: " + err.Error())
+		}
+		s := &es.Stats
+		e.instrs, e.correct, e.misspec = s.Instrs, s.Correct, s.Misspec
+		e.selections, e.evictions, e.retirals = uint32(s.Selections), uint32(s.Evictions), uint32(s.Retirals)
 		sh.mu.Unlock()
 	}
+	return nil
+}
+
+// checkEntry reports whether an entry can hold es exactly, so that
+// SnapshotEntries would export it unchanged: the state passes Validate and
+// is touched, and the Stats are those the entry rebuilds — Events equal to
+// the unit's execution count, the verdict counts summing to Events, and
+// transition counts within 32 bits.
+func checkEntry(es *EntrySnapshot) error {
+	if err := es.State.Validate(); err != nil {
+		return err
+	}
+	st, s := &es.State, &es.Stats
+	switch {
+	case st.Execs == 0 && st.State == core.Monitor:
+		return errors.New("untouched unit")
+	case s.Events != st.Execs:
+		return fmt.Errorf("Events = %d, but the unit executed %d times", s.Events, st.Execs)
+	case s.Correct > s.Events || s.Misspec > s.Events-s.Correct || s.NotSpec != s.Events-s.Correct-s.Misspec:
+		return fmt.Errorf("Correct %d + Misspec %d + NotSpec %d != Events %d", s.Correct, s.Misspec, s.NotSpec, s.Events)
+	case s.Selections > math.MaxUint32 || s.Evictions > math.MaxUint32 || s.Retirals > math.MaxUint32:
+		return fmt.Errorf("transition counts %d/%d/%d exceed %d", s.Selections, s.Evictions, s.Retirals, uint64(math.MaxUint32))
+	}
+	return nil
 }

@@ -389,12 +389,18 @@ echo "==> cross-node span chain (reactivespec -require-chain spans)"
 # A short fuzz run of every decoder that reads bytes off a wire: the stream
 # handshake and ack, session frames, RLE decision payloads, shipped
 # replication records, and the one trace frame walker — DecodeFrameAppend,
-# the only decoder every ingest path runs, and ValidateFrame beside it.
-for target in FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord \
-    FuzzDecodeFrameAppend FuzzValidateFrame; do
-    echo "==> go test -fuzz=$target -fuzztime=5s ./internal/trace"
-    go test -run='^$' -fuzz="^$target\$" -fuzztime=5s ./internal/trace
-done
+# the only decoder every ingest path runs, and ValidateFrame beside it —
+# and of snapshot restore, which must reject any entry it cannot round-trip.
+# Each line names a package and its fuzz targets.
+while read -r pkg targets; do
+    for target in $targets; do
+        echo "==> go test -fuzz=$target -fuzztime=5s $pkg"
+        go test -run='^$' -fuzz="^$target\$" -fuzztime=5s "$pkg" </dev/null
+    done
+done <<'FUZZ'
+./internal/trace FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord FuzzDecodeFrameAppend FuzzValidateFrame
+./internal/server FuzzRestoreEntries
+FUZZ
 
 # One iteration of every benchmark, so a bench that rots (compile error,
 # panic, bad setup) fails the gate long before anyone needs its numbers.
