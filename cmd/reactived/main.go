@@ -55,11 +55,13 @@
 // code while every shipped record flows through the same log-before-apply
 // path as primary ingest — and is promoted to a writable primary by SIGUSR1
 // or POST /v1/promote, which seals replication first so no record can land
-// after the flip. GET /v1/cursor reports per-program applied-event counts,
-// the resume point failover clients re-send from.
+// after the flip. GET /v1/cursor reports per-(program, kind) applied-event
+// counts, the resume point failover clients re-send from.
 //
-// Endpoints: POST /v1/ingest, GET /v1/decide, GET /v1/info, GET /healthz,
-// GET /metrics, POST /v1/snapshot. Streaming ingest sessions are served on
+// Endpoints: POST /v1/ingest, GET /v1/decide, GET /v1/cursor, GET /v1/info,
+// GET /healthz, GET /metrics, POST /v1/snapshot, POST /v1/promote; ingest,
+// decide and cursor name the speculation kind in an optional kind= query
+// (absent means branch). Streaming ingest sessions are served on
 // the raw TCP listener -stream-addr. With -debug-addr, a second listener
 // serves the runtime profiling surface — GET /debug/pprof/ (CPU, heap,
 // goroutine, block profiles) and GET /debug/vars (expvar, including a

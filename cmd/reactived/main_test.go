@@ -154,7 +154,7 @@ func TestRunStreamListener(t *testing.T) {
 	for i := range evs {
 		evs[i] = trace.Event{Branch: trace.BranchID(i % 8), Taken: i%3 == 0, Gap: 5}
 	}
-	if err := st.Send(ctx, evs); err != nil {
+	if err := st.SendKind(ctx, trace.KindBranch, evs); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := st.Recv(ctx)

@@ -1,7 +1,8 @@
 // Failover verify mode: drive the primary, lose it mid-run (SIGKILL by pid
 // or an external crash), promote the follower, and resume the stream against
-// it from the replica's own cursor — verifying every decision, before and
-// after the crash, against an in-process mirror at absolute stream indices.
+// it from the replica's own cursor for each worker's program and kind —
+// verifying every decision, before and after the crash, against an
+// in-process mirror at absolute stream indices.
 package main
 
 import (
@@ -170,22 +171,7 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 	}
 
 	sendBatch := func(cl *server.Client, off int) ([]server.Decision, error) {
-		end := off + cfg.batch
-		if end > len(events) {
-			end = len(events)
-		}
-		t0 := time.Now()
-		ds, tm, err := cl.IngestTimed(ctx, cfg.program, events[off:end])
-		if err != nil {
-			return nil, err
-		}
-		ins.batch.Observe(time.Since(t0).Seconds())
-		ins.encode.Observe(tm.Encode.Seconds())
-		ins.network.Observe(tm.Network.Seconds())
-		ins.decode.Observe(tm.Decode.Seconds())
-		ins.batches.Inc()
-		ins.events.Add(uint64(len(ds)))
-		return ds, nil
+		return postBatch(ctx, cl, ins, cfg, events[off:min(off+cfg.batch, len(events))])
 	}
 	// tallied is the high-water mark of counted events: after failover the
 	// worker re-sends from the replica's cursor, which can sit below what the
@@ -208,9 +194,9 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 	check := func(off int, ds []server.Decision) error {
 		for i, d := range ds {
 			if d != want[off+i] {
-				return fmt.Errorf("decision mismatch at event %d of %s: daemon %v, in-process %v"+
+				return fmt.Errorf("decision mismatch at event %d of %s kind %s: daemon %v, in-process %v"+
 					" (is the daemon running with -param-scale %d?)",
-					off+i, cfg.program, d, want[off+i], paramScaleHint(cfg.params))
+					off+i, cfg.program, cfg.kind, d, want[off+i], paramScaleHint(cfg.params))
 			}
 		}
 		return nil
@@ -247,7 +233,7 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 		res.err = fmt.Errorf("%w (primary lost: %v)", err, lostPrimary)
 		return res
 	}
-	cur, err := fc.follower.Cursor(ctx, cfg.program)
+	cur, err := fc.follower.Cursor(ctx, cfg.program, cfg.kind)
 	if err != nil {
 		res.err = fmt.Errorf("reading replica cursor: %w (primary lost: %v)", err, lostPrimary)
 		return res

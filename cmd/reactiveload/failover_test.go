@@ -115,54 +115,61 @@ func startFailoverPair(t *testing.T, killProgram string, killAfter uint64) *fail
 // TestRunFailover drives -failover end to end in-process, on the external-
 // crash path (-failover-pid 0): the primary dies without drain once worker 0
 // has three acked batches, the run promotes the replica, resumes each worker
-// from the replica's cursor, and every decision — pre-crash, re-sent
-// overlap, and post-failover tail — verifies against the absolute-index
-// mirror.
+// from the replica's cursor for its own program and kind, and every
+// decision — pre-crash, re-sent overlap, and post-failover tail — verifies
+// against the absolute-index mirror. The branch,value run has worker 0 send
+// branch events and worker 1 value events.
 func TestRunFailover(t *testing.T) {
-	p := startFailoverPair(t, "gzip@0", 3)
+	for _, kinds := range []string{"branch", "branch,value"} {
+		t.Run(kinds, func(t *testing.T) {
+			p := startFailoverPair(t, "gzip@0", 3)
 
-	var out bytes.Buffer
-	err := run([]string{
-		"-addr", p.primaryURL,
-		"-failover", p.replicaURL,
-		"-bench", "gzip",
-		"-events", "6000",
-		"-concurrency", "2",
-		"-batch", "256",
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var rep Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("output not JSON: %v\n%s", err, out.String())
-	}
-	if rep.Mode != "failover" || !rep.Verified {
-		t.Fatalf("mode %q verified %v, want failover/verified: %+v", rep.Mode, rep.Verified, rep)
-	}
-	if rep.Failover == nil || !rep.Failover.Promoted {
-		t.Fatalf("no promotion in report: %+v", rep.Failover)
-	}
-	if rep.Failover.WorkersResumed == 0 {
-		t.Fatalf("no worker resumed on the replica: %+v", rep.Failover)
-	}
-	// Every unique event index is accounted for exactly once despite the
-	// crash and the re-sent overlap: either it got a verified decision
-	// (Events), or the primary applied and shipped its batch but the crash
-	// cut the response (AppliedUnacked) — at most one batch per worker.
-	if want := uint64(2 * 6000); rep.Events+rep.Failover.AppliedUnacked != want {
-		t.Fatalf("events %d + applied-unacked %d = %d, want %d",
-			rep.Events, rep.Failover.AppliedUnacked, rep.Events+rep.Failover.AppliedUnacked, want)
-	}
-	if limit := uint64(2 * 256); rep.Failover.AppliedUnacked > limit {
-		t.Fatalf("applied-unacked = %d, more than one batch per worker (%d)", rep.Failover.AppliedUnacked, limit)
-	}
-	var verdictTotal uint64
-	for _, n := range rep.Verdicts {
-		verdictTotal += n
-	}
-	if verdictTotal != rep.Events {
-		t.Fatalf("verdict counts sum to %d, want %d", verdictTotal, rep.Events)
+			var out bytes.Buffer
+			err := run([]string{
+				"-addr", p.primaryURL,
+				"-failover", p.replicaURL,
+				"-bench", "gzip",
+				"-kind", kinds,
+				"-events", "6000",
+				"-concurrency", "2",
+				"-batch", "256",
+			}, &out)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			var rep Report
+			if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+				t.Fatalf("output not JSON: %v\n%s", err, out.String())
+			}
+			if rep.Mode != "failover" || !rep.Verified {
+				t.Fatalf("mode %q verified %v, want failover/verified: %+v", rep.Mode, rep.Verified, rep)
+			}
+			if rep.Failover == nil || !rep.Failover.Promoted {
+				t.Fatalf("no promotion in report: %+v", rep.Failover)
+			}
+			if rep.Failover.WorkersResumed == 0 {
+				t.Fatalf("no worker resumed on the replica: %+v", rep.Failover)
+			}
+			// Every unique event index is accounted for exactly once despite
+			// the crash and the re-sent overlap: either it got a verified
+			// decision (Events), or the primary applied and shipped its batch
+			// but the crash cut the response (AppliedUnacked) — at most one
+			// batch per worker.
+			if want := uint64(2 * 6000); rep.Events+rep.Failover.AppliedUnacked != want {
+				t.Fatalf("events %d + applied-unacked %d = %d, want %d",
+					rep.Events, rep.Failover.AppliedUnacked, rep.Events+rep.Failover.AppliedUnacked, want)
+			}
+			if limit := uint64(2 * 256); rep.Failover.AppliedUnacked > limit {
+				t.Fatalf("applied-unacked = %d, more than one batch per worker (%d)", rep.Failover.AppliedUnacked, limit)
+			}
+			var verdictTotal uint64
+			for _, n := range rep.Verdicts {
+				verdictTotal += n
+			}
+			if verdictTotal != rep.Events {
+				t.Fatalf("verdict counts sum to %d, want %d", verdictTotal, rep.Events)
+			}
+		})
 	}
 }
 

@@ -8,15 +8,15 @@
 // never contend on a program cursor and the daemon's decision sequence per
 // program is deterministic. With -kind, workers round-robin over the listed
 // speculation kinds (worker w drives kinds[w mod len]), exercising the
-// daemon's kind-generic serving path: branch events ride the v1 wire
-// unchanged, other kinds go through /v2 (POST mode) or kind-tagged frames
-// (stream mode). With -verify, every worker simultaneously runs an
-// in-process policy set (-policy selects which) over the identical event
-// sequence and fails if any networked decision differs — the end-to-end
-// closed-loop equivalence check, per kind. Verification first checks the
-// daemon's controller-parameter hash, served kinds, and policy against
-// /v1/info, so a misconfigured pairing fails up front with a typed mismatch
-// instead of diverging mid-run.
+// daemon's kind-generic serving path: every POST names its kind on
+// /v1/ingest, and every stream frame carries a kind tag. With -verify,
+// every worker simultaneously runs an in-process policy set (-policy
+// selects which) over the identical event sequence and fails if any
+// networked decision differs — the end-to-end closed-loop equivalence
+// check, per kind. Verification first checks the daemon's
+// controller-parameter hash, served kinds, and policy against /v1/info, so
+// a misconfigured pairing fails up front with a typed mismatch instead of
+// diverging mid-run.
 //
 // With -stream-addr, workers replace per-batch POSTs with one streaming
 // ingest session each on the daemon's raw stream listener: batches pipeline over the session up to the granted window, and decisions
@@ -27,8 +27,9 @@
 // workers drive the primary until it dies (SIGKILLed by this process once
 // -failover-after-batches batches are acked when -failover-pid is set, or
 // crashed externally), then one worker promotes the named follower (POST
-// /v1/promote, retried), every worker asks it how many of its events were
-// replicated (/v1/cursor), and the stream resumes from exactly that point.
+// /v1/promote, retried), every worker asks it how many events of its own
+// program and kind were replicated (/v1/cursor), and the stream resumes from
+// exactly that point.
 // Each worker's mirror decisions are precomputed at absolute stream indices,
 // so decisions from before the crash, re-sent overlap, and the post-failover
 // tail all verify against the same uncrashed in-process control — the
@@ -60,8 +61,6 @@
 //	-stream-addr a   use one streaming ingest session per worker on the daemon's raw
 //	                 stream listener at host:port instead of per-batch POSTs
 //	-window n        requested stream pipeline window in frames (0 = server default)
-//	-preencode       generate + encode every batch before the timed run (stream mode only),
-//	                 so the measurement isolates transport and serving cost
 //	-failover url            follower base URL: verify failover by resuming against it (implies -verify)
 //	-failover-pid n          primary pid to SIGKILL once the batch threshold is acked
 //	-failover-after-batches n  acked batches across all workers before the kill
@@ -88,6 +87,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -108,8 +108,7 @@ type Report struct {
 	Concurrency int     `json:"concurrency"`
 	Batch       int     `json:"batch"`
 	Frames      int     `json:"frames_per_batch"`
-	Window      int     `json:"window,omitempty"`    // granted stream window
-	Preencode   bool    `json:"preencode,omitempty"` // batches were encoded before the timed run
+	Window      int     `json:"window,omitempty"` // granted stream window
 	Intensity   float64 `json:"intensity"`
 	Verified    bool    `json:"verified"`
 
@@ -224,8 +223,6 @@ func run(args []string, out io.Writer) error {
 	streamAddr := fs.String("stream-addr", "",
 		"use one streaming ingest session per worker on the daemon's raw stream listener at this host:port instead of per-batch POSTs")
 	window := fs.Int("window", 0, "requested stream pipeline window in frames (0 = server default)")
-	preencode := fs.Bool("preencode", false,
-		"generate and encode every batch before the timed run (stream mode only): the measured loop ships ready wire frames, isolating transport and serving cost from workload generation")
 	failoverURL := fs.String("failover", "",
 		"follower base URL: verify failover by promoting it when the primary dies and resuming against it (implies -verify)")
 	failoverPid := fs.Int("failover-pid", 0,
@@ -273,9 +270,6 @@ func run(args []string, out io.Writer) error {
 	if *frames != 1 && streamMode {
 		return fmt.Errorf("-frames does not apply to -stream-addr (each batch is one frame on the session)")
 	}
-	if *preencode && !streamMode {
-		return fmt.Errorf("-preencode applies to stream mode (-stream-addr) only")
-	}
 	if *failoverURL == "" && (*failoverPid != 0 || *failoverAfter != 0) {
 		return fmt.Errorf("-failover-pid and -failover-after-batches require -failover")
 	}
@@ -288,11 +282,6 @@ func run(args []string, out io.Writer) error {
 		}
 		if *failoverPid > 0 && *failoverAfter == 0 {
 			return fmt.Errorf("-failover-pid requires -failover-after-batches > 0 (when should the primary die?)")
-		}
-		for _, k := range kinds {
-			if k != trace.KindBranch {
-				return fmt.Errorf("-failover resumes from the /v1 cursor, which tracks branch streams; it does not combine with -kind %s", k)
-			}
 		}
 		*verify = true
 	}
@@ -398,17 +387,6 @@ func run(args []string, out io.Writer) error {
 			tracer:     tracer,
 		}
 	}
-	if *preencode {
-		// Materialize every worker's batches and their wire frames outside
-		// the timed section, so elapsed measures transport + serving only.
-		for w := range cfgs {
-			pre, err := prebuildBatches(cfgs[w])
-			if err != nil {
-				return err
-			}
-			cfgs[w].pre = pre
-		}
-	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < *concurrency; w++ {
@@ -448,9 +426,6 @@ func run(args []string, out io.Writer) error {
 		ElapsedSec:  elapsed.Seconds(),
 		Verdicts:    map[string]uint64{},
 		Decisions:   map[string]uint64{},
-	}
-	if streamMode {
-		rep.Preencode = *preencode
 	}
 	if len(kinds) > 1 || kinds[0] != trace.KindBranch {
 		for _, k := range kinds {
@@ -540,48 +515,6 @@ type workerConfig struct {
 	window     int
 	streamAddr string
 	tracer     *obs.Tracer
-	pre        *prebuilt // non-nil under -preencode
-}
-
-// prebuilt is one worker's pre-generated workload: the event batches and
-// their encoded wire frames, built before the timed run starts.
-type prebuilt struct {
-	batches [][]trace.Event
-	frames  [][]byte
-}
-
-// prebuildBatches materializes a worker's entire seeded event stream into
-// batch-sized chunks and encodes each one into the exact frame payload
-// Stream.Send would produce.
-func prebuildBatches(cfg workerConfig) (*prebuilt, error) {
-	stream, err := buildEventStream(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pre := &prebuilt{}
-	batch := make([]trace.Event, 0, cfg.batch)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		evs := make([]trace.Event, len(batch))
-		copy(evs, batch)
-		pre.batches = append(pre.batches, evs)
-		pre.frames = append(pre.frames, trace.EncodeFrameAppend(nil, evs))
-		batch = batch[:0]
-	}
-	for {
-		ev, ok := stream.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, ev)
-		if len(batch) == cfg.batch {
-			flush()
-		}
-	}
-	flush()
-	return pre, nil
 }
 
 // buildEventStream assembles one worker's seeded event source: workload
@@ -651,26 +584,17 @@ func (m *mirror) check(events []trace.Event, ds []server.Decision) error {
 }
 
 // checkInfoKindsPolicy checks the daemon's /v1/info kind and policy
-// advertisement against what this run will drive. Absent fields mean a
-// pre-kind daemon: exactly ["branch"] served, under the reactive policy.
+// advertisement against what this run will drive.
 func checkInfoKindsPolicy(info server.Info, kinds []trace.Kind, policy string) error {
-	served := map[string]bool{trace.KindBranch.String(): info.Kinds == nil}
-	for _, name := range info.Kinds {
-		served[name] = true
-	}
 	for _, k := range kinds {
-		if !served[k.String()] {
+		if !slices.Contains(info.Kinds, k.String()) {
 			return fmt.Errorf("daemon does not serve kind %s (advertises %v; run it with -kinds %s)",
 				k, info.Kinds, k)
 		}
 	}
-	daemonPolicy := info.Policy
-	if daemonPolicy == "" {
-		daemonPolicy = core.PolicyReactive
-	}
-	if daemonPolicy != policy {
+	if info.Policy != policy {
 		return fmt.Errorf("daemon runs policy %s, the -verify mirror would run %s (start reactiveload with -policy %s, or the daemon with -policy %s)",
-			daemonPolicy, policy, daemonPolicy, policy)
+			info.Policy, policy, info.Policy, policy)
 	}
 	return nil
 }
@@ -701,52 +625,14 @@ func runWorker(ctx context.Context, client *server.Client, ins *instruments, cfg
 	}
 
 	batch := make([]trace.Event, 0, cfg.batch)
-	frameBuf := make([][]trace.Event, 0, cfg.frames)
-	// send posts the batch as cfg.frames contiguous frames and returns the
-	// concatenated per-event decisions. A *server.BatchTruncatedError or a
-	// per-frame rejection propagates as-is, so the operator sees the
-	// "applied N of M frames" diagnostic rather than a silent drop.
-	send := func() ([]server.Decision, server.IngestTiming, error) {
-		if cfg.frames <= 1 {
-			return client.IngestKindTimed(ctx, cfg.program, cfg.kind, batch)
-		}
-		frameBuf = frameBuf[:0]
-		per := (len(batch) + cfg.frames - 1) / cfg.frames
-		for off := 0; off < len(batch); off += per {
-			end := off + per
-			if end > len(batch) {
-				end = len(batch)
-			}
-			frameBuf = append(frameBuf, batch[off:end])
-		}
-		results, tm, err := client.IngestFramesKindTimed(ctx, cfg.program, cfg.kind, frameBuf)
-		if err != nil {
-			return nil, tm, err
-		}
-		ds := make([]server.Decision, 0, len(batch))
-		for i, r := range results {
-			if r.Err != nil {
-				return nil, tm, fmt.Errorf("frame %d of %d: %w", i, len(results), r.Err)
-			}
-			ds = append(ds, r.Decisions...)
-		}
-		return ds, tm, nil
-	}
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		t0 := time.Now()
-		ds, tm, err := send()
+		ds, err := postBatch(ctx, client, ins, cfg, batch)
 		if err != nil {
 			return err
 		}
-		ins.batch.Observe(time.Since(t0).Seconds())
-		ins.encode.Observe(tm.Encode.Seconds())
-		ins.network.Observe(tm.Network.Seconds())
-		ins.decode.Observe(tm.Decode.Seconds())
-		ins.batches.Inc()
-		ins.events.Add(uint64(len(batch)))
 		res.tally(len(batch), ds)
 		if err := mir.check(batch, ds); err != nil {
 			return err
@@ -771,19 +657,48 @@ func runWorker(ctx context.Context, client *server.Client, ins *instruments, cfg
 	return res
 }
 
+// postBatch posts one batch as cfg.frames contiguous frames of cfg.kind,
+// records its latency and phase timings in ins, and returns the concatenated
+// per-event decisions. A *server.BatchTruncatedError or a per-frame
+// rejection propagates as-is, so the operator sees the "applied N of M
+// frames" diagnostic rather than a silent drop.
+func postBatch(ctx context.Context, client *server.Client, ins *instruments, cfg workerConfig, batch []trace.Event) ([]server.Decision, error) {
+	frames := make([][]trace.Event, 0, cfg.frames)
+	per := (len(batch) + cfg.frames - 1) / cfg.frames
+	for off := 0; off < len(batch); off += per {
+		frames = append(frames, batch[off:min(off+per, len(batch))])
+	}
+	t0 := time.Now()
+	results, tm, err := client.IngestFramesKindTimed(ctx, cfg.program, cfg.kind, frames)
+	if err != nil {
+		return nil, err
+	}
+	ds := make([]server.Decision, 0, len(batch))
+	for i, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("frame %d of %d: %w", i, len(results), r.Err)
+		}
+		ds = append(ds, r.Decisions...)
+	}
+	ins.batch.Observe(time.Since(t0).Seconds())
+	ins.encode.Observe(tm.Encode.Seconds())
+	ins.network.Observe(tm.Network.Seconds())
+	ins.decode.Observe(tm.Decode.Seconds())
+	ins.batches.Inc()
+	ins.events.Add(uint64(len(batch)))
+	return ds, nil
+}
+
 // runStreamWorker replays one seeded stream over a single streaming ingest
 // session: a sender goroutine pipelines batches up to the granted window
 // while the receiver (this goroutine) drains decision frames, verifies them
 // against the mirror, and measures per-frame send-to-decision latency.
 func runStreamWorker(ctx context.Context, client *server.Client, ins *instruments, cfg workerConfig) workerResult {
 	var res workerResult
-	var stream trace.Stream
-	var err error
-	if cfg.pre == nil {
-		if stream, err = buildEventStream(cfg); err != nil {
-			res.err = err
-			return res
-		}
+	stream, err := buildEventStream(cfg)
+	if err != nil {
+		res.err = err
+		return res
 	}
 	mir, err := newMirror(cfg)
 	if err != nil {
@@ -828,21 +743,6 @@ func runStreamWorker(ctx context.Context, client *server.Client, ins *instrument
 	sendErr := make(chan error, 1)
 	go func() {
 		defer close(pending)
-		if cfg.pre != nil {
-			// Pre-encoded run: the loop ships ready wire frames; no
-			// generation or encoding happens inside the measurement.
-			for i, frame := range cfg.pre.frames {
-				evs := cfg.pre.batches[i]
-				t0 := time.Now()
-				if err := st.SendEncodedKind(ctx, cfg.kind, frame, len(evs)); err != nil {
-					sendErr <- err
-					return
-				}
-				pending <- inflight{events: evs, sentAt: t0}
-			}
-			sendErr <- nil
-			return
-		}
 		batch := make([]trace.Event, 0, cfg.batch)
 		flush := func() error {
 			if len(batch) == 0 {

@@ -48,7 +48,7 @@ func runFailover(t *testing.T, shards int, seed uint64) {
 	got := make([]byte, len(events))
 	idx := 0
 	for b := 0; b < killAfter; b++ {
-		ds, err := p.client.Ingest(ctx, program, events[idx:idx+batchEvents])
+		ds, err := p.client.IngestKind(ctx, program, trace.KindBranch, events[idx:idx+batchEvents])
 		if err != nil {
 			t.Fatalf("primary ingest batch %d: %v", b, err)
 		}
@@ -73,7 +73,7 @@ func runFailover(t *testing.T, shards int, seed uint64) {
 	if _, err := r.client.Promote(ctx); !errors.Is(err, server.ErrNotReplica) {
 		t.Fatalf("second promote: %v, want ErrNotReplica", err)
 	}
-	cur, err := r.client.Cursor(ctx, program)
+	cur, err := r.client.Cursor(ctx, program, trace.KindBranch)
 	if err != nil {
 		t.Fatalf("cursor: %v", err)
 	}
@@ -90,7 +90,7 @@ func runFailover(t *testing.T, shards int, seed uint64) {
 	// batches, which the client knows only the replica's cursor can
 	// adjudicate.
 	for off := resume; off < len(events); off += batchEvents {
-		ds, err := r.client.Ingest(ctx, program, events[off:off+batchEvents])
+		ds, err := r.client.IngestKind(ctx, program, trace.KindBranch, events[off:off+batchEvents])
 		if err != nil {
 			t.Fatalf("replica ingest at offset %d: %v", off, err)
 		}

@@ -156,7 +156,7 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 
 	// Records that exist before the follower attaches: the catch-up phase.
 	for i := 0; i < 5; i++ {
-		if _, err := p.client.Ingest(ctx, "gzip", synthEvents(300, uint64(i))); err != nil {
+		if _, err := p.client.IngestKind(ctx, "gzip", trace.KindBranch, synthEvents(300, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,10 +164,10 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 
 	// Records appended while attached: the live tail, two programs.
 	for i := 5; i < 10; i++ {
-		if _, err := p.client.Ingest(ctx, "gzip", synthEvents(300, uint64(i))); err != nil {
+		if _, err := p.client.IngestKind(ctx, "gzip", trace.KindBranch, synthEvents(300, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.client.Ingest(ctx, "vpr", synthEvents(200, uint64(100+i))); err != nil {
+		if _, err := p.client.IngestKind(ctx, "vpr", trace.KindBranch, synthEvents(200, uint64(100+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,11 +183,11 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 		}
 	}
 	// Cursor accounting matches: the failover resume point is exact.
-	pc, err := p.client.Cursor(ctx, "gzip")
+	pc, err := p.client.Cursor(ctx, "gzip", trace.KindBranch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := r.client.Cursor(ctx, "gzip")
+	rc, err := r.client.Cursor(ctx, "gzip", trace.KindBranch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestReplicationCatchupAndLiveTail(t *testing.T) {
 		t.Fatalf("cursors diverge: primary %+v replica %+v", pc, rc)
 	}
 	// The replica serves decisions.
-	pd, err := p.client.Decide(ctx, "gzip", 3)
+	pd, err := p.client.DecideKind(ctx, "gzip", trace.KindBranch, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := r.client.Decide(ctx, "gzip", 3)
+	rd, err := r.client.DecideKind(ctx, "gzip", trace.KindBranch, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFollowerBehindCompaction(t *testing.T) {
 	// Rotate segments, then snapshot: the snapshot compacts the log so
 	// sequence 0 is gone.
 	for i := 0; i < 20; i++ {
-		if _, err := p.client.Ingest(ctx, "gzip", synthEvents(2000, uint64(i))); err != nil {
+		if _, err := p.client.IngestKind(ctx, "gzip", trace.KindBranch, synthEvents(2000, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +303,7 @@ func TestFollowerBehindCompaction(t *testing.T) {
 func TestFollowerResumesAcrossPrimaryRestart(t *testing.T) {
 	p := startPrimary(t, 4)
 	ctx := context.Background()
-	if _, err := p.client.Ingest(ctx, "gzip", synthEvents(500, 1)); err != nil {
+	if _, err := p.client.IngestKind(ctx, "gzip", trace.KindBranch, synthEvents(500, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -337,7 +337,7 @@ func TestFollowerResumesAcrossPrimaryRestart(t *testing.T) {
 	// would across a daemon restart) and keep ingesting into the primary.
 	p.shipper.Close()
 	p.ln.Close()
-	if _, err := p.client.Ingest(ctx, "gzip", synthEvents(400, 2)); err != nil {
+	if _, err := p.client.IngestKind(ctx, "gzip", trace.KindBranch, synthEvents(400, 2)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -454,7 +454,7 @@ func TestReplicaLogMatchesPrimary(t *testing.T) {
 		}
 	}
 	frames := [][]trace.Event{synthEvents(100, 10), synthEvents(200, 11), synthEvents(50, 12)}
-	if _, err := p.client.IngestFrames(ctx, "vpr", frames); err != nil {
+	if _, _, err := p.client.IngestFramesKindTimed(ctx, "vpr", trace.KindBranch, frames); err != nil {
 		t.Fatal(err)
 	}
 	sln, err := net.Listen("tcp", "127.0.0.1:0")

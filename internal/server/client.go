@@ -22,8 +22,7 @@ import (
 // Connect and functional options:
 //
 //	c := server.Connect("http://127.0.0.1:8344",
-//	    server.WithTimeout(10*time.Second),
-//	    server.WithRetry(3, 100*time.Millisecond))
+//	    server.WithTimeout(10*time.Second))
 //
 // Every method takes a context.Context governing that call's lifetime. The
 // client is safe for concurrent use by multiple goroutines, but batches for
@@ -31,16 +30,13 @@ import (
 // serializes them anyway; interleaving would make the decision order
 // nondeterministic).
 type Client struct {
-	base    string
-	hc      *http.Client
-	retries int           // extra attempts after the first, transport errors only
-	backoff time.Duration // sleep between attempts, doubled each retry
+	base string
+	hc   *http.Client
 	// paramsPin, when non-empty, is appended as the params= query pin on
 	// every ingest request and checked against /v1/info by VerifyParams.
 	paramsPin string
 	// policyPin, when non-empty, is appended as the policy= query pin on
-	// every /v2 request (the /v1 compatibility endpoints have no policy
-	// parameter; the params pin's ParamsPolicyHash digest covers them).
+	// every ingest, decide and cursor request.
 	policyPin string
 	// tracer, when non-nil, samples ingest batches into client-side spans
 	// (client_encode, client_network) and propagates the trace ID to the
@@ -71,21 +67,6 @@ func WithTimeout(d time.Duration) Option {
 	}
 }
 
-// WithRetry retries idempotent requests (decide, healthz, metrics, info) up
-// to n extra times on transport errors, sleeping backoff before the first
-// retry and doubling it each attempt. Ingest and snapshot are never retried:
-// the events (or the snapshot) may have landed even when the response was
-// lost, and replaying them would double-apply.
-func WithRetry(n int, backoff time.Duration) Option {
-	return func(c *Client) {
-		if n < 0 {
-			n = 0
-		}
-		c.retries = n
-		c.backoff = backoff
-	}
-}
-
 // WithParamsHash pins every ingest request to the given controller-parameter
 // hash (see ParamsHash): the daemon rejects the batch with a typed
 // ErrParamsMismatch error (HTTP 409) instead of computing silently diverging
@@ -94,13 +75,11 @@ func WithParamsHash(h uint64) Option {
 	return func(c *Client) { c.paramsPin = formatParamsHash(h) }
 }
 
-// WithPolicy pins every /v2 request to the named decision policy: a daemon
-// serving a different one rejects the request up front — with an error
-// satisfying errors.Is(err, ErrUnknownPolicy) when the name is not
-// registered there at all, ErrParamsMismatch when it is registered but not
-// the policy being served. The /v1 kind=branch compatibility endpoints carry
-// no policy parameter; pin them through WithParamsHash with a
-// ParamsPolicyHash digest, which covers the policy.
+// WithPolicy pins every ingest, decide and cursor request to the named
+// decision policy: a daemon serving a different one rejects the request up
+// front — with an error satisfying errors.Is(err, ErrUnknownPolicy) when the
+// name is not registered there at all, ErrParamsMismatch when it is
+// registered but not the policy being served.
 func WithPolicy(name string) Option {
 	return func(c *Client) { c.policyPin = name }
 }
@@ -127,33 +106,28 @@ func Connect(base string, opts ...Option) *Client {
 	return c
 }
 
-// get performs one GET round trip with the retry policy (GETs here are all
-// idempotent reads).
+// get performs one GET round trip.
 func (c *Client) get(ctx context.Context, op, url string) (*http.Response, error) {
-	var lastErr error
-	backoff := c.backoff
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, fmt.Errorf("server: %s: %w", op, err)
-		}
-		resp, err := c.hc.Do(req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if attempt == c.retries || ctx.Err() != nil {
-			return nil, fmt.Errorf("server: %s: %w", op, lastErr)
-		}
-		if backoff > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("server: %s: %w", op, ctx.Err())
-			}
-			backoff *= 2
-		}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, fmt.Errorf("server: %s: %w", op, err)
 	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("server: %s: %w", op, err)
+	}
+	return resp, nil
+}
+
+// programURL builds the URL of a program endpoint with the shared query
+// vocabulary: program, kind (always sent) and the policy pin when the client
+// carries one.
+func (c *Client) programURL(path, program string, kind trace.Kind) string {
+	u := c.base + path + "?program=" + url.QueryEscape(program) + "&kind=" + kind.String()
+	if c.policyPin != "" {
+		u += "&policy=" + url.QueryEscape(c.policyPin)
+	}
+	return u
 }
 
 // getJSON performs a GET and decodes a JSON body into out.
@@ -198,7 +172,7 @@ func (e *BatchTruncatedError) Error() string {
 	return fmt.Sprintf("server: batch truncated: applied %d of %d frames: %s", e.Applied, e.Sent, e.Msg)
 }
 
-// encodeBufPool recycles request-body buffers across Ingest calls so the
+// encodeBufPool recycles request-body buffers across ingest calls so the
 // steady-state encode path does not allocate per batch.
 var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -214,30 +188,15 @@ type IngestTiming struct {
 	Decode time.Duration
 }
 
-// Ingest sends one batch of events as a single frame and returns the
-// per-event decisions. A rejected frame (corrupt on the wire) surfaces as an
-// error.
-//
-// Ingest is the kind=branch compatibility surface: it always posts to
-// /v1/ingest, so it works against every daemon generation. Kind-aware
-// callers use IngestKind.
-func (c *Client) Ingest(ctx context.Context, program string, events []trace.Event) ([]Decision, error) {
-	ds, _, err := c.IngestTimed(ctx, program, events)
-	return ds, err
-}
-
-// IngestKind is Ingest for an explicit speculation kind. kind=branch posts to
-// /v1/ingest — byte-identical to Ingest, so it works against pre-kind
-// daemons; other kinds post to /v2/ingest, where a daemon that does not
+// IngestKind sends one batch of events of the given speculation kind as a
+// single frame and returns the per-event decisions. A rejected frame
+// (corrupt on the wire) surfaces as an error; a daemon that does not
 // recognize or serve the kind answers with an error satisfying
 // errors.Is(err, ErrUnsupportedKind).
 func (c *Client) IngestKind(ctx context.Context, program string, kind trace.Kind, events []trace.Event) ([]Decision, error) {
-	results, _, err := c.ingestFramesTimed(ctx, c.ingestURLKind(program, kind), program, [][]trace.Event{events})
+	results, _, err := c.IngestFramesKindTimed(ctx, program, kind, [][]trace.Event{events})
 	if err != nil {
 		return nil, err
-	}
-	if len(results) != 1 {
-		return nil, fmt.Errorf("server: %d frame results for 1 frame", len(results))
 	}
 	if results[0].Err != nil {
 		return nil, results[0].Err
@@ -245,89 +204,18 @@ func (c *Client) IngestKind(ctx context.Context, program string, kind trace.Kind
 	return results[0].Decisions, nil
 }
 
-// IngestTimed is Ingest with a per-phase latency breakdown.
-func (c *Client) IngestTimed(ctx context.Context, program string, events []trace.Event) ([]Decision, IngestTiming, error) {
-	results, tm, err := c.IngestFramesTimed(ctx, program, [][]trace.Event{events})
-	if err != nil {
-		return nil, tm, err
-	}
-	if len(results) != 1 {
-		return nil, tm, fmt.Errorf("server: %d frame results for 1 frame", len(results))
-	}
-	if results[0].Err != nil {
-		return nil, tm, results[0].Err
-	}
-	return results[0].Decisions, tm, nil
-}
-
-// IngestFrames sends several frames in one batch request. The returned slice
-// has one entry per frame, in order; frames the server rejected carry an Err
+// IngestFramesKindTimed sends several frames of one speculation kind in one
+// batch request, with a per-phase latency breakdown. The returned slice has
+// one entry per frame, in order; frames the server rejected carry an Err
 // instead of decisions. The error return covers transport- and batch-level
 // failures, with one partial-success case: a *BatchTruncatedError is
 // returned alongside the results for the frames the server did apply before
 // its framing was lost ("applied N of M frames").
-func (c *Client) IngestFrames(ctx context.Context, program string, frames [][]trace.Event) ([]IngestResult, error) {
-	results, _, err := c.IngestFramesTimed(ctx, program, frames)
-	return results, err
-}
-
-// ingestURL builds the ingest endpoint URL for program, including the
-// params pin when the client carries one.
-func (c *Client) ingestURL(program string) string {
-	u := c.base + "/v1/ingest?program=" + url.QueryEscape(program)
-	if c.paramsPin != "" {
-		u += "&params=" + c.paramsPin
-	}
-	return u
-}
-
-// ingestURLKind is ingestURL routed by kind: branch stays on the /v1
-// compatibility endpoint, every other kind goes to /v2/ingest with its kind
-// tag.
-func (c *Client) ingestURLKind(program string, kind trace.Kind) string {
-	if kind == trace.KindBranch {
-		return c.ingestURL(program)
-	}
-	u := c.base + "/v2/ingest?program=" + url.QueryEscape(program) + "&kind=" + kind.String()
-	if c.paramsPin != "" {
-		u += "&params=" + c.paramsPin
-	}
-	if c.policyPin != "" {
-		u += "&policy=" + url.QueryEscape(c.policyPin)
-	}
-	return u
-}
-
-// IngestFramesTimed is IngestFrames with a per-phase latency breakdown.
-func (c *Client) IngestFramesTimed(ctx context.Context, program string, frames [][]trace.Event) ([]IngestResult, IngestTiming, error) {
-	return c.ingestFramesTimed(ctx, c.ingestURL(program), program, frames)
-}
-
-// IngestKindTimed is IngestKind with a per-phase latency breakdown.
-func (c *Client) IngestKindTimed(ctx context.Context, program string, kind trace.Kind, events []trace.Event) ([]Decision, IngestTiming, error) {
-	results, tm, err := c.ingestFramesTimed(ctx, c.ingestURLKind(program, kind), program, [][]trace.Event{events})
-	if err != nil {
-		return nil, tm, err
-	}
-	if len(results) != 1 {
-		return nil, tm, fmt.Errorf("server: %d frame results for 1 frame", len(results))
-	}
-	if results[0].Err != nil {
-		return nil, tm, results[0].Err
-	}
-	return results[0].Decisions, tm, nil
-}
-
-// IngestFramesKindTimed is IngestFramesTimed routed by kind: branch posts to
-// /v1/ingest (byte-identical to IngestFramesTimed, so it works against
-// pre-kind daemons), every other kind to /v2/ingest.
 func (c *Client) IngestFramesKindTimed(ctx context.Context, program string, kind trace.Kind, frames [][]trace.Event) ([]IngestResult, IngestTiming, error) {
-	return c.ingestFramesTimed(ctx, c.ingestURLKind(program, kind), program, frames)
-}
-
-// ingestFramesTimed posts frames to an already-built ingest URL (v1 or v2 —
-// the body and response bytes are identical on both).
-func (c *Client) ingestFramesTimed(ctx context.Context, ingestURL, program string, frames [][]trace.Event) ([]IngestResult, IngestTiming, error) {
+	ingestURL := c.programURL("/v1/ingest", program, kind)
+	if c.paramsPin != "" {
+		ingestURL += "&params=" + c.paramsPin
+	}
 	var tm IngestTiming
 	traceID := c.tracer.SampleBatch()
 	nEvents := 0
@@ -469,42 +357,11 @@ func parseIngestResponse(raw []byte) (results []IngestResult, truncated string, 
 	return results, string(take(n)), nil
 }
 
-// Decide queries a branch's current classification.
-//
-// Decide is the kind=branch compatibility surface (it always queries
-// /v1/decide); kind-aware callers use DecideKind.
-func (c *Client) Decide(ctx context.Context, program string, id trace.BranchID) (DecideResponse, error) {
+// DecideKind queries a unit's current classification for a speculation
+// kind.
+func (c *Client) DecideKind(ctx context.Context, program string, kind trace.Kind, id trace.BranchID) (DecideResponse, error) {
 	var out DecideResponse
-	u := c.base + "/v1/decide?program=" + url.QueryEscape(program) +
-		"&branch=" + strconv.FormatUint(uint64(id), 10)
-	return out, c.getJSON(ctx, "decide", u, &out)
-}
-
-// DecideKind queries a unit's current classification for an explicit
-// speculation kind. kind=branch queries the /v1 compatibility endpoint (so
-// it works against pre-kind daemons) and adapts the answer; other kinds
-// query /v2/decide.
-func (c *Client) DecideKind(ctx context.Context, program string, kind trace.Kind, id trace.BranchID) (DecideV2Response, error) {
-	if kind == trace.KindBranch {
-		v1, err := c.Decide(ctx, program, id)
-		if err != nil {
-			return DecideV2Response{}, err
-		}
-		return DecideV2Response{
-			Program: v1.Program,
-			Kind:    trace.KindBranch.String(),
-			ID:      v1.Branch,
-			State:   v1.State,
-			Dir:     v1.Direction == "taken",
-			Live:    v1.Live,
-		}, nil
-	}
-	var out DecideV2Response
-	u := c.base + "/v2/decide?program=" + url.QueryEscape(program) +
-		"&kind=" + kind.String() + "&id=" + strconv.FormatUint(uint64(id), 10)
-	if c.policyPin != "" {
-		u += "&policy=" + url.QueryEscape(c.policyPin)
-	}
+	u := c.programURL("/v1/decide", program, kind) + "&id=" + strconv.FormatUint(uint64(id), 10)
 	return out, c.getJSON(ctx, "decide", u, &out)
 }
 
@@ -574,13 +431,13 @@ func (c *Client) Promote(ctx context.Context) (PromoteResult, error) {
 	return out, json.NewDecoder(resp.Body).Decode(&out)
 }
 
-// Cursor fetches one program's ingest position (GET /v1/cursor) — after a
-// failover, Events tells the client how many of its events the promoted
-// daemon holds, so it can resume sending from exactly there.
-func (c *Client) Cursor(ctx context.Context, program string) (CursorResponse, error) {
+// Cursor fetches one (program, kind) stream's ingest position
+// (GET /v1/cursor) — after a failover, Events tells the client how many of
+// its events the promoted daemon holds, so it can resume sending from
+// exactly there.
+func (c *Client) Cursor(ctx context.Context, program string, kind trace.Kind) (CursorResponse, error) {
 	var out CursorResponse
-	u := c.base + "/v1/cursor?program=" + url.QueryEscape(program)
-	return out, c.getJSON(ctx, "cursor", u, &out)
+	return out, c.getJSON(ctx, "cursor", c.programURL("/v1/cursor", program, kind), &out)
 }
 
 // Metrics fetches the raw /metrics Prometheus text exposition.

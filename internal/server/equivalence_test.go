@@ -51,7 +51,7 @@ func TestEndToEndEquivalenceWithHarness(t *testing.T) {
 		if n == 0 {
 			break
 		}
-		ds, err := c.Ingest(context.Background(), spec.Name, buf[:n])
+		ds, err := c.IngestKind(context.Background(), spec.Name, trace.KindBranch, buf[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestEndToEndEquivalenceUnderFaults(t *testing.T) {
 		if len(batch) == 0 {
 			return
 		}
-		ds, err := c.Ingest(context.Background(), spec.Name, batch)
+		ds, err := c.IngestKind(context.Background(), spec.Name, trace.KindBranch, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ const (
 	// CodeNotReplica labels a promote request sent to a daemon that is not
 	// (or is no longer) a replica — including a second promote.
 	CodeNotReplica = "not_replica"
-	// CodeUnsupportedKind labels a /v2 request naming a speculation kind the
+	// CodeUnsupportedKind labels a request naming a speculation kind the
 	// daemon does not recognize or is not serving.
 	CodeUnsupportedKind = "unsupported_kind"
 	// CodeUnknownPolicy labels a request pinned to a policy name that is not

@@ -15,7 +15,8 @@ import (
 	"reactivespec/internal/trace"
 )
 
-// TestErrorEnvelopeConformance walks every /v1/* handler's failure paths and
+// TestErrorEnvelopeConformance walks every endpoint's failure paths — the
+// shared program/kind/policy query on ingest, decide and cursor included — and
 // checks the one contract they all share: a JSON {"error", "code"} envelope
 // with the documented status code, served as application/json.
 func TestErrorEnvelopeConformance(t *testing.T) {
@@ -44,12 +45,22 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 	}{
 		{"ingest wrong method", liveTS.URL, http.MethodGet, "/v1/ingest?program=p", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"ingest missing program", liveTS.URL, http.MethodPost, "/v1/ingest", http.StatusBadRequest, CodeMalformed},
+		{"ingest NUL program", liveTS.URL, http.MethodPost, "/v1/ingest?program=p%00q", http.StatusBadRequest, CodeMalformed},
 		{"ingest bad params pin", liveTS.URL, http.MethodPost, "/v1/ingest?program=p&params=zzz", http.StatusBadRequest, CodeMalformed},
 		{"ingest params mismatch", liveTS.URL, http.MethodPost, "/v1/ingest?program=p&params=" + wrongPin, http.StatusConflict, CodeParamMismatch},
 		{"ingest draining", drainTS.URL, http.MethodPost, "/v1/ingest?program=p", http.StatusServiceUnavailable, CodeDraining},
-		{"decide wrong method", liveTS.URL, http.MethodPost, "/v1/decide?program=p&branch=0", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"decide missing program", liveTS.URL, http.MethodGet, "/v1/decide?branch=0", http.StatusBadRequest, CodeMalformed},
-		{"decide bad branch", liveTS.URL, http.MethodGet, "/v1/decide?program=p&branch=x", http.StatusBadRequest, CodeMalformed},
+		{"ingest unknown kind", liveTS.URL, http.MethodPost, "/v1/ingest?program=p&kind=quantum", http.StatusBadRequest, CodeUnsupportedKind},
+		{"ingest unserved kind", branchTS.URL, http.MethodPost, "/v1/ingest?program=p&kind=value", http.StatusBadRequest, CodeUnsupportedKind},
+		{"ingest unknown policy", liveTS.URL, http.MethodPost, "/v1/ingest?program=p&policy=zzz", http.StatusBadRequest, CodeUnknownPolicy},
+		{"ingest policy mismatch", liveTS.URL, http.MethodPost, "/v1/ingest?program=p&kind=value&policy=selftrain", http.StatusConflict, CodeParamMismatch},
+		{"decide wrong method", liveTS.URL, http.MethodPost, "/v1/decide?program=p&id=0", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"decide kind wrong method", liveTS.URL, http.MethodPost, "/v1/decide?program=p&kind=value&id=0", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
+		{"decide missing program", liveTS.URL, http.MethodGet, "/v1/decide?id=0", http.StatusBadRequest, CodeMalformed},
+		{"decide bad branch", liveTS.URL, http.MethodGet, "/v1/decide?program=p&id=x", http.StatusBadRequest, CodeMalformed},
+		{"decide bad id", liveTS.URL, http.MethodGet, "/v1/decide?program=p&kind=value&id=x", http.StatusBadRequest, CodeMalformed},
+		{"decide unknown kind", liveTS.URL, http.MethodGet, "/v1/decide?program=p&kind=quantum&id=0", http.StatusBadRequest, CodeUnsupportedKind},
+		{"decide unserved kind", branchTS.URL, http.MethodGet, "/v1/decide?program=p&kind=memdep&id=0", http.StatusBadRequest, CodeUnsupportedKind},
+		{"decide policy mismatch", liveTS.URL, http.MethodGet, "/v1/decide?program=p&policy=selftrain&id=0", http.StatusConflict, CodeParamMismatch},
 		{"info wrong method", liveTS.URL, http.MethodPost, "/v1/info", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"snapshot wrong method", liveTS.URL, http.MethodGet, "/v1/snapshot", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"snapshot draining", drainTS.URL, http.MethodPost, "/v1/snapshot", http.StatusServiceUnavailable, CodeDraining},
@@ -57,22 +68,22 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"cursor wrong method", liveTS.URL, http.MethodPost, "/v1/cursor?program=p", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"cursor missing program", liveTS.URL, http.MethodGet, "/v1/cursor", http.StatusBadRequest, CodeMalformed},
 		{"cursor NUL program", liveTS.URL, http.MethodGet, "/v1/cursor?program=p%00q", http.StatusBadRequest, CodeMalformed},
+		{"cursor unknown kind", liveTS.URL, http.MethodGet, "/v1/cursor?program=p&kind=quantum", http.StatusBadRequest, CodeUnsupportedKind},
+		{"cursor unserved kind", branchTS.URL, http.MethodGet, "/v1/cursor?program=p&kind=tlspec", http.StatusBadRequest, CodeUnsupportedKind},
+		{"cursor unknown policy", liveTS.URL, http.MethodGet, "/v1/cursor?program=p&policy=zzz", http.StatusBadRequest, CodeUnknownPolicy},
 		{"promote wrong method", liveTS.URL, http.MethodGet, "/v1/promote", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"promote not a replica", liveTS.URL, http.MethodPost, "/v1/promote", http.StatusConflict, CodeNotReplica},
 
+		// /v2/ingest is an alias of /v1/ingest: the same handler, so the
+		// same failure paths.
 		{"v2 ingest wrong method", liveTS.URL, http.MethodGet, "/v2/ingest?program=p&kind=value", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
 		{"v2 ingest draining", drainTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=value", http.StatusServiceUnavailable, CodeDraining},
-		{"v2 ingest missing kind", liveTS.URL, http.MethodPost, "/v2/ingest?program=p", http.StatusBadRequest, CodeMalformed},
 		{"v2 ingest unknown kind", liveTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=quantum", http.StatusBadRequest, CodeUnsupportedKind},
 		{"v2 ingest unserved kind", branchTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=value", http.StatusBadRequest, CodeUnsupportedKind},
 		{"v2 ingest NUL program", liveTS.URL, http.MethodPost, "/v2/ingest?program=p%00q&kind=value", http.StatusBadRequest, CodeMalformed},
 		{"v2 ingest unknown policy", liveTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=value&policy=zzz", http.StatusBadRequest, CodeUnknownPolicy},
 		{"v2 ingest policy mismatch", liveTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=value&policy=selftrain", http.StatusConflict, CodeParamMismatch},
 		{"v2 ingest params mismatch", liveTS.URL, http.MethodPost, "/v2/ingest?program=p&kind=value&params=" + wrongPin, http.StatusConflict, CodeParamMismatch},
-		{"v2 decide wrong method", liveTS.URL, http.MethodPost, "/v2/decide?program=p&kind=value&id=0", http.StatusMethodNotAllowed, CodeMethodNotAllowed},
-		{"v2 decide unknown kind", liveTS.URL, http.MethodGet, "/v2/decide?program=p&kind=quantum&id=0", http.StatusBadRequest, CodeUnsupportedKind},
-		{"v2 decide unserved kind", branchTS.URL, http.MethodGet, "/v2/decide?program=p&kind=memdep&id=0", http.StatusBadRequest, CodeUnsupportedKind},
-		{"v2 decide bad id", liveTS.URL, http.MethodGet, "/v2/decide?program=p&kind=value&id=x", http.StatusBadRequest, CodeMalformed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,7 +125,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 func TestClientErrorMapping(t *testing.T) {
 	s, c := newTestServer(t, Config{Shards: 2})
 	s.BeginDrain()
-	_, err := c.Ingest(context.Background(), "p", synthEvents(10, 1))
+	_, err := c.IngestKind(context.Background(), "p", trace.KindBranch, synthEvents(10, 1))
 	if !errors.Is(err, ErrDraining) {
 		t.Fatalf("ingest while draining = %v, want ErrDraining", err)
 	}
@@ -128,7 +139,7 @@ func TestClientErrorMapping(t *testing.T) {
 
 	s2, c2 := newTestServer(t, Config{Shards: 2})
 	pinned := Connect(c2.base, WithParamsHash(s2.paramsHash^1))
-	if _, err := pinned.Ingest(context.Background(), "p", synthEvents(10, 1)); !errors.Is(err, ErrParamsMismatch) {
+	if _, err := pinned.IngestKind(context.Background(), "p", trace.KindBranch, synthEvents(10, 1)); !errors.Is(err, ErrParamsMismatch) {
 		t.Fatalf("pinned ingest = %v, want ErrParamsMismatch", err)
 	}
 

@@ -119,12 +119,10 @@ type Info struct {
 	// read-only and applying a primary's shipped WAL.
 	Mode string `json:"mode"`
 	// Kinds lists the speculation kinds this daemon serves, in trace.Kind
-	// order. Absent (nil) in pre-kind daemons' responses, which serve
-	// exactly ["branch"].
-	Kinds []string `json:"kinds,omitempty"`
+	// order.
+	Kinds []string `json:"kinds"`
 	// Policy is the registered policy name every table entry runs.
-	// Absent in pre-policy daemons' responses, which run "reactive".
-	Policy string `json:"policy,omitempty"`
+	Policy string `json:"policy"`
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {

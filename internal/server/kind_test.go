@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"reactivespec/internal/core"
@@ -82,73 +85,173 @@ func TestMixedKindIsolationSameProgram(t *testing.T) {
 	}
 }
 
-// TestV1V2ByteExactBranch pins the migration contract for kind=branch: a /v2
-// ingest with kind=branch produces byte-identical response bodies to the
-// same events POSTed to /v1/ingest, and both endpoints drive the same table
-// entry (the branch kind-program key is the plain program name).
+// TestV1V2ByteExactBranch pins that the three spellings of a branch ingest —
+// /v1/ingest with kind omitted, /v1/ingest with kind=branch, and the
+// /v2/ingest alias — are one request: for the same bodies they answer
+// byte-identical responses, log identical WAL records under the plain
+// program name, and leave identical table entries and cursors.
 func TestV1V2ByteExactBranch(t *testing.T) {
-	post := func(c *Client, path string, body []byte) (int, []byte) {
-		t.Helper()
-		resp, err := http.Post(c.base+path, "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, out
+	type outcome struct {
+		responses [][]byte
+		records   []wal.Record
+		entries   []EntrySnapshot
+		cursors   []CursorSnapshot
 	}
-
 	evs := synthEvents(6000, 9)
-	var body []byte
-	for _, b := range streamBatches(evs, 1500) {
-		body = trace.AppendFrame(nil, b)
-
-		// Fresh server per endpoint: identical inputs from identical state.
-		_, v1c := newTestServer(t, Config{Shards: 4})
-		_, v2c := newTestServer(t, Config{Shards: 4})
-		s1, b1 := post(v1c, "/v1/ingest?program=gzip", body)
-		s2, b2 := post(v2c, "/v2/ingest?program=gzip&kind=branch", body)
-		if s1 != http.StatusOK || s2 != http.StatusOK {
-			t.Fatalf("status v1=%d v2=%d", s1, s2)
+	run := func(path string) outcome {
+		t.Helper()
+		env := newWALEnv(t, 4)
+		l := env.openLog(t, wal.SyncAlways)
+		s, c := env.newServer(t, l)
+		var out outcome
+		for _, b := range streamBatches(evs, 1500) {
+			resp, err := http.Post(c.base+path, "application/octet-stream", bytes.NewReader(trace.AppendFrame(nil, b)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s: status %d, %v: %s", path, resp.StatusCode, err, body)
+			}
+			out.responses = append(out.responses, body)
 		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("v1 and v2 response bodies differ for kind=branch:\n v1 %x\n v2 %x", b1, b2)
+		out.entries = s.table.SnapshotEntries()
+		out.cursors = s.exportCursors()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Same server: alternating endpoints continue one decision stream, so
-	// the two surfaces are views of one entry, not parallel copies.
-	_, c := newTestServer(t, Config{Shards: 4})
-	var mixed []Decision
-	for i, b := range streamBatches(evs, 1500) {
-		var (
-			ds  []Decision
-			err error
-		)
-		if i%2 == 0 {
-			ds, err = c.Ingest(context.Background(), "gzip", b)
-		} else {
-			ds, err = c.IngestKind(context.Background(), "gzip", trace.KindBranch, b)
-		}
+		r, err := wal.NewReader(wal.ReaderOptions{Dir: env.walDir, ParamsHash: ParamsHash(testParams()), FrameOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mixed = append(mixed, ds...)
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.records = append(out.records, wal.Record{Seq: rec.Seq, Program: rec.Program, Frame: slices.Clone(rec.Frame)})
+		}
+		return out
 	}
-	_, ref := newTestServer(t, Config{Shards: 4})
-	var want []Decision
-	for _, b := range streamBatches(evs, 1500) {
-		ds, err := ref.Ingest(context.Background(), "gzip", b)
+
+	want := run("/v1/ingest?program=gzip")
+	if len(want.records) != 4 || want.records[0].Program != "gzip" {
+		t.Fatalf("kind-omitted ingest logged %d records, first under %q; want 4 under the plain name",
+			len(want.records), want.records[0].Program)
+	}
+	for _, path := range []string{"/v1/ingest?program=gzip&kind=branch", "/v2/ingest?program=gzip&kind=branch"} {
+		got := run(path)
+		if !reflect.DeepEqual(got.responses, want.responses) {
+			t.Errorf("%s: response bodies differ from the kind-omitted ingest", path)
+		}
+		if !reflect.DeepEqual(got.records, want.records) {
+			t.Errorf("%s: WAL records differ from the kind-omitted ingest", path)
+		}
+		if !reflect.DeepEqual(got.entries, want.entries) || !reflect.DeepEqual(got.cursors, want.cursors) {
+			t.Errorf("%s: table entries or cursors differ from the kind-omitted ingest", path)
+		}
+	}
+}
+
+// TestServedKindMaskEveryEndpoint pins that the served-kind mask guards every
+// program endpoint alike: on a daemon serving only value, a request that
+// names an unserved kind — or omits kind, which means branch — is rejected
+// with unsupported_kind by ingest, its /v2 alias, decide and cursor, and
+// applies nothing; kind=value is served.
+func TestServedKindMaskEveryEndpoint(t *testing.T) {
+	s := New(Config{Params: testParams(), Shards: 2, Kinds: []trace.Kind{trace.KindValue}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const n = 10
+	for _, ep := range []struct{ name, method, path string }{
+		{"ingest", http.MethodPost, "/v1/ingest?program=p"},
+		{"v2 ingest alias", http.MethodPost, "/v2/ingest?program=p"},
+		{"decide", http.MethodGet, "/v1/decide?program=p&id=0"},
+		{"cursor", http.MethodGet, "/v1/cursor?program=p"},
+	} {
+		for _, kq := range []struct {
+			name, query string
+			served      bool
+		}{
+			{"omitted", "", false},
+			{"branch", "&kind=branch", false},
+			{"memdep", "&kind=memdep", false},
+			{"value", "&kind=value", true},
+		} {
+			t.Run(ep.name+"/kind="+kq.name, func(t *testing.T) {
+				var body io.Reader
+				if ep.method == http.MethodPost {
+					body = bytes.NewReader(trace.AppendFrame(nil, synthEvents(n, 1)))
+				}
+				req, err := http.NewRequest(ep.method, ts.URL+ep.path+kq.query, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				raw, _ := io.ReadAll(resp.Body)
+				if kq.served {
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("status %d, want 200: %s", resp.StatusCode, raw)
+					}
+					return
+				}
+				var env errorEnvelope
+				if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &env) != nil ||
+					env.Code != CodeUnsupportedKind {
+					t.Fatalf("status %d body %s, want 400 %s", resp.StatusCode, raw, CodeUnsupportedKind)
+				}
+			})
+		}
+	}
+	// Only the two kind=value ingests reached the table.
+	var total ShardMetrics
+	for _, m := range s.Table().Metrics() {
+		total.Add(m)
+	}
+	if total.Events != 2*n {
+		t.Fatalf("table applied %d events, want %d (the kind=value ingests only)", total.Events, 2*n)
+	}
+}
+
+// TestCursorPerKind pins that /v1/cursor reads the cursor of the kind it
+// names, and that an omitted kind reads branch's: value events advance only
+// the value cursor of their program.
+func TestCursorPerKind(t *testing.T) {
+	s, c := newTestServer(t, Config{Shards: 2})
+	ctx := context.Background()
+	if _, err := c.IngestKind(ctx, "p", trace.KindValue, synthEvents(10, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.IngestKind(ctx, "p", trace.KindBranch, synthEvents(3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for kind, want := range map[trace.Kind]uint64{trace.KindValue: 10, trace.KindBranch: 3, trace.KindMemdep: 0} {
+		cur, err := c.Cursor(ctx, "p", kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, ds...)
+		if cur.Events != want || cur.Program != "p" {
+			t.Errorf("cursor(p, %s) = %+v, want %d events", kind, cur, want)
+		}
 	}
-	if !reflect.DeepEqual(mixed, want) {
-		t.Fatal("alternating v1/v2 ingest diverged from a pure v1 stream")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/cursor?program=p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cur CursorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cur); err != nil || cur.Events != 3 {
+		t.Fatalf("kind-omitted cursor = %+v, %v; want branch's 3 events", cur, err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"reactivespec/internal/replica"
+	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
 
@@ -39,7 +40,7 @@ func TestMetricsConformance(t *testing.T) {
 	defer f.Seal()
 
 	// A little traffic so counters and summaries carry real samples.
-	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(2000, 1)); err != nil {
+	if _, err := c.IngestKind(context.Background(), "gzip", trace.KindBranch, synthEvents(2000, 1)); err != nil {
 		t.Fatal(err)
 	}
 

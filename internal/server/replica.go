@@ -138,29 +138,31 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-// CursorResponse is the JSON answer of GET /v1/cursor: one program's ingest
-// position. Failover clients read Events off a freshly promoted replica to
-// learn how many of their events survived, and resume sending from there.
+// CursorResponse is the JSON answer of GET /v1/cursor: one (program, kind)
+// stream's ingest position. Failover clients read Events off a freshly
+// promoted replica to learn how many of their events survived, and resume
+// sending from there.
 type CursorResponse struct {
 	Program string `json:"program"`
 	// Instr is the cumulative dynamic instruction count.
 	Instr uint64 `json:"instr"`
-	// Events is the number of events applied for the program.
+	// Events is the number of events applied for the program and kind.
 	Events uint64 `json:"events"`
 }
 
+// handleCursor serves GET /v1/cursor?program=P[&kind=K].
 func (s *Server) handleCursor(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
 		return
 	}
-	program := r.URL.Query().Get("program")
-	if !checkProgram(w, program) {
+	program, kind, ok := s.parseQuery(w, r.URL.Query())
+	if !ok {
 		return
 	}
 	resp := CursorResponse{Program: program}
 	s.cursorsMu.Lock()
-	c := s.cursors[program]
+	c := s.cursors[trace.EncodeKindProgram(kind, program)]
 	s.cursorsMu.Unlock()
 	if c != nil {
 		c.mu.Lock()

@@ -27,11 +27,11 @@ func newReplicaServer(t *testing.T, shards int) (*Server, *Client) {
 func TestReplicaRejectsWrites(t *testing.T) {
 	s, c := newReplicaServer(t, 4)
 
-	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(10, 1)); !errors.Is(err, ErrReadOnly) {
+	if _, err := c.IngestKind(context.Background(), "gzip", trace.KindBranch, synthEvents(10, 1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("ingest on a replica: %v, want ErrReadOnly", err)
 	}
 	var apiErr *APIError
-	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(10, 1)); !errors.As(err, &apiErr) ||
+	if _, err := c.IngestKind(context.Background(), "gzip", trace.KindBranch, synthEvents(10, 1)); !errors.As(err, &apiErr) ||
 		apiErr.Status != 403 || apiErr.Code != CodeReadOnly {
 		t.Fatalf("ingest envelope: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	}
 
 	// Reads still serve.
-	if _, err := c.Decide(context.Background(), "gzip", 0); err != nil {
+	if _, err := c.DecideKind(context.Background(), "gzip", trace.KindBranch, 0); err != nil {
 		t.Fatalf("decide on a replica: %v", err)
 	}
 	info, err := c.Info(context.Background())
@@ -81,14 +81,14 @@ func TestApplyReplicatedThenPromote(t *testing.T) {
 	}
 
 	// The cursor endpoint reports the replicated position per program.
-	cr, err := c.Cursor(context.Background(), "gzip")
+	cr, err := c.Cursor(context.Background(), "gzip", trace.KindBranch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cr.Events != 900 {
 		t.Fatalf("gzip cursor events %d, want 900", cr.Events)
 	}
-	if cr, err = c.Cursor(context.Background(), "never-seen"); err != nil || cr.Events != 0 || cr.Instr != 0 {
+	if cr, err = c.Cursor(context.Background(), "never-seen", trace.KindBranch); err != nil || cr.Events != 0 || cr.Instr != 0 {
 		t.Fatalf("unknown-program cursor = %+v, %v", cr, err)
 	}
 
@@ -110,7 +110,7 @@ func TestApplyReplicatedThenPromote(t *testing.T) {
 	}
 
 	// Writes now land; replication applies no longer do.
-	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(50, 9)); err != nil {
+	if _, err := c.IngestKind(context.Background(), "gzip", trace.KindBranch, synthEvents(50, 9)); err != nil {
 		t.Fatalf("ingest after promote: %v", err)
 	}
 	if _, err := s.ApplyReplicated("gzip", trace.EncodeFrameAppend(nil, synthEvents(5, 1)), 0); !errors.Is(err, ErrNotReplica) {
@@ -164,7 +164,7 @@ func TestReplicaCursorSurvivesSnapshotRestore(t *testing.T) {
 	env := newWALEnv(t, 4)
 	l := env.openLog(t, wal.SyncAlways)
 	s, c := env.newServer(t, l)
-	if _, err := c.Ingest(context.Background(), "gzip", synthEvents(123, 5)); err != nil {
+	if _, err := c.IngestKind(context.Background(), "gzip", trace.KindBranch, synthEvents(123, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SnapshotNow(); err != nil {
@@ -180,7 +180,7 @@ func TestReplicaCursorSurvivesSnapshotRestore(t *testing.T) {
 	if _, err := s2.Recover(); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	cr, err := c2.Cursor(context.Background(), "gzip")
+	cr, err := c2.Cursor(context.Background(), "gzip", trace.KindBranch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -23,11 +24,29 @@ import (
 
 // HTTP API:
 //
-//	POST /v1/ingest?program=P
+// Every endpoint that names a program shares one query vocabulary, parsed
+// and checked in one place (parseQuery):
+//
+//	program=P   required; a name containing a NUL byte is rejected (NUL
+//	            introduces the internal kind-key encoding,
+//	            trace.EncodeKindProgram)
+//	kind=K      optional speculation kind (trace.ParseKind); absent means
+//	            branch. An unknown name, or a kind the daemon is not serving
+//	            (Config.Kinds), is rejected with unsupported_kind (400).
+//	policy=L    optional policy pin: an unregistered name is rejected with
+//	            unknown_policy (400), a registered-but-different one with
+//	            param_mismatch (409).
+//
+// A kind=branch table key and cursor are the plain program name, so a
+// request that names kind=branch and one that omits kind address the same
+// state, byte for byte.
+//
+//	POST /v1/ingest?program=P[&kind=K][&policy=L][&params=H]
 //	  Body: one or more trace frames (trace.WriteFrame). Events are applied
-//	  in order; the per-program instruction cursor advances by each event's
-//	  gap. A corrupt frame is rejected and skipped — the rest of the batch
-//	  still applies (per-batch corruption handling, not per-connection).
+//	  in order; the per-(program, kind) instruction cursor advances by each
+//	  event's gap. A corrupt frame is rejected and skipped — the rest of the
+//	  batch still applies (per-batch corruption handling, not
+//	  per-connection).
 //	  Response (application/octet-stream, Content-Length always set):
 //	    magic  "RSPD" [4]byte
 //	    frames uvarint
@@ -45,38 +64,24 @@ import (
 //	  record (status 2) instead of discarding the applied prefix, and the
 //	  rest of the body is ignored. Clients see "applied N of M frames" plus
 //	  the framing diagnostic (server.BatchTruncatedError).
-//	  Concurrent batches for the same program serialize (the cursor defines
-//	  the program's event order); different programs proceed in parallel.
-//	  The body is fully read and decoded *before* the program cursor is
-//	  taken, so a slow client cannot stall other ingesters for its program.
-//
-//	  An optional params=<hex hash> query pins the request to a controller
-//	  parameter hash (see ParamsHash); a mismatch is rejected with 409
+//	  Concurrent batches for the same program and kind serialize (the cursor
+//	  defines the event order); everything else proceeds in parallel. The
+//	  body is fully read and decoded *before* the cursor is taken, so a slow
+//	  client cannot stall other ingesters for its program.
+//	  The optional params=<hex hash> query pins the request to a controller
+//	  parameter hash (see ParamsPolicyHash); a mismatch is rejected with 409
 //	  before any event is applied.
+//	POST /v2/ingest                      → the same handler as /v1/ingest
+//	  (an alias kept for perfbench/traced.go, which posts non-branch kinds
+//	  there).
 //
-//	GET  /v1/decide?program=P&branch=N   → JSON DecideResponse
+//	GET  /v1/decide?program=P[&kind=K][&policy=L]&id=N → JSON DecideResponse
+//	GET  /v1/cursor?program=P[&kind=K][&policy=L]      → JSON CursorResponse
 //	GET  /v1/info                        → JSON Info (API/proto version, params hash)
 //	GET  /healthz                        → JSON health summary
 //	GET  /metrics                        → Prometheus text exposition
 //	POST /v1/snapshot                    → force a snapshot, JSON result
-//
-//	POST /v2/ingest?program=P&kind=K     → kind-aware ingest; body and response
-//	  format are byte-identical to /v1/ingest. kind names a speculation kind
-//	  (trace.ParseKind); kind=branch lands on exactly the table keys /v1/ingest
-//	  uses, so a program can migrate endpoint by endpoint without resetting
-//	  its state. An unknown kind name, or a kind the daemon is not serving, is
-//	  rejected with the unsupported_kind code before any event applies. An
-//	  optional policy=<name> query pins the request to the daemon's policy the
-//	  way params= pins the parameter hash: an unregistered name is rejected
-//	  with unknown_policy (400), a registered-but-different one with
-//	  param_mismatch (409).
-//	GET  /v2/decide?program=P&kind=K&id=N → JSON DecideV2Response; same kind
-//	  and policy validation as /v2/ingest.
-//
-// The /v1/* endpoints are the compatibility surface: they serve kind=branch
-// exactly as they did before kinds existed, byte for byte. Program names
-// containing a NUL byte are rejected on every path (NUL introduces the
-// internal kind-key encoding, trace.EncodeKindProgram).
+//	POST /v1/promote                     → promote a replica, JSON PromoteResult
 //
 // Every failure path answers with the unified JSON error envelope
 // {"error": ..., "code": ...} defined in errors.go.
@@ -312,11 +317,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// The /v1 routes pin kind=branch and never read kind or policy.
-	mux.HandleFunc("/v1/ingest", func(w http.ResponseWriter, r *http.Request) { s.handleIngest(w, r, false) })
-	mux.HandleFunc("/v2/ingest", func(w http.ResponseWriter, r *http.Request) { s.handleIngest(w, r, true) })
-	mux.HandleFunc("/v1/decide", func(w http.ResponseWriter, r *http.Request) { s.handleDecide(w, r, false) })
-	mux.HandleFunc("/v2/decide", func(w http.ResponseWriter, r *http.Request) { s.handleDecide(w, r, true) })
+	mux.HandleFunc("/v1/ingest", s.handleIngest)
+	// An alias of /v1/ingest: perfbench/traced.go still posts non-branch
+	// kinds here.
+	mux.HandleFunc("/v2/ingest", s.handleIngest)
+	mux.HandleFunc("/v1/decide", s.handleDecide)
 	mux.HandleFunc("/v1/info", s.handleInfo)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/v1/promote", s.handlePromote)
@@ -375,12 +380,10 @@ func putIngestScratch(sc *ingestScratch) {
 	ingestScratchPool.Put(sc)
 }
 
-// handleIngest serves POST /v1/ingest and, with kinded set, /v2/ingest,
-// which also validates kind and policy. Below validation both run the same
-// batch path on the kind-encoded table key: the WAL record, the cursor, the
-// table keys and the response bytes of a /v2 kind=branch ingest are exactly
-// those of a /v1 ingest of the same body (the key is the plain name then).
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kinded bool) {
+// handleIngest serves POST /v1/ingest (and its /v2/ingest alias): check the
+// shared query and the params pin, then run the batch path on the
+// kind-encoded table key (the plain program name for kind=branch).
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
 		return
@@ -395,18 +398,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kinded boo
 		return
 	}
 	q := r.URL.Query()
-	program := q.Get("program")
-	if !checkProgram(w, program) {
-		return
-	}
-	kind := trace.KindBranch
-	if kinded {
-		var ok bool
-		if kind, ok = s.checkKindPolicy(w, q); !ok {
-			return
-		}
-	}
-	if !s.checkParamsPin(w, q.Get("params")) {
+	program, kind, ok := s.parseQuery(w, q)
+	if !ok || !s.checkParamsPin(w, q.Get("params")) {
 		return
 	}
 	// pprof labels let a CPU profile split ingest work by program, kind,
@@ -419,19 +412,46 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, kinded boo
 	})
 }
 
-// checkProgram validates an ingest/decide program parameter, answering the
-// request itself when the name is missing or carries a NUL byte (NUL
-// introduces the internal kind-key encoding and is never a legal name).
-func checkProgram(w http.ResponseWriter, program string) bool {
+// parseQuery parses and checks the query vocabulary every program endpoint
+// shares — program, an optional kind (absent = branch) and an optional
+// policy pin — answering the request itself on failure.
+func (s *Server) parseQuery(w http.ResponseWriter, q url.Values) (string, trace.Kind, bool) {
+	program := q.Get("program")
 	if program == "" {
 		writeError(w, http.StatusBadRequest, CodeMalformed, "missing program parameter")
-		return false
+		return "", 0, false
 	}
 	if !trace.ValidProgramName(program) {
 		writeError(w, http.StatusBadRequest, CodeMalformed, "program name contains a NUL byte")
-		return false
+		return "", 0, false
 	}
-	return true
+	kind := trace.KindBranch
+	if ks := q.Get("kind"); ks != "" {
+		k, err := trace.ParseKind(ks)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, CodeUnsupportedKind, err.Error())
+			return "", 0, false
+		}
+		kind = k
+	}
+	if !s.kinds[kind] {
+		writeError(w, http.StatusBadRequest, CodeUnsupportedKind, fmt.Sprintf(
+			"kind %q is not served by this daemon (serving %v)", kind, s.KindNames()))
+		return "", 0, false
+	}
+	if pin := q.Get("policy"); pin != "" {
+		if !core.ValidPolicy(pin) {
+			writeError(w, http.StatusBadRequest, CodeUnknownPolicy, fmt.Sprintf(
+				"unknown policy %q (registered: %v)", pin, core.PolicyNames()))
+			return "", 0, false
+		}
+		if pin != s.table.Policy() {
+			writeError(w, http.StatusConflict, CodeParamMismatch, fmt.Sprintf(
+				"client pinned policy %q != server policy %q", pin, s.table.Policy()))
+			return "", 0, false
+		}
+	}
+	return program, kind, true
 }
 
 // checkParamsPin validates an optional params=<hex hash> pin against the
@@ -452,46 +472,6 @@ func (s *Server) checkParamsPin(w http.ResponseWriter, pin string) bool {
 		return false
 	}
 	return true
-}
-
-// checkKindPolicy validates a /v2 request's kind parameter and optional
-// policy pin, answering the request itself on failure. It returns the parsed
-// kind.
-func (s *Server) checkKindPolicy(w http.ResponseWriter, q map[string][]string) (trace.Kind, bool) {
-	get := func(name string) string {
-		if v := q[name]; len(v) > 0 {
-			return v[0]
-		}
-		return ""
-	}
-	ks := get("kind")
-	if ks == "" {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "missing kind parameter")
-		return 0, false
-	}
-	kind, err := trace.ParseKind(ks)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeUnsupportedKind, err.Error())
-		return 0, false
-	}
-	if !s.kinds[kind] {
-		writeError(w, http.StatusBadRequest, CodeUnsupportedKind, fmt.Sprintf(
-			"kind %q is not served by this daemon (serving %v)", kind, s.KindNames()))
-		return 0, false
-	}
-	if pin := get("policy"); pin != "" {
-		if !core.ValidPolicy(pin) {
-			writeError(w, http.StatusBadRequest, CodeUnknownPolicy, fmt.Sprintf(
-				"unknown policy %q (registered: %v)", pin, core.PolicyNames()))
-			return 0, false
-		}
-		if pin != s.table.Policy() {
-			writeError(w, http.StatusConflict, CodeParamMismatch, fmt.Sprintf(
-				"client pinned policy %q != server policy %q", pin, s.table.Policy()))
-			return 0, false
-		}
-	}
-	return kind, true
 }
 
 // ingestBatch is handleIngest's validated body: decode, commit, respond.
@@ -598,19 +578,9 @@ func (s *Server) ingestBatch(w http.ResponseWriter, r *http.Request, key, progra
 	s.finishBatch(&clk, traceID, program, len(sc.events), firstSeq)
 }
 
-// DecideResponse is the JSON answer of /v1/decide.
+// DecideResponse is the JSON answer of /v1/decide: one unit's current
+// classification, with the raw speculation direction as a boolean.
 type DecideResponse struct {
-	Program   string `json:"program"`
-	Branch    uint32 `json:"branch"`
-	State     string `json:"state"`
-	Direction string `json:"direction"` // "taken" or "not-taken"
-	Live      bool   `json:"live"`
-}
-
-// DecideV2Response is the JSON answer of /v2/decide. Unlike the v1 response
-// it carries the raw speculation direction as a boolean — "taken" wording
-// only makes sense for branches.
-type DecideV2Response struct {
 	Program string `json:"program"`
 	Kind    string `json:"kind"`
 	ID      uint32 `json:"id"`
@@ -619,54 +589,31 @@ type DecideV2Response struct {
 	Live    bool   `json:"live"`
 }
 
-// handleDecide serves GET /v1/decide?branch=N and, with kinded set,
-// /v2/decide?kind=K&id=N, each in its own response shape.
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request, kinded bool) {
+// handleDecide serves GET /v1/decide?program=P[&kind=K]&id=N.
+func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query()
-	program := q.Get("program")
-	if !checkProgram(w, program) {
+	program, kind, ok := s.parseQuery(w, q)
+	if !ok {
 		return
 	}
-	kind, idParam := trace.KindBranch, "branch"
-	if kinded {
-		var ok bool
-		if kind, ok = s.checkKindPolicy(w, q); !ok {
-			return
-		}
-		idParam = "id"
-	}
-	id, err := strconv.ParseUint(q.Get(idParam), 10, 32)
+	id, err := strconv.ParseUint(q.Get("id"), 10, 32)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "bad "+idParam+" parameter: "+err.Error())
+		writeError(w, http.StatusBadRequest, CodeMalformed, "bad id parameter: "+err.Error())
 		return
 	}
 	d := s.table.DecideKind(program, kind, trace.BranchID(id))
 	w.Header().Set("Content-Type", "application/json")
-	if kinded {
-		writeJSON(w, DecideV2Response{
-			Program: program,
-			Kind:    kind.String(),
-			ID:      uint32(id),
-			State:   d.State.String(),
-			Dir:     d.Dir,
-			Live:    d.Live,
-		})
-		return
-	}
-	dir := "not-taken"
-	if d.Dir {
-		dir = "taken"
-	}
 	writeJSON(w, DecideResponse{
-		Program:   program,
-		Branch:    uint32(id),
-		State:     d.State.String(),
-		Direction: dir,
-		Live:      d.Live,
+		Program: program,
+		Kind:    kind.String(),
+		ID:      uint32(id),
+		State:   d.State.String(),
+		Dir:     d.Dir,
+		Live:    d.Live,
 	})
 }
 

@@ -42,7 +42,7 @@ func TestIngestAndDecide(t *testing.T) {
 		if end > len(evs) {
 			end = len(evs)
 		}
-		ds, err := c.Ingest(context.Background(), "gzip", evs[off:end])
+		ds, err := c.IngestKind(context.Background(), "gzip", trace.KindBranch, evs[off:end])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestIngestAndDecide(t *testing.T) {
 	}
 
 	// Decide must agree with the table's view.
-	dr, err := c.Decide(context.Background(), "gzip", 0)
+	dr, err := c.DecideKind(context.Background(), "gzip", trace.KindBranch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestIngestRejectsBadFramePerBatch(t *testing.T) {
 	}
 
 	// The service stays up for the next batch (per-batch, not per-connection).
-	if _, err := c.Ingest(context.Background(), "p", good1); err != nil {
+	if _, err := c.IngestKind(context.Background(), "p", trace.KindBranch, good1); err != nil {
 		t.Fatalf("follow-up batch failed: %v", err)
 	}
 }
@@ -217,24 +217,24 @@ func TestIngestBadQueryAndMethod(t *testing.T) {
 		t.Fatalf("GET ingest: status %s, want 405", resp.Status)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/decide?program=p&branch=bogus")
+	resp, err = http.Get(ts.URL + "/v1/decide?program=p&id=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad branch: status %s, want 400", resp.Status)
+		t.Fatalf("bad id: status %s, want 400", resp.Status)
 	}
 }
 
 // TestDrainRejectsNewIngest checks the graceful-shutdown gate.
 func TestDrainRejectsNewIngest(t *testing.T) {
 	s, c := newTestServer(t, Config{})
-	if _, err := c.Ingest(context.Background(), "p", synthEvents(100, 1)); err != nil {
+	if _, err := c.IngestKind(context.Background(), "p", trace.KindBranch, synthEvents(100, 1)); err != nil {
 		t.Fatal(err)
 	}
 	s.BeginDrain()
-	if _, err := c.Ingest(context.Background(), "p", synthEvents(100, 2)); err == nil ||
+	if _, err := c.IngestKind(context.Background(), "p", trace.KindBranch, synthEvents(100, 2)); err == nil ||
 		!strings.Contains(err.Error(), "503") {
 		t.Fatalf("ingest while draining: err = %v, want 503", err)
 	}
@@ -246,7 +246,7 @@ func TestDrainRejectsNewIngest(t *testing.T) {
 	if !h.Draining {
 		t.Fatal("health must report draining")
 	}
-	if _, err := c.Decide(context.Background(), "p", 0); err != nil {
+	if _, err := c.DecideKind(context.Background(), "p", trace.KindBranch, 0); err != nil {
 		t.Fatalf("decide while draining: %v", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestConcurrentIngestDistinctPrograms(t *testing.T) {
 			evs := synthEvents(5_000, uint64(w)*31)
 			program := "prog-" + string(rune('a'+w))
 			for off := 0; off < len(evs); off += 1000 {
-				if _, err := c.Ingest(context.Background(), program, evs[off:off+1000]); err != nil {
+				if _, err := c.IngestKind(context.Background(), program, trace.KindBranch, evs[off:off+1000]); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
@@ -319,7 +319,7 @@ func TestParseIngestResponseBoundsCounts(t *testing.T) {
 func TestIngestScratchPoolDropsOversizedBatches(t *testing.T) {
 	evs := synthEvents(maxPooledEvents+1, 5)
 	_, c := newTestServer(t, Config{Shards: 4})
-	if _, err := c.Ingest(context.Background(), "p", evs); err != nil {
+	if _, err := c.IngestKind(context.Background(), "p", trace.KindBranch, evs); err != nil {
 		t.Fatal(err)
 	}
 	r, _ := newReplicaServer(t, 4)

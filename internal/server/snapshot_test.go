@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"reactivespec/internal/core"
+	"reactivespec/internal/trace"
 )
 
 // TestSnapshotRestoreResumesIdenticalDecisions is the snapshot/restore
@@ -22,7 +23,7 @@ func TestSnapshotRestoreResumesIdenticalDecisions(t *testing.T) {
 	half := len(evs) / 2
 
 	orig, origClient := newTestServer(t, Config{Params: params, Shards: 8, SnapshotDir: dir})
-	firstDs, err := origClient.Ingest(context.Background(), "gzip", evs[:half])
+	firstDs, err := origClient.IngestKind(context.Background(), "gzip", trace.KindBranch, evs[:half])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +43,11 @@ func TestSnapshotRestoreResumesIdenticalDecisions(t *testing.T) {
 		t.Fatal("no snapshot restored")
 	}
 
-	wantDs, err := origClient.Ingest(context.Background(), "gzip", evs[half:])
+	wantDs, err := origClient.IngestKind(context.Background(), "gzip", trace.KindBranch, evs[half:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDs, err := restoredClient.Ingest(context.Background(), "gzip", evs[half:])
+	gotDs, err := restoredClient.IngestKind(context.Background(), "gzip", trace.KindBranch, evs[half:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestLoadSnapshotMissingAndCorrupt(t *testing.T) {
 func TestRestoreRejectsParamMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s, c := newTestServer(t, Config{Params: testParams(), SnapshotDir: dir})
-	if _, err := c.Ingest(context.Background(), "p", synthEvents(1000, 4)); err != nil {
+	if _, err := c.IngestKind(context.Background(), "p", trace.KindBranch, synthEvents(1000, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SnapshotNow(); err != nil {
@@ -157,10 +158,10 @@ func TestRestoreRejectsParamMismatch(t *testing.T) {
 func TestSnapshotEndpointAndDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	_, c := newTestServer(t, Config{SnapshotDir: dir, Shards: 8})
-	if _, err := c.Ingest(context.Background(), "a", synthEvents(5000, 5)); err != nil {
+	if _, err := c.IngestKind(context.Background(), "a", trace.KindBranch, synthEvents(5000, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Ingest(context.Background(), "b", synthEvents(5000, 6)); err != nil {
+	if _, err := c.IngestKind(context.Background(), "b", trace.KindBranch, synthEvents(5000, 6)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Snapshot(context.Background())

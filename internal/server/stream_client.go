@@ -15,14 +15,14 @@ import (
 )
 
 // Stream is one open streaming ingest session (see stream.go for the
-// protocol). Send and Recv may run on different goroutines — that is the
+// protocol). SendKind and Recv may run on different goroutines — that is the
 // intended pipelined shape: a sender pushes event frames while a receiver
-// drains decision frames, with up to Window frames in flight. Send blocks
+// drains decision frames, with up to Window frames in flight. A send blocks
 // when the window is exhausted until the receiver frees a slot.
 //
-// Results arrive strictly in Send order. The session ends either with Close
+// Results arrive strictly in send order. The session ends either with Close
 // (clean "bye") or with the server's terminal frame: a drained server
-// surfaces ErrDraining from Recv/Send/Close, never a bare connection reset.
+// surfaces ErrDraining from Recv/SendKind/Close, never a bare connection reset.
 type Stream struct {
 	conn net.Conn
 	bw   *bufio.Writer
@@ -42,7 +42,7 @@ type Stream struct {
 	termErr    error // valid after readerDone closes
 }
 
-// streamResult is one frame's outcome, in Send order.
+// streamResult is one frame's outcome, in send order.
 type streamResult struct {
 	decisions []Decision
 	err       error // per-frame rejection (session continues)
@@ -68,7 +68,7 @@ func WithStreamWindow(n int) StreamOption {
 	}
 }
 
-// WithStreamTracer samples this session's Send calls into t: a sampled frame
+// WithStreamTracer samples this session's sends into t: a sampled frame
 // records client_encode and client_network spans and carries its trace ID to
 // the server in the frame's trace context.
 func WithStreamTracer(t *obs.Tracer) StreamOption {
@@ -253,32 +253,21 @@ func decisionsFromBytes(raw []byte) ([]Decision, error) {
 // Window reports the granted pipeline window (max in-flight event frames).
 func (st *Stream) Window() int { return st.window }
 
-// Send ships one batch of events as a single in-flight frame. It blocks
-// while the window is exhausted, until the receiver frees a slot, ctx ends,
-// or the session terminates. Each successful Send owes exactly one Recv.
-// Send is SendKind with kind=branch.
-func (st *Stream) Send(ctx context.Context, events []trace.Event) error {
-	return st.send(ctx, trace.KindBranch, events, nil, len(events))
-}
-
-// SendKind is Send with an explicit speculation kind. An invalid kind fails
-// without consuming a window credit.
+// SendKind ships one batch of events of the given speculation kind as a
+// single in-flight frame. It blocks while the window is exhausted, until the
+// receiver frees a slot, ctx ends, or the session terminates. Each
+// successful send owes exactly one Recv. An invalid kind fails without
+// consuming a window credit.
 func (st *Stream) SendKind(ctx context.Context, kind trace.Kind, events []trace.Event) error {
 	return st.send(ctx, kind, events, nil, len(events))
 }
 
-// SendEncoded ships one pre-encoded event frame — the exact bytes
+// SendEncodedKind ships one pre-encoded event frame — the exact bytes
 // trace.EncodeFrameAppend produces for a batch — without re-encoding.
 // Callers that already hold wire frames (benchmarks isolating transport
 // cost, WAL replayers) skip the per-event encode entirely. nevents must be
 // the frame's event count; it feeds span metadata only. Blocking and credit
-// semantics are identical to Send.
-func (st *Stream) SendEncoded(ctx context.Context, frame []byte, nevents int) error {
-	return st.send(ctx, trace.KindBranch, nil, frame, nevents)
-}
-
-// SendEncodedKind is SendEncoded with an explicit speculation kind, under
-// SendKind's protocol rules.
+// semantics are identical to SendKind.
 func (st *Stream) SendEncodedKind(ctx context.Context, kind trace.Kind, frame []byte, nevents int) error {
 	return st.send(ctx, kind, nil, frame, nevents)
 }
@@ -351,7 +340,7 @@ func (st *Stream) sendFailed(err error) error {
 	}
 }
 
-// Recv returns the next frame's outcome, in Send order: the per-event
+// Recv returns the next frame's outcome, in send order: the per-event
 // decisions, or the server's per-frame rejection error (the session stays
 // usable after a rejection). Once the session terminates and all pending
 // results are drained, Recv returns the terminal error — io.EOF after a
@@ -386,7 +375,7 @@ func (st *Stream) terminalErr() error {
 //
 // Close is also the abort path: discarding undelivered results unwedges the
 // reader (whose results channel may be full on an abandoned session), which
-// in turn returns window credits and unblocks any Send stuck waiting for
+// in turn returns window credits and unblocks any send stuck waiting for
 // one (it then fails with a send-after-Close error).
 func (st *Stream) Close() error {
 	st.sendMu.Lock()

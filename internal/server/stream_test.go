@@ -55,7 +55,7 @@ func runSession(t *testing.T, st *Stream, batches [][]trace.Event) []Decision {
 	sendErr := make(chan error, 1)
 	go func() {
 		for _, b := range batches {
-			if err := st.Send(ctx, b); err != nil {
+			if err := st.SendKind(ctx, trace.KindBranch, b); err != nil {
 				sendErr <- err
 				return
 			}
@@ -87,7 +87,7 @@ func TestStreamMatchesIngest(t *testing.T) {
 		_, postC := newTestServer(t, Config{Shards: shards})
 		var want []Decision
 		for _, b := range streamBatches(evs, batch) {
-			ds, err := postC.Ingest(context.Background(), "gzip", b)
+			ds, err := postC.IngestKind(context.Background(), "gzip", trace.KindBranch, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestStreamDrainSendsTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One working round trip before the drain.
-	if err := st.Send(context.Background(), synthEvents(100, 1)); err != nil {
+	if err := st.SendKind(context.Background(), trace.KindBranch, synthEvents(100, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Recv(context.Background()); err != nil {
@@ -227,7 +227,7 @@ func TestStreamDrainSendsTerminal(t *testing.T) {
 	if _, err := st.Recv(ctx); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Recv after drain = %v, want ErrDraining", err)
 	}
-	if err := st.Send(ctx, synthEvents(10, 2)); !errors.Is(err, ErrDraining) {
+	if err := st.SendKind(ctx, trace.KindBranch, synthEvents(10, 2)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Send after drain = %v, want ErrDraining", err)
 	}
 	if err := st.Close(); !errors.Is(err, ErrDraining) {
@@ -369,7 +369,7 @@ func TestStreamCloseRemovesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Send(context.Background(), synthEvents(50, 9)); err != nil {
+	if err := st.SendKind(context.Background(), trace.KindBranch, synthEvents(50, 9)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Recv(context.Background()); err != nil {
@@ -410,7 +410,7 @@ func TestStreamCloseUnblocksAbandonedSession(t *testing.T) {
 	sendDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < 16; i++ {
-			if err := st.Send(ctx, evs); err != nil {
+			if err := st.SendKind(ctx, trace.KindBranch, evs); err != nil {
 				sendDone <- err
 				return
 			}
@@ -456,7 +456,7 @@ func TestStreamTwoSessionsOnOneListener(t *testing.T) {
 		t.Fatalf("ActiveStreams = %d, want 2", n)
 	}
 	for _, st := range []*Stream{st1, st2} {
-		if err := st.Send(context.Background(), synthEvents(20, 5)); err != nil {
+		if err := st.SendKind(context.Background(), trace.KindBranch, synthEvents(20, 5)); err != nil {
 			t.Fatal(err)
 		}
 		if ds, err := st.Recv(context.Background()); err != nil || len(ds) != 20 {

@@ -77,7 +77,7 @@ func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) 
 	}
 
 	for off := 0; off < len(evs); off += chunk {
-		ds, err := c.Ingest(ctx, "post-prog", evs[off:off+chunk])
+		ds, err := c.IngestKind(ctx, "post-prog", trace.KindBranch, evs[off:off+chunk])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) 
 		t.Fatal(err)
 	}
 	for off := 0; off < len(evs); off += chunk {
-		if err := st.Send(ctx, evs[off:off+chunk]); err != nil {
+		if err := st.SendKind(ctx, trace.KindBranch, evs[off:off+chunk]); err != nil {
 			t.Fatal(err)
 		}
 		ds, err := st.Recv(ctx)

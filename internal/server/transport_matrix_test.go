@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"reactivespec/internal/trace"
 )
 
 // TestTransportDecisionModeMatrix is the cross-transport equivalence pin:
@@ -20,7 +22,7 @@ func TestTransportDecisionModeMatrix(t *testing.T) {
 		_, postC := newTestServer(t, Config{Shards: 8})
 		var want []Decision
 		for _, b := range streamBatches(evs, batch) {
-			ds, err := postC.Ingest(context.Background(), "gzip", b)
+			ds, err := postC.IngestKind(context.Background(), "gzip", trace.KindBranch, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,7 +119,7 @@ func TestClientSurfacesBatchTruncation(t *testing.T) {
 
 	c := Connect(canned.URL, WithHTTPClient(canned.Client()))
 	frames := [][]trace.Event{synthEvents(10, 1), synthEvents(20, 2), synthEvents(30, 3)}
-	results, err := c.IngestFrames(context.Background(), "p", frames)
+	results, _, err := c.IngestFramesKindTimed(context.Background(), "p", trace.KindBranch, frames)
 	var te *BatchTruncatedError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v, want *BatchTruncatedError", err)

@@ -127,14 +127,14 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 					if err != nil {
 						t.Fatalf("DialStream: %v", err)
 					}
-					if err := st.Send(context.Background(), events); err != nil {
+					if err := st.SendKind(context.Background(), trace.KindBranch, events); err != nil {
 						t.Fatalf("Send: %v", err)
 					}
 					if _, err := st.Recv(context.Background()); err != nil {
 						t.Fatalf("Recv: %v", err)
 					}
 					st.Close()
-				} else if _, err := vc.Ingest(context.Background(), b.program, events); err != nil {
+				} else if _, err := vc.IngestKind(context.Background(), b.program, trace.KindBranch, events); err != nil {
 					t.Fatalf("Ingest: %v", err)
 				}
 			}
@@ -204,7 +204,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 	l := env.openLog(t, wal.SyncAlways)
 	_, vc := env.newServer(t, l)
 	for _, b := range batches {
-		if _, err := vc.Ingest(context.Background(), b.program, synthEvents(b.n, b.seed)); err != nil {
+		if _, err := vc.IngestKind(context.Background(), b.program, trace.KindBranch, synthEvents(b.n, b.seed)); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
 	}
@@ -268,7 +268,7 @@ func TestRecoverSurvivesCrashMidSnapshotWrite(t *testing.T) {
 				t.Fatalf("SnapshotNow: %v", err)
 			}
 		}
-		if _, err := vc.Ingest(context.Background(), b.program, synthEvents(b.n, b.seed)); err != nil {
+		if _, err := vc.IngestKind(context.Background(), b.program, trace.KindBranch, synthEvents(b.n, b.seed)); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
 	}
@@ -317,7 +317,7 @@ func TestCompactionAfterSnapshot(t *testing.T) {
 		{program: "mcf", n: 2000, seed: 34},
 	}
 	for _, b := range batches {
-		if _, err := vc.Ingest(context.Background(), b.program, synthEvents(b.n, b.seed)); err != nil {
+		if _, err := vc.IngestKind(context.Background(), b.program, trace.KindBranch, synthEvents(b.n, b.seed)); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
 	}
@@ -331,7 +331,7 @@ func TestCompactionAfterSnapshot(t *testing.T) {
 	if after := l.Stats().Segments; after >= before {
 		t.Fatalf("snapshot compacted nothing: %d -> %d segments", before, after)
 	}
-	if _, err := vc.Ingest(context.Background(), "gzip", synthEvents(500, 35)); err != nil {
+	if _, err := vc.IngestKind(context.Background(), "gzip", trace.KindBranch, synthEvents(500, 35)); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
 	crashed := victim.table.SnapshotEntries()
@@ -361,7 +361,7 @@ func TestWALAppendErrorFailsIngest(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	_, err := c.Ingest(context.Background(), "gzip", synthEvents(100, 1))
+	_, err := c.IngestKind(context.Background(), "gzip", trace.KindBranch, synthEvents(100, 1))
 	if err == nil || !strings.Contains(err.Error(), "wal append") {
 		t.Fatalf("Ingest with a dead WAL: %v, want wal append error", err)
 	}
@@ -374,7 +374,7 @@ func TestWALAppendErrorFailsIngest(t *testing.T) {
 		t.Fatalf("DialStream: %v", err)
 	}
 	defer st.Close()
-	if err := st.Send(context.Background(), synthEvents(100, 1)); err != nil {
+	if err := st.SendKind(context.Background(), trace.KindBranch, synthEvents(100, 1)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if _, err := st.Recv(context.Background()); err == nil || err == io.EOF {

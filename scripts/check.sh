@@ -113,10 +113,10 @@ ADDR=$(cat "$SMOKE_DIR/addr")
     -verify
 
 # Mixed-kind smoke: four workers round-robin all four speculation kinds
-# against the same daemon — branch rides the v1 wire, the rest go through
-# /v2 with kind-tagged requests — and -verify holds every decision to a
-# per-kind in-process mirror. -policy reactive also exercises the
-# policy-pin precheck (identical hash to the daemon's default).
+# against the same daemon — every POST names its kind on /v1/ingest — and
+# -verify holds every decision to a per-kind in-process mirror. -policy
+# reactive also exercises the policy-pin precheck (identical hash to the
+# daemon's default).
 echo "==> mixed-kind smoke (branch,value,memdep,tlspec on one daemon)"
 "$SMOKE_DIR/reactiveload" \
     -addr "http://$ADDR" \
@@ -274,10 +274,12 @@ DAEMON_PID=""
 # Failover smoke: a WAL-shipping primary with a live read-only replica
 # attached; reactiveload -failover drives the primary, SIGKILLs it mid-run
 # (no drain), promotes the replica over POST /v1/promote, resumes every
-# worker from the replica's /v1/cursor, and requires each decision — before
-# the crash, re-sent overlap, and the surviving tail — to match its
-# in-process mirror bitwise. reactiveload exits nonzero if the kill never
-# landed mid-run, so this smoke cannot silently degrade into a plain load.
+# worker from the replica's /v1/cursor for its own program and kind (-kind
+# branch,value: worker 0 sends branch events, worker 1 value events), and
+# requires each decision — before the crash, re-sent overlap, and the
+# surviving tail — to match its in-process mirror bitwise. reactiveload
+# exits nonzero if the kill never landed mid-run, so this smoke cannot
+# silently degrade into a plain load.
 echo "==> failover smoke (SIGKILL primary mid-run, promote replica, verified resume)"
 "$SMOKE_DIR/reactived" \
     -addr 127.0.0.1:0 \
@@ -345,6 +347,7 @@ done
     -dump-metrics \
     -trace-spans "$SMOKE_DIR/spans-loadgen.jsonl" \
     -bench crafty \
+    -kind branch,value \
     -scale 0.2 \
     -events 6000 \
     -concurrency 2 \
