@@ -21,8 +21,9 @@
 //
 // With -wal-dir, the timeline experiment replays a window of a reactived
 // write-ahead log instead of a synthetic workload: pick the sequence window
-// with -wal-from/-wal-to, the program with -wal-program (auto-detected for
-// single-program logs), and match the daemon's -param-scale. The window
+// with -wal-from/-wal-to, the branch program with -wal-program
+// (auto-detected for single-program logs; records of other speculation
+// kinds are skipped), and match the daemon's -param-scale. The window
 // replays through fresh controllers (a cold start: state and instruction
 // counts are relative to the window, not the live table) and renders through
 // the same table/CSV/SVG machinery.
@@ -56,7 +57,7 @@
 //	-timeout d      cancel the run after this duration (e.g. 2m; 0 = none)
 //	-intensities l  fault intensities for the chaos experiment (e.g. 0,0.2,0.8)
 //	-wal-dir d      timeline only: replay a reactived write-ahead log under d
-//	-wal-program p  program to replay from the WAL (default: auto-detect)
+//	-wal-program p  branch program to replay from the WAL (default: auto-detect)
 //	-wal-from n     first WAL sequence number to replay (default 0, the oldest)
 //	-wal-to n       stop before this WAL sequence number (default 0, the end)
 //	-param-scale k  the daemon's -param-scale, for WAL replay (default 10)
@@ -132,7 +133,7 @@ func run(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
 	intensitiesFlag := fs.String("intensities", "", "comma-separated fault intensities in [0,1] for chaos (default 0,0.05,0.1,0.2,0.4,0.8)")
 	walDir := fs.String("wal-dir", "", "timeline only: replay a reactived write-ahead log under this directory")
-	walProgram := fs.String("wal-program", "", "program to replay from the WAL (default: auto-detect)")
+	walProgram := fs.String("wal-program", "", "branch program to replay from the WAL (default: auto-detect)")
 	walFrom := fs.Uint64("wal-from", 0, "first WAL sequence number to replay (0 = oldest retained)")
 	walTo := fs.Uint64("wal-to", 0, "stop the WAL replay before this sequence number (0 = end of log)")
 	paramScale := fs.Uint64("param-scale", 10, "the daemon's -param-scale, for WAL replay")

@@ -13,14 +13,15 @@ import (
 )
 
 // WALWindow selects a historical slice of a reactived write-ahead log for
-// point-in-time replay: the records with sequence numbers in [From, To),
-// restricted to one program.
+// point-in-time replay: the branch records with sequence numbers in
+// [From, To), restricted to one program.
 type WALWindow struct {
 	// Dir is the WAL segment directory (reactived's -wal-dir).
 	Dir string
-	// Program restricts the replay to one program's event stream. Empty
-	// adopts the first record's program and then insists the window is
-	// single-program — mixed windows need an explicit selection.
+	// Program restricts the replay to one branch program's event stream.
+	// Empty adopts the first branch record's program and then insists the
+	// window is single-program — mixed windows need an explicit selection.
+	// Records of other speculation kinds are skipped either way.
 	Program string
 	// From is the first sequence number to replay (0 = oldest retained).
 	From uint64
@@ -38,7 +39,9 @@ type WALWindow struct {
 // fresh per-branch controllers and reconstructs the same per-branch state
 // timeline the live timeline experiment produces — the paper's
 // classification views recovered from a production event log instead of a
-// synthetic workload.
+// synthetic workload. Only branch records replay: the timeline is a
+// per-branch view, and a value, memdep or tlspec record's kind-encoded key
+// names no branch program.
 //
 // The replay mirrors the serving table's per-entry semantics exactly (gap
 // accounting before the branch observation, per-entry controllers keyed by
@@ -108,14 +111,18 @@ func TimelineFromWAL(w WALWindow) (*TimelineResult, *wal.TailTruncation, error) 
 		if w.To != 0 && rec.Seq >= w.To {
 			break
 		}
-		if program == "" {
-			program = rec.Program
+		kind, name := trace.SplitKindProgram(rec.Program)
+		if kind != trace.KindBranch {
+			continue
 		}
-		if rec.Program != program {
+		if program == "" {
+			program = name
+		}
+		if name != program {
 			if detected {
 				return nil, nil, fmt.Errorf(
 					"wal timeline: window holds both %q and %q; select one with the program option",
-					program, rec.Program)
+					program, name)
 			}
 			continue
 		}
@@ -140,10 +147,11 @@ func TimelineFromWAL(w WALWindow) (*TimelineResult, *wal.TailTruncation, error) 
 	}
 	if records == 0 {
 		if w.Program != "" {
-			return nil, nil, fmt.Errorf("wal timeline: no records for program %q in window [%d, %d)",
-				w.Program, w.From, w.To)
+			return nil, nil, fmt.Errorf("wal timeline: no records for program %q in window [%d, %d) "+
+				"(the timeline replays branch records only)", w.Program, w.From, w.To)
 		}
-		return nil, nil, fmt.Errorf("wal timeline: no records in window [%d, %d)", w.From, w.To)
+		return nil, nil, fmt.Errorf("wal timeline: no branch records in window [%d, %d) "+
+			"(the timeline replays branch records only)", w.From, w.To)
 	}
 	return &TimelineResult{
 		Bench:       "wal:" + program,

@@ -268,3 +268,35 @@ func TestTimelineFromWALErrors(t *testing.T) {
 		t.Errorf("unknown program: got %v", err)
 	}
 }
+
+// TestTimelineFromWALKindKeys pins the branch-only replay over a log that
+// holds kind-encoded records: a branch program and a value program sharing
+// a name auto-detect as the branch program, the result names it without the
+// key's kind prefix, and a window with no branch records says so.
+func TestTimelineFromWALKindKeys(t *testing.T) {
+	params := walTimelineParams()
+	hash := server.ParamsHash(params)
+	valueKey := trace.EncodeKindProgram(trace.KindValue, "gcc")
+
+	mixed := t.TempDir()
+	batches := writeTimelineWAL(t, mixed, hash, []string{"gcc", valueKey}, 3, 30)
+	res, _, err := TimelineFromWAL(WALWindow{Dir: mixed, Params: params, ParamsHash: hash})
+	if err != nil {
+		t.Fatalf("branch and value records for one program: %v", err)
+	}
+	if res.Bench != "wal:gcc" {
+		t.Fatalf("Bench = %q, want wal:gcc", res.Bench)
+	}
+	if want := uint64(len(batches["gcc"])) * uint64(len(batches["gcc"][0])); res.Stats.Events != want {
+		t.Fatalf("replayed %d events, want the %d branch events", res.Stats.Events, want)
+	}
+
+	valueOnly := t.TempDir()
+	writeTimelineWAL(t, valueOnly, hash, []string{valueKey}, 2, 12)
+	for _, program := range []string{"", "gcc"} {
+		_, _, err := TimelineFromWAL(WALWindow{Dir: valueOnly, Program: program, Params: params, ParamsHash: hash})
+		if err == nil || !strings.Contains(err.Error(), "branch records only") {
+			t.Errorf("value-only log, program %q: got %v, want a branch-records-only error", program, err)
+		}
+	}
+}

@@ -297,6 +297,54 @@ func TestFollowerBehindCompaction(t *testing.T) {
 	}
 }
 
+// TestFollowerResumeInAlignGap pins a resume point inside a sequence gap
+// AlignSeq left on the primary (a snapshot anchored past the log's end): the
+// records the follower needs never existed, so the session must fail at once
+// with the compacted terminal, naming the missing range and the full-resync
+// remedy, instead of waiting in catch-up for records that cannot arrive.
+func TestFollowerResumeInAlignGap(t *testing.T) {
+	p := startPrimary(t, 2)
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if _, err := p.client.IngestKind(ctx, "gzip", trace.KindBranch, synthEvents(100, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.log.NextSeq(); got != 3 {
+		t.Fatalf("primary holds %d records, want 3", got)
+	}
+	if err := p.log.AlignSeq(8); err != nil {
+		t.Fatal(err)
+	}
+
+	f := StartFollower(FollowerConfig{
+		Addr:       p.ln.Addr().String(),
+		ParamsHash: server.ParamsHash(testParams()),
+		NextSeq:    func() uint64 { return 3 },
+		Apply:      func(string, []byte, uint64) (int, error) { return 0, nil },
+		Logf:       t.Logf,
+	})
+	defer f.Seal()
+	select {
+	case <-f.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("follower in the align gap did not stop (state %s)", f.State())
+	}
+	if f.State() != StateFailed {
+		t.Fatalf("state %q, want failed", f.State())
+	}
+	err := f.Err()
+	var se *trace.StreamError
+	if !errors.As(err, &se) || se.Code != trace.ReplCodeCompacted {
+		t.Fatalf("error %v is not the compacted terminal", err)
+	}
+	for _, want := range []string{"records [3, 8)", "full resync"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %v does not mention %q", err, want)
+		}
+	}
+}
+
 // TestFollowerResumesAcrossPrimaryRestart kills the primary's shipper
 // mid-session, brings a new one up on the same log, and checks the follower
 // reconnects and resumes exactly where it left off.

@@ -11,12 +11,13 @@
 // by a credit window so a slow follower exerts backpressure instead of
 // growing an unbounded send queue.
 //
-// Replication never ships a record the primary has not fsynced: the shipper
-// caps itself at the log's durable boundary (wal.Log.DurableSeq), so a
-// promoted follower can only ever be a prefix of what the primary
-// acknowledged — never a superset containing writes the primary would lose in
-// a crash. Under wal.SyncNever the boundary only advances on segment rotation
-// and explicit syncs, and replication inherits that granularity.
+// Replication never ships a record the primary has not fsynced: each session
+// reads the log through a live wal.Reader, which yields only records below
+// the log's durable boundary (wal.Log.DurableSeq), so a promoted follower can
+// only ever be a prefix of what the primary acknowledged — never a superset
+// containing writes the primary would lose in a crash. Under wal.SyncNever
+// the boundary only advances on segment rotation and explicit syncs, and
+// replication inherits that granularity.
 package replica
 
 import (
@@ -50,9 +51,6 @@ const (
 	// shipWriteTimeout bounds every record write so a dead follower cannot
 	// pin a session goroutine.
 	shipWriteTimeout = 30 * time.Second
-	// shipPollInterval is the fallback poll for durability advances, in case
-	// a subscription notification is ever missed.
-	shipPollInterval = 250 * time.Millisecond
 )
 
 // ShipperConfig configures a Shipper.
@@ -69,7 +67,7 @@ type ShipperConfig struct {
 }
 
 // Shipper serves the primary side of replication sessions: one goroutine per
-// attached follower, each running an independent follow-mode WAL reader.
+// attached follower, each running an independent live WAL reader.
 type Shipper struct {
 	cfg ShipperConfig
 
@@ -345,7 +343,7 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 		Dir:        log.Dir(),
 		ParamsHash: log.ParamsHash(),
 		From:       hello.From,
-		Follow:     true,
+		Live:       log,
 		FrameOnly:  true,
 	})
 	if err != nil {
@@ -425,10 +423,10 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 		}
 	}()
 
+	// Subscribed before the first read: a durability advance after any
+	// io.EOF leaves a signal in the channel's one coalescing slot.
 	durNotify, cancelDur := log.SubscribeDurable()
 	defer cancelDur()
-	poll := time.NewTicker(shipPollInterval)
-	defer poll.Stop()
 
 	nextShip := hello.From
 	var frameBuf []byte
@@ -439,41 +437,27 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 			return
 		default:
 		}
-		// Two gates before the next record moves: it must be durable on the
-		// primary, and the credit window must have room.
-		if nextShip >= log.DurableSeq() || nextShip-acked.Load() >= uint64(window) {
-			if bw.Flush() != nil {
-				return
-			}
-			select {
-			case <-durNotify:
-			case <-ackNotify:
-			case <-poll.C:
-			case <-done:
-				sh.logf("replication: follower %s detached at seq %d", conn.RemoteAddr(), nextShip)
-				return
-			}
-			continue
+		// The credit window gates the read; the reader gates durability, so
+		// its io.EOF is the one "not durable yet" signal.
+		rec, err := wal.Record{}, io.EOF
+		if nextShip-acked.Load() < uint64(window) {
+			rec, err = r.Next()
 		}
-		rec, err := r.Next()
 		if err == io.EOF {
-			// The durable boundary is ahead of what the segment files show
-			// us yet (directory listing raced the append); wait it out.
 			if bw.Flush() != nil {
 				return
 			}
 			select {
 			case <-durNotify:
 			case <-ackNotify:
-			case <-poll.C:
 			case <-done:
-				return
 			}
 			continue
 		}
 		if err != nil {
-			// A follow reader only fails permanently: fell behind compaction
-			// (the session must full-resync) or the log is damaged.
+			// A live reader only fails permanently: it fell behind
+			// compaction, records are missing, or the log is damaged — the
+			// session must full-resync.
 			terminal(trace.ReplCodeCompacted, err.Error())
 			sh.logf("replication: follower %s session failed: %v", conn.RemoteAddr(), err)
 			return

@@ -3,6 +3,7 @@ package wal
 import (
 	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,10 +11,10 @@ import (
 	"reactivespec/internal/trace"
 )
 
-// TestFollowReaderConcurrentAppend drives a follow reader against a live
+// TestFollowReaderConcurrentAppend drives a live reader against a live
 // appender: small segments force rotations underneath the reader, and the
-// reader must still yield every record exactly once, in order, staying at or
-// below the durable boundary.
+// reader must still yield every record exactly once, in order, each one below
+// the durable boundary.
 func TestFollowReaderConcurrentAppend(t *testing.T) {
 	opts := testOptions(t)
 	opts.SegmentBytes = 1 << 10 // rotate constantly
@@ -42,7 +43,7 @@ func TestFollowReaderConcurrentAppend(t *testing.T) {
 		}
 	}()
 
-	r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, Follow: true})
+	r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, Live: l})
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
@@ -55,12 +56,11 @@ func TestFollowReaderConcurrentAppend(t *testing.T) {
 	for len(got) < batches {
 		rec, err := r.Next()
 		if err == io.EOF {
-			// Not an end in follow mode: wait for durability to advance.
+			// Not an end for a live reader: wait for durability to advance.
 			select {
 			case <-notify:
-			case <-time.After(10 * time.Millisecond):
 			case <-deadline:
-				t.Fatalf("follow reader stalled at %d/%d records", len(got), batches)
+				t.Fatalf("live reader stalled at %d/%d records", len(got), batches)
 			}
 			continue
 		}
@@ -69,6 +69,9 @@ func TestFollowReaderConcurrentAppend(t *testing.T) {
 		}
 		if rec.Seq != uint64(len(got)) {
 			t.Fatalf("record %d carries seq %d", len(got), rec.Seq)
+		}
+		if durable := l.DurableSeq(); rec.Seq >= durable {
+			t.Fatalf("record %d yielded at or past the durable boundary %d", rec.Seq, durable)
 		}
 		if rec.Program != "gzip" {
 			t.Fatalf("record %d program %q", len(got), rec.Program)
@@ -82,7 +85,7 @@ func TestFollowReaderConcurrentAppend(t *testing.T) {
 		}
 	}
 	if tr := r.Truncation(); tr != nil {
-		t.Fatalf("follow reader reported a truncation: %v", tr)
+		t.Fatalf("live reader reported a truncation: %v", tr)
 	}
 }
 
@@ -94,12 +97,10 @@ func TestFollowReaderFrameOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	defer l.Close()
 	want := appendBatches(t, l, "vpr", 5, 42)
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
 
-	r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, Follow: true, FrameOnly: true})
+	r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, Live: l, FrameOnly: true})
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
@@ -125,15 +126,20 @@ func TestFollowReaderFrameOnly(t *testing.T) {
 	}
 	// Non-sticky: a second call still reports EOF rather than a sticky error.
 	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("follow EOF is not retryable: %v", err)
+		t.Fatalf("live EOF is not retryable: %v", err)
 	}
 }
 
-// TestFollowReaderStartsBeforeFirstSegment opens the follow reader on an
-// empty directory; records appended afterwards must still arrive.
+// TestFollowReaderStartsBeforeFirstSegment opens the live reader on a log
+// that has no segment yet; records appended afterwards must still arrive.
 func TestFollowReaderStartsBeforeFirstSegment(t *testing.T) {
 	opts := testOptions(t)
-	r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, Follow: true})
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, Live: l})
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
@@ -142,11 +148,6 @@ func TestFollowReaderStartsBeforeFirstSegment(t *testing.T) {
 		t.Fatalf("want io.EOF on the empty directory, got %v", err)
 	}
 
-	l, err := Open(opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer l.Close()
 	want := appendBatches(t, l, "mcf", 3, 7)
 	for i := range want {
 		rec, err := r.Next()
@@ -160,7 +161,7 @@ func TestFollowReaderStartsBeforeFirstSegment(t *testing.T) {
 }
 
 // TestFollowReaderCompactedBehind pins the fell-behind-compaction diagnosis:
-// a follow reader positioned below the oldest retained record must fail with
+// a live reader positioned below the oldest retained record must fail with
 // the full-resync message rather than silently skipping records.
 func TestFollowReaderCompactedBehind(t *testing.T) {
 	opts := testOptions(t)
@@ -179,9 +180,94 @@ func TestFollowReaderCompactedBehind(t *testing.T) {
 	if l.OldestSeq() == 0 {
 		t.Fatal("compaction removed nothing; the test needs rotated segments")
 	}
-	if _, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, From: 0, Follow: true}); err == nil {
-		t.Fatal("want a compacted-away error, got a reader")
+	_, err = NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, From: 0, Live: l})
+	if err == nil || !strings.Contains(err.Error(), "full resync") {
+		t.Fatalf("want a compacted-away error naming the full resync, got %v", err)
 	}
+}
+
+// TestLiveReaderStopsAtDurableBound pins the live contract on a SyncNever
+// log: a committed but unsynced record is invisible (io.EOF, not sticky), and
+// the Sync that makes it durable makes it readable.
+func TestLiveReaderStopsAtDurableBound(t *testing.T) {
+	opts := testOptions(t)
+	opts.Policy = SyncNever
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, Live: l})
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	defer r.Close()
+
+	want := synthEvents(9, 5)
+	if _, err := l.AppendPayload("gap", trace.EncodeFrameAppend(nil, want)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if rec, err := r.Next(); err != io.EOF {
+			t.Fatalf("Next before Sync = (seq %d, %v), want io.EOF", rec.Seq, err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	rec, err := r.Next()
+	if err != nil {
+		t.Fatalf("Next after Sync: %v", err)
+	}
+	if rec.Seq != 0 || rec.Program != "gap" || !reflect.DeepEqual(rec.Events, want) {
+		t.Fatalf("Next after Sync yielded seq %d program %q", rec.Seq, rec.Program)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("want io.EOF at the new bound, got %v", err)
+	}
+}
+
+// TestLiveReaderAlignGap pins the live reader's answer to a sequence gap left
+// by AlignSeq: records the durable bound covers but no segment holds are a
+// permanent error naming the missing range and the full-resync remedy — both
+// before and after the first segment past the gap exists.
+func TestLiveReaderAlignGap(t *testing.T) {
+	opts := testOptions(t)
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	appendBatches(t, l, "gcc", 3, 11)
+	if err := l.AlignSeq(8); err != nil {
+		t.Fatalf("AlignSeq: %v", err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		r, err := NewReader(ReaderOptions{Dir: opts.Dir, ParamsHash: testHash, From: 3, Live: l, FrameOnly: true})
+		if err != nil {
+			t.Fatalf("%s: NewReader: %v", stage, err)
+		}
+		defer r.Close()
+		rec, err := r.Next()
+		if err == nil || err == io.EOF {
+			t.Fatalf("%s: Next = (seq %d, %v), want the missing-range error", stage, rec.Seq, err)
+		}
+		for _, want := range []string{"records [3, 8)", "full resync"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", stage, err, want)
+			}
+		}
+		if _, again := r.Next(); again != err {
+			t.Fatalf("%s: error is not sticky: %v", stage, again)
+		}
+	}
+	check("no segment past the gap")
+	appendBatches(t, l, "gcc", 2, 12)
+	check("segment at 8 listed")
 }
 
 // TestDurableSeqAndSubscribe pins the durability boundary bookkeeping under

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,14 +41,14 @@ type ReaderOptions struct {
 	// are CRC-checked but never decoded, so skipping is cheap). Zero replays
 	// everything retained.
 	From uint64
-	// Follow makes the reader tolerate a live log growing underneath it:
-	// instead of treating the in-progress tail as torn, Next returns a
-	// non-sticky io.EOF and a later call resumes — picking up records
-	// appended meanwhile, rotated-in segments, and compaction of segments
-	// already consumed. The caller decides when the data is trustworthy
-	// (pair it with Log.DurableSeq/SubscribeDurable to stay below the
-	// fsynced boundary). Truncation is never reported in follow mode.
-	Follow bool
+	// Live, when non-nil, is the open Log that owns Dir and makes this a live
+	// reader: it yields only records below Live.DurableSeq(). At that bound
+	// Next returns io.EOF, and the EOF is not sticky — a later call resumes
+	// once the bound has advanced (Live.SubscribeDurable signals when). Every
+	// record below the bound is complete on disk, so there it must decode: a
+	// gap, a missing segment or a checksum failure is a permanent error, and
+	// Truncation is never reported.
+	Live *Log
 	// FrameOnly skips event decoding: Record.Events stays nil and only
 	// Record.Frame is populated. Integrity is still CRC-checked. The WAL
 	// shipper uses this to forward records without paying a decode it does
@@ -55,26 +56,33 @@ type ReaderOptions struct {
 	FrameOnly bool
 }
 
+// resyncRemedy is how a live reader's permanent errors end: the records it
+// needs are gone from the log, so its consumer must start over.
+const resyncRemedy = "a full resync (fresh snapshot, empty wal directory) is required"
+
 // Reader replays WAL records in sequence order. It reads the directory
-// as-is — it does not require an open Log, so the same code path serves
-// daemon recovery, offline time-travel tooling, and (in follow mode) live
-// replication. A torn tail on the *final* segment ends the replay cleanly and
-// is reported via Truncation; corruption anywhere else is fatal, because
-// rotation fsyncs completed segments and a hole mid-log means records are
-// missing, not merely unfinished.
+// as-is, so the same code path serves daemon recovery, offline time-travel
+// tooling, and (with ReaderOptions.Live) live replication.
 //
-// Without Follow, the reader is a point-in-time pass: the segment list is
+// Without Live, the reader is a point-in-time pass: the segment list is
 // snapshotted once at NewReader, so pointing it at a live daemon's directory
 // is safe — records appended after the snapshot are simply not part of the
-// pass, and a record mid-write when the pass reaches the tail reads as a
-// clean truncation of the final segment. The one hazard on a live directory
-// is compaction deleting a listed-but-unread segment mid-pass, which fails
-// with an error naming the remedy (retry, or start past the retention
-// horizon).
+// pass. A torn tail on the *final* segment (or a final header that never
+// finished writing) ends the pass cleanly and is reported via Truncation;
+// corruption anywhere else is fatal, because rotation fsyncs completed
+// segments and a hole mid-log means records are missing, not merely
+// unfinished. The one hazard on a live directory is compaction deleting a
+// listed-but-unread segment mid-pass, which fails with an error naming the
+// remedy (retry, or start past the retention horizon).
+//
+// A live reader never meets an unfinished record: it stops at the durable
+// bound, and re-lists the directory only when a durable record lies past the
+// last listed segment — the segment holding it must then begin exactly at
+// that record.
 type Reader struct {
 	opts     ReaderOptions
 	segments []segmentRef
-	segIdx   int
+	segIdx   int // the open segment, or the next one to open
 	f        *os.File
 	dec      *segmentDecoder
 	nextSeq  uint64 // seq the next decoded record will carry
@@ -82,40 +90,46 @@ type Reader struct {
 	events   []trace.Event
 	err      error
 	trunc    *TailTruncation
-
-	// Follow-mode bookkeeping: retryOff remembers the boundary a decode
-	// error was rewound to, so a repeat failure at the same offset on a
-	// segment that is provably complete (a successor exists) is diagnosed
-	// as corruption instead of retried forever.
-	retryOff int64
-	retried  bool
 }
 
 // NewReader opens a replay pass over dir starting at opts.From. An empty or
 // absent directory yields a reader that immediately reports io.EOF.
 func NewReader(opts ReaderOptions) (*Reader, error) {
-	segments, err := listSegments(opts.Dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			segments = nil
-		} else {
-			return nil, err
-		}
-	}
-	// Seek: the covering segment is the last one based at or below From.
-	// Earlier segments hold only records below From and are never opened.
-	start := sort.Search(len(segments), func(i int) bool {
-		return segments[i].base > opts.From
-	})
-	if start > 0 {
-		start--
-	}
-	r := &Reader{opts: opts, segments: segments, segIdx: start, floor: opts.From}
-	if len(segments) > 0 && opts.From < segments[0].base {
-		return nil, fmt.Errorf("wal: replay from sequence %d is below the oldest retained record %d (compacted away)",
-			opts.From, segments[0].base)
+	r := &Reader{opts: opts, nextSeq: opts.From, floor: opts.From}
+	if err := r.seek(); err != nil {
+		return nil, err
 	}
 	return r, nil
+}
+
+// seek lists the directory and positions the reader at the segment covering
+// nextSeq: the last one based at or below it. Earlier segments hold only
+// records below nextSeq and are never opened. Before any segment has been
+// listed, nextSeq moves back to the covering segment's base (the floor skips
+// the records below From); afterwards openSegment requires that segment to
+// begin exactly at nextSeq.
+func (r *Reader) seek() error {
+	segs, err := listSegments(r.opts.Dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if len(segs) > 0 && r.nextSeq < segs[0].base {
+		if r.opts.Live != nil {
+			return fmt.Errorf("wal: live reader at sequence %d fell behind compaction (the oldest retained record is %d); %s",
+				r.nextSeq, segs[0].base, resyncRemedy)
+		}
+		return fmt.Errorf("wal: replay from sequence %d is below the oldest retained record %d (compacted away)",
+			r.nextSeq, segs[0].base)
+	}
+	idx := sort.Search(len(segs), func(i int) bool { return segs[i].base > r.nextSeq })
+	if idx > 0 {
+		idx--
+		if len(r.segments) == 0 {
+			r.nextSeq = segs[idx].base
+		}
+	}
+	r.segments, r.segIdx = segs, idx
+	return nil
 }
 
 // Truncation reports the torn tail that ended the replay, if any.
@@ -126,90 +140,38 @@ func (r *Reader) Truncation() *TailTruncation { return r.trunc }
 func (r *Reader) NextSeq() uint64 { return r.nextSeq }
 
 // Next returns the next record at or past opts.From. io.EOF signals the end
-// of the log (including a truncated final segment — check Truncation). In
-// follow mode io.EOF is non-sticky: it means "no complete record right now",
-// and a later call resumes where this one stopped. The returned record's
-// Events and Frame are reused by the following Next call; copy to retain.
+// of the log (including a truncated final segment — check Truncation); for a
+// live reader it means the next record is not durable yet, and a later call
+// resumes where this one stopped. The returned record's Events and Frame are
+// reused by the following Next call; copy to retain.
 func (r *Reader) Next() (Record, error) {
 	if r.err != nil {
 		return Record{}, r.err
 	}
+	bound := uint64(math.MaxUint64)
+	if r.opts.Live != nil {
+		bound = r.opts.Live.DurableSeq()
+	}
 	for {
+		if r.nextSeq >= bound {
+			return Record{}, io.EOF
+		}
 		if r.dec == nil {
-			if err := r.openSegment(); err != nil {
-				if r.opts.Follow && err == io.EOF {
-					// Past the end of the known list: new segments may have
-					// appeared since it was (re)listed.
-					if ferr := r.relistBeyond(); ferr != nil {
-						r.err = ferr
-						return Record{}, ferr
-					}
-					if r.segIdx >= len(r.segments) {
-						return Record{}, io.EOF // nothing yet; retry later
-					}
-					continue
-				}
-				if err == errTailPending {
-					return Record{}, io.EOF // header still being written
-				}
-				r.err = err
-				r.closeFile()
-				return Record{}, err
+			if err := r.openSegment(bound); err != nil {
+				return Record{}, r.fail(err)
 			}
 		}
 		// Records below the floor are skipped, so they are not decoded.
 		program, frame, events, err := r.dec.next(r.events[:0], !r.opts.FrameOnly && r.nextSeq >= r.floor)
 		if err == io.EOF {
-			// Clean end of this segment at a record boundary.
-			endSeq := r.nextSeq
-			if r.opts.Follow && r.segIdx == len(r.segments)-1 {
-				advance, ferr := r.refreshTail(endSeq)
-				if ferr != nil {
-					r.err = ferr
-					r.closeFile()
-					return Record{}, ferr
-				}
-				if !advance {
-					// Still the live tail (or the active segment grew in
-					// place); the decoder stays at the boundary and the next
-					// call re-reads from there.
-					if r.segIdx < len(r.segments)-1 {
-						continue // grew in place: data is on disk, decode now
-					}
-					return Record{}, io.EOF
-				}
-				// A successor based exactly at endSeq exists: fall through
-				// to the normal advance below.
-			}
+			// Clean end of this segment at a record boundary; the next one
+			// must begin at nextSeq (openSegment checks).
 			r.closeFile()
 			r.segIdx++
-			if r.segIdx >= len(r.segments) {
-				if r.opts.Follow {
-					continue // loops into the relistBeyond path above
-				}
-				r.err = io.EOF
-				return Record{}, io.EOF
-			}
-			// Completed segments are fsynced before the next is created,
-			// so consecutive bases must meet exactly; a gap means records
-			// were lost mid-log and replay cannot be trusted.
-			if next := r.segments[r.segIdx].base; next != endSeq {
-				r.err = fmt.Errorf("%w: %s begins at sequence %d but the previous segment ends at %d",
-					ErrBadSegment, filepath.Base(r.segments[r.segIdx].path), next, endSeq)
-				return Record{}, r.err
-			}
 			continue
 		}
 		if err != nil {
-			if r.opts.Follow && r.segIdx == len(r.segments)-1 {
-				if rerr := r.retryTail(err); rerr != nil {
-					r.err = rerr
-					r.closeFile()
-					return Record{}, rerr
-				}
-				return Record{}, io.EOF // partial tail; retry later
-			}
-			if r.segIdx == len(r.segments)-1 {
+			if r.opts.Live == nil && r.segIdx == len(r.segments)-1 {
 				// Torn tail on the final segment: everything before it
 				// replayed fine; stop cleanly and report the cut.
 				r.trunc = &TailTruncation{
@@ -218,16 +180,11 @@ func (r *Reader) Next() (Record, error) {
 					Dropped: r.dec.size - r.dec.off,
 					Reason:  err.Error(),
 				}
-				r.closeFile()
-				r.err = io.EOF
-				return Record{}, io.EOF
+				return Record{}, r.fail(io.EOF)
 			}
-			r.err = fmt.Errorf("%w: %s at byte offset %d: %v",
-				ErrBadSegment, filepath.Base(r.segments[r.segIdx].path), r.dec.off, err)
-			r.closeFile()
-			return Record{}, r.err
+			return Record{}, r.fail(fmt.Errorf("%w: %s at byte offset %d: %v",
+				ErrBadSegment, filepath.Base(r.segments[r.segIdx].path), r.dec.off, err))
 		}
-		r.retried = false
 		seq := r.nextSeq
 		r.nextSeq++
 		r.events = events
@@ -239,133 +196,46 @@ func (r *Reader) Next() (Record, error) {
 	}
 }
 
-// refreshTail re-lists the directory after a clean boundary EOF on the last
-// known segment (follow mode). endSeq is the next expected sequence. It
-// re-anchors the reader in the fresh list and reports whether a successor
-// segment based exactly at endSeq exists (advance=true → the caller should
-// move to it). advance=false with segIdx < last means the active segment
-// grew in place; advance=false at the last index means nothing new yet.
-func (r *Reader) refreshTail(endSeq uint64) (advance bool, err error) {
-	segs, err := listSegments(r.opts.Dir)
-	if err != nil {
-		return false, err
-	}
-	if len(segs) == 0 {
-		return false, fmt.Errorf("%w: segment directory emptied under a follow reader", ErrBadSegment)
-	}
-	curBase := r.segments[r.segIdx].base
-	// The segment covering endSeq is the last one based at or below it.
-	idx := sort.Search(len(segs), func(i int) bool { return segs[i].base > endSeq })
-	if idx == 0 {
-		return false, fmt.Errorf("wal: follow reader at sequence %d fell behind compaction (oldest retained segment now begins at %d); a full resync is required",
-			endSeq, segs[0].base)
-	}
-	idx--
-	switch cover := segs[idx]; {
-	case cover.base == curBase:
-		// Same segment still covers our position; successors (if any) are
-		// based above endSeq, which means the active segment has more
-		// records for us first.
-		r.segments = segs
-		r.segIdx = idx
-		return false, nil
-	case cover.base == endSeq:
-		// Rotation happened exactly at our boundary: our segment is
-		// complete and the successor picks up at endSeq. Position just
-		// before it (possibly index -1 if our segment was compacted away
-		// meanwhile — it is fully consumed, and the caller's advance
-		// increments before touching the list) so the normal advance and
-		// its continuity check land on the successor.
-		r.segments = segs
-		r.segIdx = idx - 1
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: segment layout changed under a follow reader at sequence %d (covering segment now %s)",
-			ErrBadSegment, endSeq, filepath.Base(cover.path))
-	}
+// fail ends the pass: err is returned by every later Next.
+func (r *Reader) fail(err error) error {
+	r.err = err
+	r.closeFile()
+	return err
 }
 
-// retryTail handles a decode error at the tail of the last known segment in
-// follow mode: normally the record is simply still being written, so the
-// reader rewinds to the last valid boundary and reports "nothing yet". A
-// repeat failure at the same boundary after the segment has provably
-// completed (a successor exists in a fresh listing) is real corruption.
-func (r *Reader) retryTail(derr error) error {
-	boundary := r.dec.off
-	if r.retried && r.retryOff == boundary {
-		segs, lerr := listSegments(r.opts.Dir)
-		if lerr != nil {
-			return lerr
-		}
-		if len(segs) > 0 && segs[len(segs)-1].base > r.segments[r.segIdx].base {
-			return fmt.Errorf("%w: %s at byte offset %d: %v (segment is complete; this is corruption, not an in-progress tail)",
-				ErrBadSegment, filepath.Base(r.segments[r.segIdx].path), boundary, derr)
-		}
-	}
-	r.retried = true
-	r.retryOff = boundary
-	// Rewind: reposition the file at the boundary and restart the decoder
-	// there, discarding the partial bytes it consumed.
-	if _, err := r.f.Seek(boundary, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: rewinding follow reader: %w", err)
-	}
-	st, err := r.f.Stat()
-	if err != nil {
-		return fmt.Errorf("wal: stat during follow rewind: %w", err)
-	}
-	r.dec = newSegmentDecoderAt(r.f, st.Size(), boundary)
-	return nil
-}
-
-// relistBeyond re-lists the directory when the reader has consumed every
-// known segment (follow mode) and re-seeks to the segment covering the next
-// wanted sequence, exactly like NewReader's initial positioning.
-func (r *Reader) relistBeyond() error {
-	segs, err := listSegments(r.opts.Dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil // directory not created yet; retry later
-		}
-		return err
-	}
-	want := r.nextSeq
-	if r.floor > want {
-		want = r.floor
-	}
-	idx := sort.Search(len(segs), func(i int) bool { return segs[i].base > want })
-	if idx > 0 {
-		idx--
-	}
-	if len(segs) > 0 && want < segs[0].base {
-		return fmt.Errorf("wal: replay from sequence %d is below the oldest retained record %d (compacted away)",
-			want, segs[0].base)
-	}
-	r.segments = segs
-	r.segIdx = idx
-	return nil
-}
-
-// errTailPending marks a final segment whose header is still being written
-// (follow mode): not yet readable, not torn either.
-var errTailPending = errors.New("wal: tail segment header still being written")
-
-// openSegment opens segments[segIdx], validates its header, and positions
-// nextSeq at its base.
-func (r *Reader) openSegment() error {
+// openSegment opens segments[segIdx], which must begin at nextSeq, and
+// validates its header. A point-in-time pass returns io.EOF past the last
+// listed segment; a live reader (called only below its bound) re-lists.
+func (r *Reader) openSegment(bound uint64) error {
 	if r.segIdx >= len(r.segments) {
-		return io.EOF
+		if r.opts.Live == nil {
+			return io.EOF
+		}
+		// Durable record nextSeq lies past the last listed segment.
+		if err := r.seek(); err != nil {
+			return err
+		}
+	}
+	if r.segIdx >= len(r.segments) || r.segments[r.segIdx].base != r.nextSeq {
+		if r.opts.Live != nil {
+			return r.missing(bound)
+		}
+		// Completed segments are fsynced before the next is created, so
+		// consecutive bases must meet exactly; a gap means records were
+		// lost mid-log and replay cannot be trusted.
+		seg := r.segments[r.segIdx]
+		return fmt.Errorf("%w: %s begins at sequence %d but the previous segment ends at %d",
+			ErrBadSegment, filepath.Base(seg.path), seg.base, r.nextSeq)
 	}
 	seg := r.segments[r.segIdx]
 	f, err := os.Open(seg.path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			// The segment was listed but compaction removed it before this
-			// reader got there. In follow mode that means the reader fell
-			// behind the retention horizon; in a one-shot replay it means the
-			// log is live and the point-in-time pass lost part of its window.
-			if r.opts.Follow {
-				return fmt.Errorf("wal: follow reader fell behind compaction (%s, sequence %d, was removed); a full resync is required",
-					filepath.Base(seg.path), seg.base)
+			// reader got there.
+			if r.opts.Live != nil {
+				return fmt.Errorf("wal: live reader fell behind compaction (%s, sequence %d, was removed); %s",
+					filepath.Base(seg.path), seg.base, resyncRemedy)
 			}
 			return fmt.Errorf("wal: segment %s (sequence %d) was compacted away mid-replay; "+
 				"the log is live — retry, or replay from a later sequence", filepath.Base(seg.path), seg.base)
@@ -380,12 +250,7 @@ func (r *Reader) openSegment() error {
 	var hdr [segHeaderSize]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		f.Close()
-		if r.segIdx == len(r.segments)-1 {
-			if r.opts.Follow {
-				// The writer is mid-way through creating this segment;
-				// its header will be complete shortly.
-				return errTailPending
-			}
+		if r.opts.Live == nil && r.segIdx == len(r.segments)-1 {
 			// A final segment whose header never hit the disk holds no
 			// records; the replayable range simply ends before it.
 			r.trunc = &TailTruncation{
@@ -404,9 +269,18 @@ func (r *Reader) openSegment() error {
 	}
 	r.f = f
 	r.dec = newSegmentDecoder(f, st.Size())
-	r.nextSeq = seg.base
-	r.retried = false
 	return nil
+}
+
+// missing is a live reader's gap: durable record nextSeq is in no segment.
+// The missing range runs to the next listed segment, or to the bound.
+func (r *Reader) missing(bound uint64) error {
+	hi := bound
+	next := sort.Search(len(r.segments), func(i int) bool { return r.segments[i].base > r.nextSeq })
+	if next < len(r.segments) {
+		hi = r.segments[next].base
+	}
+	return fmt.Errorf("wal: records [%d, %d) are not in the log (no segment holds them); %s", r.nextSeq, hi, resyncRemedy)
 }
 
 func (r *Reader) closeFile() {
@@ -492,15 +366,11 @@ func (b *byteReader) consumed() int64 {
 // newSegmentDecoder positions a decoder just past the segment header of r;
 // size is the full segment file size (for truncation diagnostics).
 func newSegmentDecoder(r io.Reader, size int64) *segmentDecoder {
-	return newSegmentDecoderAt(r, size, segHeaderSize)
-}
-
-// newSegmentDecoderAt positions a decoder at an arbitrary record boundary —
-// the follow reader's rewind point after a partial tail read.
-func newSegmentDecoderAt(r io.Reader, size, off int64) *segmentDecoder {
-	d := &segmentDecoder{size: size, off: off}
-	d.br = byteReader{r: r, buf: make([]byte, 1<<16), off: off}
-	return d
+	return &segmentDecoder{
+		br:   byteReader{r: r, buf: make([]byte, 1<<16), off: segHeaderSize},
+		off:  segHeaderSize,
+		size: size,
+	}
 }
 
 // next decodes one record, appending its events to dst when decode is true

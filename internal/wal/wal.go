@@ -245,9 +245,10 @@ type Log struct {
 	fsyncs          atomic.Uint64
 
 	// durableSeq is the end of the fsynced range: every record with a
-	// sequence number below it is on stable storage. It only advances on a
-	// successful fsync (or when the next sequence is repositioned), so a
-	// tail reader that stays below it never observes a torn record.
+	// sequence number below it is on stable storage. It only advances after
+	// a successful flush and fsync (or when AlignSeq skips a range that
+	// holds no records), so a live reader that stays below it never meets a
+	// torn record or a half-written segment header.
 	durableSeq atomic.Uint64
 
 	subMu sync.Mutex
@@ -459,10 +460,14 @@ func (l *Log) OldestSeq() uint64 {
 }
 
 // DurableSeq returns the end of the fsynced range: every record with a
-// sequence number below it is on stable storage and safe to read while the
-// log is live. Under SyncNever it only advances on rotation, Sync, and
-// Close — a live tail reader (replication) effectively ships segment by
-// segment under that policy.
+// sequence number below it is on stable storage, complete in its segment
+// file, and safe to read while the log is live — a segment's header is
+// written before any of its records can become durable. It is the bound a
+// live reader (ReaderOptions.Live) stops at. A range AlignSeq skipped lies
+// below it yet holds no records; a live reader inside one fails. Under
+// SyncNever it only advances on rotation, Sync, and Close — a live tail
+// reader (replication) effectively ships segment by segment under that
+// policy.
 func (l *Log) DurableSeq() uint64 { return l.durableSeq.Load() }
 
 // SubscribeDurable registers for durability advances: the returned channel

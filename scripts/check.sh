@@ -28,10 +28,11 @@ go test -race ./...
 
 # The observability layer, the server and the replication follower share
 # lock-striped and atomic hot paths (the follower applies through the
-# server's commit step); run them twice under the race detector so
-# scheduling-order races get a second chance to surface.
-echo "==> go test -race -count=2 ./internal/obs ./internal/server ./internal/replica"
-go test -race -count=2 ./internal/obs ./internal/server ./internal/replica
+# server's commit step), and the WAL's live reader races its appender; run
+# them twice under the race detector so scheduling-order races get a second
+# chance to surface.
+echo "==> go test -race -count=2 ./internal/obs ./internal/server ./internal/replica ./internal/wal"
+go test -race -count=2 ./internal/obs ./internal/server ./internal/replica ./internal/wal
 
 # perfbench is its own Go module, so the root ./... above never builds it,
 # yet it compiles against the server's table and stream APIs.
