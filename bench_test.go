@@ -335,7 +335,7 @@ func (t *serialTable) Decide(program string, id trace.BranchID) core.State {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ctl := t.entries[serialKey{program, id}]; ctl != nil {
-		return ctl.BranchState(0)
+		return ctl.UnitState(0)
 	}
 	return core.Monitor
 }

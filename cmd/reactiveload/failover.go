@@ -158,7 +158,7 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 		events = append(events, ev)
 	}
 	want := make([]server.Decision, len(events))
-	set, err := core.NewPolicySet(cfg.policy, cfg.params)
+	ctl, err := core.NewPolicySet(cfg.policy, cfg.params)
 	if err != nil {
 		res.err = err
 		return res
@@ -166,7 +166,7 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 	var instr uint64
 	for i, ev := range events {
 		instr += uint64(ev.Gap)
-		v, st, dir, live := set.OnEvent(ev.Branch, ev.Taken, instr)
+		v, st, dir, live := ctl.OnEvent(ev.Branch, ev.Taken, instr)
 		want[i] = server.Decision{Verdict: v, State: st, Dir: dir, Live: live}
 	}
 

@@ -10,7 +10,7 @@
 // speculation kinds (worker w drives kinds[w mod len]), exercising the
 // daemon's kind-generic serving path: every POST names its kind on
 // /v1/ingest, and every stream frame carries a kind tag. With -verify,
-// every worker simultaneously runs an in-process policy set (-policy
+// every worker simultaneously runs an in-process controller (-policy
 // selects which) over the identical event sequence and fails if any
 // networked decision differs — the end-to-end closed-loop equivalence
 // check, per kind. Verification first checks the daemon's
@@ -57,7 +57,7 @@
 //	-policy name     decision policy the daemon runs, for -verify mirroring (default reactive)
 //	-intensity f     fault-injection intensity in [0,1] (default 0)
 //	-param-scale k   controller parameter scale for -verify; must match the daemon (default 10)
-//	-verify          cross-check every decision against an in-process policy set
+//	-verify          cross-check every decision against an in-process controller
 //	-stream-addr a   use one streaming ingest session per worker on the daemon's raw
 //	                 stream listener at host:port instead of per-batch POSTs
 //	-window n        requested stream pipeline window in frames (0 = server default)
@@ -539,11 +539,11 @@ func buildEventStream(cfg workerConfig) (trace.Stream, error) {
 	return stream, nil
 }
 
-// mirror is the -verify cross-check: an in-process policy set fed the
+// mirror is the -verify cross-check: an in-process controller fed the
 // identical event sequence, compared decision-by-decision against the
 // daemon. A nil *mirror checks nothing.
 type mirror struct {
-	set    *core.PolicySet
+	ctl    *core.Controller
 	instr  uint64
 	seen   uint64
 	params core.Params
@@ -555,14 +555,14 @@ func newMirror(cfg workerConfig) (*mirror, error) {
 	if !cfg.verify {
 		return nil, nil
 	}
-	set, err := core.NewPolicySet(cfg.policy, cfg.params)
+	ctl, err := core.NewPolicySet(cfg.policy, cfg.params)
 	if err != nil {
 		return nil, err
 	}
-	return &mirror{set: set, params: cfg.params, prog: cfg.program, kind: cfg.kind}, nil
+	return &mirror{ctl: ctl, params: cfg.params, prog: cfg.program, kind: cfg.kind}, nil
 }
 
-// check replays events through the mirror policy set and compares the
+// check replays events through the mirror controller and compares the
 // daemon's decisions. events and ds are parallel.
 func (m *mirror) check(events []trace.Event, ds []server.Decision) error {
 	if m == nil {
@@ -570,13 +570,13 @@ func (m *mirror) check(events []trace.Event, ds []server.Decision) error {
 	}
 	for i, ev := range events {
 		m.instr += uint64(ev.Gap)
-		v, st, dir, live := m.set.OnEvent(ev.Branch, ev.Taken, m.instr)
+		v, st, dir, live := m.ctl.OnEvent(ev.Branch, ev.Taken, m.instr)
 		want := server.Decision{Verdict: v, State: st, Dir: dir, Live: live}
 		if ds[i] != want {
 			return fmt.Errorf("decision mismatch at event %d of %s kind %s (unit %d): daemon %v, in-process %v"+
 				" (is the daemon running with -param-scale %d and -policy %s?)",
 				m.seen+uint64(i), m.prog, m.kind, ev.Branch, ds[i], want,
-				paramScaleHint(m.params), m.set.Name())
+				paramScaleHint(m.params), m.ctl.Name())
 		}
 	}
 	m.seen += uint64(len(events))

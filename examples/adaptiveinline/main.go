@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("%-18s %12s %12s %14s %10s\n", "site", "calls", "inlined", "guard fails", "state")
 	for _, s := range sites {
 		fmt.Printf("%-18s %12d %12d %14d %10s\n",
-			s.name, s.calls, inlined[s.id], guards[s.id], ctl.BranchState(s.id))
+			s.name, s.calls, inlined[s.id], guards[s.id], ctl.UnitState(s.id))
 	}
 	fmt.Println()
 	fmt.Println("A stays inlined for its whole life; B is never inlined (the monitor")

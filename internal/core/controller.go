@@ -192,14 +192,17 @@ func (u *Unit) observe(outcome bool, instr uint64) Verdict {
 	return Misspec
 }
 
-// Controller is the reactive speculation controller. It tracks every static
-// branch independently (Section 3.2) and reports, for each dynamic instance,
-// whether it was covered by live speculative code and with what outcome.
+// Controller runs one registered policy over every unit it tracks: each
+// static branch (or load, dependence pair, …) is its own Unit, advanced
+// independently by the controller's Rule (Section 3.2), and each dynamic
+// instance reports whether it was covered by live speculative code and with
+// what outcome. New builds the paper's reactive controller; NewPolicySet
+// builds one for any registered policy.
 //
 // Controller is not safe for concurrent use; drive it from one goroutine.
 type Controller struct {
-	params   Params
-	branches []Unit
+	rule  Rule
+	units []Unit
 
 	// OnTransition, if non-nil, is invoked after every classification
 	// change. It must not call back into the controller.
@@ -208,9 +211,14 @@ type Controller struct {
 	stats Stats
 }
 
+// PolicySet is the former name of a Controller built for a named policy,
+// kept only because the perfbench module still names it. New code names
+// Controller.
+type PolicySet = Controller
+
 // Stats aggregates a controller's lifetime counters. Every field but Instrs
-// follows from each step's verdict and the (from, to) state pair it made,
-// which is all count needs.
+// follows from each step's verdict and the (from, to) state pair it made:
+// Count takes the verdict and ClassifyTransition the pair.
 type Stats struct {
 	// Events is the number of dynamic branch instances observed.
 	Events uint64
@@ -225,10 +233,10 @@ type Stats struct {
 	Selections, Evictions, Retirals uint64
 }
 
-// count accounts one step: its verdict, and the transition from → to if the
-// step made one. Selections are transitions into Biased, Evictions
-// Biased→Monitor, and Retirals transitions into Retired.
-func (s *Stats) count(v Verdict, from, to State) {
+// Count accounts one event by its verdict: Events and the verdict's own
+// counter. It is the one verdict counter; every loop that scores a stream
+// calls it.
+func (s *Stats) Count(v Verdict) {
 	s.Events++
 	switch v {
 	case NotSpeculated:
@@ -238,25 +246,64 @@ func (s *Stats) count(v Verdict, from, to State) {
 	default:
 		s.Misspec++
 	}
+}
+
+// TransitionClass is what a classification transition counts as in Stats.
+type TransitionClass uint8
+
+const (
+	// Uncounted is a step that made no transition, or one Stats does
+	// not count (monitor↔unbiased).
+	Uncounted TransitionClass = iota
+	// Selection is any transition into Biased.
+	Selection
+	// Eviction is Biased→Monitor.
+	Eviction
+	// Retiral is any transition into Retired.
+	Retiral
+)
+
+// ClassifyTransition returns what the step from → to counts as. It is the
+// one transition classifier: Stats and the serving table's per-entry
+// counters both count through it.
+func ClassifyTransition(from, to State) TransitionClass {
 	switch {
 	case to == from:
+		return Uncounted
 	case to == Biased:
-		s.Selections++
+		return Selection
 	case to == Retired:
-		s.Retirals++
+		return Retiral
 	case from == Biased && to == Monitor:
+		return Eviction
+	}
+	return Uncounted
+}
+
+// count accounts one step: its verdict, and the transition from → to if the
+// step made one.
+func (s *Stats) count(v Verdict, from, to State) {
+	s.Count(v)
+	switch ClassifyTransition(from, to) {
+	case Selection:
+		s.Selections++
+	case Eviction:
 		s.Evictions++
+	case Retiral:
+		s.Retirals++
 	}
 }
 
-// CorrectFrac returns correct speculations as a fraction of all events.
+// CorrectFrac returns correct speculations as a fraction of all events
+// (the y axis of Figures 2 and 5).
 func (s Stats) CorrectFrac() float64 { return frac(s.Correct, s.Events) }
 
-// MisspecFrac returns misspeculations as a fraction of all events.
+// MisspecFrac returns misspeculations as a fraction of all events (the x
+// axis of Figures 2 and 5).
 func (s Stats) MisspecFrac() float64 { return frac(s.Misspec, s.Events) }
 
 // MisspecDistance returns the mean dynamic instructions between
-// misspeculations (+Inf if none occurred).
+// misspeculations (+Inf if none occurred) — Table 3's final column.
 func (s Stats) MisspecDistance() float64 {
 	if s.Misspec == 0 {
 		return math.Inf(1)
@@ -271,52 +318,78 @@ func frac(n, d uint64) float64 {
 	return float64(n) / float64(d)
 }
 
-// New returns a controller with the given parameters. It panics with
-// Validate's error, which wraps ErrParamRange, when params are out of range.
+// New returns a reactive controller with the given parameters. It panics
+// with Validate's error, which wraps ErrParamRange, when params are out of
+// range.
 func New(params Params) *Controller {
-	if err := params.Validate(); err != nil {
+	c, err := NewPolicySet(PolicyReactive, params)
+	if err != nil {
 		panic(err)
 	}
-	return &Controller{params: params}
+	return c
 }
+
+// NewPolicySet returns a controller for the registered policy name ("" =
+// reactive). Like NewRule it rejects out-of-range params.
+func NewPolicySet(name string, params Params) (*Controller, error) {
+	r, err := NewRule(name, params)
+	if err != nil {
+		return nil, err
+	}
+	return &Controller{rule: r}, nil
+}
+
+// Name returns the controller's registered policy name.
+func (c *Controller) Name() string { return c.rule.Name() }
 
 // Params returns the controller's configuration.
-func (c *Controller) Params() Params { return c.params }
+func (c *Controller) Params() Params { return c.rule.params }
 
-// unitAt returns unit id of *units, growing the slice to hold it.
-func unitAt(units *[]Unit, id trace.BranchID) *Unit {
-	if int(id) >= len(*units) {
-		grown := make([]Unit, int(id)+1+int(id)/2)
-		copy(grown, *units)
-		*units = grown
-	}
-	return &(*units)[id]
+// OnBranch observes one dynamic instance of unit id with the given outcome.
+// instr is the global dynamic instruction count at the instance
+// (monotonically non-decreasing across calls). The returned verdict reflects
+// the speculative code live at this instant, which — because of
+// optimization latency — may lag the unit's classification state.
+func (c *Controller) OnBranch(id trace.BranchID, outcome bool, instr uint64) Verdict {
+	_, v := c.step(id, outcome, instr)
+	return v
 }
 
-// OnBranch observes one dynamic branch instance. instr is the global dynamic
-// instruction count at the instance (monotonically non-decreasing across
-// calls). The returned verdict reflects the speculative code live at this
-// instant, which — because of optimization latency — may lag the branch's
-// classification state.
-func (c *Controller) OnBranch(id trace.BranchID, taken bool, instr uint64) Verdict {
-	u := unitAt(&c.branches, id)
+// OnEvent is OnBranch returning the full decision tuple — the verdict and
+// the unit's state and speculation after the step — which is what a
+// serving-table entry encodes.
+func (c *Controller) OnEvent(id trace.BranchID, outcome bool, instr uint64) (Verdict, State, bool, bool) {
+	u, v := c.step(id, outcome, instr)
+	dir, live := u.Speculating()
+	return v, u.state, dir, live
+}
+
+// step advances unit id by one event, counts it, and reports a transition
+// to OnTransition.
+func (c *Controller) step(id trace.BranchID, outcome bool, instr uint64) (*Unit, Verdict) {
+	if int(id) >= len(c.units) {
+		grown := make([]Unit, int(id)+1+int(id)/2)
+		copy(grown, c.units)
+		c.units = grown
+	}
+	u := &c.units[id]
 	from := u.state
-	v := u.stepReactive(&c.params, taken, instr)
+	v := c.rule.Step(u, outcome, instr)
 	c.stats.count(v, from, u.state)
 	// A step makes at most one transition, and every transition changes
 	// the state, as its last effect on the fields a Transition reports.
 	if c.OnTransition != nil && u.state != from {
 		c.OnTransition(Transition{Branch: id, From: from, To: u.state, Instr: instr, Exec: u.execs, Counter: u.counter})
 	}
-	return v
+	return u, v
 }
 
 // AddInstrs accounts dynamic instructions (the gaps between branch events).
 func (c *Controller) AddInstrs(n uint64) { c.stats.Instrs += n }
 
 // stepReactive advances the unit by one event under the paper's FSM
-// (Figure 4b). It is the only copy of that logic: Controller.OnBranch and
-// Rule.Step both run it. The per-event work of each state is written out
+// (Figure 4b). It is the only copy of that logic, and Rule.Step runs it
+// for every reactive caller. The per-event work of each state is written out
 // here so a step costs one call; the rare window-end classification and
 // the sampling and eviction paths are calls.
 func (u *Unit) stepReactive(p *Params, taken bool, instr uint64) Verdict {
@@ -449,32 +522,32 @@ func (u *Unit) evict(p *Params, instr uint64) {
 // Stats returns the aggregate counters so far.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// BranchState returns the classification state of a branch (Monitor for a
-// branch never seen).
-func (c *Controller) BranchState(id trace.BranchID) State {
-	if int(id) >= len(c.branches) {
+// UnitState returns the unit's classification state (Monitor for a unit
+// never seen).
+func (c *Controller) UnitState(id trace.BranchID) State {
+	if int(id) >= len(c.units) {
 		return Monitor
 	}
-	return c.branches[id].state
+	return c.units[id].state
 }
 
-// Speculating reports whether speculation is currently live for the branch
+// Speculating reports whether speculation is currently live for the unit
 // and, if so, its direction. Note that, because of optimization latency,
-// this can disagree with BranchState around transitions.
+// this can disagree with UnitState around transitions.
 func (c *Controller) Speculating(id trace.BranchID) (dir, live bool) {
-	if int(id) >= len(c.branches) {
+	if int(id) >= len(c.units) {
 		return false, false
 	}
-	return c.branches[id].Speculating()
+	return c.units[id].Speculating()
 }
 
-// StaticCounts summarizes per-branch lifecycle statistics: how many static
-// branches were touched, how many ever entered the biased state, how many
+// StaticCounts summarizes per-unit lifecycle statistics: how many static
+// units were touched, how many ever entered the biased state, how many
 // were ever evicted, and how many were retired by the oscillation limit
 // (the Table 3 static columns).
 func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired int) {
-	for i := range c.branches {
-		u := &c.branches[i]
+	for i := range c.units {
+		u := &c.units[i]
 		if u.execs == 0 {
 			continue
 		}
@@ -492,18 +565,21 @@ func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired i
 	return touched, everBiased, everEvicted, retired
 }
 
-// Evictions returns how many times the branch has been evicted.
+// Evictions returns how many times the unit has been evicted.
 func (c *Controller) Evictions(id trace.BranchID) uint32 {
-	if int(id) >= len(c.branches) {
+	if int(id) >= len(c.units) {
 		return 0
 	}
-	return c.branches[id].evictions
+	return c.units[id].evictions
 }
 
-// Optimizations returns how many times the branch entered the biased state.
+// Optimizations returns how many times the unit was selected under the
+// reactive or probweight policy — the count MaxOptimizations bounds.
+// Selftrain decides once and never bumps it, so it stays 0 there (the
+// selftrain snapshot pin fixes OptCount at 0).
 func (c *Controller) Optimizations(id trace.BranchID) uint32 {
-	if int(id) >= len(c.branches) {
+	if int(id) >= len(c.units) {
 		return 0
 	}
-	return c.branches[id].optCount
+	return c.units[id].optCount
 }

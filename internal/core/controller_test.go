@@ -55,11 +55,11 @@ func (f *feeder) repeat(id trace.BranchID, taken bool, n int) (correct, misspec,
 func TestMonitorToBiased(t *testing.T) {
 	f := &feeder{ctl: New(testParams())}
 	f.repeat(0, true, 9)
-	if got := f.ctl.BranchState(0); got != Monitor {
+	if got := f.ctl.UnitState(0); got != Monitor {
 		t.Fatalf("state after 9 execs = %v, want monitor", got)
 	}
 	f.branch(0, true) // completes the monitor window
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("state after monitor window = %v, want biased", got)
 	}
 	dir, live := f.ctl.Speculating(0)
@@ -77,7 +77,7 @@ func TestMonitorToUnbiased(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.branch(0, i%2 == 0)
 	}
-	if got := f.ctl.BranchState(0); got != Unbiased {
+	if got := f.ctl.UnitState(0); got != Unbiased {
 		t.Fatalf("state for 50/50 branch = %v, want unbiased", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestMonitorToUnbiased(t *testing.T) {
 func TestNotTakenDirection(t *testing.T) {
 	f := &feeder{ctl: New(testParams())}
 	f.repeat(0, false, 10)
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("state = %v, want biased", got)
 	}
 	if v := f.branch(0, false); v != Correct {
@@ -101,7 +101,7 @@ func TestEvictionOnReversal(t *testing.T) {
 	f.repeat(0, true, 11) // monitor + first speculated event
 	// Reverse: two misspecs ramp the counter (2×50 = 100 = threshold).
 	f.repeat(0, false, 2)
-	if got := f.ctl.BranchState(0); got != Monitor {
+	if got := f.ctl.UnitState(0); got != Monitor {
 		t.Fatalf("state after reversal = %v, want monitor (evicted)", got)
 	}
 	if f.ctl.Evictions(0) != 1 {
@@ -124,7 +124,7 @@ func TestEvictionHysteresisToleratesBursts(t *testing.T) {
 		f.repeat(0, false, 5)
 		f.repeat(0, true, 300)
 	}
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("bursty-but-biased branch evicted (state %v)", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestReselectionAfterReversal(t *testing.T) {
 	// The branch is now consistently not-taken: one monitor window
 	// re-selects it in the other direction.
 	f.repeat(0, false, 10)
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("state after re-monitor = %v, want biased", got)
 	}
 	if v := f.branch(0, false); v != Correct {
@@ -155,16 +155,16 @@ func TestRevisitFromUnbiased(t *testing.T) {
 	for i := 0; i < 19; i++ {
 		f.branch(0, i%2 == 0)
 	}
-	if got := f.ctl.BranchState(0); got != Unbiased {
+	if got := f.ctl.UnitState(0); got != Unbiased {
 		t.Fatalf("state during wait = %v, want unbiased", got)
 	}
 	f.branch(0, true) // completes the wait period
-	if got := f.ctl.BranchState(0); got != Monitor {
+	if got := f.ctl.UnitState(0); got != Monitor {
 		t.Fatalf("state after wait = %v, want monitor (revisit)", got)
 	}
 	// Now biased: the revisit lets it be discovered.
 	f.repeat(0, true, 10)
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("late-onset branch state = %v, want biased", got)
 	}
 }
@@ -175,7 +175,7 @@ func TestNoRevisitVariant(t *testing.T) {
 		f.branch(0, i%2 == 0)
 	}
 	f.repeat(0, true, 500)
-	if got := f.ctl.BranchState(0); got != Unbiased {
+	if got := f.ctl.UnitState(0); got != Unbiased {
 		t.Fatalf("no-revisit state = %v, want unbiased forever", got)
 	}
 }
@@ -184,7 +184,7 @@ func TestNoEvictionVariant(t *testing.T) {
 	f := &feeder{ctl: New(testParams().WithNoEviction())}
 	f.repeat(0, true, 10)
 	_, misspec, _ := f.repeat(0, false, 500)
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("no-eviction state = %v, want biased forever", got)
 	}
 	if misspec != 500 {
@@ -202,7 +202,7 @@ func TestOscillationLimitRetires(t *testing.T) {
 	}
 	// Third selection attempt must retire instead.
 	f.repeat(0, dir, 10)
-	if got := f.ctl.BranchState(0); got != Retired {
+	if got := f.ctl.UnitState(0); got != Retired {
 		t.Fatalf("state after third selection attempt = %v, want retired", got)
 	}
 	_, _, everEvicted, retired := f.ctl.StaticCounts()
@@ -243,7 +243,7 @@ func TestEvictionLameDuckKeepsCounting(t *testing.T) {
 	// Reverse. Eviction needs two misspecs; the stale code stays
 	// deployed for 100 more instructions (20 events).
 	f.repeat(0, false, 2)
-	if got := f.ctl.BranchState(0); got != Monitor {
+	if got := f.ctl.UnitState(0); got != Monitor {
 		t.Fatalf("state = %v, want monitor", got)
 	}
 	_, misspec, _ := f.repeat(0, false, 19)
@@ -261,7 +261,7 @@ func TestMonitorSampling(t *testing.T) {
 	// Period counts executions (10); samples are 1-in-2. An all-taken
 	// stream still classifies as biased.
 	f.repeat(0, true, 10)
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("sampled monitor state = %v, want biased", got)
 	}
 }
@@ -272,7 +272,7 @@ func TestEvictBySampling(t *testing.T) {
 	// Fully reversed: the first 5-execution sample reads 0% correct,
 	// below the 95% eviction floor.
 	f.repeat(0, false, 5)
-	if got := f.ctl.BranchState(0); got != Monitor {
+	if got := f.ctl.UnitState(0); got != Monitor {
 		t.Fatalf("sampling eviction state = %v, want monitor", got)
 	}
 }
@@ -284,7 +284,7 @@ func TestEvictBySamplingIgnoresOffCycleNoise(t *testing.T) {
 	// Noise entirely within the off-duty part of the cycle (positions
 	// 5–19) is not observed.
 	f.repeat(0, false, 15)
-	if got := f.ctl.BranchState(0); got != Biased {
+	if got := f.ctl.UnitState(0); got != Biased {
 		t.Fatalf("off-cycle noise evicted the branch (state %v)", got)
 	}
 }

@@ -23,7 +23,7 @@ func TestEvictThenReselectOverlap(t *testing.T) {
 	// Reversal: two misspecs evict; the stale taken-speculation stays
 	// live for 100 instructions (20 events).
 	f.repeat(id, false, 2)
-	if got := f.ctl.BranchState(id); got != Monitor {
+	if got := f.ctl.UnitState(id); got != Monitor {
 		t.Fatalf("state = %v, want monitor", got)
 	}
 	// Next 10 not-taken events complete the re-monitor window and
@@ -32,7 +32,7 @@ func TestEvictThenReselectOverlap(t *testing.T) {
 	if misspec != 10 {
 		t.Fatalf("lame-duck misspecs = %d, want 10", misspec)
 	}
-	if got := f.ctl.BranchState(id); got != Biased {
+	if got := f.ctl.UnitState(id); got != Biased {
 		t.Fatalf("state after re-monitor = %v, want biased", got)
 	}
 	// Events until the stale code is undeployed: eviction happened at

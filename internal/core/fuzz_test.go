@@ -36,7 +36,7 @@ func FuzzController(f *testing.F) {
 			taken := b&0x80 != 0
 			instr += 1 + uint64(b%7)
 			ctl.OnBranch(id, taken, instr)
-			if ctl.BranchState(id) == Retired {
+			if ctl.UnitState(id) == Retired {
 				retiredAt[id] = true
 			} else if retiredAt[id] {
 				t.Fatalf("branch %d left the retired state", id)

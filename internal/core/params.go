@@ -83,8 +83,9 @@ type Params struct {
 }
 
 // ErrParamRange reports a Params count too large for the 32-bit per-unit
-// counter it bounds. NewRule, NewPolicySet and the serving table return it;
-// New panics with it.
+// counter it bounds. NewRule, NewPolicySet (which builds a Controller for
+// any policy) and the serving table return it; New, the reactive
+// Controller's constructor, panics with it.
 var ErrParamRange = errors.New("core: parameter out of range")
 
 // Validate returns an error wrapping ErrParamRange when a count the unit

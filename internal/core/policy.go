@@ -41,10 +41,9 @@ const (
 )
 
 // Rule is a registered speculation-control policy bound to its parameters:
-// the single-unit step that every multi-unit caller — Controller,
-// PolicySet, the serving table — runs over value-held Unit state. Holding
-// the parameters once per Rule rather than once per unit keeps a unit to
-// its own state.
+// the single-unit step that every multi-unit caller — Controller and the
+// serving table — runs over value-held Unit state. Holding the parameters
+// once per Rule rather than once per unit keeps a unit to its own state.
 //
 // All four speculation kinds are boolean-outcome streams, so a policy sees
 // the same shape regardless of kind: one outcome per dynamic event at a
@@ -85,14 +84,23 @@ func (r *Rule) Params() Params { return r.params }
 // Step advances u by one event with the given outcome at global instruction
 // count instr and returns the verdict. A step makes at most one
 // classification transition, so the verdict and u.State() before and after
-// are all a caller needs to count the event in its Stats, as Controller and
-// PolicySet do.
+// are all a caller needs to count the event in its Stats, as Controller
+// does.
+//
+// The reactive policy, the default and the hot one, is tested first and
+// stepped directly, so its step is one call below Step; the other policies
+// share one out-of-line call.
 func (r *Rule) Step(u *Unit, outcome bool, instr uint64) Verdict {
-	switch r.policy {
-	case selfTrainID:
-		return u.stepSelfTrain(&r.params, outcome, instr)
-	case probWeightID:
-		return u.stepProbWeight(&r.params, outcome, instr)
+	if r.policy == reactiveID {
+		return u.stepReactive(&r.params, outcome, instr)
 	}
-	return u.stepReactive(&r.params, outcome, instr)
+	return r.stepOther(u, outcome, instr)
+}
+
+// stepOther steps the non-reactive policies.
+func (r *Rule) stepOther(u *Unit, outcome bool, instr uint64) Verdict {
+	if r.policy == selfTrainID {
+		return u.stepSelfTrain(&r.params, outcome, instr)
+	}
+	return u.stepProbWeight(&r.params, outcome, instr)
 }

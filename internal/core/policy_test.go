@@ -201,9 +201,9 @@ func TestPolicyExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPolicySetMatchesController pins PolicySet's equivalence claim for the
-// reactive policy: a multi-unit PolicySet and one multi-branch Controller
-// produce identical decision tuples over an interleaved stream.
+// TestPolicySetMatchesController pins that the two constructors agree for
+// the reactive policy: a controller from NewPolicySet and one from New
+// produce identical decision tuples and Stats over an interleaved stream.
 func TestPolicySetMatchesController(t *testing.T) {
 	set, err := NewPolicySet(PolicyReactive, testParams())
 	if err != nil {
@@ -220,7 +220,7 @@ func TestPolicySetMatchesController(t *testing.T) {
 		v1, s1, d1, l1 := set.OnEvent(id, outcome, instr)
 		v2 := ctl.OnBranch(id, outcome, instr)
 		d2, l2 := ctl.Speculating(id)
-		s2 := ctl.BranchState(id)
+		s2 := ctl.UnitState(id)
 		if v1 != v2 || s1 != s2 || d1 != d2 || l1 != l2 {
 			t.Fatalf("event %d unit %d diverges: set (%v %v %v %v), controller (%v %v %v %v)",
 				i, id, v1, s1, d1, l1, v2, s2, d2, l2)

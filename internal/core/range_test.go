@@ -83,29 +83,22 @@ func TestMajorityAbove2To31(t *testing.T) {
 	const n = 3_000_000_000 - 1
 	st := BranchState{Execs: n, MonSeen: n, MonExecs: n, MonTaken: n}
 
-	ctl := New(p)
-	if err := ctl.ImportBranch(3, st); err != nil {
-		t.Fatal(err)
-	}
-	ctl.OnBranch(3, true, 1)
-	if got := ctl.BranchState(3); got != Biased {
-		t.Errorf("reactive: state after the window = %v, want Biased", got)
-	}
-
-	r, err := NewRule(PolicySelfTrain, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var u Unit
-	if err := u.Import(st); err != nil {
-		t.Fatal(err)
-	}
-	r.Step(&u, true, 1)
-	if got := u.State(); got != Biased {
-		t.Errorf("selftrain: state after the window = %v, want Biased", got)
-	}
-	if !u.dep.nextDir {
-		t.Error("selftrain: selected the not-taken direction")
+	for _, policy := range []string{PolicyReactive, PolicySelfTrain} {
+		r, err := NewRule(policy, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var u Unit
+		if err := u.Import(st); err != nil {
+			t.Fatal(err)
+		}
+		r.Step(&u, true, 1)
+		if got := u.State(); got != Biased {
+			t.Errorf("%s: state after the window = %v, want Biased", policy, got)
+		}
+		if !u.dep.nextDir {
+			t.Errorf("%s: selected the not-taken direction", policy)
+		}
 	}
 }
 
@@ -132,12 +125,16 @@ func TestBranchStateValidate(t *testing.T) {
 		if err := st.Validate(); err == nil {
 			t.Errorf("field %d at MaxUint32+1 passed Validate", i)
 		}
-		ctl := New(testParams())
-		if err := ctl.ImportBranch(0, st); err == nil {
-			t.Errorf("field %d at MaxUint32+1: ImportBranch accepted it", i)
+		var u Unit
+		if err := u.Import(BranchState{State: Unbiased, Execs: 7, WaitLeft: 3}); err != nil {
+			t.Fatal(err)
 		}
-		if _, ok := ctl.ExportBranch(0); ok {
-			t.Errorf("field %d: a refused import touched the branch", i)
+		before, _ := u.Export()
+		if err := u.Import(st); err == nil {
+			t.Errorf("field %d at MaxUint32+1: Import accepted it", i)
+		}
+		if after, _ := u.Export(); after != before {
+			t.Errorf("field %d: a refused import changed the unit to %+v", i, after)
 		}
 	}
 	if err := (BranchState{State: Retired + 1}).Validate(); err == nil {

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"reactivespec/internal/trace"
 )
 
 // BranchState is the complete serializable state of one tracked branch:
@@ -141,37 +139,3 @@ func (u *Unit) Import(st BranchState) error {
 	}
 	return nil
 }
-
-// ExportBranch returns the branch's full state and whether the branch has
-// been touched (see Unit.Export).
-func (c *Controller) ExportBranch(id trace.BranchID) (BranchState, bool) {
-	if int(id) >= len(c.branches) {
-		return BranchState{}, false
-	}
-	return c.branches[id].Export()
-}
-
-// ImportBranch overwrites the branch's state with a previously exported
-// snapshot, or returns Validate's error and leaves the branch as it was.
-// The controller's aggregate Stats are not touched; restore them separately
-// with SetStats.
-func (c *Controller) ImportBranch(id trace.BranchID, st BranchState) error {
-	return unitAt(&c.branches, id).Import(st)
-}
-
-// TouchedBranches returns the IDs of every branch ExportBranch would report
-// as touched, in increasing order.
-func (c *Controller) TouchedBranches() []trace.BranchID {
-	var ids []trace.BranchID
-	for i := range c.branches {
-		u := &c.branches[i]
-		if u.execs == 0 && u.state == Monitor {
-			continue
-		}
-		ids = append(ids, trace.BranchID(i))
-	}
-	return ids
-}
-
-// SetStats overwrites the aggregate counters (snapshot restore).
-func (c *Controller) SetStats(s Stats) { c.stats = s }

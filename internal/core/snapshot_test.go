@@ -47,7 +47,7 @@ func driveEvents(c *Controller, evs []trace.Event, instr *uint64) []Verdict {
 	return out
 }
 
-// TestSnapshotRoundTrip checks that exporting every touched branch into a
+// TestSnapshotRoundTrip checks that exporting every touched unit into a
 // fresh controller reproduces the original's future decisions exactly.
 func TestSnapshotRoundTrip(t *testing.T) {
 	params := DefaultParams().Scaled(100)
@@ -59,23 +59,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	driveEvents(orig, evs[:half], &instrOrig)
 
 	restored := New(params)
-	ids := orig.TouchedBranches()
-	if len(ids) == 0 {
-		t.Fatal("no branches touched; stream too short")
-	}
-	for _, id := range ids {
-		st, ok := orig.ExportBranch(id)
+	restored.units = make([]Unit, len(orig.units))
+	var ids []trace.BranchID
+	for i := range orig.units {
+		st, ok := orig.units[i].Export()
 		if !ok {
-			t.Fatalf("branch %d in TouchedBranches but ExportBranch reports untouched", id)
+			continue
 		}
-		if err := restored.ImportBranch(id, st); err != nil {
+		ids = append(ids, trace.BranchID(i))
+		if err := restored.units[i].Import(st); err != nil {
 			t.Fatal(err)
 		}
 	}
-	restored.SetStats(orig.Stats())
-	if restored.Stats() != orig.Stats() {
-		t.Fatalf("SetStats: got %+v, want %+v", restored.Stats(), orig.Stats())
+	if len(ids) == 0 {
+		t.Fatal("no branches touched; stream too short")
 	}
+	restored.stats = orig.Stats()
 
 	instrRestored := instrOrig
 	wantVerdicts := driveEvents(orig, evs[half:], &instrOrig)
@@ -86,7 +85,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		if g, w := restored.BranchState(id), orig.BranchState(id); g != w {
+		if g, w := restored.UnitState(id), orig.UnitState(id); g != w {
 			t.Fatalf("branch %d: state %v after replay, want %v", id, g, w)
 		}
 		gd, gl := restored.Speculating(id)
@@ -100,21 +99,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportBranchUntouched checks the untouched-branch contract.
+// TestExportBranchUntouched checks the untouched-unit contract: only a unit
+// that has executed exports, and a controller's grown-but-unexecuted units
+// do not.
 func TestExportBranchUntouched(t *testing.T) {
+	var u Unit
+	if _, ok := u.Export(); ok {
+		t.Fatal("unseen unit exported as touched")
+	}
 	c := New(DefaultParams())
-	if _, ok := c.ExportBranch(5); ok {
-		t.Fatal("unseen branch exported as touched")
-	}
 	c.OnBranch(3, true, 10)
-	if _, ok := c.ExportBranch(3); !ok {
-		t.Fatal("executed branch not exported")
+	var touched []int
+	for i := range c.units {
+		if _, ok := c.units[i].Export(); ok {
+			touched = append(touched, i)
+		}
 	}
-	if _, ok := c.ExportBranch(2); ok {
-		t.Fatal("grown-but-unexecuted branch exported as touched")
-	}
-	ids := c.TouchedBranches()
-	if len(ids) != 1 || ids[0] != 3 {
-		t.Fatalf("TouchedBranches = %v, want [3]", ids)
+	if len(touched) != 1 || touched[0] != 3 {
+		t.Fatalf("touched units = %v, want [3]", touched)
 	}
 }

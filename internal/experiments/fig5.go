@@ -69,7 +69,7 @@ func Fig5(cfg Config) ([]Fig5Point, error) {
 		}
 		var points []Fig5Point
 		for _, conf := range Fig5ConfigNames {
-			var st harness.Stats
+			var st core.Stats
 			if conf == "self-train-99" {
 				gen := workload.NewGenerator(spec)
 				prof := bias.FromStream(gen)

@@ -36,11 +36,11 @@ func Policies(cfg Config) ([]PolicyPoint, error) {
 		}
 		var points []PolicyPoint
 		for _, pol := range core.PolicyNames() {
-			set, err := core.NewPolicySet(pol, params)
+			ctl, err := core.NewPolicySet(pol, params)
 			if err != nil {
 				return nil, err
 			}
-			st := harness.Run(workload.NewGenerator(spec), set)
+			st := harness.Run(workload.NewGenerator(spec), ctl)
 			points = append(points, PolicyPoint{
 				Bench:       name,
 				Policy:      pol,

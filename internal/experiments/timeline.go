@@ -21,7 +21,7 @@ import (
 type TimelineResult struct {
 	Bench string
 	Input workload.InputID
-	Stats harness.Stats
+	Stats core.Stats
 	// Transitions is the total number of lifecycle transitions observed;
 	// Dropped counts the ones the ring buffer overwrote (0 at calibrated
 	// scales with the default sink capacity).

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"reactivespec/internal/core"
-	"reactivespec/internal/harness"
 	"reactivespec/internal/obs"
 	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
@@ -94,7 +93,7 @@ func TimelineFromWAL(w WALWindow) (*TimelineResult, *wal.TailTruncation, error) 
 	}
 
 	var (
-		st       harness.Stats
+		st       core.Stats
 		instr    uint64
 		program  = w.Program
 		detected = program == ""
@@ -130,19 +129,8 @@ func TimelineFromWAL(w WALWindow) (*TimelineResult, *wal.TailTruncation, error) 
 		for _, ev := range rec.Events {
 			gap := uint64(ev.Gap)
 			instr += gap
-			ctl := ctlFor(ev.Branch)
-			ctl.AddInstrs(gap)
-			v := ctl.OnBranch(0, ev.Taken, instr)
-			st.Events++
 			st.Instrs += gap
-			switch v {
-			case core.Correct:
-				st.Correct++
-			case core.Misspec:
-				st.Misspec++
-			default:
-				st.NotSpec++
-			}
+			st.Count(ctlFor(ev.Branch).OnBranch(0, ev.Taken, instr))
 		}
 	}
 	if records == 0 {

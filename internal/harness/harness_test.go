@@ -63,17 +63,17 @@ func TestRunWithRealController(t *testing.T) {
 }
 
 func TestStatsDerivedQuantities(t *testing.T) {
-	st := Stats{Events: 200, Instrs: 1000, Correct: 50, Misspec: 4}
+	st := core.Stats{Events: 200, Instrs: 1000, Correct: 50, Misspec: 4}
 	if st.CorrectFrac() != 0.25 || st.MisspecFrac() != 0.02 {
 		t.Fatalf("fractions %v %v", st.CorrectFrac(), st.MisspecFrac())
 	}
 	if st.MisspecDistance() != 250 {
 		t.Fatalf("distance %v", st.MisspecDistance())
 	}
-	if !math.IsInf(Stats{Instrs: 10}.MisspecDistance(), 1) {
+	if !math.IsInf(core.Stats{Instrs: 10}.MisspecDistance(), 1) {
 		t.Fatal("zero-misspec distance should be +Inf")
 	}
-	if (Stats{}).CorrectFrac() != 0 {
+	if (core.Stats{}).CorrectFrac() != 0 {
 		t.Fatal("empty stats should not divide by zero")
 	}
 }

@@ -59,7 +59,8 @@ func NewSink(capacity int) *Sink {
 }
 
 // Attach registers the sink as ctl's transition hook, replacing any previous
-// hook.
+// hook. It works for a controller under any policy: every Controller steps
+// through its Rule and reports each transition the same way.
 func (s *Sink) Attach(ctl *core.Controller) {
 	ctl.OnTransition = s.Record
 }

@@ -25,7 +25,7 @@ func expectedDecisions(params core.Params, s trace.Stream) []Decision {
 		ctl.AddInstrs(uint64(ev.Gap))
 		v := ctl.OnBranch(ev.Branch, ev.Taken, instr)
 		dir, live := ctl.Speculating(ev.Branch)
-		out = append(out, Decision{Verdict: v, State: ctl.BranchState(ev.Branch), Dir: dir, Live: live})
+		out = append(out, Decision{Verdict: v, State: ctl.UnitState(ev.Branch), Dir: dir, Live: live})
 	}
 }
 

@@ -174,7 +174,7 @@ func TestDecideUnknownCreatesNothing(t *testing.T) {
 
 // internMirror is the in-process reference for one (program, kind) stream.
 type internMirror struct {
-	set   *core.PolicySet
+	set   *core.Controller
 	instr uint64
 }
 
@@ -191,7 +191,7 @@ func (m *internMirror) decide(evs []trace.Event) []byte {
 
 // TestTablePoliciesMatchPolicySet: for every policy, a table serving
 // interleaved programs and kinds decides each event exactly as a
-// core.PolicySet per (program, kind) stream, and its read path reports each
+// core.Controller per (program, kind) stream, and its read path reports each
 // mirror unit's final state.
 func TestTablePoliciesMatchPolicySet(t *testing.T) {
 	streams := internStreams([]string{"p0", "p1", "p2"}, 4000)
@@ -211,7 +211,7 @@ func TestTablePoliciesMatchPolicySet(t *testing.T) {
 			}
 			ingestInterleaved(tab, streams, order, func(s int, batch []trace.Event, dec []byte) {
 				if !bytes.Equal(dec, mirrors[s].decide(batch)) {
-					t.Fatalf("%s/%v: table decisions differ from the PolicySet mirror", streams[s].program, streams[s].kind)
+					t.Fatalf("%s/%v: table decisions differ from the controller mirror", streams[s].program, streams[s].kind)
 				}
 			})
 			for s, st := range streams {

@@ -29,7 +29,7 @@ func TestMixedKindIsolationSameProgram(t *testing.T) {
 
 	kinds := []trace.Kind{trace.KindBranch, trace.KindValue, trace.KindMemdep, trace.KindTLSpec}
 	type side struct {
-		set   *core.PolicySet
+		set   *core.Controller
 		instr uint64
 	}
 	mirrors := map[trace.Kind]*side{}
@@ -380,7 +380,7 @@ func TestParamsPolicyHash(t *testing.T) {
 }
 
 // TestPolicyServerMatchesPolicySet drives a non-reactive daemon end to end
-// and checks its decisions against the in-process PolicySet — the serving
+// and checks its decisions against the in-process controller — the serving
 // path and the experiment/verification path agree for every policy, not
 // just the fast-path reactive one.
 func TestPolicyServerMatchesPolicySet(t *testing.T) {
@@ -402,7 +402,7 @@ func TestPolicyServerMatchesPolicySet(t *testing.T) {
 					v, st, dir, live := set.OnEvent(ev.Branch, ev.Taken, instr)
 					want := Decision{Verdict: v, State: st, Dir: dir, Live: live}
 					if ds[j] != want {
-						t.Fatalf("event %d: daemon %v, policy set %v", j, ds[j], want)
+						t.Fatalf("event %d: daemon %v, mirror %v", j, ds[j], want)
 					}
 				}
 			}

@@ -62,11 +62,14 @@ type tableShard struct {
 // hold. stats rebuilds the unit's core.Stats from them. Each step makes at
 // most one transition and a unit is selected at most MaxOptimizations
 // (a uint32) times, evicted at most once per selection and retired once,
-// so the transition counts fit 32 bits.
+// so the counted transitions fit 32 bits.
 type tableEntry struct {
-	unit                            core.Unit
-	instrs, correct, misspec        uint64
-	selections, evictions, retirals uint32
+	unit                     core.Unit
+	instrs, correct, misspec uint64
+	// moves counts the unit's transitions by core.ClassifyTransition. The
+	// core.Uncounted slot takes the monitor↔unbiased moves, which may
+	// wrap; nothing reads it.
+	moves [core.Retiral + 1]uint32
 }
 
 // stats rebuilds the entry's core.Stats. execs is the unit's execution
@@ -79,9 +82,9 @@ func (e *tableEntry) stats(execs uint64) core.Stats {
 		Correct:    e.correct,
 		Misspec:    e.misspec,
 		NotSpec:    execs - e.correct - e.misspec,
-		Selections: uint64(e.selections),
-		Evictions:  uint64(e.evictions),
-		Retirals:   uint64(e.retirals),
+		Selections: uint64(e.moves[core.Selection]),
+		Evictions:  uint64(e.moves[core.Eviction]),
+		Retirals:   uint64(e.moves[core.Retiral]),
 	}
 }
 
@@ -208,16 +211,7 @@ func (t *Table) applyOne(e *tableEntry, m *ShardMetrics, ev trace.Event, instr u
 	st := e.unit.State()
 	if st != from {
 		m.Transitions[st]++
-		// The transitions core.Stats counts: into Biased is a selection,
-		// Biased→Monitor an eviction, into Retired a retiral.
-		switch {
-		case st == core.Biased:
-			e.selections++
-		case st == core.Retired:
-			e.retirals++
-		case from == core.Biased && st == core.Monitor:
-			e.evictions++
-		}
+		e.moves[core.ClassifyTransition(from, st)]++
 	}
 	m.Events++
 	m.Instrs += gap
@@ -530,7 +524,7 @@ func (t *Table) RestoreEntries(entries []EntrySnapshot) error {
 		}
 		s := &es.Stats
 		e.instrs, e.correct, e.misspec = s.Instrs, s.Correct, s.Misspec
-		e.selections, e.evictions, e.retirals = uint32(s.Selections), uint32(s.Evictions), uint32(s.Retirals)
+		e.moves = [...]uint32{core.Selection: uint32(s.Selections), core.Eviction: uint32(s.Evictions), core.Retiral: uint32(s.Retirals)}
 		sh.mu.Unlock()
 	}
 	return nil

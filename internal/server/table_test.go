@@ -61,48 +61,80 @@ func applyAll(t *Table, program string, evs []trace.Event, instr *uint64) []byte
 	return out
 }
 
-// TestTableMatchesInProcessController checks the central equivalence claim:
-// the decisions the table serves for 1024-event wire frames are
-// bitwise-identical to a single in-process core.Controller observing the
-// same stream.
+// TestTableMatchesInProcessController checks the central equivalence claim,
+// for every policy: the decisions the table serves for 1024-event wire
+// frames are bitwise-identical to a single in-process core.Controller
+// observing the same stream, and the table counts what the controller
+// counts — the shard totals and transitions per target state, and the
+// entries' summed Stats field by field.
 func TestTableMatchesInProcessController(t *testing.T) {
 	params := testParams()
 	evs := synthEvents(60_000, 7)
+	for _, policy := range core.PolicyNames() {
+		t.Run(policy, func(t *testing.T) {
+			tab, err := NewTablePolicy(params, 16, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var instr uint64
+			got := applyAllFramed(t, tab, "prog", evs, &instr, 1024)
 
-	tab := NewTable(params, 16)
-	var instr uint64
-	got := applyAllFramed(t, tab, "prog", evs, &instr, 1024)
+			ctl, err := core.NewPolicySet(policy, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var transitions [4]uint64
+			ctl.OnTransition = func(tr core.Transition) { transitions[tr.To]++ }
+			instr = 0
+			for i, ev := range evs {
+				instr += uint64(ev.Gap)
+				ctl.AddInstrs(uint64(ev.Gap))
+				v, st, dir, live := ctl.OnEvent(ev.Branch, ev.Taken, instr)
+				want := Decision{Verdict: v, State: st, Dir: dir, Live: live}
+				if got[i] != want.Encode() {
+					gd, _ := DecodeDecision(got[i])
+					t.Fatalf("event %d (branch %d): table %v, in-process %v", i, ev.Branch, gd, want)
+				}
+			}
 
-	ctl := core.New(params)
-	var transitions [4]uint64
-	ctl.OnTransition = func(tr core.Transition) { transitions[tr.To]++ }
-	instr = 0
-	for i, ev := range evs {
-		instr += uint64(ev.Gap)
-		v := ctl.OnBranch(ev.Branch, ev.Taken, instr)
-		dir, live := ctl.Speculating(ev.Branch)
-		want := Decision{Verdict: v, State: ctl.BranchState(ev.Branch), Dir: dir, Live: live}
-		if got[i] != want.Encode() {
-			gd, _ := DecodeDecision(got[i])
-			t.Fatalf("event %d (branch %d): table %v, in-process %v", i, ev.Branch, gd, want)
-		}
-	}
+			// The aggregate shard counters must add up to the controller's stats.
+			var total ShardMetrics
+			for _, m := range tab.Metrics() {
+				total.Add(m)
+			}
+			st := ctl.Stats()
+			if total.Events != st.Events || total.Instrs != st.Instrs || total.Correct != st.Correct ||
+				total.Misspec != st.Misspec || total.NotSpec != st.NotSpec {
+				t.Fatalf("table totals %+v, controller stats %+v", total, st)
+			}
+			if total.Entries == 0 || total.Transitions[core.Biased] == 0 {
+				t.Fatalf("expected resident entries and biased transitions, got %+v", total)
+			}
+			if total.Transitions != transitions {
+				t.Fatalf("table transitions %v, controller hook saw %v", total.Transitions, transitions)
+			}
 
-	// The aggregate shard counters must add up to the controller's stats.
-	var total ShardMetrics
-	for _, m := range tab.Metrics() {
-		total.Add(m)
-	}
-	st := ctl.Stats()
-	if total.Events != st.Events || total.Correct != st.Correct ||
-		total.Misspec != st.Misspec || total.NotSpec != st.NotSpec {
-		t.Fatalf("table totals %+v, controller stats %+v", total, st)
-	}
-	if total.Entries == 0 || total.Transitions[core.Biased] == 0 {
-		t.Fatalf("expected resident entries and biased transitions, got %+v", total)
-	}
-	if total.Transitions != transitions {
-		t.Fatalf("table transitions %v, controller hook saw %v", total.Transitions, transitions)
+			var sum core.Stats
+			for _, es := range tab.SnapshotEntries() {
+				s := es.Stats
+				sum.Events += s.Events
+				sum.Instrs += s.Instrs
+				sum.Correct += s.Correct
+				sum.Misspec += s.Misspec
+				sum.NotSpec += s.NotSpec
+				sum.Selections += s.Selections
+				sum.Evictions += s.Evictions
+				sum.Retirals += s.Retirals
+			}
+			if sum != st {
+				t.Fatalf("summed entry stats %+v, controller stats %+v", sum, st)
+			}
+			// Selftrain never evicts or retires; the other policies must
+			// do both here, or the comparison above covers too little.
+			if st.Selections == 0 || policy != core.PolicySelfTrain && (st.Evictions == 0 || st.Retirals == 0) {
+				t.Fatalf("stream too tame for %s: %+v", policy, st)
+			}
+		})
 	}
 }
 

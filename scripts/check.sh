@@ -72,6 +72,19 @@ go build -o "$SMOKE_DIR/reactived" ./cmd/reactived
 go build -o "$SMOKE_DIR/reactiveload" ./cmd/reactiveload
 go build -o "$SMOKE_DIR/reactivespec" ./cmd/reactivespec
 
+# Table 3 at full scale must match the committed all_output.txt section byte
+# for byte: the controller's decisions and its Stats counting are pinned end
+# to end, not only by the unit tests.
+echo "==> Table 3 pin (reactivespec table3 vs all_output.txt)"
+awk '/^=== table3 ===$/ {f = 1; next} /^=== / {f = 0} f' all_output.txt |
+    sed '${/^$/d;}' >"$SMOKE_DIR/table3-pinned.txt"
+if [ ! -s "$SMOKE_DIR/table3-pinned.txt" ]; then
+    echo "all_output.txt has no table3 section" >&2
+    exit 1
+fi
+"$SMOKE_DIR/reactivespec" table3 >"$SMOKE_DIR/table3.txt"
+diff -u "$SMOKE_DIR/table3-pinned.txt" "$SMOKE_DIR/table3.txt"
+
 # Random port; the daemon publishes the bound address through -addr-file.
 # This smoke runs with span tracing at 1-in-1 so every batch leaves a full
 # server-side span tree; reactivespec spans must parse it afterwards.
