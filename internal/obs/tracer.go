@@ -14,18 +14,18 @@ import (
 // sharing a Trace ID; within one node, Parent links a stage to the span that
 // contains it (the server's "batch" root contains decode, wal_append, fsync,
 // apply and respond). Across nodes only the Trace ID travels — the stream 'E'
-// frame and the replication record frame both carry it at protocol version 2
-// — so a primary's ship span and a follower's follower_apply span join the
-// trace by ID with Parent zero.
+// frame (stream protocol 4) and the replication 'S' record frame
+// (replication protocol 2) both carry it — so a primary's ship span and a
+// follower's follower_apply span join the trace by ID with Parent zero.
 //
-// Infrastructure spans (wal_fsync, wal_rotate, repl_session) carry Trace
+// Infrastructure spans (wal_fsync, wal_rotate, repl_connect) carry Trace
 // zero: they time background machinery that no single batch owns.
 type Span struct {
 	Trace  uint64
 	Span   uint64
 	Parent uint64
-	// Node names the process that recorded the span (reactived -trace-node,
-	// default "primary"/"replica" by role; reactiveload uses "loadgen").
+	// Node names the process that recorded the span: reactived uses
+	// "primary" or "replica" by its role at startup, reactiveload "loadgen".
 	Node  string
 	Stage string
 	// Program is the event program the span worked on, when one applies.

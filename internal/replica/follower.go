@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"reactivespec/internal/obs"
+	"reactivespec/internal/session"
 	"reactivespec/internal/trace"
 )
 
@@ -38,8 +38,6 @@ const (
 	// reconnectMin/Max bound the dial backoff after transient failures.
 	reconnectMin = 50 * time.Millisecond
 	reconnectMax = 2 * time.Second
-	// followerAckTimeout bounds the handshake round trip.
-	followerAckTimeout = 10 * time.Second
 )
 
 // FollowerConfig configures a Follower.
@@ -83,8 +81,8 @@ type Follower struct {
 	wg     sync.WaitGroup
 
 	mu     sync.Mutex
-	conn   net.Conn // live session's connection, for Seal to interrupt
-	err    error    // permanent failure, once set
+	conn   *session.Conn // live session's connection, for Seal to interrupt
+	err    error         // permanent failure, once set
 	sealed bool
 
 	state           atomic.Value // string
@@ -208,7 +206,7 @@ func (f *Follower) run() {
 		if f.ctx.Err() != nil {
 			return
 		}
-		err := f.session()
+		err := f.attach()
 		if f.ctx.Err() != nil {
 			return
 		}
@@ -237,57 +235,37 @@ func (f *Follower) run() {
 	}
 }
 
-// dial opens the session connection.
-func (f *Follower) dial() (net.Conn, error) {
-	if f.cfg.Dial != nil {
-		return f.cfg.Dial(f.ctx)
-	}
-	var d net.Dialer
-	return d.DialContext(f.ctx, "tcp", f.cfg.Addr)
-}
-
-// session runs one connection to completion. A nil or plain error asks the
+// attach runs one session to completion. A nil or plain error asks the
 // run loop to reconnect; an errPermanent stops the follower.
-func (f *Follower) session() error {
-	conn, err := f.dial()
+func (f *Follower) attach() error {
+	dial := f.cfg.Dial
+	if dial == nil {
+		dial = session.TCP(f.cfg.Addr)
+	}
+	connectStart := time.Now()
+	from := f.cfg.NextSeq()
+	c, ack, err := session.Dial(f.ctx, dial, trace.AppendReplHello(nil, trace.ReplHello{
+		Proto: trace.ReplicationProtoVersion, ParamsHash: f.cfg.ParamsHash,
+		From: from, Window: f.cfg.Window,
+	}), trace.ReadReplAck)
 	if err != nil {
 		return err
 	}
 	f.mu.Lock()
 	if f.sealed {
 		f.mu.Unlock()
-		conn.Close()
+		c.Close()
 		return nil
 	}
-	f.conn = conn
+	f.conn = c
 	f.mu.Unlock()
 	defer func() {
 		f.mu.Lock()
 		f.conn = nil
 		f.mu.Unlock()
-		conn.Close()
+		c.Close()
 	}()
 
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-
-	connectStart := time.Now()
-	from := f.cfg.NextSeq()
-	conn.SetDeadline(time.Now().Add(followerAckTimeout))
-	hello := trace.AppendReplHello(nil, trace.ReplHello{
-		Proto: trace.ReplicationProtoVersion, ParamsHash: f.cfg.ParamsHash,
-		From: from, Window: f.cfg.Window,
-	})
-	if _, err := bw.Write(hello); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	ack, err := trace.ReadReplAck(br)
-	if err != nil {
-		return err
-	}
 	if ack.Err != nil {
 		return f.classify(*ack.Err)
 	}
@@ -295,7 +273,6 @@ func (f *Follower) session() error {
 		return errPermanent{fmt.Errorf("replica: primary acked protocol %d, follower speaks %d",
 			ack.Proto, trace.ReplicationProtoVersion)}
 	}
-	conn.SetDeadline(time.Time{})
 	if f.cfg.Trace.SampleInfra() {
 		f.cfg.Trace.RecordInfra("repl_connect", connectStart, time.Since(connectStart))
 	}
@@ -312,7 +289,7 @@ func (f *Follower) session() error {
 		expected = from
 	)
 	for {
-		typ, payload, newScratch, err := trace.ReadReplFrame(br, scratch)
+		typ, payload, newScratch, err := trace.ReadReplFrame(c.R, scratch)
 		scratch = newScratch
 		if err != nil {
 			return err
@@ -351,15 +328,14 @@ func (f *Follower) session() error {
 				f.lagNanos.Store(0)
 			}
 			ackBuf = trace.AppendReplAckFrame(ackBuf[:0], expected)
-			conn.SetWriteDeadline(time.Now().Add(shipWriteTimeout))
-			if _, err := bw.Write(ackBuf); err != nil {
+			if err := c.Send(ackBuf); err != nil {
 				return err
 			}
 			// Flush acks only when no further record is already buffered: a
 			// full catch-up stream acks in batches, the live tail acks
 			// immediately.
-			if br.Buffered() == 0 {
-				if err := bw.Flush(); err != nil {
+			if c.R.Buffered() == 0 {
+				if err := c.W.Flush(); err != nil {
 					return err
 				}
 			}

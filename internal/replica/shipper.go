@@ -9,7 +9,10 @@
 // handshake — protocol revision, controller-parameter hash, resume sequence —
 // then 'S' record frames one way and cumulative 'A' acks the other, bounded
 // by a credit window so a slow follower exerts backpressure instead of
-// growing an unbounded send queue.
+// growing an unbounded send queue. It is the ingest stream's session
+// framing with the roles reversed, and both channels run on the same
+// connection lifecycle, internal/session: its accept loop, deadlines,
+// reject and terminal writers, window clamp and dial-and-handshake.
 //
 // Replication never ships a record the primary has not fsynced: each session
 // reads the log through a live wal.Reader, which yields only records below
@@ -21,9 +24,7 @@
 package replica
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"reactivespec/internal/obs"
+	"reactivespec/internal/session"
 	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
@@ -45,12 +47,6 @@ const (
 	DefaultShipWindow = 256
 	// MaxShipWindow caps the grantable window.
 	MaxShipWindow = 4096
-	// helloTimeout bounds how long a new connection may take to present its
-	// hello before the shipper hangs up.
-	helloTimeout = 10 * time.Second
-	// shipWriteTimeout bounds every record write so a dead follower cannot
-	// pin a session goroutine.
-	shipWriteTimeout = 30 * time.Second
 )
 
 // ShipperConfig configures a Shipper.
@@ -69,16 +65,12 @@ type ShipperConfig struct {
 // Shipper serves the primary side of replication sessions: one goroutine per
 // attached follower, each running an independent live WAL reader.
 type Shipper struct {
-	cfg ShipperConfig
+	cfg   ShipperConfig
+	conns session.Server
 
 	mu     sync.Mutex
-	lns    map[net.Listener]struct{}
-	conns  map[net.Conn]struct{}
-	states map[*shipSession]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	states map[*shipSession]struct{} // attached followers
 
-	sessions       atomic.Int64
 	shippedRecords atomic.Uint64
 	shippedBytes   atomic.Uint64
 	rejectedHellos atomic.Uint64
@@ -88,7 +80,10 @@ type Shipper struct {
 // per-follower gauges: how many durable records it still lacks, and how old
 // its oldest unacknowledged record is.
 type shipSession struct {
-	addr  string
+	addr string
+	// acked is the follower's cumulative ack: every record below it has
+	// been applied. The ack reader stores it; the ship loop and the lag
+	// gauges read it.
 	acked atomic.Uint64
 
 	mu       sync.Mutex
@@ -133,12 +128,7 @@ func (ss *shipSession) lagSeconds(now time.Time) float64 {
 // NewShipper returns a shipper over cfg.Log. Serve it on one or more
 // listeners; Close stops everything.
 func NewShipper(cfg ShipperConfig) *Shipper {
-	return &Shipper{
-		cfg:    cfg,
-		lns:    make(map[net.Listener]struct{}),
-		conns:  make(map[net.Conn]struct{}),
-		states: make(map[*shipSession]struct{}),
-	}
+	return &Shipper{cfg: cfg, states: make(map[*shipSession]struct{})}
 }
 
 func (sh *Shipper) logf(format string, args ...any) {
@@ -149,59 +139,18 @@ func (sh *Shipper) logf(format string, args ...any) {
 
 // Serve accepts replication sessions on ln until the listener closes (or
 // Close is called). Each connection is handled on its own goroutine.
-func (sh *Shipper) Serve(ln net.Listener) error {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		ln.Close()
-		return errors.New("replica: shipper closed")
-	}
-	sh.lns[ln] = struct{}{}
-	sh.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			sh.mu.Lock()
-			delete(sh.lns, ln)
-			sh.mu.Unlock()
-			return err
-		}
-		sh.mu.Lock()
-		if sh.closed {
-			sh.mu.Unlock()
-			conn.Close()
-			return errors.New("replica: shipper closed")
-		}
-		sh.conns[conn] = struct{}{}
-		sh.wg.Add(1)
-		sh.mu.Unlock()
-		go func() {
-			defer sh.wg.Done()
-			sh.serveConn(conn)
-			sh.mu.Lock()
-			delete(sh.conns, conn)
-			sh.mu.Unlock()
-		}()
-	}
-}
+func (sh *Shipper) Serve(ln net.Listener) error { return sh.conns.Serve(ln, sh.serveConn) }
 
 // Close stops the shipper: listeners and live sessions close, and Close
 // returns once every session goroutine has exited.
-func (sh *Shipper) Close() {
-	sh.mu.Lock()
-	sh.closed = true
-	for ln := range sh.lns {
-		ln.Close()
-	}
-	for conn := range sh.conns {
-		conn.Close()
-	}
-	sh.mu.Unlock()
-	sh.wg.Wait()
-}
+func (sh *Shipper) Close() { sh.conns.Close() }
 
 // Sessions reports the number of currently attached followers.
-func (sh *Shipper) Sessions() int64 { return sh.sessions.Load() }
+func (sh *Shipper) Sessions() int64 {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return int64(len(sh.states))
+}
 
 // Shipped reports lifetime shipped record and byte totals.
 func (sh *Shipper) Shipped() (records, bytes uint64) {
@@ -212,7 +161,7 @@ func (sh *Shipper) Shipped() (records, bytes uint64) {
 func (sh *Shipper) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCollector("reactived_replication_shipper", func(e *obs.Emitter) {
 		e.Family("reactived_replication_sessions", "gauge", "Attached replication followers.")
-		e.SampleUint(uint64(sh.sessions.Load()))
+		e.SampleUint(uint64(sh.Sessions()))
 		e.Family("reactived_replication_shipped_records_total", "counter", "WAL records shipped to followers.")
 		e.SampleUint(sh.shippedRecords.Load())
 		e.Family("reactived_replication_shipped_bytes_total", "counter", "Bytes of record frames shipped to followers.")
@@ -276,35 +225,20 @@ func (sh *Shipper) FollowerLag(addr string) (records uint64, seconds float64, ok
 // serveConn runs one replication session: hello, catch-up, live tail. The
 // pprof labels make shipper CPU samples attributable per transport in
 // -debug-addr profiles.
-func (sh *Shipper) serveConn(conn net.Conn) {
+func (sh *Shipper) serveConn(c *session.Conn) {
 	pprof.Do(context.Background(), pprof.Labels(
 		"program", "all", "transport", "replication", "role", "primary",
 	), func(context.Context) {
-		sh.serveConnLabeled(conn)
+		sh.ship(c)
 	})
 }
 
-func (sh *Shipper) serveConnLabeled(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-
-	var wireBuf []byte
-	writeWire := func(b []byte) error {
-		conn.SetWriteDeadline(time.Now().Add(shipWriteTimeout))
-		_, err := bw.Write(b)
-		return err
-	}
+func (sh *Shipper) ship(c *session.Conn) {
 	reject := func(code, msg string) {
 		sh.rejectedHellos.Add(1)
-		wireBuf = trace.AppendReplAck(wireBuf[:0], trace.ReplAck{Err: &trace.StreamError{Code: code, Msg: msg}})
-		if writeWire(wireBuf) == nil {
-			bw.Flush()
-		}
+		c.Reject(trace.AppendReplAck(nil, trace.ReplAck{Err: &trace.StreamError{Code: code, Msg: msg}}))
 	}
-
-	conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	hello, err := trace.ReadReplHello(br)
+	hello, err := trace.ReadReplHello(c.R)
 	if err != nil {
 		return // no coherent hello; nothing to answer in
 	}
@@ -331,13 +265,6 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 			hello.From, next))
 		return
 	}
-	window := hello.Window
-	if window == 0 {
-		window = DefaultShipWindow
-	}
-	if window > MaxShipWindow {
-		window = MaxShipWindow
-	}
 
 	r, err := wal.NewReader(wal.ReaderOptions{
 		Dir:        log.Dir(),
@@ -354,16 +281,17 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 	}
 	defer r.Close()
 
-	wireBuf = trace.AppendReplAck(wireBuf[:0], trace.ReplAck{
+	// A shipper never drains (Close ends its sessions outright), so
+	// Establish always admits.
+	c.Establish()
+	window := session.Window(hello.Window, DefaultShipWindow, MaxShipWindow)
+	ack := trace.AppendReplAck(nil, trace.ReplAck{
 		Proto: trace.ReplicationProtoVersion, Window: window, Oldest: oldest, Next: next,
 	})
-	if writeWire(wireBuf) != nil || bw.Flush() != nil {
+	if c.Send(ack) != nil || c.W.Flush() != nil {
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
-	sh.sessions.Add(1)
-	defer sh.sessions.Add(-1)
-	state := &shipSession{addr: conn.RemoteAddr().String()}
+	state := &shipSession{addr: c.RemoteAddr().String()}
 	state.acked.Store(hello.From)
 	sh.mu.Lock()
 	sh.states[state] = struct{}{}
@@ -374,51 +302,33 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 		sh.mu.Unlock()
 	}()
 	sh.logf("replication: follower %s attached from seq %d (window %d)",
-		conn.RemoteAddr(), hello.From, window)
-
-	terminal := func(code, msg string) {
-		wireBuf = trace.AppendSessionFrame(wireBuf[:0], trace.StreamFrameTerminal,
-			trace.AppendStreamError(nil, trace.StreamError{Code: code, Msg: msg}))
-		if writeWire(wireBuf) == nil {
-			bw.Flush()
-		}
-	}
+		state.addr, hello.From, window)
 
 	// The ack reader runs aside the ship loop: cumulative acks open the
 	// window back up, a close frame (or any read failure — the connection is
 	// shared state, a dead read side means a dead session) ends the session.
-	var acked atomic.Uint64
-	acked.Store(hello.From)
 	ackNotify := make(chan struct{}, 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var scratch []byte
 		for {
-			typ, payload, newScratch, err := trace.ReadReplFrame(br, scratch)
+			typ, payload, newScratch, err := trace.ReadReplFrame(c.R, scratch)
 			scratch = newScratch
+			if err != nil || typ != trace.ReplFrameAck {
+				return // a read failure, a close frame, or a stray frame
+			}
+			seq, err := trace.DecodeReplAckFrame(payload)
 			if err != nil {
 				return
 			}
-			switch typ {
-			case trace.ReplFrameAck:
-				seq, err := trace.DecodeReplAckFrame(payload)
-				if err != nil {
-					return
-				}
-				if seq > acked.Load() {
-					acked.Store(seq)
-					state.acked.Store(seq)
-				}
-				state.noteAcked(seq)
-				select {
-				case ackNotify <- struct{}{}:
-				default:
-				}
-			case trace.StreamFrameClose:
-				return
+			if seq > state.acked.Load() {
+				state.acked.Store(seq)
+			}
+			state.noteAcked(seq)
+			select {
+			case ackNotify <- struct{}{}:
 			default:
-				return
 			}
 		}
 	}()
@@ -433,18 +343,29 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 	for {
 		select {
 		case <-done:
-			sh.logf("replication: follower %s detached at seq %d", conn.RemoteAddr(), nextShip)
+			sh.logf("replication: follower %s detached at seq %d", state.addr, nextShip)
 			return
 		default:
+		}
+		// Every record below nextShip has been written to the connection,
+		// so an honest follower never acks past it. One that does would
+		// wrap the window arithmetic below and wedge the session with zero
+		// reported lag; end it instead.
+		acked := state.acked.Load()
+		if acked > nextShip {
+			c.Terminal(trace.StreamCodeBadFrame, fmt.Sprintf(
+				"follower acked through seq %d, but only records below %d were shipped", acked, nextShip))
+			sh.logf("replication: follower %s acked unshipped records (%d > %d)", state.addr, acked, nextShip)
+			return
 		}
 		// The credit window gates the read; the reader gates durability, so
 		// its io.EOF is the one "not durable yet" signal.
 		rec, err := wal.Record{}, io.EOF
-		if nextShip-acked.Load() < uint64(window) {
+		if nextShip-acked < uint64(window) {
 			rec, err = r.Next()
 		}
 		if err == io.EOF {
-			if bw.Flush() != nil {
+			if c.W.Flush() != nil {
 				return
 			}
 			select {
@@ -458,8 +379,8 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 			// A live reader only fails permanently: it fell behind
 			// compaction, records are missing, or the log is damaged — the
 			// session must full-resync.
-			terminal(trace.ReplCodeCompacted, err.Error())
-			sh.logf("replication: follower %s session failed: %v", conn.RemoteAddr(), err)
+			c.Terminal(trace.ReplCodeCompacted, err.Error())
+			sh.logf("replication: follower %s session failed: %v", state.addr, err)
 			return
 		}
 		now := time.Now()
@@ -472,7 +393,7 @@ func (sh *Shipper) serveConnLabeled(conn net.Conn) {
 			Program:          rec.Program,
 			Frame:            rec.Frame,
 		})
-		if writeWire(frameBuf) != nil {
+		if c.Send(frameBuf) != nil {
 			return
 		}
 		sh.cfg.Trace.RecordStage(traceID, 0, "ship", rec.Program, 0, rec.Seq, now, time.Since(now))

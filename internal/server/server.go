@@ -18,6 +18,7 @@ import (
 
 	"reactivespec/internal/core"
 	"reactivespec/internal/obs"
+	"reactivespec/internal/session"
 	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
@@ -158,7 +159,7 @@ type Server struct {
 	reg *obs.Registry
 	ins serverInstruments
 
-	streams streamRegistry
+	streams session.Server
 
 	draining atomic.Bool
 	snapMu   sync.Mutex // serializes snapshot writes
@@ -226,7 +227,6 @@ func New(cfg Config) *Server {
 			s.kinds[k] = true
 		}
 	}
-	s.streams.sessions = make(map[*streamSession]struct{})
 	s.readOnly.Store(cfg.Replica)
 	s.ins = newServerInstruments(s.reg)
 	registerTableCollector(s.reg, s.table)
@@ -237,7 +237,7 @@ func New(cfg Config) *Server {
 	s.reg.NewGaugeFunc("reactived_uptime_seconds", "Time since the daemon started.",
 		func() float64 { return time.Since(s.start).Seconds() })
 	s.reg.NewGaugeFunc("reactived_stream_sessions", "Live streaming ingest sessions.",
-		func() float64 { return float64(s.streams.count()) })
+		func() float64 { return float64(s.streams.Live()) })
 	s.reg.NewGaugeFunc("reactived_draining", "1 while the daemon is draining for shutdown.",
 		func() float64 {
 			if s.draining.Load() {
@@ -308,7 +308,7 @@ func (s *Server) cursorFor(program string) *cursor {
 // a connection reset). Read-only endpoints keep working.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
-	s.streams.drainAll()
+	s.streams.Drain()
 }
 
 // Draining reports whether BeginDrain has been called.

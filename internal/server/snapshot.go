@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"reactivespec/internal/core"
+	"reactivespec/internal/wal"
 )
 
 // Snapshot layout: a single file, <dir>/current.snap, holding a gob-encoded
@@ -93,6 +94,13 @@ func WriteSnapshot(dir string, snap *Snapshot) (err error) {
 	}
 	if err = os.Rename(tmp, snapshotPath(dir)); err != nil {
 		return fmt.Errorf("server: installing snapshot: %w", err)
+	}
+	// The rename is durable only once the directory is fsynced, and it must
+	// be before SnapshotNow compacts the WAL below the new snapshot's
+	// anchor: otherwise a crash could bring the old snapshot back with the
+	// WAL tail it needs already gone, and recovery would refuse to start.
+	if err := wal.SyncDir(dir); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	return nil
 }

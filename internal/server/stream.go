@@ -1,15 +1,13 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"reactivespec/internal/session"
 	"reactivespec/internal/trace"
 )
 
@@ -44,83 +42,17 @@ const (
 	DefaultStreamWindow = 32
 	// MaxStreamWindow caps the grantable window.
 	MaxStreamWindow = 1024
-	// streamHandshakeTimeout bounds how long a new connection may take to
-	// present its handshake before the server hangs up.
-	streamHandshakeTimeout = 10 * time.Second
-	// streamWriteTimeout bounds every server-side frame write so a stalled
-	// client cannot pin a session goroutine (or block drain) forever.
-	streamWriteTimeout = 30 * time.Second
 )
 
-// streamSession is one live streaming connection's server-side handle; the
-// registry uses it to nudge the session during drain.
-type streamSession struct {
-	conn     net.Conn
-	draining atomic.Bool
-}
-
-// nudge asks the session to stop: the read deadline wakes a blocked frame
-// read, whose error path then sees the draining flag.
-func (ss *streamSession) nudge() {
-	ss.draining.Store(true)
-	ss.conn.SetReadDeadline(time.Now())
-}
-
-// streamRegistry tracks live sessions so BeginDrain can reach them.
-type streamRegistry struct {
-	mu       sync.Mutex
-	sessions map[*streamSession]struct{}
-	draining bool
-}
-
-// add registers a session; it fails when the registry is already draining
-// (the caller answers with a terminal frame instead of serving).
-func (r *streamRegistry) add(ss *streamSession) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.draining {
-		return false
-	}
-	r.sessions[ss] = struct{}{}
-	return true
-}
-
-func (r *streamRegistry) remove(ss *streamSession) {
-	r.mu.Lock()
-	delete(r.sessions, ss)
-	r.mu.Unlock()
-}
-
-func (r *streamRegistry) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.sessions)
-}
-
-// drainAll marks the registry draining and nudges every live session.
-func (r *streamRegistry) drainAll() {
-	r.mu.Lock()
-	r.draining = true
-	for ss := range r.sessions {
-		ss.nudge()
-	}
-	r.mu.Unlock()
-}
-
 // ActiveStreams reports how many streaming sessions are currently live.
-func (s *Server) ActiveStreams() int { return s.streams.count() }
+func (s *Server) ActiveStreams() int { return s.streams.Live() }
 
 // WaitStreams blocks until every streaming session has closed or ctx
 // expires. Call it after BeginDrain during shutdown, alongside
 // http.Server.Shutdown.
 func (s *Server) WaitStreams(ctx context.Context) error {
-	for s.streams.count() > 0 {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("server: %d stream sessions still open: %w",
-				s.streams.count(), ctx.Err())
-		case <-time.After(5 * time.Millisecond):
-		}
+	if err := s.streams.Wait(ctx); err != nil {
+		return fmt.Errorf("server: stream: %w", err)
 	}
 	return nil
 }
@@ -129,46 +61,20 @@ func (s *Server) WaitStreams(ctx context.Context) error {
 // closes (reactived -stream-addr). Each connection speaks the session
 // protocol immediately — no HTTP preamble.
 func (s *Server) ServeStream(ln net.Listener) error {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go s.serveStreamConn(conn)
-	}
+	return s.streams.Serve(ln, s.serveStreamConn)
 }
 
 // serveStreamConn runs one streaming session to completion: handshake,
-// event/decision frame loop, terminal frame. It owns conn and closes it.
-func (s *Server) serveStreamConn(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-
-	// A write shared by every outbound frame: bounded by a write deadline
-	// so a stalled client cannot pin the goroutine.
-	var wireBuf []byte
-	writeWire := func(b []byte) error {
-		conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		return nil
-	}
-
-	// Handshake, under its own deadline.
-	conn.SetReadDeadline(time.Now().Add(streamHandshakeTimeout))
-	hs, err := trace.ReadHandshake(br)
+// event/decision frame loop, terminal frame.
+func (s *Server) serveStreamConn(c *session.Conn) {
+	hs, err := trace.ReadHandshake(c.R)
 	if err != nil {
 		// The peer never presented a coherent handshake; there is no
 		// protocol to answer in.
 		return
 	}
 	reject := func(code, msg string) {
-		wireBuf = trace.AppendAck(wireBuf[:0], trace.Ack{Err: &trace.StreamError{Code: code, Msg: msg}})
-		if writeWire(wireBuf) == nil {
-			bw.Flush()
-		}
+		c.Reject(trace.AppendAck(nil, trace.Ack{Err: &trace.StreamError{Code: code, Msg: msg}}))
 	}
 	switch {
 	case hs.Proto != trace.StreamProtoVersion:
@@ -191,37 +97,26 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 		reject(trace.StreamCodeReadOnly,
 			"replica is read-only; ingest on the primary, or promote this replica first")
 		return
-	}
-	window := hs.Window
-	if window == 0 {
-		window = DefaultStreamWindow
-	}
-	if window > MaxStreamWindow {
-		window = MaxStreamWindow
-	}
-
-	ss := &streamSession{conn: conn}
-	if !s.streams.add(ss) {
+	case !c.Establish():
 		reject(trace.StreamCodeDraining, "draining")
 		return
 	}
-	defer s.streams.remove(ss)
 	s.ins.streamSessions.Inc()
 
-	wireBuf = trace.AppendAck(wireBuf[:0], trace.Ack{
+	window := session.Window(hs.Window, DefaultStreamWindow, MaxStreamWindow)
+	ack := trace.AppendAck(nil, trace.Ack{
 		Proto: trace.StreamProtoVersion, Window: window, ParamsHash: s.paramsHash,
 	})
-	if writeWire(wireBuf) != nil || bw.Flush() != nil {
+	if c.Send(ack) != nil || c.W.Flush() != nil {
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
 
 	// The frame loop runs inside a pprof-labeled region so profiles split
 	// stream ingest work by program and role.
 	pprof.Do(context.Background(), pprof.Labels(
 		"program", hs.Program, "transport", "stream", "role", s.Mode(),
 	), func(context.Context) {
-		s.streamFrameLoop(conn, br, bw, ss, hs.Program, writeWire)
+		s.streamFrameLoop(c, hs.Program)
 	})
 }
 
@@ -240,25 +135,18 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 // the payload is fully consumed before the next read invalidates it. Each
 // applied frame is one batch on the ingest histograms and spans, timed by
 // the same stage clock as a POST batch.
-func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
-	ss *streamSession, program string, writeWire func([]byte) error) {
-	// terminal ends the session with a typed frame; the client surfaces
-	// the code (ErrDraining for "draining", io.EOF for "bye") instead of a
-	// bare connection reset.
-	var wireBuf []byte
-	terminal := func(code, msg string) {
-		wireBuf = trace.AppendSessionFrame(wireBuf[:0], trace.StreamFrameTerminal,
-			trace.AppendStreamError(nil, trace.StreamError{Code: code, Msg: msg}))
-		if writeWire(wireBuf) == nil {
-			bw.Flush()
-		}
-	}
-
+//
+// The session ends with a terminal frame; the client surfaces its code
+// (ErrDraining for "draining", io.EOF for "bye") instead of a bare
+// connection reset.
+func (s *Server) streamFrameLoop(c *session.Conn, program string) {
+	br, bw := c.R, c.W
 	// Session-local scratch, reused across frames: the steady-state loop
 	// allocates nothing. The cursor and table key are per (program, kind);
 	// both are resolved lazily per kind and cached for the session, so a
 	// branch-only session pays for exactly one cursor lookup.
 	var (
+		wireBuf        []byte
 		payloadScratch []byte
 		events         []trace.Event
 		decisions      []byte
@@ -274,14 +162,13 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 		var typ byte
 		typ, payload, payloadScratch, err = trace.ReadSessionFrame(br, payloadScratch)
 		if err != nil {
-			if ss.draining.Load() {
-				conn.SetReadDeadline(time.Time{})
-				terminal(trace.StreamCodeDraining, "server draining; session closed after the current frame")
+			if c.Draining() {
+				c.Terminal(trace.StreamCodeDraining, "server draining; session closed after the current frame")
 				return
 			}
 			// io.EOF without a close frame, or damaged framing: the
 			// connection is unusable either way; say why if we can.
-			terminal(trace.StreamCodeBadFrame, fmt.Sprintf("reading session frame: %v", err))
+			c.Terminal(trace.StreamCodeBadFrame, fmt.Sprintf("reading session frame: %v", err))
 			return
 		}
 		switch typ {
@@ -318,7 +205,7 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 				wireBuf = trace.AppendSessionFrame(wireBuf[:0], trace.StreamFrameReject,
 					[]byte(err.Error()))
 				err = nil
-				if writeWire(wireBuf) != nil {
+				if c.Send(wireBuf) != nil {
 					return
 				}
 			} else {
@@ -336,11 +223,11 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 					// The frame was not applied; end the session with a
 					// typed server-side error rather than acknowledging
 					// events that were never durably logged.
-					terminal(trace.StreamCodeInternal, "wal append: "+err.Error())
+					c.Terminal(trace.StreamCodeInternal, "wal append: "+err.Error())
 					return
 				}
 				wireBuf, decScratch = trace.AppendDecisionsFrame(wireBuf[:0], decisions, decScratch)
-				if writeWire(wireBuf) != nil {
+				if c.Send(wireBuf) != nil {
 					return
 				}
 				clk.lap(stageRespond)
@@ -361,10 +248,10 @@ func (s *Server) streamFrameLoop(conn net.Conn, br *bufio.Reader, bw *bufio.Writ
 				}
 			}
 		case trace.StreamFrameClose:
-			terminal(trace.StreamCodeBye, "")
+			c.Terminal(trace.StreamCodeBye, "")
 			return
 		default:
-			terminal(trace.StreamCodeBadFrame, fmt.Sprintf("unexpected session frame type %q", typ))
+			c.Terminal(trace.StreamCodeBadFrame, fmt.Sprintf("unexpected session frame type %q", typ))
 			return
 		}
 	}

@@ -6,11 +6,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"time"
 
 	"reactivespec/internal/obs"
+	"reactivespec/internal/session"
 	"reactivespec/internal/trace"
 )
 
@@ -24,8 +24,7 @@ import (
 // (clean "bye") or with the server's terminal frame: a drained server
 // surfaces ErrDraining from Recv/SendKind/Close, never a bare connection reset.
 type Stream struct {
-	conn net.Conn
-	bw   *bufio.Writer
+	c *session.Conn
 
 	window  int
 	program string            // handshake program, stamped on client spans
@@ -87,56 +86,31 @@ func DialStream(ctx context.Context, addr, program string, paramsHash uint64, op
 	for _, opt := range opts {
 		opt(&sc)
 	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("server: stream: %w", err)
-	}
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
-
-	// The handshake runs under ctx's deadline, cleared once the session is
-	// established.
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
 	hs := trace.Handshake{
 		Proto:      trace.StreamProtoVersion,
 		ParamsHash: paramsHash,
 		Window:     sc.window,
 		Program:    program,
 	}
-	_, err = bw.Write(trace.AppendHandshake(nil, hs))
-	if err == nil {
-		err = bw.Flush()
+	c, ack, err := session.Dial(ctx, session.TCP(addr), trace.AppendHandshake(nil, hs), trace.ReadAck)
+	if err != nil {
+		return nil, fmt.Errorf("server: stream: %w", err)
+	}
+	switch {
+	case ack.Err != nil:
+		err = streamTerminalError(*ack.Err)
+	case ack.Proto != hs.Proto:
+		err = fmt.Errorf("server: stream: server acked protocol %d, client speaks %d", ack.Proto, hs.Proto)
+	case ack.Window == 0:
+		err = fmt.Errorf("server: stream: server granted a zero window")
 	}
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: writing handshake: %w", err)
+		c.Close()
+		return nil, err
 	}
-	ack, err := trace.ReadAck(br)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: reading handshake ack: %w", err)
-	}
-	if ack.Err != nil {
-		conn.Close()
-		return nil, streamTerminalError(*ack.Err)
-	}
-	if ack.Proto != hs.Proto {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: server acked protocol %d, client speaks %d",
-			ack.Proto, hs.Proto)
-	}
-	if ack.Window == 0 {
-		conn.Close()
-		return nil, fmt.Errorf("server: stream: server granted a zero window")
-	}
-	conn.SetDeadline(time.Time{})
 
 	st := &Stream{
-		conn:       conn,
-		bw:         bw,
+		c:          c,
 		window:     int(ack.Window),
 		program:    hs.Program,
 		tracer:     sc.tracer,
@@ -147,7 +121,7 @@ func DialStream(ctx context.Context, addr, program string, paramsHash uint64, op
 	for i := 0; i < st.window; i++ {
 		st.credits <- struct{}{}
 	}
-	go st.readLoop(br)
+	go st.readLoop(c.R)
 	return st, nil
 }
 
@@ -311,9 +285,9 @@ func (st *Stream) send(ctx context.Context, kind trace.Kind, events []trace.Even
 	}
 	st.sendBuf = trace.AppendSessionFrame(st.sendBuf[:0], trace.StreamFrameEvents, st.evBuf)
 	netStart := time.Now()
-	_, err := st.bw.Write(st.sendBuf)
+	_, err := st.c.W.Write(st.sendBuf)
 	if err == nil {
-		err = st.bw.Flush()
+		err = st.c.W.Flush()
 	}
 	if err != nil {
 		return st.sendFailed(err)
@@ -382,15 +356,15 @@ func (st *Stream) Close() error {
 	if !st.closed {
 		st.closed = true
 		frame := trace.AppendSessionFrame(nil, trace.StreamFrameClose, nil)
-		if _, err := st.bw.Write(frame); err == nil {
-			st.bw.Flush()
+		if _, err := st.c.W.Write(frame); err == nil {
+			st.c.W.Flush()
 		}
 	}
 	st.sendMu.Unlock()
 	for range st.results {
 	}
 	err := st.terminalErr()
-	st.conn.Close()
+	st.c.Close()
 	if err == io.EOF {
 		return nil
 	}

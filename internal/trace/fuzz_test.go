@@ -103,9 +103,10 @@ func FuzzDecodeFrameAppend(f *testing.F) {
 	})
 }
 
-// FuzzStreamHandshake feeds arbitrary bytes to the session-handshake and ack
-// decoders: they must never panic and must either decode cleanly or report
-// ErrBadHandshake-wrapped errors. Valid handshakes must round-trip exactly.
+// FuzzStreamHandshake feeds arbitrary bytes to all four hello/ack decoders —
+// the stream's handshake and ack and replication's hello and ack, which share
+// one codec: they must never panic and must either decode cleanly or report
+// ErrBadHandshake-wrapped errors. Valid hellos must round-trip exactly.
 func FuzzStreamHandshake(f *testing.F) {
 	valid := AppendHandshake(nil, Handshake{
 		Proto: StreamProtoVersion, ParamsHash: 0x1234, Window: 8, Program: "gzip@0",
@@ -123,6 +124,9 @@ func FuzzStreamHandshake(f *testing.F) {
 	f.Add(validAck)
 	f.Add(validAck[:len(validAck)-1])
 	f.Add(AppendAck(nil, Ack{Err: &StreamError{Code: StreamCodeDraining, Msg: "going away"}}))
+	f.Add(AppendReplHello(nil, ReplHello{Proto: ReplicationProtoVersion, ParamsHash: 0x1234, From: 300, Window: 16}))
+	f.Add(AppendReplAck(nil, ReplAck{Proto: ReplicationProtoVersion, Window: 16, Oldest: 3, Next: 300}))
+	f.Add(AppendReplAck(nil, ReplAck{Err: &StreamError{Code: ReplCodeCompacted, Msg: "stale"}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ReadHandshake(bufio.NewReader(bytes.NewReader(data)))
@@ -142,6 +146,18 @@ func FuzzStreamHandshake(f *testing.F) {
 		if _, err := ReadAck(bufio.NewReader(bytes.NewReader(data))); err != nil &&
 			!errors.Is(err, ErrBadHandshake) {
 			t.Fatalf("ack error %v does not wrap ErrBadHandshake", err)
+		}
+		rh, err := ReadReplHello(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			if !errors.Is(err, ErrBadHandshake) {
+				t.Fatalf("replication hello error %v does not wrap ErrBadHandshake", err)
+			}
+		} else if again, err := ReadReplHello(bufio.NewReader(bytes.NewReader(AppendReplHello(nil, rh)))); err != nil || again != rh {
+			t.Fatalf("accepted replication hello %+v does not round-trip: %+v, %v", rh, again, err)
+		}
+		if _, err := ReadReplAck(bufio.NewReader(bytes.NewReader(data))); err != nil &&
+			!errors.Is(err, ErrBadHandshake) {
+			t.Fatalf("replication ack error %v does not wrap ErrBadHandshake", err)
 		}
 	})
 }

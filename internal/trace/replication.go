@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Replication sessions ship write-ahead-log records from a primary to a
@@ -73,11 +72,6 @@ const ReplCodeCompacted = "compacted"
 // frame payload plus the program name and the record header varints.
 const MaxReplPayload = MaxFramePayload + MaxHandshakeProgram + 5*binary.MaxVarintLen64
 
-var (
-	replHelloMagic = [4]byte{'R', 'S', 'R', 'H'}
-	replAckMagic   = [4]byte{'R', 'S', 'R', 'A'}
-)
-
 // ReplHello opens a replication session: which protocol revision, under
 // which controller parameters, resuming from which WAL sequence, with which
 // requested credit window.
@@ -90,50 +84,19 @@ type ReplHello struct {
 
 // AppendReplHello appends h's wire form to dst.
 func AppendReplHello(dst []byte, h ReplHello) []byte {
-	dst = append(dst, replHelloMagic[:]...)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	put(uint64(h.Proto))
-	put(h.ParamsHash)
-	put(h.From)
-	put(uint64(h.Window))
-	return dst
+	return appendHello(dst, replHelloMagic, uint64(h.Proto), h.ParamsHash, h.From, uint64(h.Window))
 }
 
 // ReadReplHello decodes one replication hello from r. Malformed input fails
 // with an error wrapping ErrBadHandshake.
 func ReadReplHello(r *bufio.Reader) (ReplHello, error) {
-	var h ReplHello
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return h, fmt.Errorf("%w: reading replication magic: %v", ErrBadHandshake, err)
-	}
-	if magic != replHelloMagic {
-		return h, fmt.Errorf("%w: bad replication magic %q", ErrBadHandshake, magic[:])
-	}
-	proto, err := binary.ReadUvarint(r)
-	if err != nil {
-		return h, fmt.Errorf("%w: reading replication protocol version: %v", ErrBadHandshake, err)
-	}
-	if proto > uint64(^uint32(0)) {
-		return h, fmt.Errorf("%w: replication protocol version %d out of range", ErrBadHandshake, proto)
-	}
-	if h.ParamsHash, err = binary.ReadUvarint(r); err != nil {
-		return h, fmt.Errorf("%w: reading params hash: %v", ErrBadHandshake, err)
-	}
-	if h.From, err = binary.ReadUvarint(r); err != nil {
-		return h, fmt.Errorf("%w: reading from-sequence: %v", ErrBadHandshake, err)
-	}
-	window, err := binary.ReadUvarint(r)
-	if err != nil {
-		return h, fmt.Errorf("%w: reading window: %v", ErrBadHandshake, err)
-	}
-	if window > uint64(^uint32(0)) {
-		return h, fmt.Errorf("%w: window %d out of range", ErrBadHandshake, window)
-	}
-	h.Proto = uint32(proto)
-	h.Window = uint32(window)
-	return h, nil
+	d := openHello(r, replHelloMagic, "replication hello")
+	return finish(&d, ReplHello{
+		Proto:      d.uint32("protocol version"),
+		ParamsHash: d.uvarint("params hash"),
+		From:       d.uvarint("from-sequence"),
+		Window:     d.uint32("window"),
+	})
 }
 
 // ReplAck answers a replication hello: either a grant (granted window plus
@@ -152,72 +115,20 @@ type ReplAck struct {
 
 // AppendReplAck appends a's wire form to dst.
 func AppendReplAck(dst []byte, a ReplAck) []byte {
-	dst = append(dst, replAckMagic[:]...)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	putStr := func(s string) { put(uint64(len(s))); dst = append(dst, s...) }
-	if a.Err != nil {
-		dst = append(dst, 1)
-		putStr(a.Err.Code)
-		putStr(a.Err.Msg)
-		return dst
-	}
-	dst = append(dst, 0)
-	put(uint64(a.Proto))
-	put(uint64(a.Window))
-	put(a.Oldest)
-	put(a.Next)
-	return dst
+	return appendAck(dst, replAckMagic, a.Err, uint64(a.Proto), uint64(a.Window), a.Oldest, a.Next)
 }
 
 // ReadReplAck decodes one replication hello ack from r. A rejection decodes
 // cleanly into a ReplAck with Err set — the rejection is the primary's
 // answer, not a wire fault.
 func ReadReplAck(r *bufio.Reader) (ReplAck, error) {
-	var a ReplAck
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return a, fmt.Errorf("%w: reading replication ack magic: %v", ErrBadHandshake, err)
+	d := openHello(r, replAckMagic, "replication ack")
+	a := ReplAck{Err: d.status()}
+	if a.Err == nil {
+		a.Proto, a.Window = d.uint32("protocol version"), d.uint32("window")
+		a.Oldest, a.Next = d.uvarint("oldest sequence"), d.uvarint("next sequence")
 	}
-	if magic != replAckMagic {
-		return a, fmt.Errorf("%w: bad replication ack magic %q", ErrBadHandshake, magic[:])
-	}
-	status, err := r.ReadByte()
-	if err != nil {
-		return a, fmt.Errorf("%w: reading replication ack status: %v", ErrBadHandshake, err)
-	}
-	switch status {
-	case 0:
-		proto, err := binary.ReadUvarint(r)
-		if err != nil {
-			return a, fmt.Errorf("%w: reading replication ack protocol version: %v", ErrBadHandshake, err)
-		}
-		window, err := binary.ReadUvarint(r)
-		if err != nil {
-			return a, fmt.Errorf("%w: reading replication ack window: %v", ErrBadHandshake, err)
-		}
-		if proto > uint64(^uint32(0)) || window > uint64(^uint32(0)) {
-			return a, fmt.Errorf("%w: replication ack field out of range", ErrBadHandshake)
-		}
-		if a.Oldest, err = binary.ReadUvarint(r); err != nil {
-			return a, fmt.Errorf("%w: reading replication ack oldest sequence: %v", ErrBadHandshake, err)
-		}
-		if a.Next, err = binary.ReadUvarint(r); err != nil {
-			return a, fmt.Errorf("%w: reading replication ack next sequence: %v", ErrBadHandshake, err)
-		}
-		a.Proto = uint32(proto)
-		a.Window = uint32(window)
-		return a, nil
-	case 1:
-		se, err := readStreamError(r)
-		if err != nil {
-			return a, err
-		}
-		a.Err = &se
-		return a, nil
-	default:
-		return a, fmt.Errorf("%w: unknown replication ack status %d", ErrBadHandshake, status)
-	}
+	return finish(&d, a)
 }
 
 // ReplRecord is one shipped WAL record: its sequence number, the primary's
@@ -246,18 +157,10 @@ type ReplRecord struct {
 
 // AppendReplRecord appends rec as a complete 'S' session frame to dst.
 func AppendReplRecord(dst []byte, rec ReplRecord) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	dst = append(dst, ReplFrameRecord)
-	payloadLen := uvarintLen(rec.Seq) + uvarintLen(rec.Durable) + uvarintLen(rec.ShippedUnixNanos) +
-		uvarintLen(rec.Trace) + uvarintLen(uint64(len(rec.Program))) + len(rec.Program) + len(rec.Frame)
-	put(uint64(payloadLen))
-	put(rec.Seq)
-	put(rec.Durable)
-	put(rec.ShippedUnixNanos)
-	put(rec.Trace)
-	put(uint64(len(rec.Program)))
-	dst = append(dst, rec.Program...)
+	header := []uint64{rec.Seq, rec.Durable, rec.ShippedUnixNanos, rec.Trace, uint64(len(rec.Program))}
+	payloadLen := uvarintsLen(header) + len(rec.Program) + len(rec.Frame)
+	dst = binary.AppendUvarint(append(dst, ReplFrameRecord), uint64(payloadLen))
+	dst = append(appendUvarints(dst, header), rec.Program...)
 	return append(dst, rec.Frame...)
 }
 
@@ -301,12 +204,9 @@ func DecodeReplRecord(payload []byte) (ReplRecord, error) {
 // AppendReplAckFrame appends a cumulative 'A' ack frame to dst: every record
 // below ackedSeq has been applied by the follower.
 func AppendReplAckFrame(dst []byte, ackedSeq uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], ackedSeq)
-	dst = append(dst, ReplFrameAck)
-	var tmp2 [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp2[:binary.PutUvarint(tmp2[:], uint64(n))]...)
-	return append(dst, tmp[:n]...)
+	// The payload is one uvarint, so its length (at most 10) is one byte.
+	dst = append(dst, ReplFrameAck, byte(uvarintLen(ackedSeq)))
+	return binary.AppendUvarint(dst, ackedSeq)
 }
 
 // DecodeReplAckFrame decodes an 'A' frame payload.
@@ -330,6 +230,15 @@ func uvarintLen(v uint64) int {
 	for v >= 0x80 {
 		v >>= 7
 		n++
+	}
+	return n
+}
+
+// uvarintsLen is the encoded size of vs.
+func uvarintsLen(vs []uint64) int {
+	n := 0
+	for _, v := range vs {
+		n += uvarintLen(v)
 	}
 	return n
 }

@@ -123,11 +123,6 @@ const MaxHandshakeProgram = 1 << 12
 // decoded: wrong magic, truncated fields, or out-of-range lengths.
 var ErrBadHandshake = errors.New("trace: malformed stream handshake")
 
-var (
-	handshakeMagic = [4]byte{'R', 'S', 'H', 'S'}
-	handshakeAck   = [4]byte{'R', 'S', 'H', 'A'}
-)
-
 // Handshake opens a stream session: who is speaking (Program), under which
 // controller parameters (ParamsHash), with which protocol revision, and
 // requested pipeline window.
@@ -140,60 +135,20 @@ type Handshake struct {
 
 // AppendHandshake appends h's wire form to dst.
 func AppendHandshake(dst []byte, h Handshake) []byte {
-	dst = append(dst, handshakeMagic[:]...)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	put(uint64(h.Proto))
-	put(h.ParamsHash)
-	put(uint64(h.Window))
-	put(uint64(len(h.Program)))
+	dst = appendHello(dst, handshakeMagic, uint64(h.Proto), h.ParamsHash, uint64(h.Window), uint64(len(h.Program)))
 	return append(dst, h.Program...)
 }
 
 // ReadHandshake decodes one handshake from r. Malformed input fails with an
 // error wrapping ErrBadHandshake.
 func ReadHandshake(r *bufio.Reader) (Handshake, error) {
-	var h Handshake
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return h, fmt.Errorf("%w: reading magic: %v", ErrBadHandshake, err)
-	}
-	if magic != handshakeMagic {
-		return h, fmt.Errorf("%w: bad magic %q", ErrBadHandshake, magic[:])
-	}
-	proto, err := binary.ReadUvarint(r)
-	if err != nil {
-		return h, fmt.Errorf("%w: reading protocol version: %v", ErrBadHandshake, err)
-	}
-	if proto > uint64(^uint32(0)) {
-		return h, fmt.Errorf("%w: protocol version %d out of range", ErrBadHandshake, proto)
-	}
-	if h.ParamsHash, err = binary.ReadUvarint(r); err != nil {
-		return h, fmt.Errorf("%w: reading params hash: %v", ErrBadHandshake, err)
-	}
-	window, err := binary.ReadUvarint(r)
-	if err != nil {
-		return h, fmt.Errorf("%w: reading window: %v", ErrBadHandshake, err)
-	}
-	if window > uint64(^uint32(0)) {
-		return h, fmt.Errorf("%w: window %d out of range", ErrBadHandshake, window)
-	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return h, fmt.Errorf("%w: reading program length: %v", ErrBadHandshake, err)
-	}
-	if n > MaxHandshakeProgram {
-		return h, fmt.Errorf("%w: program name length %d exceeds the %d-byte cap",
-			ErrBadHandshake, n, MaxHandshakeProgram)
-	}
-	program := make([]byte, n)
-	if _, err := io.ReadFull(r, program); err != nil {
-		return h, fmt.Errorf("%w: reading program name: %v", ErrBadHandshake, err)
-	}
-	h.Proto = uint32(proto)
-	h.Window = uint32(window)
-	h.Program = string(program)
-	return h, nil
+	d := openHello(r, handshakeMagic, "handshake")
+	return finish(&d, Handshake{
+		Proto:      d.uint32("protocol version"),
+		ParamsHash: d.uvarint("params hash"),
+		Window:     d.uint32("window"),
+		Program:    d.text("program name", MaxHandshakeProgram),
+	})
 }
 
 // Ack answers a handshake: either a grant (protocol version, window, and the
@@ -208,68 +163,19 @@ type Ack struct {
 
 // AppendAck appends a's wire form to dst.
 func AppendAck(dst []byte, a Ack) []byte {
-	dst = append(dst, handshakeAck[:]...)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) { dst = append(dst, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	putStr := func(s string) { put(uint64(len(s))); dst = append(dst, s...) }
-	if a.Err != nil {
-		dst = append(dst, 1)
-		putStr(a.Err.Code)
-		putStr(a.Err.Msg)
-		return dst
-	}
-	dst = append(dst, 0)
-	put(uint64(a.Proto))
-	put(uint64(a.Window))
-	put(a.ParamsHash)
-	return dst
+	return appendAck(dst, handshakeAck, a.Err, uint64(a.Proto), uint64(a.Window), a.ParamsHash)
 }
 
 // ReadAck decodes one handshake ack from r. A rejected handshake decodes
 // cleanly into an Ack with Err set — the rejection is the peer's answer, not
 // a wire fault.
 func ReadAck(r *bufio.Reader) (Ack, error) {
-	var a Ack
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return a, fmt.Errorf("%w: reading ack magic: %v", ErrBadHandshake, err)
+	d := openHello(r, handshakeAck, "handshake ack")
+	a := Ack{Err: d.status()}
+	if a.Err == nil {
+		a.Proto, a.Window, a.ParamsHash = d.uint32("protocol version"), d.uint32("window"), d.uvarint("params hash")
 	}
-	if magic != handshakeAck {
-		return a, fmt.Errorf("%w: bad ack magic %q", ErrBadHandshake, magic[:])
-	}
-	status, err := r.ReadByte()
-	if err != nil {
-		return a, fmt.Errorf("%w: reading ack status: %v", ErrBadHandshake, err)
-	}
-	switch status {
-	case 0:
-		proto, err := binary.ReadUvarint(r)
-		if err != nil {
-			return a, fmt.Errorf("%w: reading ack protocol version: %v", ErrBadHandshake, err)
-		}
-		window, err := binary.ReadUvarint(r)
-		if err != nil {
-			return a, fmt.Errorf("%w: reading ack window: %v", ErrBadHandshake, err)
-		}
-		if proto > uint64(^uint32(0)) || window > uint64(^uint32(0)) {
-			return a, fmt.Errorf("%w: ack field out of range", ErrBadHandshake)
-		}
-		if a.ParamsHash, err = binary.ReadUvarint(r); err != nil {
-			return a, fmt.Errorf("%w: reading ack params hash: %v", ErrBadHandshake, err)
-		}
-		a.Proto = uint32(proto)
-		a.Window = uint32(window)
-		return a, nil
-	case 1:
-		se, err := readStreamError(r)
-		if err != nil {
-			return a, err
-		}
-		a.Err = &se
-		return a, nil
-	default:
-		return a, fmt.Errorf("%w: unknown ack status %d", ErrBadHandshake, status)
-	}
+	return finish(&d, a)
 }
 
 // StreamError is the typed payload of a terminal frame and of a rejected
@@ -292,55 +198,19 @@ const maxStreamErrorText = 1 << 12
 // AppendStreamError appends e's payload form (code + msg, each
 // length-prefixed) to dst.
 func AppendStreamError(dst []byte, e StreamError) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	putStr := func(s string) {
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(s)))]...)
-		dst = append(dst, s...)
-	}
-	putStr(e.Code)
-	putStr(e.Msg)
-	return dst
+	dst = append(binary.AppendUvarint(dst, uint64(len(e.Code))), e.Code...)
+	return append(binary.AppendUvarint(dst, uint64(len(e.Msg))), e.Msg...)
 }
 
 // DecodeStreamError decodes a StreamError payload (a terminal frame's body).
 func DecodeStreamError(payload []byte) (StreamError, error) {
 	r := bytes.NewReader(payload)
-	br := bufio.NewReader(r)
-	se, err := readStreamError(br)
-	if err != nil {
-		return se, err
+	d := helloReader{r: bufio.NewReader(r), name: "stream error"}
+	se := d.streamError()
+	if trailing := d.r.Buffered() + r.Len(); d.err == nil && trailing > 0 {
+		d.fail("%d trailing bytes", trailing)
 	}
-	if trailing := br.Buffered() + r.Len(); trailing > 0 {
-		return se, fmt.Errorf("%w: %d trailing bytes after stream error", ErrBadHandshake, trailing)
-	}
-	return se, nil
-}
-
-func readStreamError(r *bufio.Reader) (StreamError, error) {
-	var se StreamError
-	read := func(field string) (string, error) {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return "", fmt.Errorf("%w: reading %s length: %v", ErrBadHandshake, field, err)
-		}
-		if n > maxStreamErrorText {
-			return "", fmt.Errorf("%w: %s length %d exceeds the %d-byte cap",
-				ErrBadHandshake, field, n, maxStreamErrorText)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", fmt.Errorf("%w: reading %s: %v", ErrBadHandshake, field, err)
-		}
-		return string(b), nil
-	}
-	var err error
-	if se.Code, err = read("error code"); err != nil {
-		return se, err
-	}
-	if se.Msg, err = read("error message"); err != nil {
-		return se, err
-	}
-	return se, nil
+	return finish(&d, se)
 }
 
 // AppendTraceContext appends the trace context — one uvarint trace ID, zero

@@ -3,7 +3,9 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -26,21 +28,101 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsDamage runs all four hello/ack decoders over the same
+// damage: a cut at every byte (so inside and between every field), a bad
+// magic, the other messages' magics, an unknown ack status, a uint32 field
+// out of range, and an over-cap string. Each must fail with
+// ErrBadHandshake, never decode.
 func TestHandshakeRejectsDamage(t *testing.T) {
-	wire := AppendHandshake(nil, Handshake{Proto: 1, ParamsHash: 42, Window: 4, Program: "p"})
-	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("XXXX"), wire[4:]...),
-		"truncated":   wire[:len(wire)-1],
-		"header only": wire[:4],
+	read := map[string]func([]byte) error{
+		"handshake":  decodeErr(ReadHandshake),
+		"ack":        decodeErr(ReadAck),
+		"repl hello": decodeErr(ReadReplHello),
+		"repl ack":   decodeErr(ReadReplAck),
 	}
-	// An over-cap program length must be rejected before allocation.
-	overlong := AppendHandshake(nil, Handshake{Proto: 1, Program: strings.Repeat("p", MaxHandshakeProgram+1)})
-	cases["overlong program"] = overlong
-	for name, wire := range cases {
-		if _, err := ReadHandshake(bufio.NewReader(bytes.NewReader(wire))); !errors.Is(err, ErrBadHandshake) {
-			t.Errorf("%s: err = %v, want ErrBadHandshake", name, err)
+	// Valid messages, and each one's bytes with one uint32 field replaced by
+	// 1<<32 (built here by hand, not by the encoder under test).
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
 		}
+		return b
+	}
+	const big = 1 << 32
+	rej := &StreamError{Code: StreamCodeParamMismatch, Msg: "hash 1 != 2"}
+	valid := map[string][][]byte{
+		"handshake": {
+			AppendHandshake(nil, Handshake{Proto: StreamProtoVersion, ParamsHash: 42, Window: 4, Program: "p"}),
+		},
+		"ack": {
+			AppendAck(nil, Ack{Proto: StreamProtoVersion, Window: 32, ParamsHash: 99}),
+			AppendAck(nil, Ack{Err: rej}),
+		},
+		"repl hello": {
+			AppendReplHello(nil, ReplHello{Proto: ReplicationProtoVersion, ParamsHash: 42, From: 300, Window: 16}),
+		},
+		"repl ack": {
+			AppendReplAck(nil, ReplAck{Proto: ReplicationProtoVersion, Window: 256, Oldest: 10, Next: 999}),
+			AppendReplAck(nil, ReplAck{Err: rej}),
+		},
+	}
+	damaged := map[string]map[string][]byte{
+		"handshake": {
+			"proto out of range":  append([]byte("RSHS"), append(uv(big, 42, 4, 1), 'p')...),
+			"window out of range": append([]byte("RSHS"), append(uv(4, 42, big, 1), 'p')...),
+			"overlong program":    append([]byte("RSHS"), uv(4, 42, 4, MaxHandshakeProgram+1)...),
+		},
+		"ack": {
+			"proto out of range":  append([]byte("RSHA\x00"), uv(big, 32, 99)...),
+			"window out of range": append([]byte("RSHA\x00"), uv(4, big, 99)...),
+			"overlong error code": append([]byte("RSHA\x01"), uv(maxStreamErrorText+1)...),
+		},
+		"repl hello": {
+			"proto out of range":  append([]byte("RSRH"), uv(big, 42, 300, 16)...),
+			"window out of range": append([]byte("RSRH"), uv(2, 42, 300, big)...),
+		},
+		"repl ack": {
+			"proto out of range":  append([]byte("RSRA\x00"), uv(big, 256, 10, 999)...),
+			"window out of range": append([]byte("RSRA\x00"), uv(2, big, 10, 999)...),
+			"overlong error code": append([]byte("RSRA\x01"), uv(maxStreamErrorText+1)...),
+		},
+	}
+	for name, wires := range valid {
+		for _, wire := range wires {
+			if err := read[name](wire); err != nil {
+				t.Fatalf("%s: the valid message fails: %v", name, err)
+			}
+			for n := 0; n < len(wire); n++ {
+				damaged[name][fmt.Sprintf("cut at byte %d of %x", n, wire)] = wire[:n]
+			}
+			damaged[name]["bad magic "+string(wire[4:])] = append([]byte("XXXX"), wire[4:]...)
+			for other, magic := range map[string]string{"handshake": "RSHS", "ack": "RSHA", "repl hello": "RSRH", "repl ack": "RSRA"} {
+				if other != name {
+					damaged[name]["magic "+magic+string(wire[4:])] = append([]byte(magic), wire[4:]...)
+				}
+			}
+			if name == "ack" || name == "repl ack" {
+				status := append([]byte(nil), wire...)
+				status[4] = 2
+				damaged[name][fmt.Sprintf("status 2 in %x", wire)] = status
+			}
+		}
+	}
+	for name, cases := range damaged {
+		for what, wire := range cases {
+			if err := read[name](wire); !errors.Is(err, ErrBadHandshake) {
+				t.Errorf("%s, %s: err = %v, want ErrBadHandshake", name, what, err)
+			}
+		}
+	}
+}
+
+// decodeErr adapts a hello/ack decoder to report only its error.
+func decodeErr[T any](read func(*bufio.Reader) (T, error)) func([]byte) error {
+	return func(b []byte) error {
+		_, err := read(bufio.NewReader(bytes.NewReader(b)))
+		return err
 	}
 }
 

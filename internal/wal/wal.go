@@ -670,6 +670,14 @@ func (l *Log) createSegmentLocked() error {
 		os.Remove(path)
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
+	// fsync(2) on the segment makes its contents durable but not its name:
+	// without a directory fsync, a crash could lose the whole segment,
+	// records acknowledged under SyncAlways included.
+	if err := SyncDir(l.opts.Dir); err != nil {
+		f.Close()
+		os.Remove(path)
+		return err
+	}
 	l.f = f
 	if l.bw == nil {
 		l.bw = &bufWriter{f: f, buf: make([]byte, 0, 1<<16)}
@@ -683,6 +691,21 @@ func (l *Log) createSegmentLocked() error {
 	l.segments = append(l.segments, segmentRef{base: l.nextSeq, path: path})
 	if len(l.segments) == 1 {
 		l.oldestSeq = l.nextSeq
+	}
+	return nil
+}
+
+// SyncDir fsyncs directory dir, making the names created in it or renamed
+// into it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: opening directory to sync: %w", err)
+	}
+	err = d.Sync()
+	d.Close()
+	if err != nil {
+		return fmt.Errorf("wal: syncing directory %s: %w", dir, err)
 	}
 	return nil
 }

@@ -28,11 +28,12 @@ go test -race ./...
 
 # The observability layer, the server and the replication follower share
 # lock-striped and atomic hot paths (the follower applies through the
-# server's commit step), and the WAL's live reader races its appender; run
+# server's commit step), the session layer's drain and close race its
+# connection handlers, and the WAL's live reader races its appender; run
 # them twice under the race detector so scheduling-order races get a second
 # chance to surface.
-echo "==> go test -race -count=2 ./internal/obs ./internal/server ./internal/replica ./internal/wal"
-go test -race -count=2 ./internal/obs ./internal/server ./internal/replica ./internal/wal
+echo "==> go test -race -count=2 ./internal/obs ./internal/server ./internal/replica ./internal/session ./internal/wal"
+go test -race -count=2 ./internal/obs ./internal/server ./internal/replica ./internal/session ./internal/wal
 
 # perfbench is its own Go module, so the root ./... above never builds it,
 # yet it compiles against the server's table and stream APIs.
@@ -403,8 +404,8 @@ echo "==> cross-node span chain (reactivespec -require-chain spans)"
     "$SMOKE_DIR/spans-replica.jsonl" \
     "$SMOKE_DIR/spans-loadgen.jsonl" >"$SMOKE_DIR/spans-failover-report.txt"
 
-# A short fuzz run of every decoder that reads bytes off a wire: the stream
-# handshake and ack, session frames, RLE decision payloads, shipped
+# A short fuzz run of every decoder that reads bytes off a wire: the four
+# hello/ack decoders (stream and replication), session frames, RLE decision payloads, shipped
 # replication records, and the one trace frame walker — DecodeFrameAppend,
 # the only decoder every ingest path runs, and ValidateFrame beside it —
 # and of snapshot restore, which must reject any entry it cannot round-trip.
