@@ -14,7 +14,8 @@
 //	-addr-file f          write the bound address to f once listening (for scripts)
 //	-stream-addr a        also accept raw-TCP streaming ingest sessions on this address
 //	-stream-addr-file f   write the bound stream address to f once listening
-//	-shards n             lock-stripe count for the controller table (default 16)
+//	-shards n             lock-stripe count for the controller table; each
+//	                      program and kind lives in one stripe (default 16)
 //	-param-scale k        divide the paper's Table 2 parameters by k (default 10)
 //	-policy p             speculation policy every table entry runs: reactive
 //	                      (the paper's FSM, default), selftrain (classify once
@@ -223,7 +224,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"also accept raw-TCP streaming ingest sessions on this address (use :0 for a random port)")
 	streamAddrFile := fs.String("stream-addr-file", "",
 		"write the bound stream address to this file once listening")
-	shards := fs.Int("shards", 16, "lock-stripe count for the controller table")
+	shards := fs.Int("shards", 16,
+		"lock-stripe count for the controller table; each program and kind lives in one stripe")
 	paramScale := fs.Uint64("param-scale", 10, "divide the paper's Table 2 parameters by this factor")
 	policyFlag := fs.String("policy", core.PolicyReactive,
 		"speculation policy every table entry runs: "+strings.Join(core.PolicyNames(), ", "))

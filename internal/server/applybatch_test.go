@@ -26,7 +26,7 @@ func applyAllBatched(t *Table, program string, evs []trace.Event, instr *uint64,
 
 // runHeavyEvents is a trace of long single-branch runs over a few branches:
 // 500 events of each branch in turn, so most consecutive events share a
-// shard.
+// branch and take the last-entry cache.
 func runHeavyEvents(n int) []trace.Event {
 	evs := make([]trace.Event, 0, n)
 	for i := 0; len(evs) < n; i++ {
@@ -203,28 +203,24 @@ func TestApplyBatchConcurrentWithReaders(t *testing.T) {
 	}
 }
 
-// TestScratchPoolsDropOversizedBatches pins the pool cap: after a batch
-// larger than maxPooledEvents goes through both apply entry points, neither
-// scratch pool hands back a buffer above the cap, so one huge POST cannot
-// pin its scratch for the life of the process. (Race builds drop pool puts
-// at random, which can only leave the pools emptier.)
+// TestScratchPoolsDropOversizedBatches pins the pool cap: after a frame
+// larger than maxPooledEvents goes through ApplyFrame, its event pool hands
+// back no buffer above the cap, so one huge POST cannot pin its scratch for
+// the life of the process. (Race builds drop pool puts at random, which can
+// only leave the pool emptier.)
 func TestScratchPoolsDropOversizedBatches(t *testing.T) {
 	evs := synthEvents(maxPooledEvents+1, 5)
 	tab := NewTable(testParams(), 4)
-	_, instr := tab.ApplyBatchKind("p", trace.KindBranch, evs, 0, nil)
-	tab.ApplyFrame("p", trace.EncodeFrameAppend(nil, evs), instr, nil)
+	tab.ApplyFrame("p", trace.EncodeFrameAppend(nil, evs), 0, nil)
 	for i := 0; i < 8; i++ {
-		if sc := applyScratchPool.Get().(*applyScratch); cap(sc.instr) > maxPooledEvents {
-			t.Fatalf("apply scratch pool returned a %d-event buffer; cap is %d", cap(sc.instr), maxPooledEvents)
-		}
 		if evp := frameEventsPool.Get().(*[]trace.Event); cap(*evp) > maxPooledEvents {
 			t.Fatalf("frame events pool returned a %d-event buffer; cap is %d", cap(*evp), maxPooledEvents)
 		}
 	}
 }
 
-// TestApplyShardedMatchesApply pins the two-pass shard schedule itself,
-// calling applyEvents directly with each whole trace as one batch: for a
+// TestApplyShardedMatchesApply pins the single pass itself, calling
+// applyEvents directly with each whole trace as one batch: for a
 // branch-hopping trace (a seed the batching pin does not use) and the
 // run-heavy trace alike, it must produce the byte-identical decision
 // stream, final instruction count, and shard metrics as applying each

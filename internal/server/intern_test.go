@@ -33,8 +33,7 @@ func internStreams(programs []string, n int) []internStream {
 }
 
 // internBatchSizes cycles through short and long batches, so each round cuts
-// every stream at a different offset and batches touch a few shards or all
-// of them.
+// every stream at a different offset.
 var internBatchSizes = []int{37, 300, 128, 5}
 
 // ingestInterleaved applies the streams batch by batch, visiting the

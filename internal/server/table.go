@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,34 +14,34 @@ import (
 	"reactivespec/internal/trace"
 )
 
-// Table is a sharded, lock-striped table of speculation-control units keyed
-// by (program, branch ID), where the program key may carry an encoded
+// Table is a lock-striped table of speculation-control units keyed by
+// (program, branch ID), where the program key may carry an encoded
 // speculation kind (trace.EncodeKindProgram) — branch keys are the plain
-// program name, so every pre-kind artifact (WAL, snapshot, shard hash,
-// replication stream) is byte-identical. Each key owns an independent
-// core.Unit, so per-unit decisions are bit-for-bit identical to an
-// in-process policy observing the same (outcome, instruction-count)
-// sequence — the striping changes only who may update concurrently, never
-// what any unit decides.
+// program name, so every pre-kind artifact (WAL, snapshot, replication
+// stream) is byte-identical. Each key owns an independent core.Unit, so
+// per-unit decisions are bit-for-bit identical to an in-process policy
+// observing the same (outcome, instruction-count) sequence — the striping
+// changes only who may update concurrently, never what any unit decides.
 //
 // The policy and its parameters are fixed at construction for the whole
 // table and held once, as a core.Rule; every policy runs through the same
 // entry type and the same Rule.Step. An entry is the unit's state and the
 // counters its Stats cannot derive from it, by value, stored in a
-// per-shard slab: a shard maps
-// (program ID, branch) to a slab index, and neither the map nor the slab
-// holds a pointer. Program keys are interned into table-local IDs once per
-// call, so the per-event lookup hashes a uint64 instead of a string. The
-// interning is invisible outside the table: the shard hash is still FNV-1a
-// over the program bytes and branch, and snapshots still sort by program
-// name.
+// per-stripe slab: a stripe's flat index maps (program ID, branch) to a
+// slab index, and neither the index nor the slab holds a pointer. Program
+// keys are interned into table-local IDs once per call, so the per-event
+// probe hashes a uint64 instead of a string; snapshots still sort by
+// program name.
 //
-// Lock discipline: every key maps to exactly one shard (by hash), and all
-// access to a shard's entries happens under that shard's mutex. Events for
-// *different* keys proceed in parallel up to the shard count; events for the
-// same key serialize, which is exactly the ordering the controller needs.
-// Program IDs are read lock-free, once per call; assigning a new one takes
-// the intern lock, never while a shard lock is held.
+// Lock discipline: a program key maps to exactly one stripe, by FNV-1a over
+// its bytes, so every unit of a program lives there and all access to a
+// stripe's entries happens under that stripe's mutex. A batch is one
+// program's events, so it takes one lock acquisition. Batches for programs
+// on different stripes proceed in parallel; a program's own batches are
+// already serialized by the caller (the ingest path's cursor lock), so
+// striping by branch would add no parallelism. Program IDs are read
+// lock-free, once per call; assigning a new one takes the intern lock,
+// never while a stripe lock is held.
 type Table struct {
 	rule   core.Rule
 	shards []tableShard
@@ -51,10 +53,87 @@ type Table struct {
 
 type tableShard struct {
 	mu      sync.RWMutex
-	index   map[uint64]int32 // entryKey(program ID, branch) → entries index
+	index   flatIndex // entryKey(program ID, branch) → entries index
 	entries []tableEntry
 	metrics ShardMetrics
 	_       [64]byte // pad shards onto separate cache lines
+}
+
+// flatIndex is an open-addressed hash index from a uint64 key to an int32:
+// linear probing over a power-of-two table kept at most half full. A slot
+// holds its value + 1, so 0 marks it empty and every key is storable. The
+// probe hash mixes the key with a per-index random seed: keys come from
+// clients, and an unseeded hash would let one program pile its branches
+// onto a single probe chain.
+type flatIndex struct {
+	seed  uint64
+	keys  []uint64
+	slots []int32 // value + 1; 0 = empty
+	n     int
+}
+
+// minIndexSlots is a new index's capacity.
+const minIndexSlots = 8
+
+func newFlatIndex(seed uint64) flatIndex {
+	return flatIndex{seed: seed, keys: make([]uint64, minIndexSlots), slots: make([]int32, minIndexSlots)}
+}
+
+// home is key's first probe position: the murmur3 64-bit finalizer over the
+// key XOR the seed, masked to the capacity.
+func (x *flatIndex) home(key uint64) int {
+	h := key ^ x.seed
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return int(h & uint64(len(x.keys)-1))
+}
+
+// slot returns key's position, or the empty position where it would go.
+func (x *flatIndex) slot(key uint64) int {
+	mask := len(x.keys) - 1
+	i := x.home(key)
+	for x.slots[i] != 0 && x.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns key's value, if it has one.
+func (x *flatIndex) get(key uint64) (int32, bool) {
+	v := x.slots[x.slot(key)]
+	return v - 1, v != 0
+}
+
+// getOrPut returns key's value, first storing next for it if key is absent;
+// added reports whether it stored.
+func (x *flatIndex) getOrPut(key uint64, next int32) (v int32, added bool) {
+	i := x.slot(key)
+	if x.slots[i] != 0 {
+		return x.slots[i] - 1, false
+	}
+	if 2*(x.n+1) > len(x.keys) {
+		x.grow()
+		i = x.slot(key)
+	}
+	x.keys[i], x.slots[i] = key, next+1
+	x.n++
+	return next, true
+}
+
+// grow doubles the capacity and re-places every key.
+func (x *flatIndex) grow() {
+	keys, slots := x.keys, x.slots
+	x.keys = make([]uint64, 2*len(keys))
+	x.slots = make([]int32, 2*len(slots))
+	for i, v := range slots {
+		if v != 0 {
+			j := x.slot(keys[i])
+			x.keys[j], x.slots[j] = keys[i], v
+		}
+	}
 }
 
 // tableEntry is one (program, branch) unit, by value in two cache lines:
@@ -88,7 +167,7 @@ func (e *tableEntry) stats(execs uint64) core.Stats {
 	}
 }
 
-// entryKey packs an interned program ID and a branch into a shard index key.
+// entryKey packs an interned program ID and a branch into an index key.
 func entryKey(pid uint32, id trace.BranchID) uint64 {
 	return uint64(pid)<<32 | uint64(id)
 }
@@ -114,7 +193,7 @@ func NewTablePolicy(params core.Params, shards int, policy string) (*Table, erro
 	}
 	t := &Table{rule: rule, shards: make([]tableShard, shards)}
 	for i := range t.shards {
-		t.shards[i].index = make(map[uint64]int32)
+		t.shards[i].index = newFlatIndex(rand.Uint64())
 	}
 	return t, nil
 }
@@ -133,31 +212,15 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// programHash is the FNV-1a hash of the program name: the shared prefix of
-// every (program, branch) shard hash, computed once per batch.
-func programHash(program string) uint64 {
+// shardIndex maps a program key onto its stripe: FNV-1a over the key's
+// bytes, mod the stripe count.
+func (t *Table) shardIndex(program string) int {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(program); i++ {
 		h ^= uint64(program[i])
 		h *= fnvPrime64
 	}
-	return h
-}
-
-// shardIndex finishes the FNV-1a hash with the branch ID bytes and maps it
-// onto a shard.
-func (t *Table) shardIndex(ph uint64, id trace.BranchID) int {
-	h := ph
-	for s := 0; s < 32; s += 8 {
-		h ^= uint64(id>>s) & 0xff
-		h *= fnvPrime64
-	}
 	return int(h % uint64(len(t.shards)))
-}
-
-// shardFor hashes (program, branch) onto a shard with FNV-1a.
-func (t *Table) shardFor(program string, id trace.BranchID) *tableShard {
-	return &t.shards[t.shardIndex(programHash(program), id)]
 }
 
 // lookup returns program's ID, if it has one.
@@ -191,11 +254,9 @@ func (t *Table) intern(program string) uint32 {
 // caller holds sh.mu. The pointer is valid until the next getLocked on the
 // same shard, which may grow the slab.
 func (sh *tableShard) getLocked(key uint64) *tableEntry {
-	i, ok := sh.index[key]
-	if !ok {
-		i = int32(len(sh.entries))
+	i, added := sh.index.getOrPut(key, int32(len(sh.entries)))
+	if added {
 		sh.entries = append(sh.entries, tableEntry{})
-		sh.index[key] = i
 	}
 	return &sh.entries[i]
 }
@@ -246,126 +307,47 @@ func (t *Table) ApplyBatchKind(program string, kind trace.Kind, events []trace.E
 }
 
 // maxPooledEvents caps the batch size whose scratch goes back to
-// applyScratchPool, frameEventsPool and ingestScratchPool, and the event
-// scratch a stream session keeps between frames. POST bodies and frames
-// carry no event cap of their own, so without it one huge batch would pin
-// its scratch (about 28 B per event for apply, 12 B per decoded event) for
-// as long as traffic keeps the pools warm; an over-cap batch allocates its
-// own and leaves it to the GC.
+// frameEventsPool and ingestScratchPool, and the event scratch a stream
+// session keeps between frames. POST bodies and frames carry no event cap
+// of their own, so without it one huge batch would pin its scratch (about
+// 12 B per decoded event) for as long as traffic keeps the pools warm; an
+// over-cap batch allocates its own and leaves it to the GC.
 const maxPooledEvents = 1 << 16
 
-// applyScratch is the per-batch workspace applyEvents needs: the absolute
-// instruction count at each event, the counting-sort of event indices by
-// shard, and the per-shard bucket cursors.
-type applyScratch struct {
-	instr  []uint64
-	shard  []int32
-	idx    []int32
-	bucket []int32
-}
-
-var applyScratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
-
-// applyEvents is the one apply schedule, shared by commit, ApplyBatchKind
-// and ApplyFrame: one lock acquisition per touched shard per batch. Pass one
-// walks the events lock-free, recording each event's absolute instruction
-// count (the prefix sum of gaps over the whole batch — a controller only
-// needs its own events' counts, which don't depend on when other shards
-// apply) and counting-sorting the event indices by shard, preserving
-// original order within each shard. Pass two applies each shard's
-// sub-batch under a single lock hold, writing every decision byte to its
-// event's original position.
-//
-// A branch never spans shards, so every controller still sees its events
-// in trace order at the same instruction counts: the decisions and shard
-// counters are bit-for-bit those of applying the events one at a time
-// (TestApplyBatchMatchesApply pins both). The program key is hashed and
-// interned once per batch.
+// applyEvents is the one apply path, shared by commit, ApplyBatchKind and
+// ApplyFrame. The batch is one program's, so it lives in one stripe: it
+// takes that stripe's lock once and walks the events in order, summing the
+// gaps into each event's absolute instruction count, probing the index
+// (once per run of one branch, through a one-slot cache) and writing each
+// decision byte in place. The program key is hashed and interned once per
+// batch. TestApplyBatchMatchesApply pins the decisions and stripe counters
+// bit-for-bit against applying the events one at a time.
 func (t *Table) applyEvents(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
 	if len(events) == 0 {
 		return dst, startInstr
 	}
-	ph := programHash(program)
 	pid := t.intern(program)
-	n := len(events)
-	ns := len(t.shards)
-	sc := applyScratchPool.Get().(*applyScratch)
-	if cap(sc.instr) < n {
-		sc.instr = make([]uint64, n)
-		sc.shard = make([]int32, n)
-		sc.idx = make([]int32, n)
-	}
-	sc.instr = sc.instr[:n]
-	sc.shard = sc.shard[:n]
-	sc.idx = sc.idx[:n]
-	if cap(sc.bucket) < ns {
-		sc.bucket = make([]int32, ns)
-	}
-	sc.bucket = sc.bucket[:ns]
-	for i := range sc.bucket {
-		sc.bucket[i] = 0
-	}
-
-	instr := startInstr
-	for i := range events {
-		instr += uint64(events[i].Gap)
-		sc.instr[i] = instr
-		si := int32(t.shardIndex(ph, events[i].Branch))
-		sc.shard[i] = si
-		sc.bucket[si]++
-	}
-	off := int32(0)
-	for s := range sc.bucket {
-		c := sc.bucket[s]
-		sc.bucket[s] = off
-		off += c
-	}
-	for i := 0; i < n; i++ {
-		s := sc.shard[i]
-		sc.idx[sc.bucket[s]] = int32(i)
-		sc.bucket[s]++
-	}
-
-	// Reserve the decision bytes up front so pass two can write each one at
-	// its event's original position; after the counting sort, bucket[s] is
-	// shard s's end offset in idx.
+	sh := &t.shards[t.shardIndex(program)]
 	base := len(dst)
-	if cap(dst) < base+n {
-		nd := make([]byte, base, base+n)
-		copy(nd, dst)
-		dst = nd
-	}
-	dst = dst[:base+n]
+	dst = slices.Grow(dst, len(events))[:base+len(events)]
 	out := dst[base:]
-
-	start := int32(0)
-	for s := 0; s < ns; s++ {
-		end := sc.bucket[s]
-		if end == start {
-			continue
+	var (
+		lastBranch trace.BranchID
+		lastEntry  *tableEntry
+	)
+	instr := startInstr
+	sh.mu.Lock()
+	m := &sh.metrics
+	for i, ev := range events {
+		instr += uint64(ev.Gap)
+		e := lastEntry
+		if e == nil || ev.Branch != lastBranch {
+			e = sh.getLocked(entryKey(pid, ev.Branch))
+			lastBranch, lastEntry = ev.Branch, e
 		}
-		sh := &t.shards[s]
-		sh.mu.Lock()
-		var (
-			lastBranch trace.BranchID
-			lastEntry  *tableEntry
-		)
-		m := &sh.metrics
-		for _, i := range sc.idx[start:end] {
-			ev := events[i]
-			e := lastEntry
-			if e == nil || ev.Branch != lastBranch {
-				e = sh.getLocked(entryKey(pid, ev.Branch))
-				lastBranch, lastEntry = ev.Branch, e
-			}
-			out[i] = t.applyOne(e, m, ev, sc.instr[i]).Encode()
-		}
-		sh.mu.Unlock()
-		start = end
+		out[i] = t.applyOne(e, m, ev, instr).Encode()
 	}
-	if cap(sc.instr) <= maxPooledEvents {
-		applyScratchPool.Put(sc)
-	}
+	sh.mu.Unlock()
 	return dst, instr
 }
 
@@ -411,10 +393,10 @@ func (t *Table) Decide(program string, id trace.BranchID) Decision {
 	if !ok {
 		return Decision{State: core.Monitor}
 	}
-	sh := t.shardFor(program, id)
+	sh := &t.shards[t.shardIndex(program)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	i, ok := sh.index[entryKey(pid, id)]
+	i, ok := sh.index.get(entryKey(pid, id))
 	if !ok {
 		return Decision{State: core.Monitor}
 	}
@@ -437,7 +419,7 @@ func (t *Table) Metrics() []ShardMetrics {
 		sh := &t.shards[i]
 		sh.mu.RLock()
 		out[i] = sh.metrics
-		out[i].Entries = uint64(len(sh.index))
+		out[i].Entries = uint64(len(sh.entries))
 		sh.mu.RUnlock()
 	}
 	return out
@@ -468,8 +450,11 @@ func (t *Table) SnapshotEntries() []EntrySnapshot {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		for key, idx := range sh.index {
-			e := &sh.entries[idx]
+		for j, v := range sh.index.slots {
+			if v == 0 {
+				continue
+			}
+			key, e := sh.index.keys[j], &sh.entries[v-1]
 			st, ok := e.unit.Export()
 			if !ok {
 				continue
@@ -509,14 +494,13 @@ func (t *Table) RestoreEntries(entries []EntrySnapshot) error {
 	var (
 		program string
 		pid     uint32
-		ph      uint64
+		sh      *tableShard
 	)
 	for i, es := range entries {
 		// Snapshots come sorted by program: intern and hash each once.
 		if i == 0 || es.Program != program {
-			program, pid, ph = es.Program, t.intern(es.Program), programHash(es.Program)
+			program, pid, sh = es.Program, t.intern(es.Program), &t.shards[t.shardIndex(es.Program)]
 		}
-		sh := &t.shards[t.shardIndex(ph, es.Branch)]
 		sh.mu.Lock()
 		e := sh.getLocked(entryKey(pid, es.Branch))
 		if err := e.unit.Import(es.State); err != nil {

@@ -40,11 +40,11 @@ func synthEvents(n int, seed uint64) []trace.Event {
 }
 
 // applyRef is the per-event reference the batching pins compare against:
-// one event under its shard's lock at absolute instruction count instr, with
-// no batch schedule in between.
+// one event under its program's stripe lock at absolute instruction count
+// instr, with no batch loop in between.
 func applyRef(t *Table, program string, ev trace.Event, instr uint64) Decision {
 	pid := t.intern(program)
-	sh := t.shardFor(program, ev.Branch)
+	sh := &t.shards[t.shardIndex(program)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return t.applyOne(sh.getLocked(entryKey(pid, ev.Branch)), &sh.metrics, ev, instr)

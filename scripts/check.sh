@@ -417,7 +417,7 @@ while read -r pkg targets; do
     done
 done <<'FUZZ'
 ./internal/trace FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord FuzzDecodeFrameAppend FuzzValidateFrame
-./internal/server FuzzRestoreEntries
+./internal/server FuzzRestoreEntries FuzzTableIndex
 FUZZ
 
 # One iteration of every benchmark, so a bench that rots (compile error,
