@@ -263,6 +263,23 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	logf := func(format string, a ...any) {
 		fmt.Fprintf(out, "reactived: "+format+"\n", a...)
 	}
+	// listen binds the listener of -flag, publishes its bound address in
+	// -flag-file when one is named (for scripts), and logs it. The caller
+	// closes the listener; a failed file write closes it here.
+	listen := func(flag, addr, file string) (net.Listener, error) {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return nil, fmt.Errorf("listening on -%s: %w", flag, err)
+		}
+		if file != "" {
+			if err := os.WriteFile(file, []byte(ln.Addr().String()), 0o644); err != nil {
+				ln.Close()
+				return nil, fmt.Errorf("writing -%s-file: %w", flag, err)
+			}
+		}
+		logf("-%s listening on %s", flag, ln.Addr())
+		return ln, nil
+	}
 	params := core.DefaultParams().Scaled(*paramScale)
 
 	// Validate the policy and kind list before anything touches disk or the
@@ -372,17 +389,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *replicationAddr != "" {
 		sh := replica.NewShipper(replica.ShipperConfig{Log: wlog, Logf: logf, Trace: tracer})
 		sh.RegisterMetrics(s.Registry())
-		rln, err := net.Listen("tcp", *replicationAddr)
+		rln, err := listen("replication-addr", *replicationAddr, *replicationAddrFile)
 		if err != nil {
-			return fmt.Errorf("listening on -replication-addr: %w", err)
+			return err
 		}
-		if *replicationAddrFile != "" {
-			if err := os.WriteFile(*replicationAddrFile, []byte(rln.Addr().String()), 0o644); err != nil {
-				rln.Close()
-				return fmt.Errorf("writing -replication-addr-file: %w", err)
-			}
-		}
-		logf("replication listener on %s", rln.Addr())
+		defer rln.Close()
 		go sh.Serve(rln)
 		defer sh.Close()
 		rvars.shipper = sh
@@ -412,19 +423,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	signal.Notify(promoteCh, syscall.SIGUSR1)
 	defer signal.Stop(promoteCh)
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := listen("addr", *addr, *addrFile)
 	if err != nil {
 		return err
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
-			ln.Close()
-			return fmt.Errorf("writing -addr-file: %w", err)
-		}
-	}
-	logf("listening on %s (%d shards, param scale 1/%d, policy %s, kinds %s)",
-		bound, *shards, *paramScale, s.Table().Policy(), strings.Join(s.KindNames(), ","))
+	defer ln.Close()
+	logf("serving %d shards, param scale 1/%d, policy %s, kinds %s",
+		*shards, *paramScale, s.Table().Policy(), strings.Join(s.KindNames(), ","))
 
 	hs := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)
@@ -432,17 +437,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// The raw stream listener: every streaming ingest session arrives here.
 	if *streamAddr != "" {
-		sln, err := net.Listen("tcp", *streamAddr)
+		sln, err := listen("stream-addr", *streamAddr, *streamAddrFile)
 		if err != nil {
-			return fmt.Errorf("listening on -stream-addr: %w", err)
+			return err
 		}
 		defer sln.Close()
-		if *streamAddrFile != "" {
-			if err := os.WriteFile(*streamAddrFile, []byte(sln.Addr().String()), 0o644); err != nil {
-				return fmt.Errorf("writing -stream-addr-file: %w", err)
-			}
-		}
-		logf("stream listener on %s", sln.Addr())
 		go func() {
 			// The accept error is expected at shutdown when the deferred
 			// Close tears the listener down.
@@ -457,17 +456,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		expvarServer.Store(s)
 		publishExpvars()
 		publishDebugSpans()
-		dln, err := net.Listen("tcp", *debugAddr)
+		dln, err := listen("debug-addr", *debugAddr, *debugAddrFile)
 		if err != nil {
-			return fmt.Errorf("listening on -debug-addr: %w", err)
+			return err
 		}
 		defer dln.Close()
-		if *debugAddrFile != "" {
-			if err := os.WriteFile(*debugAddrFile, []byte(dln.Addr().String()), 0o644); err != nil {
-				return fmt.Errorf("writing -debug-addr-file: %w", err)
-			}
-		}
-		logf("debug listener on %s (/debug/pprof/, /debug/vars, /debug/spans)", dln.Addr())
 		go func() {
 			// http.DefaultServeMux carries the pprof and expvar
 			// handlers; the error is expected at shutdown when the

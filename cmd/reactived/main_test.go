@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -188,5 +189,34 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(context.Background(), args, os.Stderr); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
+	}
+}
+
+// TestRunListenerFailureReleasesAddr pins that a listener which fails to
+// bind does not strand the ones bound before it: with -stream-addr taken,
+// run fails after the HTTP listener has published its address, and that
+// address must no longer accept connections once run returns.
+func TestRunListenerFailureReleasesAddr(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	err = run(context.Background(), []string{
+		"-addr", "127.0.0.1:0",
+		"-addr-file", addrFile,
+		"-stream-addr", taken.Addr().String(),
+	}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-stream-addr") {
+		t.Fatalf("run = %v, want a -stream-addr listen failure", err)
+	}
+	b, err := os.ReadFile(addrFile)
+	if err != nil || len(b) == 0 {
+		t.Fatalf("the HTTP listener never published its address: %q, %v", b, err)
+	}
+	if c, err := net.DialTimeout("tcp", string(b), time.Second); err == nil {
+		c.Close()
+		t.Fatalf("the HTTP listener at %s still accepts connections after run returned", b)
 	}
 }

@@ -1,8 +1,9 @@
 // Failover verify mode: drive the primary, lose it mid-run (SIGKILL by pid
-// or an external crash), promote the follower, and resume the stream against
-// it from the replica's own cursor for each worker's program and kind —
-// verifying every decision, before and after the crash, against an
-// in-process mirror at absolute stream indices.
+// or an external crash), promote the follower, and resume against it from
+// the replica's own cursor for each worker's program and kind by replaying
+// the worker's seeded source to that cursor — verifying every decision,
+// before and after the crash, against the in-process mirror at absolute
+// stream indices.
 package main
 
 import (
@@ -17,9 +18,7 @@ import (
 	"syscall"
 	"time"
 
-	"reactivespec/internal/core"
 	"reactivespec/internal/server"
-	"reactivespec/internal/trace"
 )
 
 // FailoverReport is the report's failover block: what happened to the
@@ -63,7 +62,7 @@ type failoverCtl struct {
 	res         server.PromoteResult
 
 	resumed        atomic.Uint64 // workers that failed over to the follower
-	resent         atomic.Uint64 // events re-sent to the follower after promotion
+	resent         atomic.Uint64 // events sent to the follower after the resume
 	appliedUnacked atomic.Uint64 // events replicated past a worker's last ack
 }
 
@@ -138,97 +137,31 @@ func (fc *failoverCtl) await(ctx context.Context) error {
 	return fc.promoteErr
 }
 
-// runFailoverWorker is runWorker for -failover. The event stream and its
-// mirror decisions are materialized up front, so after the crash the worker
-// can resume mid-stream — from whatever event count the promoted replica's
-// cursor reports — and still verify each decision against its absolute index.
+// runFailoverWorker is runWorker for -failover: the same POST loop, first
+// against the primary and, once a POST fails, against the promoted follower.
+// The resume rebuilds the worker's source from its config and skips it to the
+// replica's cursor, so the re-sent overlap and the tail verify at their
+// absolute stream indices without holding the stream or its decisions.
 func runFailoverWorker(ctx context.Context, client *server.Client, ins *instruments, cfg workerConfig, fc *failoverCtl) workerResult {
 	var res workerResult
-	stream, err := buildEventStream(cfg)
+	src, err := newSource(cfg, &res)
 	if err != nil {
 		res.err = err
 		return res
 	}
-	var events []trace.Event
-	for {
-		ev, ok := stream.Next()
-		if !ok {
-			break
-		}
-		events = append(events, ev)
-	}
-	want := make([]server.Decision, len(events))
-	ctl, err := core.NewPolicySet(cfg.policy, cfg.params)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	var instr uint64
-	for i, ev := range events {
-		instr += uint64(ev.Gap)
-		v, st, dir, live := ctl.OnEvent(ev.Branch, ev.Taken, instr)
-		want[i] = server.Decision{Verdict: v, State: st, Dir: dir, Live: live}
-	}
-
-	sendBatch := func(cl *server.Client, off int) ([]server.Decision, error) {
-		return postBatch(ctx, cl, ins, cfg, events[off:min(off+cfg.batch, len(events))])
-	}
-	// tallied is the high-water mark of counted events: after failover the
-	// worker re-sends from the replica's cursor, which can sit below what the
-	// primary already acked, and the overlap must not double-count.
-	tallied := 0
-	record := func(off int, ds []server.Decision) {
-		res.batches++
-		for i, d := range ds {
-			if off+i < tallied {
-				continue
-			}
-			res.events++
-			res.verdicts[d.Verdict]++
-			res.decisions[d.State]++
-		}
-		if off+len(ds) > tallied {
-			tallied = off + len(ds)
-		}
-	}
-	check := func(off int, ds []server.Decision) error {
-		for i, d := range ds {
-			if d != want[off+i] {
-				return fmt.Errorf("decision mismatch at event %d of %s kind %s: daemon %v, in-process %v"+
-					" (is the daemon running with -param-scale %d?)",
-					off+i, cfg.program, cfg.kind, d, want[off+i], paramScaleHint(cfg.params))
-			}
-		}
-		return nil
-	}
-
 	// Phase 1: drive the primary until the stream ends or the primary dies.
 	// A transport error means the crash arrived; a mirror mismatch is a real
 	// verification failure and fails the worker outright.
-	off := 0
-	var lostPrimary error
-	for off < len(events) {
-		ds, err := sendBatch(client, off)
-		if err != nil {
-			lostPrimary = err
-			break
-		}
-		record(off, ds)
-		if err := check(off, ds); err != nil {
-			res.err = err
-			return res
-		}
-		fc.noteBatch()
-		off += len(ds)
-	}
-	if lostPrimary == nil {
-		return res // the whole stream was acked before the crash
+	lostPrimary, err := src.post(ctx, client, ins, fc.noteBatch)
+	if err != nil || lostPrimary == nil {
+		res.err = err // nil when the whole stream was acked before the crash
+		return res
 	}
 
 	// Phase 2: promote (once, across workers), ask the replica how far it
 	// got, and resume from there. Events between the replica's cursor and the
 	// primary's last ack are re-sent; determinism makes their decisions
-	// bitwise-identical, and check pins that.
+	// bitwise-identical, and accept pins that.
 	if err := fc.await(ctx); err != nil {
 		res.err = fmt.Errorf("%w (primary lost: %v)", err, lostPrimary)
 		return res
@@ -238,36 +171,31 @@ func runFailoverWorker(ctx context.Context, client *server.Client, ins *instrume
 		res.err = fmt.Errorf("reading replica cursor: %w (primary lost: %v)", err, lostPrimary)
 		return res
 	}
-	resume := int(cur.Events)
-	if resume > len(events) {
-		res.err = fmt.Errorf("replica cursor %d is beyond the %d-event stream", resume, len(events))
+	resume := cur.Events
+	if src, err = newSource(cfg, &res); err == nil {
+		err = src.skip(resume)
+	}
+	if err != nil {
+		res.err = fmt.Errorf("resuming at replica cursor %d: %w", resume, err)
 		return res
 	}
-	if resume > tallied {
+	if resume > res.acked {
 		// The crash cut the response to a batch the primary had already
 		// applied and shipped. The worker sends one batch at a time, so
 		// at most that one batch can be ahead of the last ack.
-		if resume-tallied > cfg.batch {
+		if resume-res.acked > uint64(cfg.batch) {
 			res.err = fmt.Errorf("replica cursor %d is more than one %d-event batch past the last acked event %d of %s",
-				resume, cfg.batch, tallied, cfg.program)
+				resume, cfg.batch, res.acked, cfg.program)
 			return res
 		}
-		fc.appliedUnacked.Add(uint64(resume - tallied))
+		fc.appliedUnacked.Add(resume - res.acked)
 	}
 	fc.resumed.Add(1)
-	fc.resent.Add(uint64(len(events) - resume))
-	for off = resume; off < len(events); {
-		ds, err := sendBatch(fc.follower, off)
-		if err != nil {
-			res.err = fmt.Errorf("ingest on promoted replica at event %d: %w", off, err)
-			return res
-		}
-		record(off, ds)
-		if err := check(off, ds); err != nil {
-			res.err = err
-			return res
-		}
-		off += len(ds)
+	lost, err := src.post(ctx, fc.follower, ins, nil)
+	if lost != nil {
+		err = fmt.Errorf("ingest on promoted replica (resumed at event %d): %w", resume, lost)
 	}
+	res.err = err
+	fc.resent.Add(src.off - resume)
 	return res
 }

@@ -29,10 +29,11 @@
 // crashed externally), then one worker promotes the named follower (POST
 // /v1/promote, retried), every worker asks it how many events of its own
 // program and kind were replicated (/v1/cursor), and the stream resumes from
-// exactly that point.
-// Each worker's mirror decisions are precomputed at absolute stream indices,
-// so decisions from before the crash, re-sent overlap, and the post-failover
-// tail all verify against the same uncrashed in-process control — the
+// exactly that point. The event stream and the mirror are pure functions of
+// the worker's flags, so each worker replays its seeded source from the
+// start up to the replica's cursor: decisions from before the crash, the
+// re-sent overlap, and the post-failover tail all verify at their absolute
+// stream indices against the same uncrashed in-process control — the
 // bitwise-equivalence claim of the replication subsystem. The run fails if
 // the primary survives to the end (the crash never happened, so failover was
 // never exercised).
@@ -195,6 +196,7 @@ func main() {
 type workerResult struct {
 	events    uint64
 	batches   uint64
+	acked     uint64    // high-water mark: absolute index past the last tallied event
 	window    int       // granted stream window (stream mode)
 	verdicts  [3]uint64 // indexed by core.Verdict
 	decisions [4]uint64 // indexed by core.State
@@ -517,7 +519,7 @@ type workerConfig struct {
 	tracer     *obs.Tracer
 }
 
-// buildEventStream assembles one worker's seeded event source: workload
+// buildEventStream assembles one worker's seeded event stream: workload
 // generator, optional fault injection, optional event cap.
 func buildEventStream(cfg workerConfig) (trace.Stream, error) {
 	spec, err := workload.Build(cfg.bench, cfg.input, workload.Options{
@@ -540,15 +542,11 @@ func buildEventStream(cfg workerConfig) (trace.Stream, error) {
 }
 
 // mirror is the -verify cross-check: an in-process controller fed the
-// identical event sequence, compared decision-by-decision against the
-// daemon. A nil *mirror checks nothing.
+// identical event sequence, whose decisions accept compares one by one
+// against the daemon's. A nil *mirror checks nothing.
 type mirror struct {
-	ctl    *core.Controller
-	instr  uint64
-	seen   uint64
-	params core.Params
-	prog   string
-	kind   trace.Kind
+	ctl   *core.Controller
+	instr uint64
 }
 
 func newMirror(cfg workerConfig) (*mirror, error) {
@@ -559,28 +557,14 @@ func newMirror(cfg workerConfig) (*mirror, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mirror{ctl: ctl, params: cfg.params, prog: cfg.program, kind: cfg.kind}, nil
+	return &mirror{ctl: ctl}, nil
 }
 
-// check replays events through the mirror controller and compares the
-// daemon's decisions. events and ds are parallel.
-func (m *mirror) check(events []trace.Event, ds []server.Decision) error {
-	if m == nil {
-		return nil
-	}
-	for i, ev := range events {
-		m.instr += uint64(ev.Gap)
-		v, st, dir, live := m.ctl.OnEvent(ev.Branch, ev.Taken, m.instr)
-		want := server.Decision{Verdict: v, State: st, Dir: dir, Live: live}
-		if ds[i] != want {
-			return fmt.Errorf("decision mismatch at event %d of %s kind %s (unit %d): daemon %v, in-process %v"+
-				" (is the daemon running with -param-scale %d and -policy %s?)",
-				m.seen+uint64(i), m.prog, m.kind, ev.Branch, ds[i], want,
-				paramScaleHint(m.params), m.ctl.Name())
-		}
-	}
-	m.seen += uint64(len(events))
-	return nil
+// step feeds one event to the mirror controller and returns its decision.
+func (m *mirror) step(ev trace.Event) server.Decision {
+	m.instr += uint64(ev.Gap)
+	v, st, dir, live := m.ctl.OnEvent(ev.Branch, ev.Taken, m.instr)
+	return server.Decision{Verdict: v, State: st, Dir: dir, Live: live}
 }
 
 // checkInfoKindsPolicy checks the daemon's /v1/info kind and policy
@@ -599,13 +583,120 @@ func checkInfoKindsPolicy(info server.Info, kinds []trace.Kind, policy string) e
 	return nil
 }
 
-// tally folds one batch's decisions into the worker result.
-func (res *workerResult) tally(n int, ds []server.Decision) {
+// source is one worker's seeded event source: its buildEventStream stream,
+// the -verify mirror and the absolute index of the next event to send.
+// buildEventStream and newMirror are pure functions of the worker config, so
+// a fresh source skipped to event k replays, bit for bit, what any other
+// source of that config yields from k on; failover resumes that way. next
+// touches only the stream and accept only the mirror and the tally, so a
+// stream worker's sender and receiver may call them concurrently.
+type source struct {
+	cfg    workerConfig
+	stream trace.Stream
+	mir    *mirror
+	off    uint64        // absolute index of the next event next returns
+	res    *workerResult // the tally accept folds verified batches into
+}
+
+func newSource(cfg workerConfig, res *workerResult) (*source, error) {
+	stream, err := buildEventStream(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mir, err := newMirror(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &source{cfg: cfg, stream: stream, mir: mir, res: res}, nil
+}
+
+// next fills buf with the next batch of up to cfg.batch events and returns it
+// with the absolute index of its first event. An empty batch means the stream
+// has ended.
+func (src *source) next(buf []trace.Event) (uint64, []trace.Event) {
+	off, buf := src.off, buf[:0]
+	for len(buf) < src.cfg.batch {
+		ev, ok := src.stream.Next()
+		if !ok {
+			break
+		}
+		buf = append(buf, ev)
+	}
+	src.off += uint64(len(buf))
+	return off, buf
+}
+
+// accept steps the mirror over the batch events, whose first event sits at
+// absolute index off, checks the daemon's decisions ds against it, and
+// tallies them. Events below the result's acked
+// high-water mark were already counted — a failover resume re-sends them —
+// so they count toward the batch but not the event or decision totals.
+func (src *source) accept(off uint64, events []trace.Event, ds []server.Decision) error {
+	if len(ds) != len(events) {
+		return fmt.Errorf("%d decisions for %d events", len(ds), len(events))
+	}
+	if src.mir != nil {
+		for i, ev := range events {
+			if want := src.mir.step(ev); ds[i] != want {
+				return fmt.Errorf("decision mismatch at event %d of %s kind %s (unit %d): daemon %v, in-process %v"+
+					" (is the daemon running with -param-scale %d and -policy %s?)",
+					off+uint64(i), src.cfg.program, src.cfg.kind, ev.Branch, ds[i], want,
+					paramScaleHint(src.cfg.params), src.cfg.policy)
+			}
+		}
+	}
+	res := src.res
 	res.batches++
-	res.events += uint64(n)
-	for _, d := range ds {
+	for i, d := range ds {
+		if off+uint64(i) < res.acked {
+			continue
+		}
+		res.events++
 		res.verdicts[d.Verdict]++
 		res.decisions[d.State]++
+	}
+	res.acked = max(res.acked, off+uint64(len(ds)))
+	return nil
+}
+
+// skip fast-forwards the stream and steps the mirror over the next n events
+// without sending them. It fails if the stream ends first.
+func (src *source) skip(n uint64) error {
+	for ; n > 0; n-- {
+		ev, ok := src.stream.Next()
+		if !ok {
+			return fmt.Errorf("event %d is beyond the stream of %s, which ends at event %d",
+				src.off+n, src.cfg.program, src.off)
+		}
+		if src.mir != nil {
+			src.mir.step(ev)
+		}
+		src.off++
+	}
+	return nil
+}
+
+// post drives the source to its end over per-batch POSTs to cl, verifying and
+// tallying every answered batch and calling acked (when non-nil) after each.
+// A failed POST ends the run with lost set, so failover can tell a lost
+// daemon from a verification failure, which comes back as err.
+func (src *source) post(ctx context.Context, cl *server.Client, ins *instruments, acked func()) (lost, err error) {
+	buf := make([]trace.Event, 0, src.cfg.batch)
+	for {
+		off, batch := src.next(buf)
+		if len(batch) == 0 {
+			return nil, nil
+		}
+		ds, err := postBatch(ctx, cl, ins, src.cfg, batch)
+		if err != nil {
+			return err, nil
+		}
+		if err := src.accept(off, batch, ds); err != nil {
+			return nil, err
+		}
+		if acked != nil {
+			acked()
+		}
 	}
 }
 
@@ -613,47 +704,16 @@ func (res *workerResult) tally(n int, ds []server.Decision) {
 // POSTs.
 func runWorker(ctx context.Context, client *server.Client, ins *instruments, cfg workerConfig) workerResult {
 	var res workerResult
-	stream, err := buildEventStream(cfg)
+	src, err := newSource(cfg, &res)
 	if err != nil {
 		res.err = err
 		return res
 	}
-	mir, err := newMirror(cfg)
-	if err != nil {
-		res.err = err
-		return res
+	lost, err := src.post(ctx, client, ins, nil)
+	if err == nil {
+		err = lost
 	}
-
-	batch := make([]trace.Event, 0, cfg.batch)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		ds, err := postBatch(ctx, client, ins, cfg, batch)
-		if err != nil {
-			return err
-		}
-		res.tally(len(batch), ds)
-		if err := mir.check(batch, ds); err != nil {
-			return err
-		}
-		batch = batch[:0]
-		return nil
-	}
-	for {
-		ev, ok := stream.Next()
-		if !ok {
-			break
-		}
-		batch = append(batch, ev)
-		if len(batch) == cfg.batch {
-			if err := flush(); err != nil {
-				res.err = err
-				return res
-			}
-		}
-	}
-	res.err = flush()
+	res.err = err
 	return res
 }
 
@@ -695,12 +755,7 @@ func postBatch(ctx context.Context, client *server.Client, ins *instruments, cfg
 // against the mirror, and measures per-frame send-to-decision latency.
 func runStreamWorker(ctx context.Context, client *server.Client, ins *instruments, cfg workerConfig) workerResult {
 	var res workerResult
-	stream, err := buildEventStream(cfg)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	mir, err := newMirror(cfg)
+	src, err := newSource(cfg, &res)
 	if err != nil {
 		res.err = err
 		return res
@@ -731,11 +786,12 @@ func runStreamWorker(ctx context.Context, client *server.Client, ins *instrument
 	}
 	res.window = st.Window()
 
-	// inflight pairs each sent batch with its send timestamp; the receiver
-	// matches them to decision frames, which arrive in send order. Capacity
-	// beyond the window keeps the sender from ever blocking on this channel
-	// rather than on window credit.
+	// inflight pairs each sent batch with its offset and send timestamp; the
+	// receiver matches them to decision frames, which arrive in send order.
+	// Capacity beyond the window keeps the sender from ever blocking on this
+	// channel rather than on window credit.
 	type inflight struct {
+		off    uint64
 		events []trace.Event
 		sentAt time.Time
 	}
@@ -743,37 +799,21 @@ func runStreamWorker(ctx context.Context, client *server.Client, ins *instrument
 	sendErr := make(chan error, 1)
 	go func() {
 		defer close(pending)
-		batch := make([]trace.Event, 0, cfg.batch)
-		flush := func() error {
-			if len(batch) == 0 {
-				return nil
+		for {
+			// Each batch gets its own buffer: it belongs to the receiver
+			// until its decisions arrive.
+			off, evs := src.next(make([]trace.Event, 0, cfg.batch))
+			if len(evs) == 0 {
+				sendErr <- nil
+				return
 			}
-			// The batch buffer is reused; the in-flight copy belongs to
-			// the receiver until its decisions arrive.
-			evs := make([]trace.Event, len(batch))
-			copy(evs, batch)
 			t0 := time.Now()
 			if err := st.SendKind(ctx, cfg.kind, evs); err != nil {
-				return err
+				sendErr <- err
+				return
 			}
-			pending <- inflight{events: evs, sentAt: t0}
-			batch = batch[:0]
-			return nil
+			pending <- inflight{off: off, events: evs, sentAt: t0}
 		}
-		for {
-			ev, ok := stream.Next()
-			if !ok {
-				break
-			}
-			batch = append(batch, ev)
-			if len(batch) == cfg.batch {
-				if err := flush(); err != nil {
-					sendErr <- err
-					return
-				}
-			}
-		}
-		sendErr <- flush()
 	}()
 
 	for inf := range pending {
@@ -782,18 +822,12 @@ func runStreamWorker(ctx context.Context, client *server.Client, ins *instrument
 			res.err = fmt.Errorf("receiving decisions: %w", err)
 			break
 		}
-		if len(ds) != len(inf.events) {
-			res.err = fmt.Errorf("%d decisions for %d events", len(ds), len(inf.events))
+		ins.batch.Observe(time.Since(inf.sentAt).Seconds())
+		if res.err = src.accept(inf.off, inf.events, ds); res.err != nil {
 			break
 		}
-		ins.batch.Observe(time.Since(inf.sentAt).Seconds())
 		ins.batches.Inc()
 		ins.events.Add(uint64(len(inf.events)))
-		res.tally(len(inf.events), ds)
-		if err := mir.check(inf.events, ds); err != nil {
-			res.err = err
-			break
-		}
 	}
 	if res.err != nil {
 		// The receive loop broke early. Close first: it discards the

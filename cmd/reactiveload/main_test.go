@@ -7,11 +7,14 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"reactivespec/internal/core"
 	"reactivespec/internal/server"
+	"reactivespec/internal/trace"
+	"reactivespec/internal/workload"
 )
 
 // testDaemon serves a real server.Server over httptest with the default
@@ -267,5 +270,123 @@ func TestRunUnreachableDaemon(t *testing.T) {
 	err := run([]string{"-addr", "http://127.0.0.1:1"}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "not reachable") {
 		t.Fatalf("err = %v, want not-reachable", err)
+	}
+}
+
+// TestSourceSkipMatchesFullRun pins the premise a failover resume rests on:
+// a fresh source skipped to event k yields the same events, and its mirror
+// the same decisions, as one full run does from k on. The config has fault
+// injection, an event cap and a non-branch kind; k is the start, mid-batch,
+// a batch boundary and the end. Skipping past the end fails.
+func TestSourceSkipMatchesFullRun(t *testing.T) {
+	cfg := workerConfig{
+		program:   "gzip@0",
+		bench:     "gzip",
+		input:     workload.InputEval,
+		scale:     0.05,
+		events:    3000,
+		batch:     256,
+		frames:    1,
+		seed:      7,
+		kind:      trace.KindValue,
+		policy:    core.PolicyReactive,
+		intensity: 0.5,
+		params:    core.DefaultParams().Scaled(100), // units leave monitoring within the cap
+		verify:    true,
+	}
+	full, err := newSource(cfg, &workerResult{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []trace.Event
+	var want []server.Decision
+	for {
+		_, batch := full.next(nil)
+		if len(batch) == 0 {
+			break
+		}
+		for _, ev := range batch {
+			events = append(events, ev)
+			want = append(want, full.mir.step(ev))
+		}
+	}
+	total := uint64(len(events))
+	if total <= 2*uint64(cfg.batch) || total > cfg.events {
+		t.Fatalf("full run has %d events, want (%d, %d]", total, 2*cfg.batch, cfg.events)
+	}
+	// The skip must carry the controller state: a cold mirror over the same
+	// tail decides differently, so the comparison below can fail.
+	cold, err := newMirror(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 2 * uint64(cfg.batch)
+	for i, ev := range events[k:] {
+		if cold.step(ev) != want[k+uint64(i)] {
+			break
+		}
+		if k+uint64(i) == total-1 {
+			t.Fatal("a cold mirror over the tail matches the full run; the config exercises no state")
+		}
+	}
+
+	for _, k := range []uint64{0, 100, 2 * uint64(cfg.batch), total} {
+		var res workerResult
+		src, err := newSource(cfg, &res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.skip(k); err != nil {
+			t.Fatalf("skip(%d): %v", k, err)
+		}
+		var got []server.Decision
+		for {
+			off, batch := src.next(nil)
+			if len(batch) == 0 {
+				break
+			}
+			end := off + uint64(len(batch))
+			if !slices.Equal(batch, events[off:end]) {
+				t.Fatalf("skip(%d): events [%d, %d) differ from the full run", k, off, end)
+			}
+			for _, ev := range batch {
+				got = append(got, src.mir.step(ev))
+			}
+		}
+		if !slices.Equal(got, want[k:]) {
+			t.Fatalf("skip(%d): %d mirror decisions differ from the full run's last %d", k, len(got), total-k)
+		}
+	}
+
+	// accept verifies and tallies at absolute indices: a source skipped to
+	// mid-batch accepts the full run's decisions, and a preset high-water
+	// mark keeps the overlap below it out of the totals.
+	res := workerResult{acked: 300}
+	src, err := newSource(cfg, &res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.skip(100); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		off, batch := src.next(nil)
+		if len(batch) == 0 {
+			break
+		}
+		if err := src.accept(off, batch, want[off:off+uint64(len(batch))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.events != total-300 || res.acked != total {
+		t.Fatalf("tallied %d events up to %d, want %d up to %d", res.events, res.acked, total-300, total)
+	}
+
+	src, err = newSource(cfg, &workerResult{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.skip(total + 1); err == nil || !strings.Contains(err.Error(), "beyond the stream") {
+		t.Fatalf("skip(%d) past the %d-event stream: err = %v, want beyond-the-stream", total+1, total, err)
 	}
 }

@@ -136,6 +136,26 @@ func (c *Client) getJSON(ctx context.Context, op, url string, out any) error {
 	if err != nil {
 		return err
 	}
+	return decodeJSON(op, resp, out)
+}
+
+// postJSON performs a body-less POST to path and decodes a JSON body into
+// out.
+func (c *Client) postJSON(ctx context.Context, op, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, nil)
+	if err != nil {
+		return fmt.Errorf("server: %s: %w", op, err)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(op, resp, out)
+}
+
+// decodeJSON decodes a 200 response's JSON body into out, or the error
+// envelope of any other status; it closes the body.
+func decodeJSON(op string, resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return httpError(op, resp)
@@ -396,19 +416,7 @@ func (c *Client) VerifyParams(ctx context.Context, params uint64) (Info, error) 
 // Snapshot asks the daemon to persist a snapshot now.
 func (c *Client) Snapshot(ctx context.Context) (SnapshotResult, error) {
 	var out SnapshotResult
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/snapshot", nil)
-	if err != nil {
-		return out, fmt.Errorf("server: snapshot: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, httpError("snapshot", resp)
-	}
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	return out, c.postJSON(ctx, "snapshot", "/v1/snapshot", &out)
 }
 
 // Promote asks a replica daemon to seal replication and go writable
@@ -416,19 +424,7 @@ func (c *Client) Snapshot(ctx context.Context) (SnapshotResult, error) {
 // promoted — answers with an error satisfying errors.Is(err, ErrNotReplica).
 func (c *Client) Promote(ctx context.Context) (PromoteResult, error) {
 	var out PromoteResult
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/promote", nil)
-	if err != nil {
-		return out, fmt.Errorf("server: promote: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, httpError("promote", resp)
-	}
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	return out, c.postJSON(ctx, "promote", "/v1/promote", &out)
 }
 
 // Cursor fetches one (program, kind) stream's ingest position

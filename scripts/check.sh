@@ -69,6 +69,32 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
+# wait_published PID LOG LABEL FILE...: wait up to 10 s (100 x 0.1 s) until
+# every FILE is non-empty — a daemon publishes each bound address through
+# its -*-addr-file — and fail with the daemon's LOG if it exits first or
+# never publishes them all.
+wait_published() {
+    wait_pid=$1 wait_log=$2 wait_label=$3
+    shift 3
+    wait_i=0
+    for wait_file in "$@"; do
+        while [ ! -s "$wait_file" ]; do
+            wait_i=$((wait_i + 1))
+            if [ "$wait_i" -gt 100 ]; then
+                echo "$wait_label never published its address" >&2
+                cat "$wait_log" >&2
+                exit 1
+            fi
+            kill -0 "$wait_pid" 2>/dev/null || {
+                echo "$wait_label exited early" >&2
+                cat "$wait_log" >&2
+                exit 1
+            }
+            sleep 0.1
+        done
+    done
+}
+
 go build -o "$SMOKE_DIR/reactived" ./cmd/reactived
 go build -o "$SMOKE_DIR/reactiveload" ./cmd/reactiveload
 go build -o "$SMOKE_DIR/reactivespec" ./cmd/reactivespec
@@ -100,21 +126,7 @@ diff -u "$SMOKE_DIR/table3-pinned.txt" "$SMOKE_DIR/table3.txt"
     -trace-sample 1 >"$SMOKE_DIR/reactived.log" 2>&1 &
 DAEMON_PID=$!
 
-i=0
-while [ ! -s "$SMOKE_DIR/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "reactived never published its address" >&2
-        cat "$SMOKE_DIR/reactived.log" >&2
-        exit 1
-    fi
-    kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "reactived exited early" >&2
-        cat "$SMOKE_DIR/reactived.log" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+wait_published "$DAEMON_PID" "$SMOKE_DIR/reactived.log" "reactived" "$SMOKE_DIR/addr"
 ADDR=$(cat "$SMOKE_DIR/addr")
 
 "$SMOKE_DIR/reactiveload" \
@@ -197,21 +209,7 @@ echo "==> crash-recovery smoke (SIGKILL mid-ingest, WAL replay on restart)"
     -wal-dir "$SMOKE_DIR/wal" \
     -wal-fsync always >"$SMOKE_DIR/reactived-crash.log" 2>&1 &
 DAEMON_PID=$!
-i=0
-while [ ! -s "$SMOKE_DIR/addr2" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "reactived (wal) never published its address" >&2
-        cat "$SMOKE_DIR/reactived-crash.log" >&2
-        exit 1
-    fi
-    kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "reactived (wal) exited early" >&2
-        cat "$SMOKE_DIR/reactived-crash.log" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+wait_published "$DAEMON_PID" "$SMOKE_DIR/reactived-crash.log" "reactived (wal)" "$SMOKE_DIR/addr2"
 ADDR=$(cat "$SMOKE_DIR/addr2")
 
 # A verified load with the WAL on the write path.
@@ -247,21 +245,7 @@ wait "$LOAD_PID" 2>/dev/null || true
     -wal-dir "$SMOKE_DIR/wal" \
     -wal-fsync always >"$SMOKE_DIR/reactived-recovered.log" 2>&1 &
 DAEMON_PID=$!
-i=0
-while [ ! -s "$SMOKE_DIR/addr3" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "reactived never recovered after SIGKILL" >&2
-        cat "$SMOKE_DIR/reactived-recovered.log" >&2
-        exit 1
-    fi
-    kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "reactived exited during recovery" >&2
-        cat "$SMOKE_DIR/reactived-recovered.log" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+wait_published "$DAEMON_PID" "$SMOKE_DIR/reactived-recovered.log" "reactived (recovering after SIGKILL)" "$SMOKE_DIR/addr3"
 ADDR=$(cat "$SMOKE_DIR/addr3")
 
 # The pre-crash loads were acknowledged under fsync=always, so recovery
@@ -310,21 +294,8 @@ echo "==> failover smoke (SIGKILL primary mid-run, promote replica, verified res
     -trace-spans "$SMOKE_DIR/spans-primary.jsonl" \
     -trace-sample 1 >"$SMOKE_DIR/reactived-primary.log" 2>&1 &
 DAEMON_PID=$!
-i=0
-while [ ! -s "$SMOKE_DIR/addr-primary" ] || [ ! -s "$SMOKE_DIR/repl-addr" ] || [ ! -s "$SMOKE_DIR/debug-addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "primary reactived never published its addresses" >&2
-        cat "$SMOKE_DIR/reactived-primary.log" >&2
-        exit 1
-    fi
-    kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "primary reactived exited early" >&2
-        cat "$SMOKE_DIR/reactived-primary.log" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+wait_published "$DAEMON_PID" "$SMOKE_DIR/reactived-primary.log" "primary reactived" \
+    "$SMOKE_DIR/addr-primary" "$SMOKE_DIR/repl-addr" "$SMOKE_DIR/debug-addr"
 
 "$SMOKE_DIR/reactived" \
     -addr 127.0.0.1:0 \
@@ -337,21 +308,7 @@ done
     -trace-sample 1 \
     -replica-of "$(cat "$SMOKE_DIR/repl-addr")" >"$SMOKE_DIR/reactived-replica.log" 2>&1 &
 REPLICA_PID=$!
-i=0
-while [ ! -s "$SMOKE_DIR/addr-replica" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "replica reactived never published its address" >&2
-        cat "$SMOKE_DIR/reactived-replica.log" >&2
-        exit 1
-    fi
-    kill -0 "$REPLICA_PID" 2>/dev/null || {
-        echo "replica reactived exited early" >&2
-        cat "$SMOKE_DIR/reactived-replica.log" >&2
-        exit 1
-    }
-    sleep 0.1
-done
+wait_published "$REPLICA_PID" "$SMOKE_DIR/reactived-replica.log" "replica reactived" "$SMOKE_DIR/addr-replica"
 
 "$SMOKE_DIR/reactiveload" \
     -addr "http://$(cat "$SMOKE_DIR/addr-primary")" \
