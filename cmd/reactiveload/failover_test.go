@@ -43,7 +43,10 @@ func (w *statusWriter) WriteHeader(code int) {
 // however fast the run is.
 func startFailoverPair(t *testing.T, killProgram string, killAfter uint64) *failoverPair {
 	t.Helper()
-	params := core.DefaultParams().Scaled(10) // reactiveload's default -param-scale
+	// Param scale 100 (the run passes -param-scale 100): at the default 10
+	// no unit leaves monitoring within the run, so a resume that lost the
+	// mirror's controller state would still verify.
+	params := core.DefaultParams().Scaled(100)
 	hash := server.ParamsHash(params)
 
 	pl, err := wal.Open(wal.Options{Dir: t.TempDir(), ParamsHash: hash, Policy: wal.SyncAlways})
@@ -133,6 +136,7 @@ func TestRunFailover(t *testing.T) {
 				"-events", "6000",
 				"-concurrency", "2",
 				"-batch", "256",
+				"-param-scale", "100",
 			}, &out)
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -168,6 +172,9 @@ func TestRunFailover(t *testing.T) {
 			}
 			if verdictTotal != rep.Events {
 				t.Fatalf("verdict counts sum to %d, want %d", verdictTotal, rep.Events)
+			}
+			if rep.Verdicts["correct"] == 0 {
+				t.Fatalf("no speculated event verified (verdicts %v): the run never left monitoring", rep.Verdicts)
 			}
 		})
 	}

@@ -55,29 +55,26 @@ func ProfileAveraging(cfg Config, counts []int) ([]AveragingRow, error) {
 			}
 			profiles[i] = bias.FromStream(workload.NewGenerator(spec))
 		}
-		var rows []AveragingRow
-		for _, k := range counts {
-			merged := bias.Merge(profiles[:k]...)
-			sel := merged.Select(0.99, 1)
-			st := harness.Run(workload.NewGenerator(eval), baseline.NewStatic(sel))
-			rows = append(rows, AveragingRow{
-				Bench:      name,
-				Profiles:   k,
-				CorrectPct: st.CorrectFrac() * 100,
-				WrongPct:   st.MisspecFrac() * 100,
-				Selected:   sel.Len(),
-			})
+		rows := make([]AveragingRow, len(counts))
+		ctls := make([]harness.Controller, len(counts))
+		for i, k := range counts {
+			sel := bias.Merge(profiles[:k]...).Select(0.99, 1)
+			rows[i] = AveragingRow{Bench: name, Profiles: k, Selected: sel.Len()}
+			ctls[i] = baseline.NewStatic(sel)
+		}
+		sts, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(eval), ctls...)
+		if err != nil {
+			return nil, err
+		}
+		for i, st := range sts {
+			rows[i].CorrectPct, rows[i].WrongPct = pcts(st)
 		}
 		return rows, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []AveragingRow
-	for _, rs := range perBench {
-		rows = append(rows, rs...)
-	}
-	return rows, nil
+	return concat(perBench), nil
 }
 
 // WriteAveraging renders the profile-averaging study.
@@ -113,23 +110,17 @@ func FlushPolicy(cfg Config) ([]FlushRow, error) {
 		if err != nil {
 			return FlushRow{}, err
 		}
-		row := FlushRow{Bench: name}
-
-		st := harness.Run(workload.NewGenerator(spec), core.New(params))
-		row.Closed.CorrectPct = st.CorrectFrac() * 100
-		row.Closed.WrongPct = st.MisspecFrac() * 100
-
 		// Flush every ~1/6th of the run: a few phase-level flushes.
 		fl := baseline.NewFlush(params.MonitorPeriod, 0.99, spec.Instructions()/6)
-		st = harness.Run(workload.NewGenerator(spec), fl)
-		row.Flush.CorrectPct = st.CorrectFrac() * 100
-		row.Flush.WrongPct = st.MisspecFrac() * 100
-		row.Flushes = fl.Flushes
-
-		st = harness.Run(workload.NewGenerator(spec), core.New(params.WithNoEviction()))
-		row.Open.CorrectPct = st.CorrectFrac() * 100
-		row.Open.WrongPct = st.MisspecFrac() * 100
-
+		sts, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(spec),
+			core.New(params), fl, core.New(params.WithNoEviction()))
+		if err != nil {
+			return FlushRow{}, err
+		}
+		row := FlushRow{Bench: name, Flushes: fl.Flushes}
+		row.Closed.CorrectPct, row.Closed.WrongPct = pcts(sts[0])
+		row.Flush.CorrectPct, row.Flush.WrongPct = pcts(sts[1])
+		row.Open.CorrectPct, row.Open.WrongPct = pcts(sts[2])
 		return row, nil
 	})
 }
@@ -220,7 +211,8 @@ func sweepApply(kind SweepKind, base core.Params, v uint64) core.Params {
 }
 
 // Sweep runs one parameter sweep over the configured benchmarks and returns
-// suite-aggregate points.
+// suite-aggregate points. Each benchmark's stream is generated once and
+// scores every value in lockstep; the points sum the benchmarks in order.
 func Sweep(cfg Config, kind SweepKind) ([]SweepPoint, error) {
 	cfg = cfg.withDefaults()
 	base := cfg.Params()
@@ -228,38 +220,54 @@ func Sweep(cfg Config, kind SweepKind) ([]SweepPoint, error) {
 	if values == nil {
 		return nil, errUnknownSweep(kind)
 	}
-	return runParallelN(cfg.ctx(), len(values), func(i int) (SweepPoint, error) {
-		v := values[i]
-		params := sweepApply(kind, base, v)
-		var events, correct, wrong uint64
-		var evictions, selections uint64
-		retired := 0
-		for _, name := range cfg.Benchmarks {
-			spec, err := cfg.build(name, workload.InputEval)
-			if err != nil {
-				return SweepPoint{}, err
-			}
-			ctl := core.New(params)
-			st := harness.Run(workload.NewGenerator(spec), ctl)
-			events += st.Events
-			correct += st.Correct
-			wrong += st.Misspec
-			cs := ctl.Stats()
-			evictions += cs.Evictions
-			selections += cs.Selections
-			_, _, _, r := ctl.StaticCounts()
-			retired += r
+	perBench, err := runParallel(cfg.ctx(), cfg.Benchmarks, func(name string) ([]sweepCell, error) {
+		spec, err := cfg.build(name, workload.InputEval)
+		if err != nil {
+			return nil, err
 		}
-		return SweepPoint{
-			Label:      string(kind),
-			Value:      v,
-			CorrectPct: 100 * float64(correct) / float64(events),
-			WrongPct:   100 * float64(wrong) / float64(events),
-			Evictions:  evictions,
-			Selections: selections,
-			Retired:    retired,
-		}, nil
+		ctls := make([]harness.Controller, len(values))
+		for i, v := range values {
+			ctls[i] = core.New(sweepApply(kind, base, v))
+		}
+		if _, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(spec), ctls...); err != nil {
+			return nil, err
+		}
+		cells := make([]sweepCell, len(values))
+		for i, ctl := range ctls {
+			c := ctl.(*core.Controller)
+			_, _, _, retired := c.StaticCounts()
+			cells[i] = sweepCell{c.Stats(), retired}
+		}
+		return cells, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	points := make([]SweepPoint, len(values))
+	for i, v := range values {
+		var sum core.Stats
+		p := SweepPoint{Label: string(kind), Value: v}
+		for _, cells := range perBench {
+			c := cells[i]
+			sum.Events += c.Events
+			sum.Correct += c.Correct
+			sum.Misspec += c.Misspec
+			p.Evictions += c.Evictions
+			p.Selections += c.Selections
+			p.Retired += c.retired
+		}
+		p.CorrectPct = 100 * float64(sum.Correct) / float64(sum.Events)
+		p.WrongPct = 100 * float64(sum.Misspec) / float64(sum.Events)
+		points[i] = p
+	}
+	return points, nil
+}
+
+// sweepCell is one sweep value's outcome on one benchmark: the controller's
+// own Stats and its count of units retired by the oscillation limit.
+type sweepCell struct {
+	core.Stats
+	retired int
 }
 
 type errUnknownSweep SweepKind

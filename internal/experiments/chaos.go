@@ -93,35 +93,20 @@ func Chaos(cfg Config, intensities []float64) ([]ChaosPoint, error) {
 		var points []ChaosPoint
 		for _, intensity := range intensities {
 			mix := chaosMix(intensity, eval)
-			faulted, ok := mix.Apply(workload.NewGenerator(eval), eval.Events).(trace.ResetStream)
-			if !ok {
-				return nil, fmt.Errorf("chaos: faulted %s stream lost resettability", name)
+			faulted := mix.Apply(workload.NewGenerator(eval), eval.Events)
+			// One controller per ChaosMechanisms entry, in its order.
+			sts, err := harness.RunAll(cfg.ctx(), faulted,
+				core.New(params),
+				baseline.NewStatic(selfSel),
+				baseline.NewStatic(prevSel),
+				baseline.NewInitialBehavior(trainLen, 0.99))
+			if err != nil {
+				return nil, fmt.Errorf("chaos %s intensity %v: %w", name, intensity, err)
 			}
-			for _, mech := range ChaosMechanisms {
-				var ctl harness.Controller
-				switch mech {
-				case "reactive":
-					ctl = core.New(params)
-				case "self-train-99":
-					ctl = baseline.NewStatic(selfSel)
-				case "prev-profile-99":
-					ctl = baseline.NewStatic(prevSel)
-				case "initial-behavior":
-					ctl = baseline.NewInitialBehavior(trainLen, 0.99)
-				}
-				faulted.Reset()
-				st, err := harness.RunContext(cfg.ctx(), faulted, ctl)
-				if err != nil {
-					return nil, fmt.Errorf("chaos %s intensity %v %s: %w", name, intensity, mech, err)
-				}
-				points = append(points, ChaosPoint{
-					Bench:      name,
-					Intensity:  intensity,
-					Mechanism:  mech,
-					CorrectPct: st.CorrectFrac() * 100,
-					WrongPct:   st.MisspecFrac() * 100,
-					Events:     st.Events,
-				})
+			for i, st := range sts {
+				p := ChaosPoint{Bench: name, Intensity: intensity, Mechanism: ChaosMechanisms[i], Events: st.Events}
+				p.CorrectPct, p.WrongPct = pcts(st)
+				points = append(points, p)
 			}
 		}
 		return points, nil
@@ -129,11 +114,7 @@ func Chaos(cfg Config, intensities []float64) ([]ChaosPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var points []ChaosPoint
-	for _, ps := range perBench {
-		points = append(points, ps...)
-	}
-	return points, nil
+	return concat(perBench), nil
 }
 
 // ChaosSummaryRow aggregates one (intensity, mechanism) cell across the

@@ -78,6 +78,12 @@ func (c Config) Params() core.Params {
 	return p
 }
 
+// pcts returns a run's correct and incorrect speculation as percentages of
+// its events.
+func pcts(st core.Stats) (correct, wrong float64) {
+	return st.CorrectFrac() * 100, st.MisspecFrac() * 100
+}
+
 func (c Config) build(name string, input workload.InputID) (*workload.Spec, error) {
 	return workload.Build(name, input, c.workloadOptions())
 }

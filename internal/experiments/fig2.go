@@ -76,26 +76,25 @@ func Fig2(cfg Config) ([]Fig2Series, error) {
 		}
 
 		// Triangle: select from the profile input, evaluate on the
-		// evaluation input.
+		// evaluation input. Crosses: initial behavior at increasing
+		// training lengths. All of them score one pass of the evaluation
+		// stream.
 		trainProfile := bias.FromStream(workload.NewGenerator(prof))
-		evalGen.Reset()
-		st := harness.Run(evalGen, baseline.NewStatic(trainProfile.Select(0.99, 1)))
-		s.TrainInput = Fig2Point{
-			Label:      "train-input",
-			CorrectPct: st.CorrectFrac() * 100,
-			WrongPct:   st.MisspecFrac() * 100,
-		}
-
-		// Crosses: initial behavior at increasing training lengths.
+		ctls := []harness.Controller{baseline.NewStatic(trainProfile.Select(0.99, 1))}
 		for _, n := range trainLens {
-			evalGen.Reset()
-			ib := baseline.NewInitialBehavior(n, 0.99)
-			st := harness.Run(evalGen, ib)
-			s.Initial = append(s.Initial, Fig2Point{
-				Label:      "initial-" + stats.Count(n),
-				CorrectPct: st.CorrectFrac() * 100,
-				WrongPct:   st.MisspecFrac() * 100,
-			})
+			ctls = append(ctls, baseline.NewInitialBehavior(n, 0.99))
+		}
+		evalGen.Reset()
+		sts, err := harness.RunAll(cfg.ctx(), evalGen, ctls...)
+		if err != nil {
+			return Fig2Series{}, err
+		}
+		s.TrainInput = Fig2Point{Label: "train-input"}
+		s.TrainInput.CorrectPct, s.TrainInput.WrongPct = pcts(sts[0])
+		for i, n := range trainLens {
+			p := Fig2Point{Label: "initial-" + stats.Count(n)}
+			p.CorrectPct, p.WrongPct = pcts(sts[i+1])
+			s.Initial = append(s.Initial, p)
 		}
 		return s, nil
 	})

@@ -33,27 +33,28 @@ var Fig5ConfigNames = []string{
 	"no-evict",
 }
 
-// fig5Params returns the controller parameters for a named configuration
-// derived from the experiment baseline (Section 3.3's sensitivity study).
-func fig5Params(base core.Params, name string) (core.Params, bool) {
+// fig5Controller returns the controller for a named configuration: the
+// self-training selection from the run's own profile, or the reactive model
+// with parameters derived from the experiment baseline (Section 3.3's
+// sensitivity study).
+func fig5Controller(name string, base core.Params, prof *bias.Profile) harness.Controller {
 	switch name {
-	case "baseline":
-		return base, true
+	case "self-train-99":
+		return baseline.NewStatic(prof.Select(0.99, 1))
 	case "no-evict":
-		return base.WithNoEviction(), true
+		base = base.WithNoEviction()
 	case "no-revisit":
-		return base.WithNoRevisit(), true
+		base = base.WithNoRevisit()
 	case "lower-evict-threshold":
-		return base.WithEvictThreshold(base.EvictThreshold / 10), true
+		base = base.WithEvictThreshold(base.EvictThreshold / 10)
 	case "evict-by-sampling":
-		return base.WithSamplingEviction(), true
+		base = base.WithSamplingEviction()
 	case "frequent-revisit":
-		return base.WithWaitPeriod(base.WaitPeriod / 10), true
+		base = base.WithWaitPeriod(base.WaitPeriod / 10)
 	case "monitor-sampling":
-		return base.WithMonitorSampling(8), true
-	default:
-		return base, false
+		base = base.WithMonitorSampling(8)
 	}
+	return core.New(base)
 }
 
 // Fig5 reproduces Figure 5 and the data behind Table 4: the reactive model
@@ -67,38 +68,30 @@ func Fig5(cfg Config) ([]Fig5Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		var points []Fig5Point
-		for _, conf := range Fig5ConfigNames {
-			var st core.Stats
-			if conf == "self-train-99" {
-				gen := workload.NewGenerator(spec)
-				prof := bias.FromStream(gen)
-				gen.Reset()
-				st = harness.Run(gen, baseline.NewStatic(prof.Select(0.99, 1)))
-			} else {
-				params, ok := fig5Params(base, conf)
-				if !ok {
-					continue
-				}
-				st = harness.Run(workload.NewGenerator(spec), core.New(params))
-			}
-			points = append(points, Fig5Point{
-				Bench:      name,
-				Config:     conf,
-				CorrectPct: st.CorrectFrac() * 100,
-				WrongPct:   st.MisspecFrac() * 100,
-			})
+		// One pass profiles the run for the self-training line; one more
+		// scores every configuration in lockstep.
+		gen := workload.NewGenerator(spec)
+		prof := bias.FromStream(gen)
+		gen.Reset()
+		ctls := make([]harness.Controller, len(Fig5ConfigNames))
+		for i, conf := range Fig5ConfigNames {
+			ctls[i] = fig5Controller(conf, base, prof)
+		}
+		sts, err := harness.RunAll(cfg.ctx(), gen, ctls...)
+		if err != nil {
+			return nil, err
+		}
+		points := make([]Fig5Point, len(sts))
+		for i, st := range sts {
+			points[i] = Fig5Point{Bench: name, Config: Fig5ConfigNames[i]}
+			points[i].CorrectPct, points[i].WrongPct = pcts(st)
 		}
 		return points, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var points []Fig5Point
-	for _, ps := range perBench {
-		points = append(points, ps...)
-	}
-	return points, nil
+	return concat(perBench), nil
 }
 
 // Table4Row is one row of Table 4: a configuration's correct and incorrect

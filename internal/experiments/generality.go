@@ -49,17 +49,16 @@ func Generality(cfg Config) ([]GeneralityRow, error) {
 	gen := workload.NewGenerator(spec)
 	prof := bias.FromStream(gen)
 	gen.Reset()
-	st := harness.Run(gen, baseline.NewStatic(prof.Select(0.99, 1)))
-	rows = append(rows, GeneralityRow{Domain: "memory-dependence", Policy: "self-train-99",
-		CorrectPct: st.CorrectFrac() * 100, WrongPct: st.MisspecFrac() * 100})
-	gen.Reset()
-	st = harness.Run(gen, core.New(params))
-	rows = append(rows, GeneralityRow{Domain: "memory-dependence", Policy: "reactive",
-		CorrectPct: st.CorrectFrac() * 100, WrongPct: st.MisspecFrac() * 100})
-	gen.Reset()
-	st = harness.Run(gen, core.New(params.WithNoEviction()))
-	rows = append(rows, GeneralityRow{Domain: "memory-dependence", Policy: "no-evict",
-		CorrectPct: st.CorrectFrac() * 100, WrongPct: st.MisspecFrac() * 100})
+	sts, err := harness.RunAll(cfg.ctx(), gen, baseline.NewStatic(prof.Select(0.99, 1)),
+		core.New(params), core.New(params.WithNoEviction()))
+	if err != nil {
+		return nil, err
+	}
+	for i, pol := range []string{"self-train-99", "reactive", "no-evict"} {
+		r := GeneralityRow{Domain: "memory-dependence", Policy: pol}
+		r.CorrectPct, r.WrongPct = pcts(sts[i])
+		rows = append(rows, r)
+	}
 	return rows, nil
 }
 

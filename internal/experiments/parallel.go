@@ -21,21 +21,10 @@ import (
 // not yet started when ctx is canceled are skipped; the context error is
 // reported once.
 func runParallel[T any](ctx context.Context, names []string, fn func(name string) (T, error)) ([]T, error) {
-	return runWorkers(ctx, len(names), func(i int) string { return fmt.Sprintf("benchmark %q", names[i]) },
-		func(i int) (T, error) { return fn(names[i]) })
-}
-
-// runParallelN is runParallel over integer indices [0, n).
-func runParallelN[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
-	return runWorkers(ctx, n, func(i int) string { return fmt.Sprintf("work unit %d", i) }, fn)
-}
-
-// runWorkers is the shared bounded-concurrency fan-out: n work units,
-// labeled for error attribution by label(i).
-func runWorkers[T any](ctx context.Context, n int, label func(i int) string, fn func(i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(names)
 	results := make([]T, n)
 	errs := make([]error, n)
 	sem := make(chan struct{}, maxWorkers())
@@ -48,14 +37,14 @@ func runWorkers[T any](ctx context.Context, n int, label func(i int) string, fn 
 			defer func() { <-sem }()
 			defer func() {
 				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("%s: panic: %v\n%s", label(i), r, debug.Stack())
+					errs[i] = fmt.Errorf("benchmark %q: panic: %v\n%s", names[i], r, debug.Stack())
 				}
 			}()
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				return
 			}
-			results[i], errs[i] = fn(i)
+			results[i], errs[i] = fn(names[i])
 		}(i)
 	}
 	wg.Wait()
@@ -79,6 +68,15 @@ func runWorkers[T any](ctx context.Context, n int, label func(i int) string, fn 
 		return nil, errors.Join(failures...)
 	}
 	return results, nil
+}
+
+// concat joins per-benchmark results in benchmark order.
+func concat[T any](perBench [][]T) []T {
+	var out []T
+	for _, part := range perBench {
+		out = append(out, part...)
+	}
+	return out
 }
 
 func maxWorkers() int {

@@ -74,18 +74,6 @@ func TestRunParallelRecoversPanicWithAttribution(t *testing.T) {
 	}
 }
 
-func TestRunParallelNRecoversPanicWithIndex(t *testing.T) {
-	_, err := runParallelN(context.Background(), 4, func(i int) (int, error) {
-		if i == 2 {
-			panic("index bomb")
-		}
-		return i, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "work unit 2") {
-		t.Fatalf("panic error lacks index attribution: %v", err)
-	}
-}
-
 func TestRunParallelCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -117,17 +105,5 @@ func TestRunParallelEmpty(t *testing.T) {
 	got, err := runParallel(context.Background(), nil, func(string) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty input: %v %v", got, err)
-	}
-}
-
-func TestRunParallelN(t *testing.T) {
-	got, err := runParallelN(context.Background(), 7, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("result[%d] = %d", i, v)
-		}
 	}
 }

@@ -25,7 +25,8 @@ type PolicyPoint struct {
 // three-way comparison the paper makes piecewise: its reactive FSM against
 // the self-training one-shot classifier (Section 2.1) and against a
 // probability-weighted selector. Each policy sees the exact event sequence
-// the others do, so differences are attributable to the policy alone.
+// the others do, on one lockstep pass, so differences are attributable to
+// the policy alone.
 func Policies(cfg Config) ([]PolicyPoint, error) {
 	cfg = cfg.withDefaults()
 	params := cfg.Params()
@@ -34,31 +35,28 @@ func Policies(cfg Config) ([]PolicyPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		var points []PolicyPoint
-		for _, pol := range core.PolicyNames() {
-			ctl, err := core.NewPolicySet(pol, params)
-			if err != nil {
+		names := core.PolicyNames()
+		ctls := make([]harness.Controller, len(names))
+		for i, pol := range names {
+			if ctls[i], err = core.NewPolicySet(pol, params); err != nil {
 				return nil, err
 			}
-			st := harness.Run(workload.NewGenerator(spec), ctl)
-			points = append(points, PolicyPoint{
-				Bench:       name,
-				Policy:      pol,
-				CorrectPct:  st.CorrectFrac() * 100,
-				WrongPct:    st.MisspecFrac() * 100,
-				MisspecDist: st.MisspecDistance(),
-			})
+		}
+		sts, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(spec), ctls...)
+		if err != nil {
+			return nil, err
+		}
+		points := make([]PolicyPoint, len(sts))
+		for i, st := range sts {
+			points[i] = PolicyPoint{Bench: name, Policy: names[i], MisspecDist: st.MisspecDistance()}
+			points[i].CorrectPct, points[i].WrongPct = pcts(st)
 		}
 		return points, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var points []PolicyPoint
-	for _, ps := range perBench {
-		points = append(points, ps...)
-	}
-	return points, nil
+	return concat(perBench), nil
 }
 
 // PolicySummaryRow is one policy's quality averaged across the benchmarks.

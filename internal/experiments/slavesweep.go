@@ -46,11 +46,7 @@ func SlaveSweep(cfg Config) ([]SlaveSweepRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []SlaveSweepRow
-	for _, rs := range perBench {
-		rows = append(rows, rs...)
-	}
-	return rows, nil
+	return concat(perBench), nil
 }
 
 // WriteSlaveSweep renders the trailing-core-count sweep.

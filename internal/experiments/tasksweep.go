@@ -63,11 +63,7 @@ func TaskSweep(cfg Config) ([]TaskSweepRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []TaskSweepRow
-	for _, rs := range perBench {
-		rows = append(rows, rs...)
-	}
-	return rows, nil
+	return concat(perBench), nil
 }
 
 // WriteTaskSweep renders the task-granularity sweep.

@@ -20,7 +20,8 @@ type Controller interface {
 }
 
 // instrSink is implemented by controllers that keep their own instruction
-// count (core.Controller does, for its Stats' misspeculation distance).
+// count (core.Controller does, for its Stats' misspeculation distance). The
+// harness credits a run's instructions once, when the run ends.
 type instrSink interface {
 	AddInstrs(n uint64)
 }
@@ -29,11 +30,11 @@ type instrSink interface {
 // statistics: Events, Instrs and the verdict partition. The transition
 // counts stay zero; a core.Controller keeps them in its own Stats.
 func Run(s trace.Stream, ctl Controller) core.Stats {
-	st, _ := run(context.Background(), s, ctl, nil)
-	return st
+	st, _ := run(context.Background(), s, []Controller{ctl}, nil)
+	return st[0]
 }
 
-// ctxCheckEvery is how many events RunContext processes between context
+// ctxCheckEvery is how many events the loop processes between context
 // polls: frequent enough that cancelation lands within milliseconds, rare
 // enough to stay invisible in the hot loop.
 const ctxCheckEvery = 1 << 16
@@ -44,10 +45,19 @@ const ctxCheckEvery = 1 << 16
 // sweeps use it so a deadline cancels mid-benchmark, not only between
 // benchmarks.
 func RunContext(ctx context.Context, s trace.Stream, ctl Controller) (core.Stats, error) {
+	st, err := RunAll(ctx, s, ctl)
+	return st[0], err
+}
+
+// RunAll scores every controller on one pass over the stream: each event is
+// pulled once and handed to the controllers in slice order, so Stats[i]
+// equals what Run returns for ctls[i] over an identical stream. Cancelation
+// is RunContext's, and every controller stops at the same event.
+func RunAll(ctx context.Context, s trace.Stream, ctls ...Controller) ([]core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return run(ctx, s, ctl, nil)
+	return run(ctx, s, ctls, nil)
 }
 
 // Observer is an optional per-event callback for experiments that need to
@@ -58,35 +68,42 @@ type Observer func(ev trace.Event, instr uint64, v core.Verdict)
 
 // RunObserved is Run with a per-event observer.
 func RunObserved(s trace.Stream, ctl Controller, obs Observer) core.Stats {
-	st, _ := run(context.Background(), s, ctl, obs)
-	return st
+	st, _ := run(context.Background(), s, []Controller{ctl}, obs)
+	return st[0]
 }
 
-// run is the one harness loop behind Run, RunContext and RunObserved.
-func run(ctx context.Context, s trace.Stream, ctl Controller, obs Observer) (core.Stats, error) {
-	var st core.Stats
-	sink, _ := ctl.(instrSink)
+// run is the one harness loop behind Run, RunContext, RunAll and
+// RunObserved. obs, when non-nil, sees every controller's verdict. Every
+// controller sees the same instructions, so Stats.Instrs and each
+// instrSink are credited once, when the run ends.
+func run(ctx context.Context, s trace.Stream, ctls []Controller, obs Observer) ([]core.Stats, error) {
+	st := make([]core.Stats, len(ctls))
 	instr := uint64(0)
-	for {
-		if st.Events%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return st, err
+	var err error
+	for events := uint64(0); ; events++ {
+		if events%ctxCheckEvery == 0 {
+			if err = ctx.Err(); err != nil {
+				break
 			}
 		}
 		ev, ok := s.Next()
 		if !ok {
-			return st, nil
+			break
 		}
-		gap := uint64(ev.Gap)
-		instr += gap
-		if sink != nil {
-			sink.AddInstrs(gap)
-		}
-		st.Instrs += gap
-		v := ctl.OnBranch(ev.Branch, ev.Taken, instr)
-		st.Count(v)
-		if obs != nil {
-			obs(ev, instr, v)
+		instr += uint64(ev.Gap)
+		for i, ctl := range ctls {
+			v := ctl.OnBranch(ev.Branch, ev.Taken, instr)
+			st[i].Count(v)
+			if obs != nil {
+				obs(ev, instr, v)
+			}
 		}
 	}
+	for i, ctl := range ctls {
+		st[i].Instrs = instr
+		if sink, ok := ctl.(instrSink); ok {
+			sink.AddInstrs(instr)
+		}
+	}
+	return st, err
 }

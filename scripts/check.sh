@@ -278,7 +278,10 @@ DAEMON_PID=""
 # requires each decision — before the crash, re-sent overlap, and the
 # surviving tail — to match its in-process mirror bitwise. reactiveload
 # exits nonzero if the kill never landed mid-run, so this smoke cannot
-# silently degrade into a plain load.
+# silently degrade into a plain load. Both daemons and the load run at
+# -param-scale 100, where units leave monitoring within the run, and the
+# report must count verified correct speculations: a resume that lost the
+# mirror's controller state then shows up as a mismatch.
 echo "==> failover smoke (SIGKILL primary mid-run, promote replica, verified resume)"
 "$SMOKE_DIR/reactived" \
     -addr 127.0.0.1:0 \
@@ -287,6 +290,7 @@ echo "==> failover smoke (SIGKILL primary mid-run, promote replica, verified res
     -snapshot-interval 0 \
     -wal-dir "$SMOKE_DIR/wal-primary" \
     -wal-fsync always \
+    -param-scale 100 \
     -replication-addr 127.0.0.1:0 \
     -replication-addr-file "$SMOKE_DIR/repl-addr" \
     -debug-addr 127.0.0.1:0 \
@@ -304,6 +308,7 @@ wait_published "$DAEMON_PID" "$SMOKE_DIR/reactived-primary.log" "primary reactiv
     -snapshot-interval 0 \
     -wal-dir "$SMOKE_DIR/wal-replica" \
     -wal-fsync always \
+    -param-scale 100 \
     -trace-spans "$SMOKE_DIR/spans-replica.jsonl" \
     -trace-sample 1 \
     -replica-of "$(cat "$SMOKE_DIR/repl-addr")" >"$SMOKE_DIR/reactived-replica.log" 2>&1 &
@@ -323,9 +328,16 @@ wait_published "$REPLICA_PID" "$SMOKE_DIR/reactived-replica.log" "replica reacti
     -scale 0.2 \
     -events 6000 \
     -concurrency 2 \
-    -batch 256 >"$SMOKE_DIR/failover-report.json" 2>"$SMOKE_DIR/failover-metrics.txt"
+    -batch 256 \
+    -param-scale 100 >"$SMOKE_DIR/failover-report.json" 2>"$SMOKE_DIR/failover-metrics.txt"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
+
+if ! grep -Eq '"correct": [1-9]' "$SMOKE_DIR/failover-report.json"; then
+    echo "failover run verified no speculated event (no unit left monitoring)" >&2
+    cat "$SMOKE_DIR/failover-report.json" >&2
+    exit 1
+fi
 
 # -failover-debug must have captured the primary's replication expvars (the
 # follower-lag snapshot) in its last instant alive.
