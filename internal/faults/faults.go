@@ -5,10 +5,9 @@
 //
 // Every injector is a stream transformer: it wraps a trace.Stream and yields
 // a perturbed stream. All randomness derives from the injector's seed, so a
-// faulted stream is exactly reproducible, and each injector implements
-// trace.ResetStream whenever the underlying stream does (replaying the
-// identical faulted sequence after Reset). Zero-intensity injectors are the
-// identity transform.
+// faulted stream is exactly reproducible: the same seed over the same inner
+// stream yields the same events. Zero-intensity injectors are the identity
+// transform.
 //
 // The injectors model the failure classes the paper's robustness argument
 // is about: outcome corruption (noise in the observed outcomes), event loss
@@ -65,53 +64,18 @@ func satGap(g uint64) uint32 {
 	return uint32(g)
 }
 
-// resetter is a fault stream's full interface: Stream plus rewind.
-type resetter interface {
-	trace.Stream
-	Reset()
-}
-
-// guard returns w itself when inner is resettable — so the fault stream
-// implements trace.ResetStream too — and a Stream-only view otherwise
-// (hiding Reset, which could not replay a single-use inner stream).
-func guard(inner trace.Stream, w resetter) trace.Stream {
-	if _, ok := inner.(trace.ResetStream); ok {
-		return w
-	}
-	return streamOnly{w}
-}
-
-type streamOnly struct{ s trace.Stream }
-
-func (o streamOnly) Next() (trace.Event, bool) { return o.s.Next() }
-
-// resetInner rewinds the wrapped stream; guard guarantees it is resettable
-// whenever a fault stream's Reset is reachable.
-func resetInner(s trace.Stream) {
-	s.(trace.ResetStream).Reset()
-}
-
 // Flip corrupts outcomes: each event's Taken bit is inverted independently
 // with probability rate. It models observation noise and predictor-state
 // corruption.
 func Flip(s trace.Stream, rate float64, seed uint64) trace.Stream {
-	f := &flipStream{s: s, rate: rate, seed: seed}
-	f.Reset0()
-	return guard(s, f)
+	return &flipStream{s: s, rate: rate, rnd: rng{state: seed}}
 }
 
 type flipStream struct {
 	s    trace.Stream
 	rate float64
-	seed uint64
 	rnd  rng
 }
-
-// Reset0 resets only the injector's own state (used at construction, before
-// the inner stream has produced anything).
-func (f *flipStream) Reset0() { f.rnd = rng{state: f.seed} }
-
-func (f *flipStream) Reset() { f.Reset0(); resetInner(f.s) }
 
 func (f *flipStream) Next() (trace.Event, bool) {
 	ev, ok := f.s.Next()
@@ -132,15 +96,12 @@ func (f *flipStream) Next() (trace.Event, bool) {
 // accumulated gap, so the total gap of the stream is conserved exactly
 // (up to Gap's uint32 saturation).
 func Drop(s trace.Stream, rate float64, seed uint64) trace.Stream {
-	d := &dropStream{s: s, rate: rate, seed: seed}
-	d.Reset0()
-	return guard(s, d)
+	return &dropStream{s: s, rate: rate, rnd: rng{state: seed}}
 }
 
 type dropStream struct {
 	s    trace.Stream
 	rate float64
-	seed uint64
 
 	rnd      rng
 	carry    uint64
@@ -148,13 +109,6 @@ type dropStream struct {
 	haveLast bool
 	done     bool
 }
-
-func (d *dropStream) Reset0() {
-	d.rnd = rng{state: d.seed}
-	d.carry, d.last, d.haveLast, d.done = 0, trace.Event{}, false, false
-}
-
-func (d *dropStream) Reset() { d.Reset0(); resetInner(d.s) }
 
 func (d *dropStream) Next() (trace.Event, bool) {
 	if d.done {
@@ -189,27 +143,17 @@ func (d *dropStream) Next() (trace.Event, bool) {
 // conserved. Events with Gap 1 are never duplicated (the gap cannot be split
 // while keeping both halves at least 1).
 func Duplicate(s trace.Stream, rate float64, seed uint64) trace.Stream {
-	d := &dupStream{s: s, rate: rate, seed: seed}
-	d.Reset0()
-	return guard(s, d)
+	return &dupStream{s: s, rate: rate, rnd: rng{state: seed}}
 }
 
 type dupStream struct {
 	s    trace.Stream
 	rate float64
-	seed uint64
 
 	rnd     rng
 	dup     trace.Event
 	pending bool
 }
-
-func (d *dupStream) Reset0() {
-	d.rnd = rng{state: d.seed}
-	d.pending = false
-}
-
-func (d *dupStream) Reset() { d.Reset0(); resetInner(d.s) }
 
 func (d *dupStream) Next() (trace.Event, bool) {
 	if d.pending {
@@ -253,9 +197,7 @@ func (c StormConfig) enabled() bool {
 // window — the worst case for any controller that decided once and never
 // reconsiders.
 func Storm(s trace.Stream, cfg StormConfig, seed uint64) trace.Stream {
-	st := &stormStream{s: s, cfg: cfg, seed: seed}
-	st.Reset0()
-	return guard(s, st)
+	return &stormStream{s: s, cfg: cfg, seed: seed, rnd: rng{state: seed}}
 }
 
 type stormStream struct {
@@ -267,13 +209,6 @@ type stormStream struct {
 	stormID uint64 // 1-based id of the current/most recent storm
 	left    uint64 // events remaining in the active storm
 }
-
-func (st *stormStream) Reset0() {
-	st.rnd = rng{state: st.seed}
-	st.stormID, st.left = 0, 0
-}
-
-func (st *stormStream) Reset() { st.Reset0(); resetInner(st.s) }
 
 func (st *stormStream) Next() (trace.Event, bool) {
 	ev, ok := st.s.Next()
@@ -302,20 +237,13 @@ func (st *stormStream) Next() (trace.Event, bool) {
 }
 
 // Truncate ends the stream after at most n events, modeling a run cut short.
-// Unlike trace.Head it preserves resettability.
 func Truncate(s trace.Stream, n uint64) trace.Stream {
-	t := &truncStream{s: s, n: n, left: n}
-	return guard(s, t)
+	return &truncStream{s: s, left: n}
 }
 
 type truncStream struct {
-	s       trace.Stream
-	n, left uint64
-}
-
-func (t *truncStream) Reset() {
-	t.left = t.n
-	resetInner(t.s)
+	s    trace.Stream
+	left uint64
 }
 
 func (t *truncStream) Next() (trace.Event, bool) {
@@ -334,8 +262,7 @@ func (t *truncStream) Next() (trace.Event, bool) {
 // base should be at least the workload's static branch count so scrambled
 // IDs never collide with profiled ones.
 func Scramble(s trace.Stream, rate float64, base trace.BranchID, seed uint64) trace.Stream {
-	sc := &scrambleStream{s: s, rate: rate, base: base, seed: seed}
-	return guard(s, sc)
+	return &scrambleStream{s: s, rate: rate, base: base, seed: seed}
 }
 
 // scrambleSpread bounds how far above base scrambled IDs land, keeping
@@ -348,8 +275,6 @@ type scrambleStream struct {
 	base trace.BranchID
 	seed uint64
 }
-
-func (sc *scrambleStream) Reset() { resetInner(sc.s) }
 
 func (sc *scrambleStream) Next() (trace.Event, bool) {
 	ev, ok := sc.s.Next()
@@ -395,8 +320,7 @@ func (m Mix) Zero() bool {
 }
 
 // Apply wraps s with the mix's enabled injectors. totalEvents is the nominal
-// length of s, used only for truncation. The result implements
-// trace.ResetStream whenever s does.
+// length of s, used only for truncation.
 func (m Mix) Apply(s trace.Stream, totalEvents uint64) trace.Stream {
 	if m.ScrambleRate > 0 {
 		s = Scramble(s, m.ScrambleRate, m.ScrambleBase, hash64(m.Seed+1))

@@ -96,42 +96,6 @@ func TestDeterminismUnderSeed(t *testing.T) {
 	}
 }
 
-func TestResetReplayIdentity(t *testing.T) {
-	events := mkEvents(1500, 3)
-	mix := Mix{
-		FlipRate: 0.1, DropRate: 0.2, DupRate: 0.2,
-		Storm:        StormConfig{Period: 100, Window: 40, VictimFrac: 0.5},
-		ScrambleRate: 0.3, ScrambleBase: 1000,
-		TruncateFrac: 0.1,
-		Seed:         11,
-	}
-	s := mix.Apply(trace.NewSliceStream(events), uint64(len(events)))
-	rs, ok := s.(trace.ResetStream)
-	if !ok {
-		t.Fatal("mix over a ResetStream lost resettability")
-	}
-	first := trace.Collect(rs)
-	rs.Reset()
-	second := trace.Collect(rs)
-	if !sameEvents(first, second) {
-		t.Fatal("replay after Reset diverged from first pass")
-	}
-}
-
-func TestNonResettableInnerHidesReset(t *testing.T) {
-	events := mkEvents(100, 4)
-	// trace.Head returns a plain single-use Stream.
-	single := trace.Head(trace.NewSliceStream(events), 50)
-	for name, inject := range injectors(false) {
-		if _, ok := inject(single).(trace.ResetStream); ok {
-			t.Errorf("%s over a single-use stream claims ResetStream", name)
-		}
-	}
-	if _, ok := Truncate(single, 10).(trace.ResetStream); ok {
-		t.Error("truncate over a single-use stream claims ResetStream")
-	}
-}
-
 func TestDropConservesGap(t *testing.T) {
 	events := mkEvents(3000, 5)
 	want := totalGap(events)

@@ -44,13 +44,6 @@ type Config struct {
 	OptLatencyCycles uint64
 	// RunInstrs is the run length in original dynamic instructions.
 	RunInstrs uint64
-	// MaxConsecutiveSquashes is the forward-progress watchdog bound: after
-	// this many back-to-back squashed tasks, the machine falls back to
-	// non-speculative execution for the same number of tasks before
-	// re-enabling speculation, guaranteeing the master makes progress even
-	// when the controller's decisions are pathologically wrong (hostile
-	// predictor state, corrupted profiles). 0 disables the watchdog.
-	MaxConsecutiveSquashes int
 	// PrecomputedBaseline, when positive, is used as the superscalar
 	// baseline cycle count instead of re-simulating it — the baseline
 	// depends only on (program, RunInstrs), so callers comparing several
@@ -61,13 +54,12 @@ type Config struct {
 // DefaultConfig returns the Table 5 machine.
 func DefaultConfig() Config {
 	return Config{
-		Slaves:                 8,
-		TaskBlocks:             24,
-		MaxUnverified:          16,
-		DispatchCycles:         cache.HopLatency,
-		RestartCycles:          60,
-		RunInstrs:              4_000_000,
-		MaxConsecutiveSquashes: 32,
+		Slaves:         8,
+		TaskBlocks:     24,
+		MaxUnverified:  16,
+		DispatchCycles: cache.HopLatency,
+		RestartCycles:  60,
+		RunInstrs:      4_000_000,
 	}
 }
 
@@ -95,10 +87,6 @@ type Result struct {
 	// Reopts and ChangesApplied are the distiller's re-optimization
 	// statistics.
 	Reopts, ChangesApplied uint64
-	// WatchdogTrips counts forward-progress watchdog activations
-	// (MaxConsecutiveSquashes consecutive squashed tasks), and
-	// FallbackTasks the tasks executed non-speculatively as a result.
-	WatchdogTrips, FallbackTasks uint64
 	// ControllerStats exposes the branch speculation controller's
 	// counters; ValueStats those of the value-speculation controller.
 	ControllerStats core.Stats
@@ -164,8 +152,6 @@ func Run(p *program.Program, ctl *core.Controller, cfg Config) Result {
 		verifyQueue  []float64 // verification-completion times of in-flight tasks
 		task         []taskStep
 		lastVerified float64
-		consecSquash int
-		fallbackLeft int
 	)
 
 	flushTask := func() {
@@ -173,18 +159,6 @@ func Run(p *program.Program, ctl *core.Controller, cfg Config) Result {
 			return
 		}
 		res.Tasks++
-		// Forward-progress watchdog: after MaxConsecutiveSquashes
-		// back-to-back squashes, run tasks non-speculatively (original
-		// code, no distillation) until the fallback window drains.
-		if fallbackLeft > 0 {
-			fallbackLeft--
-			res.FallbackTasks++
-			for _, ts := range task {
-				masterCycle += master.ExecBlock(ts.blk, ts.step, cpu.BlockCost{})
-			}
-			task = task[:0]
-			return
-		}
 		// Distill and execute on the master; detect violations.
 		violated := false
 		for _, ts := range task {
@@ -221,14 +195,6 @@ func Run(p *program.Program, ctl *core.Controller, cfg Config) Result {
 			for _, ts := range task {
 				masterCycle += master.ExecBlock(ts.blk, ts.step, cpu.BlockCost{})
 			}
-			consecSquash++
-			if cfg.MaxConsecutiveSquashes > 0 && consecSquash >= cfg.MaxConsecutiveSquashes {
-				res.WatchdogTrips++
-				fallbackLeft = cfg.MaxConsecutiveSquashes
-				consecSquash = 0
-			}
-		} else {
-			consecSquash = 0
 		}
 		// Run-ahead bound: the master stalls once too many tasks are
 		// unverified.

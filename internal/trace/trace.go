@@ -32,16 +32,8 @@ type Stream interface {
 	Next() (Event, bool)
 }
 
-// ResetStream is a Stream that can be rewound and replayed from the start.
-// Workload generators implement it so that two-pass techniques
-// (e.g. self-training) can profile and evaluate the identical sequence.
-type ResetStream interface {
-	Stream
-	// Reset rewinds the stream to its beginning.
-	Reset()
-}
-
-// SliceStream replays a fixed slice of events. It implements ResetStream.
+// SliceStream replays a fixed slice of events. Reset rewinds it, so it can
+// be replayed.
 type SliceStream struct {
 	events []Event
 	pos    int
@@ -62,7 +54,7 @@ func (s *SliceStream) Next() (Event, bool) {
 	return ev, true
 }
 
-// Reset implements ResetStream.
+// Reset rewinds the stream to its first event.
 func (s *SliceStream) Reset() { s.pos = 0 }
 
 // Len returns the total number of events in the stream.

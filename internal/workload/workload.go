@@ -242,8 +242,8 @@ func (t *aliasTable) pick(u uint64, f float64) int32 {
 }
 
 // Generator replays a Spec as a trace.Stream. It is deterministic: two
-// generators built from the same Spec produce identical streams. Generator
-// implements trace.ResetStream.
+// generators built from the same Spec produce identical streams, and Reset
+// rewinds a generator to replay its stream from the start.
 type Generator struct {
 	spec    *Spec
 	table   *aliasTable
@@ -272,7 +272,7 @@ func NewGenerator(spec *Spec) *Generator {
 	return g
 }
 
-// Reset implements trace.ResetStream.
+// Reset rewinds the generator to the start of the run.
 func (g *Generator) Reset() {
 	g.rnd = rng{state: g.spec.Seed}
 	for i := range g.execIdx {
