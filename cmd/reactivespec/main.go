@@ -6,13 +6,10 @@
 //
 //	reactivespec [flags] <experiment>
 //
-// Paper artifacts: table1, table2, fig2, fig3, fig4, fig5, table3, table4,
-// fig6, fig7, fig8, fig9, table5. Ablations and extensions: averaging,
-// flush, generality, policies (the reactive / selftrain / probweight
-// decision-policy head-to-head), replay, describe, timeline, chaos,
-// sweep-monitor, sweep-evict, sweep-wait, sweep-oscillation, sweep-step,
-// sweep-threshold, sweep-task, sweep-slaves.
-// "all" runs everything (≈10–15 minutes at full scale).
+// `reactivespec -h` lists the experiments in the order "all" runs them
+// (≈10–15 minutes at full scale): the paper's tables and figures first, then
+// the ablations and extensions, among them the decision-policy head-to-head,
+// the fault-injection sweep and one sweep per Table 2 parameter.
 //
 // The timeline experiment runs one benchmark (default gcc; narrow with
 // -bench) with the controller lifecycle trace sink attached and emits the
@@ -53,7 +50,7 @@
 //	-scale f        workload scale relative to the calibrated default (1.0)
 //	-bench csv      comma-separated benchmark subset (default: all 12)
 //	-seed n         workload seed (default 0, the calibrated seed)
-//	-format f       "table" (default), "csv", or "svg" (figures 2/3/5/6/7/8, chaos, timeline)
+//	-format f       "table" (default), "csv", or "svg" (the experiments with an SVG form)
 //	-timeout d      cancel the run after this duration (e.g. 2m; 0 = none)
 //	-intensities l  fault intensities for the chaos experiment (e.g. 0,0.2,0.8)
 //	-wal-dir d      timeline only: replay a reactived write-ahead log under d
@@ -74,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -131,7 +129,8 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 0, "workload seed")
 	format := fs.String("format", "table", `output format: "table", "csv", or "svg" (figures only)`)
 	timeout := fs.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
-	intensitiesFlag := fs.String("intensities", "", "comma-separated fault intensities in [0,1] for chaos (default 0,0.05,0.1,0.2,0.4,0.8)")
+	intensitiesFlag := fs.String("intensities", "", "comma-separated fault intensities in [0,1] for chaos (default "+
+		formatIntensities(experiments.DefaultChaosIntensities)+")")
 	walDir := fs.String("wal-dir", "", "timeline only: replay a reactived write-ahead log under this directory")
 	walProgram := fs.String("wal-program", "", "branch program to replay from the WAL (default: auto-detect)")
 	walFrom := fs.Uint64("wal-from", 0, "first WAL sequence number to replay (0 = oldest retained)")
@@ -142,7 +141,7 @@ func run(args []string, out io.Writer) error {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: reactivespec [flags] <experiment>\n"+
 			"       reactivespec [flags] spans FILE...\n\nexperiments: %s\n\nflags:\n",
-			strings.Join(experimentNames(), " "))
+			strings.Join(append(verbNames(false), "all"), " "))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -197,6 +196,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	name := fs.Arg(0)
+	e := env{cfg: cfg, intensities: intensities}
 	if *walDir == "" && (*walProgram != "" || *walFrom != 0 || *walTo != 0) {
 		return usagef("-wal-program, -wal-from and -wal-to require -wal-dir")
 	}
@@ -208,41 +208,35 @@ func run(args []string, out io.Writer) error {
 			return usagef("empty WAL window [%d, %d)", *walFrom, *walTo)
 		}
 		params := core.DefaultParams().Scaled(*paramScale)
-		res, trunc, err := experiments.TimelineFromWAL(experiments.WALWindow{
+		e.wal = &experiments.WALWindow{
 			Dir:        *walDir,
 			Program:    *walProgram,
 			From:       *walFrom,
 			To:         *walTo,
 			Params:     params,
 			ParamsHash: server.ParamsHash(params),
-		})
-		if err != nil {
-			return err
 		}
-		if trunc != nil {
-			fmt.Fprintf(os.Stderr, "reactivespec: wal tail %v\n", trunc)
-		}
-		if svg {
-			return experiments.SVGTimeline(out, res)
-		}
-		return experiments.WriteTimeline(out, res, csv)
 	}
+	i := slices.IndexFunc(verbs, func(v verb) bool { return v.name == name })
 	if svg {
-		return dispatchSVG(name, cfg, intensities, out)
+		if i < 0 || verbs[i].svg == nil {
+			return usagef("experiment %q has no SVG form (these do: %s)", name, strings.Join(verbNames(true), ", "))
+		}
+		return verbs[i].svg(e, out)
 	}
 	if name == "all" {
-		for _, n := range experimentNames() {
-			if n == "all" {
-				continue
-			}
-			fmt.Fprintf(out, "\n=== %s ===\n", n)
-			if err := dispatch(n, cfg, csv, intensities, out); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
+		for _, v := range verbs {
+			fmt.Fprintf(out, "\n=== %s ===\n", v.name)
+			if err := v.write(e, out, csv); err != nil {
+				return fmt.Errorf("%s: %w", v.name, err)
 			}
 		}
 		return nil
 	}
-	return dispatch(name, cfg, csv, intensities, out)
+	if i < 0 {
+		return usagef("unknown experiment %q", name)
+	}
+	return verbs[i].write(e, out, csv)
 }
 
 // runSpans loads one or more span JSONL files (several nodes' files combine
@@ -308,60 +302,174 @@ func parseIntensities(s string) ([]float64, error) {
 	return out, nil
 }
 
-// dispatchSVG renders the figures that have SVG forms.
-func dispatchSVG(name string, cfg experiments.Config, intensities []float64, out io.Writer) error {
-	switch name {
-	case "chaos":
-		points, err := experiments.Chaos(cfg, intensities)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGChaos(out, points)
-	case "fig2":
-		series, err := experiments.Fig2(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGFig2(out, series)
-	case "fig3":
-		series, err := experiments.Fig3(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGFig3(out, series)
-	case "fig5":
-		points, err := experiments.Fig5(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGFig5(out, points)
-	case "fig6":
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGFig6(out, res)
-	case "fig7":
-		rows, err := experiments.Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGFig7(out, rows)
-	case "fig8":
-		rows, err := experiments.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGFig8(out, rows)
-	case "timeline":
-		res, err := experiments.Timeline(cfg, singleBench(cfg), workload.InputEval)
-		if err != nil {
-			return err
-		}
-		return experiments.SVGTimeline(out, res)
-	default:
-		return usagef("experiment %q has no SVG form (figures 2, 3, 5, 6, 7, 8, chaos and timeline do)", name)
+// formatIntensities renders intensities the way -intensities takes them.
+func formatIntensities(intensities []float64) string {
+	parts := make([]string, len(intensities))
+	for i, v := range intensities {
+		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
 	}
+	return strings.Join(parts, ",")
+}
+
+// env is what a verb runs with: the experiment configuration plus the flags
+// only one verb reads.
+type env struct {
+	cfg         experiments.Config
+	intensities []float64              // chaos; nil runs the default grid
+	wal         *experiments.WALWindow // timeline: replay this log window instead
+}
+
+// verb is one reactivespec experiment. write renders it as a table or, with
+// csv, as CSV; svg renders it as an SVG chart and is nil when the experiment
+// has no SVG form.
+type verb struct {
+	name  string
+	write func(e env, out io.Writer, csv bool) error
+	svg   func(e env, out io.Writer) error
+}
+
+// verbs lists every experiment in the order "all" runs them.
+var verbs = slices.Concat([]verb{
+	{name: "table1", write: func(e env, out io.Writer, csv bool) error { return experiments.WriteTable1(out, e.cfg, csv) }},
+	{name: "table2", write: func(e env, out io.Writer, _ bool) error { return writeTable2(out, e.cfg) }},
+	fig("fig2", experiments.Fig2, experiments.WriteFig2, experiments.SVGFig2),
+	fig("fig3", experiments.Fig3, experiments.WriteFig3, experiments.SVGFig3),
+	fixed("fig4", fig4Text),
+	fig("fig5", experiments.Fig5, experiments.WriteFig5, experiments.SVGFig5),
+	fig("table3", experiments.Table3, experiments.WriteTable3, nil),
+	fig("table4", table4, experiments.WriteTable4, nil),
+	fig("fig6", experiments.Fig6, experiments.WriteFig6, experiments.SVGFig6),
+	fig("fig7", experiments.Fig7, experiments.WriteFig7, experiments.SVGFig7),
+	fig("fig8", experiments.Fig8, experiments.WriteFig8, experiments.SVGFig8),
+	fig("fig9", experiments.Fig9, experiments.WriteFig9, nil),
+	fixed("table5", table5Text),
+	fig("averaging", averaging, experiments.WriteAveraging, nil),
+	fig("flush", experiments.FlushPolicy, experiments.WriteFlush, nil),
+	fig("generality", experiments.Generality, experiments.WriteGenerality, nil),
+	fig("policies", experiments.Policies,
+		withSummary(experiments.WritePolicies, experiments.PoliciesSummary, experiments.WritePoliciesSummary), nil),
+	verbOf("chaos", chaos,
+		withSummary(experiments.WriteChaos, experiments.ChaosSummary, experiments.WriteChaosSummary), experiments.SVGChaos),
+}, sweepVerbs(), []verb{
+	fig("sweep-task", experiments.TaskSweep, experiments.WriteTaskSweep, nil),
+	fig("sweep-slaves", experiments.SlaveSweep, experiments.WriteSlaveSweep, nil),
+	fig("replay", experiments.Replay, experiments.WriteReplay, nil),
+	fig("tls", experiments.TLS, experiments.WriteTLS, nil),
+	{name: "describe", write: describe},
+	verbOf("timeline", timeline, experiments.WriteTimeline, experiments.SVGTimeline),
+})
+
+// verbNames returns the experiment names in order, only those with an SVG
+// form when svgOnly is set.
+func verbNames(svgOnly bool) []string {
+	var names []string
+	for _, v := range verbs {
+		if !svgOnly || v.svg != nil {
+			names = append(names, v.name)
+		}
+	}
+	return names
+}
+
+// verbOf builds a verb from an experiment that computes a result and
+// renders it with write, or with svg when that is non-nil.
+func verbOf[T any](name string, compute func(env) (T, error),
+	write func(io.Writer, T, bool) error, svg func(io.Writer, T) error) verb {
+	v := verb{name: name, write: func(e env, out io.Writer, csv bool) error {
+		res, err := compute(e)
+		if err != nil {
+			return err
+		}
+		return write(out, res, csv)
+	}}
+	if svg != nil {
+		v.svg = func(e env, out io.Writer) error {
+			res, err := compute(e)
+			if err != nil {
+				return err
+			}
+			return svg(out, res)
+		}
+	}
+	return v
+}
+
+// fig is verbOf for an experiment of the configuration alone, such as
+// (experiments.FigN, experiments.WriteFigN, experiments.SVGFigN).
+func fig[T any](name string, compute func(experiments.Config) (T, error),
+	write func(io.Writer, T, bool) error, svg func(io.Writer, T) error) verb {
+	return verbOf(name, func(e env) (T, error) { return compute(e.cfg) }, write, svg)
+}
+
+// fixed is a verb that prints the same text at every scale and format.
+func fixed(name, text string) verb {
+	return verb{name: name, write: func(_ env, out io.Writer, _ bool) error {
+		_, err := io.WriteString(out, text)
+		return err
+	}}
+}
+
+// withSummary renders points, a blank line, then the summary of the points.
+func withSummary[P, S any](write func(io.Writer, []P, bool) error, summarize func([]P) []S,
+	writeSummary func(io.Writer, []S, bool) error) func(io.Writer, []P, bool) error {
+	return func(out io.Writer, points []P, csv bool) error {
+		if err := write(out, points, csv); err != nil {
+			return err
+		}
+		fmt.Fprintln(out)
+		return writeSummary(out, summarize(points), csv)
+	}
+}
+
+// sweepVerbs makes one sweep-<kind> verb per parameter sweep.
+func sweepVerbs() []verb {
+	vs := make([]verb, len(experiments.Sweeps))
+	for i, s := range experiments.Sweeps {
+		vs[i] = fig("sweep-"+s.Kind, func(cfg experiments.Config) ([]experiments.SweepPoint, error) {
+			return experiments.Sweep(cfg, s)
+		}, experiments.WriteSweep, nil)
+	}
+	return vs
+}
+
+func table4(cfg experiments.Config) ([]experiments.Table4Row, error) {
+	points, err := experiments.Fig5(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return experiments.Table4(points), nil
+}
+
+func averaging(cfg experiments.Config) ([]experiments.AveragingRow, error) {
+	return experiments.ProfileAveraging(cfg, nil)
+}
+
+func chaos(e env) ([]experiments.ChaosPoint, error) {
+	return experiments.Chaos(e.cfg, e.intensities)
+}
+
+func describe(e env, out io.Writer, csv bool) error {
+	rows, spec, err := experiments.Describe(e.cfg, singleBench(e.cfg), workload.InputEval)
+	if err != nil {
+		return err
+	}
+	return experiments.WriteDescribe(out, spec, rows, csv)
+}
+
+// timeline traces one benchmark's controller lifecycle or, with -wal-dir,
+// replays a window of a reactived write-ahead log through fresh controllers.
+func timeline(e env) (*experiments.TimelineResult, error) {
+	if e.wal == nil {
+		return experiments.Timeline(e.cfg, singleBench(e.cfg), workload.InputEval)
+	}
+	res, trunc, err := experiments.TimelineFromWAL(*e.wal)
+	if err != nil {
+		return nil, err
+	}
+	if trunc != nil {
+		fmt.Fprintf(os.Stderr, "reactivespec: wal tail %v\n", trunc)
+	}
+	return res, nil
 }
 
 // singleBench picks the benchmark for the experiments that run exactly one
@@ -372,165 +480,6 @@ func singleBench(cfg experiments.Config) string {
 		return cfg.Benchmarks[0]
 	}
 	return "gcc"
-}
-
-func experimentNames() []string {
-	return []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "table3",
-		"table4", "fig6", "fig7", "fig8", "fig9", "table5",
-		"averaging", "flush", "generality", "policies", "chaos", "sweep-monitor", "sweep-evict",
-		"sweep-wait", "sweep-oscillation", "sweep-step", "sweep-threshold",
-		"sweep-task", "sweep-slaves", "replay", "tls", "describe", "timeline", "all"}
-}
-
-func dispatch(name string, cfg experiments.Config, csv bool, intensities []float64, out io.Writer) error {
-	switch name {
-	case "chaos":
-		points, err := experiments.Chaos(cfg, intensities)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WriteChaos(out, points, csv); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		return experiments.WriteChaosSummary(out, experiments.ChaosSummary(points), csv)
-	case "table1":
-		return experiments.WriteTable1(out, cfg, csv)
-	case "table2":
-		return writeTable2(out, cfg)
-	case "fig2":
-		series, err := experiments.Fig2(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFig2(out, series, csv)
-	case "fig3":
-		series, err := experiments.Fig3(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFig3(out, series, csv)
-	case "fig4":
-		return writeFig4(out)
-	case "fig5":
-		points, err := experiments.Fig5(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFig5(out, points, csv)
-	case "table3":
-		rows, err := experiments.Table3(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteTable3(out, rows, csv)
-	case "table4":
-		points, err := experiments.Fig5(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteTable4(out, experiments.Table4(points), csv)
-	case "fig6":
-		res, err := experiments.Fig6(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFig6(out, res, csv)
-	case "fig7":
-		rows, err := experiments.Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFig7(out, rows, csv)
-	case "fig8":
-		rows, err := experiments.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFig8(out, rows, csv)
-	case "fig9":
-		res, err := experiments.Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFig9(out, res, csv)
-	case "table5":
-		return writeTable5(out)
-	case "averaging":
-		rows, err := experiments.ProfileAveraging(cfg, nil)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteAveraging(out, rows, csv)
-	case "flush":
-		rows, err := experiments.FlushPolicy(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteFlush(out, rows, csv)
-	case "replay":
-		rows, err := experiments.Replay(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteReplay(out, rows, csv)
-	case "tls":
-		rows, err := experiments.TLS(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteTLS(out, rows, csv)
-	case "describe":
-		rows, spec, err := experiments.Describe(cfg, singleBench(cfg), workload.InputEval)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteDescribe(out, spec, rows, csv)
-	case "timeline":
-		res, err := experiments.Timeline(cfg, singleBench(cfg), workload.InputEval)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteTimeline(out, res, csv)
-	case "sweep-slaves":
-		rows, err := experiments.SlaveSweep(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteSlaveSweep(out, rows, csv)
-	case "sweep-task":
-		rows, err := experiments.TaskSweep(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteTaskSweep(out, rows, csv)
-	case "generality":
-		rows, err := experiments.Generality(cfg)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteGenerality(out, rows, csv)
-	case "policies":
-		points, err := experiments.Policies(cfg)
-		if err != nil {
-			return err
-		}
-		if err := experiments.WritePolicies(out, points, csv); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		return experiments.WritePoliciesSummary(out, experiments.PoliciesSummary(points), csv)
-	case "sweep-monitor", "sweep-evict", "sweep-wait", "sweep-oscillation",
-		"sweep-step", "sweep-threshold":
-		kind := experiments.SweepKind(strings.TrimPrefix(name, "sweep-"))
-		points, err := experiments.Sweep(cfg, kind)
-		if err != nil {
-			return err
-		}
-		return experiments.WriteSweep(out, points, csv)
-	default:
-		return usagef("unknown experiment %q", name)
-	}
 }
 
 // writeTable2 prints the model parameters actually used (Table 2, scaled to
@@ -556,9 +505,8 @@ func writeTable2(out io.Writer, cfg experiments.Config) error {
 	return nil
 }
 
-// writeFig4 prints the classification state machine (the paper's Figure 4b).
-func writeFig4(out io.Writer) error {
-	_, err := fmt.Fprint(out, `Figure 4(b): reactive branch-behavior classifier
+// fig4Text is the classification state machine (the paper's Figure 4b).
+const fig4Text = `Figure 4(b): reactive branch-behavior classifier
 
             +----------------------+
             |                      v
@@ -569,13 +517,10 @@ func writeFig4(out io.Writer) error {
       +--(else)--> [unbiased] --(wait period elapses)--+
                        ^--------------------------------+
   (a sixth optimization attempt retires the branch permanently)
-`)
-	return err
-}
+`
 
-// writeTable5 prints the simulated machine parameters (Table 5).
-func writeTable5(out io.Writer) error {
-	_, err := fmt.Fprint(out, `Table 5: simulated CMP (as implemented in internal/cpu, internal/cache)
+// table5Text is the simulated machine parameters (Table 5).
+const table5Text = `Table 5: simulated CMP (as implemented in internal/cpu, internal/cache)
 
              leading core              trailing cores (x8)
 pipeline     4-wide, 12-stage          2-wide, 8-stage
@@ -585,6 +530,4 @@ br. pred.    8Kb gshare, 32-entry RAS, 256-entry indirect (each core)
 L2 cache     shared 1MB 8-way 64B, 10-cycle minimum
 coherence    10-cycle minimum hop (uncongested)
 memory       200-cycle minimum after L2
-`)
-	return err
-}
+`

@@ -153,73 +153,48 @@ type SweepPoint struct {
 	Retired    int
 }
 
-// SweepKind names a parameter sweep.
-type SweepKind string
-
-// The supported sweeps. Each varies one Table 2 parameter around the
-// experiment baseline; Section 3.3 samples most of these at a single
-// alternative point, the sweeps fill in the curve.
-const (
-	SweepMonitor   SweepKind = "monitor"     // monitor period
-	SweepEvict     SweepKind = "evict"       // eviction threshold
-	SweepWait      SweepKind = "wait"        // revisit wait period
-	SweepOscLimit  SweepKind = "oscillation" // oscillation limit
-	SweepStep      SweepKind = "step"        // misspeculation counter step
-	SweepThreshold SweepKind = "threshold"   // selection threshold (×1000)
-)
-
-// sweepValues returns the default sweep points for a kind, derived from the
-// experiment-regime baseline.
-func sweepValues(kind SweepKind, base core.Params) []uint64 {
-	switch kind {
-	case SweepMonitor:
-		m := base.MonitorPeriod
-		return []uint64{m / 4, m / 2, m, m * 2, m * 4}
-	case SweepEvict:
-		e := uint64(base.EvictThreshold)
-		return []uint64{e / 10, e / 3, e, e * 3, e * 10}
-	case SweepWait:
-		w := base.WaitPeriod
-		return []uint64{w / 10, w / 3, w, w * 3, w * 10}
-	case SweepOscLimit:
-		return []uint64{1, 2, 5, 20, 1 << 30}
-	case SweepStep:
-		return []uint64{10, 25, 50, 100, 200}
-	case SweepThreshold:
-		return []uint64{985, 990, 995, 998, 999}
-	default:
-		return nil
-	}
+// ParamSweep varies one Table 2 parameter around the experiment baseline;
+// Section 3.3 samples most of these at a single alternative point, the
+// sweeps fill in the curve.
+type ParamSweep struct {
+	// Kind names the sweep and labels its points.
+	Kind string
+	// Values returns the sweep points, derived from the experiment-regime
+	// baseline.
+	Values func(base core.Params) []uint64
+	// Apply sets the swept parameter of p to v.
+	Apply func(p *core.Params, v uint64)
 }
 
-func sweepApply(kind SweepKind, base core.Params, v uint64) core.Params {
-	switch kind {
-	case SweepMonitor:
-		base.MonitorPeriod = v
-	case SweepEvict:
-		base.EvictThreshold = uint32(v)
-	case SweepWait:
-		base.WaitPeriod = v
-	case SweepOscLimit:
-		base.MaxOptimizations = uint32(v)
-	case SweepStep:
-		base.MisspecStep = uint32(v)
-	case SweepThreshold:
-		base.SelectThreshold = float64(v) / 1000
-	}
-	return base
+// Sweeps lists the parameter sweeps in presentation order.
+var Sweeps = []ParamSweep{
+	{"monitor", func(b core.Params) []uint64 { // monitor period
+		m := b.MonitorPeriod
+		return []uint64{m / 4, m / 2, m, m * 2, m * 4}
+	}, func(p *core.Params, v uint64) { p.MonitorPeriod = v }},
+	{"evict", func(b core.Params) []uint64 { // eviction threshold
+		e := uint64(b.EvictThreshold)
+		return []uint64{e / 10, e / 3, e, e * 3, e * 10}
+	}, func(p *core.Params, v uint64) { p.EvictThreshold = uint32(v) }},
+	{"wait", func(b core.Params) []uint64 { // revisit wait period
+		w := b.WaitPeriod
+		return []uint64{w / 10, w / 3, w, w * 3, w * 10}
+	}, func(p *core.Params, v uint64) { p.WaitPeriod = v }},
+	{"oscillation", func(core.Params) []uint64 { return []uint64{1, 2, 5, 20, 1 << 30} }, // oscillation limit
+		func(p *core.Params, v uint64) { p.MaxOptimizations = uint32(v) }},
+	{"step", func(core.Params) []uint64 { return []uint64{10, 25, 50, 100, 200} }, // misspeculation counter step
+		func(p *core.Params, v uint64) { p.MisspecStep = uint32(v) }},
+	{"threshold", func(core.Params) []uint64 { return []uint64{985, 990, 995, 998, 999} }, // selection threshold ×1000
+		func(p *core.Params, v uint64) { p.SelectThreshold = float64(v) / 1000 }},
 }
 
 // Sweep runs one parameter sweep over the configured benchmarks and returns
 // suite-aggregate points. Each benchmark's stream is generated once and
 // scores every value in lockstep; the points sum the benchmarks in order.
-func Sweep(cfg Config, kind SweepKind) ([]SweepPoint, error) {
+func Sweep(cfg Config, sweep ParamSweep) ([]SweepPoint, error) {
 	cfg = cfg.withDefaults()
 	base := cfg.Params()
-	values := sweepValues(kind, base)
-	if values == nil {
-		return nil, errUnknownSweep(kind)
-	}
+	values := sweep.Values(base)
 	perBench, err := runParallel(cfg.ctx(), cfg.Benchmarks, func(name string) ([]sweepCell, error) {
 		spec, err := cfg.build(name, workload.InputEval)
 		if err != nil {
@@ -227,7 +202,9 @@ func Sweep(cfg Config, kind SweepKind) ([]SweepPoint, error) {
 		}
 		ctls := make([]harness.Controller, len(values))
 		for i, v := range values {
-			ctls[i] = core.New(sweepApply(kind, base, v))
+			p := base
+			sweep.Apply(&p, v)
+			ctls[i] = core.New(p)
 		}
 		if _, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(spec), ctls...); err != nil {
 			return nil, err
@@ -246,7 +223,7 @@ func Sweep(cfg Config, kind SweepKind) ([]SweepPoint, error) {
 	points := make([]SweepPoint, len(values))
 	for i, v := range values {
 		var sum core.Stats
-		p := SweepPoint{Label: string(kind), Value: v}
+		p := SweepPoint{Label: sweep.Kind, Value: v}
 		for _, cells := range perBench {
 			c := cells[i]
 			sum.Events += c.Events
@@ -269,10 +246,6 @@ type sweepCell struct {
 	core.Stats
 	retired int
 }
-
-type errUnknownSweep SweepKind
-
-func (e errUnknownSweep) Error() string { return "experiments: unknown sweep " + string(e) }
 
 // WriteSweep renders sweep points.
 func WriteSweep(w io.Writer, points []SweepPoint, csv bool) error {

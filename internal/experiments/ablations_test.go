@@ -58,7 +58,7 @@ func TestFlushPolicyBetweenLoops(t *testing.T) {
 
 func TestSweepShapes(t *testing.T) {
 	cfg := Config{Scale: 0.1, Benchmarks: []string{"gap"}}
-	points, err := Sweep(cfg, SweepOscLimit)
+	points, err := Sweep(cfg, sweepOf(t, "oscillation"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSweepShapes(t *testing.T) {
 		}
 	}
 
-	points, err = Sweep(cfg, SweepThreshold)
+	points, err = Sweep(cfg, sweepOf(t, "threshold"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,6 @@ func TestSweepShapes(t *testing.T) {
 		t.Fatalf("stricter threshold increased coverage: %v -> %v", first.CorrectPct, last.CorrectPct)
 	}
 
-	if _, err := Sweep(cfg, SweepKind("bogus")); err == nil {
-		t.Fatal("unknown sweep accepted")
-	}
 	var b strings.Builder
 	if err := WriteSweep(&b, points, false); err != nil {
 		t.Fatal(err)
@@ -96,15 +93,27 @@ func TestSweepShapes(t *testing.T) {
 
 func TestSweepKindsAllSupported(t *testing.T) {
 	cfg := Config{Scale: 0.05, ParamScale: 50, Benchmarks: []string{"eon"}}
-	for _, kind := range []SweepKind{SweepMonitor, SweepEvict, SweepWait, SweepOscLimit, SweepStep, SweepThreshold} {
-		points, err := Sweep(cfg, kind)
+	for _, sweep := range Sweeps {
+		points, err := Sweep(cfg, sweep)
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", sweep.Kind, err)
 		}
 		if len(points) == 0 {
-			t.Fatalf("%s: no points", kind)
+			t.Fatalf("%s: no points", sweep.Kind)
 		}
 	}
+}
+
+// sweepOf returns the Sweeps entry for kind.
+func sweepOf(t *testing.T, kind string) ParamSweep {
+	t.Helper()
+	for _, s := range Sweeps {
+		if s.Kind == kind {
+			return s
+		}
+	}
+	t.Fatalf("no sweep %q", kind)
+	return ParamSweep{}
 }
 
 func TestGeneralityQualitative(t *testing.T) {
