@@ -234,16 +234,41 @@ func TestExitCodeClassification(t *testing.T) {
 	}
 }
 
+// TestRunSVGFormats renders every verb with an SVG form at a small scale on
+// one benchmark and checks that every other verb is a usage error.
 func TestRunSVGFormats(t *testing.T) {
+	for _, v := range verbs {
+		args := []string{"-scale", "0.02", "-bench", "eon", "-format", "svg", v.name}
+		if v.name == "fig3" { // fig3 plots gap; at 0.02 no branch runs long enough
+			args = []string{"-scale", "0.2", "-format", "svg", v.name}
+		}
+		var b strings.Builder
+		err := run(args, &b)
+		if v.svg == nil {
+			if exitCode(err) != 2 {
+				t.Errorf("%s: err %v, want a usage error", v.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", v.name, err)
+			continue
+		}
+		if out := strings.TrimSpace(b.String()); !strings.HasPrefix(out, "<svg") || !strings.HasSuffix(out, "</svg>") {
+			t.Errorf("%s: SVG output malformed:\n%s", v.name, out)
+		}
+	}
+}
+
+// TestRunFig3ReducedScale checks that fig3 prints the changing branches a
+// reduced scale leaves (two at 0.2) instead of failing for want of five.
+func TestRunFig3ReducedScale(t *testing.T) {
 	var b strings.Builder
-	if err := run([]string{"-scale", "0.05", "-bench", "eon", "-format", "svg", "fig5"}, &b); err != nil {
+	if err := run([]string{"-scale", "0.2", "fig3"}, &b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "<svg") || !strings.Contains(b.String(), "</svg>") {
-		t.Fatal("fig5 SVG output malformed")
-	}
-	b.Reset()
-	if err := run([]string{"-format", "svg", "table3"}, &b); err == nil {
-		t.Fatal("table3 should have no SVG form")
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if rows := len(lines) - 2; rows != 2 { // less the header and its rule
+		t.Fatalf("fig3 at scale 0.2: %d rows, want 2:\n%s", rows, b.String())
 	}
 }

@@ -26,12 +26,13 @@ const Fig3BlockLen = 1_000
 // Fig3 reproduces Figure 3: five static branches from gap that are highly
 // biased for at least their first 20 blocks and then change behavior. The
 // block bias is computed directly from the branches' (deterministic)
-// behavior models.
+// behavior models. At reduced scale fewer branches run long enough; Fig3
+// returns those that do and fails only when none does.
 func Fig3(cfg Config) ([]Fig3Series, error) {
 	return fig3For(cfg, "gap", 5)
 }
 
-// fig3For extracts changing-branch series from any benchmark.
+// fig3For extracts up to want changing-branch series from any benchmark.
 func fig3For(cfg Config, bench string, want int) ([]Fig3Series, error) {
 	cfg = cfg.withDefaults()
 	spec, err := cfg.build(bench, workload.InputEval)
@@ -82,8 +83,8 @@ func fig3For(cfg Config, bench string, want int) ([]Fig3Series, error) {
 		}
 		series = append(series, s)
 	}
-	if len(series) < want {
-		return series, fmt.Errorf("experiments: only %d changing branches with enough executions in %s", len(series), bench)
+	if len(series) == 0 {
+		return nil, fmt.Errorf("experiments: no changing branch with enough executions in %s", bench)
 	}
 	return series, nil
 }
