@@ -7,6 +7,7 @@ import (
 	"reactivespec/internal/bias"
 	"reactivespec/internal/harness"
 	"reactivespec/internal/stats"
+	"reactivespec/internal/trace"
 	"reactivespec/internal/workload"
 )
 
@@ -66,28 +67,24 @@ func Fig2(cfg Config) ([]Fig2Series, error) {
 		if err != nil {
 			return Fig2Series{}, err
 		}
-		evalGen := workload.NewGenerator(eval)
-		evalProfile := bias.FromStream(evalGen)
-
-		s := Fig2Series{
-			Bench:  name,
-			Pareto: downsamplePareto(evalProfile.Pareto(), 64),
-			Knee99: evalProfile.AtThreshold(0.99),
-		}
-
 		// Triangle: select from the profile input, evaluate on the
 		// evaluation input. Crosses: initial behavior at increasing
 		// training lengths. All of them score one pass of the evaluation
-		// stream.
+		// stream, which also builds the self-training profile.
 		trainProfile := bias.FromStream(workload.NewGenerator(prof))
 		ctls := []harness.Controller{baseline.NewStatic(trainProfile.Select(0.99, 1))}
 		for _, n := range trainLens {
 			ctls = append(ctls, baseline.NewInitialBehavior(n, 0.99))
 		}
-		evalGen.Reset()
-		sts, err := harness.RunAll(cfg.ctx(), evalGen, ctls...)
+		evalProfile := bias.NewProfile()
+		sts, err := harness.RunAll(cfg.ctx(), profiled{workload.NewGenerator(eval), evalProfile}, ctls...)
 		if err != nil {
 			return Fig2Series{}, err
+		}
+		s := Fig2Series{
+			Bench:  name,
+			Pareto: downsamplePareto(evalProfile.Pareto(), 64),
+			Knee99: evalProfile.AtThreshold(0.99),
 		}
 		s.TrainInput = Fig2Point{Label: "train-input"}
 		s.TrainInput.CorrectPct, s.TrainInput.WrongPct = pcts(sts[0])
@@ -98,6 +95,20 @@ func Fig2(cfg Config) ([]Fig2Series, error) {
 		}
 		return s, nil
 	})
+}
+
+// profiled passes a stream through, observing every event into a profile.
+type profiled struct {
+	trace.Stream
+	p *bias.Profile
+}
+
+func (s profiled) Next() (trace.Event, bool) {
+	ev, ok := s.Stream.Next()
+	if ok {
+		s.p.Observe(ev)
+	}
+	return ev, ok
 }
 
 // downsamplePareto keeps roughly n evenly-spaced points, always including
