@@ -213,7 +213,7 @@ func TestApplyReplicatedConcurrentPrograms(t *testing.T) {
 			batches = append(batches, walBatch{p, 200 + 50*j, uint64(10*i + j)})
 		}
 	}
-	control, _ := controlState(t, 4, batches, len(batches))
+	control, _ := controlState(t, 4, "", batches, len(batches))
 
 	s, _ := newReplicaServer(t, 4)
 	if _, err := s.ApplyReplicated("gzip", []byte("not a trace frame"), 0); err == nil {

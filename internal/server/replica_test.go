@@ -69,7 +69,7 @@ func TestApplyReplicatedThenPromote(t *testing.T) {
 	batches := []walBatch{
 		{"gzip", 400, 1}, {"vpr", 300, 2}, {"gzip", 500, 3}, {"mcf", 200, 4},
 	}
-	control, _ := controlState(t, 4, batches, len(batches))
+	control, _ := controlState(t, 4, "", batches, len(batches))
 
 	s, c := newReplicaServer(t, 4)
 	var total uint64

@@ -126,7 +126,9 @@ type Config struct {
 	// WAL, when non-nil, is the write-ahead event log: every ingested frame
 	// (POST and streaming) is appended to it *before* it is applied to the
 	// table, and Recover replays its tail over the restored snapshot. The
-	// log must be opened with ParamsHash(Params).
+	// log must be opened with ParamsPolicyHash(Params, Policy), the hash the
+	// server pins and replication followers are checked against: New panics
+	// on a log opened with any other.
 	WAL *wal.Log
 	// Replica starts the server read-only: client ingest (POST and stream)
 	// is rejected with the read_only code, and state advances only through
@@ -207,11 +209,16 @@ func New(cfg Config) *Server {
 		// constructing a server.
 		panic("server: " + err.Error())
 	}
+	hash := ParamsPolicyHash(cfg.Params, cfg.Policy)
+	if cfg.WAL != nil && cfg.WAL.ParamsHash() != hash {
+		panic(fmt.Sprintf("server: WAL opened with params hash %016x, want ParamsPolicyHash(Params, Policy) = %016x",
+			cfg.WAL.ParamsHash(), hash))
+	}
 	s := &Server{
 		cfg:        cfg,
 		table:      table,
 		start:      time.Now(),
-		paramsHash: ParamsPolicyHash(cfg.Params, cfg.Policy),
+		paramsHash: hash,
 		cursors:    make(map[string]*cursor),
 		reg:        obs.NewRegistry(),
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"reactivespec/internal/core"
 	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
 )
@@ -20,6 +21,7 @@ type walTestEnv struct {
 	walDir  string
 	snapDir string
 	shards  int
+	policy  string // "" runs the reactive policy
 }
 
 func newWALEnv(t *testing.T, shards int) *walTestEnv {
@@ -31,12 +33,12 @@ func newWALEnv(t *testing.T, shards int) *walTestEnv {
 	}
 }
 
-// openLog opens the env's WAL with the params hash every test server uses.
+// openLog opens the env's WAL with the params hash the env's servers pin.
 func (env *walTestEnv) openLog(t *testing.T, policy wal.SyncPolicy) *wal.Log {
 	t.Helper()
 	l, err := wal.Open(wal.Options{
 		Dir:        env.walDir,
-		ParamsHash: ParamsHash(testParams()),
+		ParamsHash: ParamsPolicyHash(testParams(), env.policy),
 		Policy:     policy,
 	})
 	if err != nil {
@@ -48,7 +50,7 @@ func (env *walTestEnv) openLog(t *testing.T, policy wal.SyncPolicy) *wal.Log {
 // newServer builds a server over the env's directories and the given log.
 func (env *walTestEnv) newServer(t *testing.T, l *wal.Log) (*Server, *Client) {
 	t.Helper()
-	return newTestServer(t, Config{Shards: env.shards, SnapshotDir: env.snapDir, WAL: l})
+	return newTestServer(t, Config{Shards: env.shards, Policy: env.policy, SnapshotDir: env.snapDir, WAL: l})
 }
 
 // walBatch is one ingested batch: which program, which synthEvents seed.
@@ -58,12 +60,12 @@ type walBatch struct {
 	seed    uint64
 }
 
-// controlState applies batches[:upto] to a fresh WAL-less server in ingest
-// order and returns its entry snapshot — the ground truth a recovered server
-// must reproduce byte-for-byte.
-func controlState(t *testing.T, shards int, batches []walBatch, upto int) ([]EntrySnapshot, *Server) {
+// controlState applies batches[:upto] to a fresh WAL-less server running
+// policy in ingest order and returns its entry snapshot — the ground truth a
+// recovered server must reproduce byte-for-byte.
+func controlState(t *testing.T, shards int, policy string, batches []walBatch, upto int) ([]EntrySnapshot, *Server) {
 	t.Helper()
-	s := New(Config{Params: testParams(), Shards: shards})
+	s := New(Config{Params: testParams(), Shards: shards, Policy: policy})
 	var discard []byte
 	for _, b := range batches[:upto] {
 		cur := s.cursorFor(b.program)
@@ -88,23 +90,31 @@ func futureDecisions(t *testing.T, s *Server, b walBatch) []byte {
 // abandoned mid-life, no graceful shutdown path) and recovers via
 // snapshot + WAL-tail replay reaches byte-identical controller state and
 // produces byte-identical future decisions to a server that never crashed.
+// A non-reactive policy recovers the same way from a log opened with its
+// ParamsPolicyHash.
 func TestRecoverMatchesUncrashed(t *testing.T) {
 	for _, tc := range []struct {
 		seed     uint64
 		shards   int
 		stream   bool
-		snapshot bool // take a snapshot mid-stream so replay starts mid-WAL
+		snapshot bool   // take a snapshot mid-stream so replay starts mid-WAL
+		policy   string // "" runs the reactive policy
 	}{
 		{seed: 1, shards: 1, stream: false, snapshot: true},
 		{seed: 2, shards: 4, stream: false, snapshot: true},
 		{seed: 3, shards: 4, stream: false, snapshot: false},
 		{seed: 4, shards: 1, stream: true, snapshot: true},
 		{seed: 5, shards: 4, stream: true, snapshot: false},
+		{seed: 6, shards: 4, stream: false, snapshot: true, policy: core.PolicySelfTrain},
 	} {
 		name := fmt.Sprintf("seed=%d/shards=%d/stream=%v/snapshot=%v",
 			tc.seed, tc.shards, tc.stream, tc.snapshot)
+		if tc.policy != "" {
+			name += "/policy=" + tc.policy
+		}
 		t.Run(name, func(t *testing.T) {
 			env := newWALEnv(t, tc.shards)
+			env.policy = tc.policy
 			batches := []walBatch{
 				{program: "gzip", n: 4000, seed: tc.seed},
 				{program: "vpr", n: 3000, seed: tc.seed + 10},
@@ -174,7 +184,7 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 			if !reflect.DeepEqual(got, crashed) {
 				t.Fatalf("recovered entries differ from the crashed server's")
 			}
-			control, controlSrv := controlState(t, tc.shards, batches, len(batches))
+			control, controlSrv := controlState(t, tc.shards, tc.policy, batches, len(batches))
 			if !reflect.DeepEqual(got, control) {
 				t.Fatalf("recovered entries differ from the uncrashed control")
 			}
@@ -188,6 +198,21 @@ func TestRecoverMatchesUncrashed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNewRejectsMismatchedWAL pins Config.WAL's contract: a log opened with
+// a hash other than ParamsPolicyHash(Params, Policy), here the reactive
+// ParamsHash under the selftrain policy, makes New panic rather than serve a
+// log whose shipper would reject every correctly configured follower.
+func TestNewRejectsMismatchedWAL(t *testing.T) {
+	l := newWALEnv(t, 2).openLog(t, wal.SyncNever)
+	defer l.Close()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a WAL opened with the reactive hash under the selftrain policy")
+		}
+	}()
+	New(Config{Params: testParams(), Policy: core.PolicySelfTrain, WAL: l})
 }
 
 // TestRecoverTornFinalRecord pins SIGKILL-style torn-write recovery: the
@@ -243,7 +268,7 @@ func TestRecoverTornFinalRecord(t *testing.T) {
 			res.ReplayedRecords, len(batches)-1)
 	}
 
-	control, _ := controlState(t, 4, batches, len(batches)-1)
+	control, _ := controlState(t, 4, "", batches, len(batches)-1)
 	if got := recovered.table.SnapshotEntries(); !reflect.DeepEqual(got, control) {
 		t.Fatalf("recovered entries differ from a control without the torn batch")
 	}
@@ -289,7 +314,7 @@ func TestRecoverSurvivesCrashMidSnapshotWrite(t *testing.T) {
 	if !res.SnapshotRestored {
 		t.Fatalf("previous durable snapshot not restored")
 	}
-	control, _ := controlState(t, 2, batches, len(batches))
+	control, _ := controlState(t, 2, "", batches, len(batches))
 	if got := recovered.table.SnapshotEntries(); !reflect.DeepEqual(got, control) {
 		t.Fatalf("recovered entries differ from the uncrashed control")
 	}
