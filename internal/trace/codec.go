@@ -27,12 +27,29 @@ const traceVersion = 1
 // ErrBadTrace reports a malformed trace file.
 var ErrBadTrace = errors.New("trace: malformed trace file")
 
+// appendHeader appends the header of a trace of events records to dst.
+func appendHeader(dst []byte, events uint64) []byte {
+	dst = append(dst, traceMagic[:]...)
+	dst = binary.AppendUvarint(dst, traceVersion)
+	return binary.AppendUvarint(dst, events)
+}
+
+// appendRecord appends ev's record to dst: the branch as a zig-zag delta
+// from prev, the previous event's branch, then gap<<1 | taken.
+func appendRecord(dst []byte, ev Event, prev BranchID) []byte {
+	gapTaken := uint64(ev.Gap) << 1
+	if ev.Taken {
+		gapTaken |= 1
+	}
+	return binary.AppendUvarint(binary.AppendVarint(dst, int64(ev.Branch)-int64(prev)), gapTaken)
+}
+
 // Writer serializes an event stream.
 type Writer struct {
 	w      *bufio.Writer
 	events uint64
 	buf    [2 * binary.MaxVarintLen64]byte
-	prevID int64
+	prev   BranchID
 }
 
 // NewWriter writes a trace header for a stream of totalEvents events and
@@ -40,13 +57,7 @@ type Writer struct {
 // then Flush.
 func NewWriter(w io.Writer, totalEvents uint64) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return nil, err
-	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], traceVersion)
-	n += binary.PutUvarint(hdr[n:], totalEvents)
-	if _, err := bw.Write(hdr[:n]); err != nil {
+	if _, err := bw.Write(appendHeader(nil, totalEvents)); err != nil {
 		return nil, err
 	}
 	return &Writer{w: bw, events: totalEvents}, nil
@@ -54,15 +65,9 @@ func NewWriter(w io.Writer, totalEvents uint64) (*Writer, error) {
 
 // Write appends one event.
 func (t *Writer) Write(ev Event) error {
-	delta := int64(ev.Branch) - t.prevID
-	t.prevID = int64(ev.Branch)
-	n := binary.PutVarint(t.buf[:], delta)
-	gapTaken := uint64(ev.Gap) << 1
-	if ev.Taken {
-		gapTaken |= 1
-	}
-	n += binary.PutUvarint(t.buf[n:], gapTaken)
-	_, err := t.w.Write(t.buf[:n])
+	rec := appendRecord(t.buf[:0], ev, t.prev)
+	t.prev = ev.Branch
+	_, err := t.w.Write(rec)
 	return err
 }
 

@@ -53,22 +53,11 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // It never allocates beyond growing dst, so hot senders can reuse one buffer
 // across frames.
 func EncodeFrameAppend(dst []byte, events []Event) []byte {
-	dst = append(dst, traceMagic[:]...)
-	var tmp [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], traceVersion)
-	n += binary.PutUvarint(tmp[n:], uint64(len(events)))
-	dst = append(dst, tmp[:n]...)
-	prevID := int64(0)
+	dst = appendHeader(dst, uint64(len(events)))
+	prev := BranchID(0)
 	for _, ev := range events {
-		delta := int64(ev.Branch) - prevID
-		prevID = int64(ev.Branch)
-		n := binary.PutVarint(tmp[:], delta)
-		gapTaken := uint64(ev.Gap) << 1
-		if ev.Taken {
-			gapTaken |= 1
-		}
-		n += binary.PutUvarint(tmp[n:], gapTaken)
-		dst = append(dst, tmp[:n]...)
+		dst = appendRecord(dst, ev, prev)
+		prev = ev.Branch
 	}
 	return dst
 }
