@@ -45,7 +45,7 @@ var verbPins = []struct {
 	{verb: "flush", scale: "0.02", sha256: "764db9861789854c87545dc36c07792a29f5c8c22dcc43968614786dc473bb16"},
 	{verb: "generality", scale: "0.02", sha256: "7e6671d92d16e2b9f597c03601ea0c7b06273c071c4d6c7f30976354403ede5b"},
 	{verb: "policies", scale: "0.02", sha256: "fe7af115888b1058805d81dfe8baec99dbb7c5e60ea3427360af775de0445ee5"},
-	{verb: "chaos", scale: "0.02", sha256: "ba07b0804a3a4f35d5326a9c34ca29290156c0bc90805ff4ab8736147eab3bc4"},
+	{verb: "chaos", scale: "0.02", sha256: "9a6528febd7c331cadb2ab58c28cb6c11d7bdef5a25945ed023081c1d41cf1f5"},
 	{verb: "sweep-monitor", scale: "0.02", sha256: "28575e3a7711f62de339cfe60b32842aa659d4a4115b8b03f3ba71e0c254a756"},
 	{verb: "sweep-evict", scale: "0.02", sha256: "0bad47a6c704ace2726fb232798227d70cce5072a0924a987fceec69e60df61a"},
 	{verb: "sweep-wait", scale: "0.02", sha256: "638436865b0afbf210a90f583d23cbf4a3268428bbb043a6c9a7f6fb817ad986"},

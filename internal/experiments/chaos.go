@@ -36,8 +36,11 @@ var ChaosMechanisms = []string{
 }
 
 // DefaultChaosIntensities is the default fault-intensity sweep (0 is the
-// clean reference point).
-var DefaultChaosIntensities = []float64{0, 0.05, 0.1, 0.2, 0.4, 0.8}
+// clean reference point). It stops at 0.1: IntensityMix flips 15% ×
+// intensity of the outcomes, so from there a monitor window averages more
+// mispredictions than the 99.5% selection test allows and reactive control
+// all but stops speculating; the grid below shows how it gets there.
+var DefaultChaosIntensities = []float64{0, 0.01, 0.02, 0.05, 0.1}
 
 // ChaosPoint is one mark: a mechanism's correct/incorrect speculation
 // fractions on one benchmark at one fault intensity.

@@ -249,17 +249,22 @@ COMMENTARY = {
         "One intensity knob scales all five fault classes at once (outcome "
         "flips at 15% × intensity, drop and duplication at 10% × intensity, storms, "
         "branch-ID scrambling, truncation); profiles come from clean "
-        "streams. At 0.05 the reactive controller still misspeculates less "
-        "than either profile-driven mechanism (0.17% vs 0.48% and 0.70%) "
-        "but its coverage more than halves (43.9% → 19.8%). From 0.10 up it "
-        "hardly speculates at all (0.99%, then 0%): a 1,000-execution "
-        "monitor window passes the 99.5% selection test with at most 5 "
-        "mispredictions, and a 1.5% flip rate puts 15 in an average window. "
-        "Initial-behavior training (99% over its window) stops selecting "
-        "the same way. The "
+        "streams. The default grid stops at 0.10, past which reactive "
+        "control no longer speculates. "
+        "The 99.5% selection test lets a 1,000-execution monitor window "
+        "hold at most 5 mispredictions. Up to 0.02 (0.3% of outcomes "
+        "flipped, 3 per average window) the reactive controller keeps "
+        "almost all of its coverage (43.9% → 43.0% → 40.4% correct) while "
+        "its misspeculation rises from 0.020% to 0.16%, still below "
+        "self-training's 0.23% and the previous profile's 0.56%. At 0.05 "
+        "(7.5 flips per window) its coverage more than halves (19.8%) at an "
+        "unchanged 0.17% misspeculation, against 0.48% and 0.70%. At 0.10 "
+        "(15 per window) it hardly speculates at all (0.99%), and "
+        "initial-behavior training, which held about 24% coverage at 3.2% "
+        "misspeculation below it, stops selecting the same way. The "
         "profile-driven mechanisms keep their coverage and pay for it in "
-        "misspeculation, which grows with intensity to 5.3% (self-train) "
-        "and 3.6% (previous profile) at 0.8.",
+        "misspeculation, which grows with intensity: 0.035% → 0.89% "
+        "(self-train) and 0.44% → 0.96% (previous profile) at 0.10.",
     ),
     "timeline": (
         "Extension: one benchmark through the controller's eyes",
