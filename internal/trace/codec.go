@@ -46,10 +46,9 @@ func appendRecord(dst []byte, ev Event, prev BranchID) []byte {
 
 // Writer serializes an event stream.
 type Writer struct {
-	w      *bufio.Writer
-	events uint64
-	buf    [2 * binary.MaxVarintLen64]byte
-	prev   BranchID
+	w    *bufio.Writer
+	buf  [2 * binary.MaxVarintLen64]byte
+	prev BranchID
 }
 
 // NewWriter writes a trace header for a stream of totalEvents events and
@@ -60,7 +59,7 @@ func NewWriter(w io.Writer, totalEvents uint64) (*Writer, error) {
 	if _, err := bw.Write(appendHeader(nil, totalEvents)); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, events: totalEvents}, nil
+	return &Writer{w: bw}, nil
 }
 
 // Write appends one event.
