@@ -201,8 +201,8 @@ func run(args []string, out io.Writer) error {
 		return usagef("-wal-program, -wal-from and -wal-to require -wal-dir")
 	}
 	if *walDir != "" {
-		if name != "timeline" {
-			return usagef("-wal-dir applies only to the timeline experiment, not %q", name)
+		if name != walVerb {
+			return usagef("-wal-dir applies only to the %s experiment, not %q", walVerb, name)
 		}
 		if *walTo != 0 && *walTo <= *walFrom {
 			return usagef("empty WAL window [%d, %d)", *walFrom, *walTo)
@@ -328,6 +328,9 @@ type verb struct {
 	svg   func(e env, out io.Writer) error
 }
 
+// walVerb names the timeline experiment, the one verb -wal-dir applies to.
+const walVerb = "timeline"
+
 // verbs lists every experiment in the order "all" runs them.
 var verbs = slices.Concat([]verb{
 	{name: "table1", write: func(e env, out io.Writer, csv bool) error { return experiments.WriteTable1(out, e.cfg, csv) }},
@@ -356,7 +359,7 @@ var verbs = slices.Concat([]verb{
 	fig("replay", experiments.Replay, experiments.WriteReplay, nil),
 	fig("tls", experiments.TLS, experiments.WriteTLS, nil),
 	{name: "describe", write: describe},
-	verbOf("timeline", timeline, experiments.WriteTimeline, experiments.SVGTimeline),
+	verbOf(walVerb, timeline, experiments.WriteTimeline, experiments.SVGTimeline),
 })
 
 // verbNames returns the experiment names in order, only those with an SVG
