@@ -216,17 +216,39 @@ func BenchmarkGshare(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccess times one memory access through a hierarchy over a
+// streaming 8 MiB footprint. The two-core case alternates a writer and a
+// reader on the same lines, so every read takes the directory's hop path
+// and deletes the writer's ownership.
 func BenchmarkCacheAccess(b *testing.B) {
-	shared := cache.NewShared()
-	h := cache.NewHierarchy(0, cache.LeadingL1, shared)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Access(uint64(i*64)%(8<<20), i&7 == 0)
-	}
+	b.Run("one-core", func(b *testing.B) {
+		h := cache.NewHierarchy(0, cache.LeadingL1, cache.NewShared())
+		for i := 0; i < b.N; i++ {
+			h.Access(uint64(i*64)%(8<<20), i&7 == 0)
+		}
+	})
+	b.Run("two-core", func(b *testing.B) {
+		shared := cache.NewShared()
+		writer := cache.NewHierarchy(0, cache.LeadingL1, shared)
+		reader := cache.NewHierarchy(1, cache.TrailingL1, shared)
+		for i := 0; i < b.N; i++ {
+			addr := uint64(i/2*64) % (8 << 20)
+			if i&1 == 0 {
+				writer.Access(addr, true)
+			} else {
+				reader.Access(addr, false)
+			}
+		}
+		if b.N > 1 && reader.CoherenceHops == 0 {
+			b.Fatal("reader took no coherence hop")
+		}
+	})
 }
 
-// BenchmarkMSSPMachine measures whole-machine simulation throughput
-// (instructions simulated per op reported as a metric).
+// BenchmarkMSSPMachine measures whole-machine simulation throughput as
+// ns/instr over the run's original instructions, with the superscalar
+// baseline precomputed as the figures do: the same quantity as perfbench's
+// mssp.run_ns_per_instr.
 func BenchmarkMSSPMachine(b *testing.B) {
 	o := program.DefaultSynthOptions()
 	o.Regions = 16
@@ -237,6 +259,7 @@ func BenchmarkMSSPMachine(b *testing.B) {
 	}
 	cfg := mssp.DefaultConfig()
 	cfg.RunInstrs = o.RunInstrs
+	cfg.PrecomputedBaseline, _ = mssp.Baseline(prog, o.RunInstrs)
 	params := core.DefaultParams().Scaled(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -245,7 +268,7 @@ func BenchmarkMSSPMachine(b *testing.B) {
 			b.Fatal("no tasks")
 		}
 	}
-	b.ReportMetric(float64(o.RunInstrs), "instrs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*o.RunInstrs), "ns/instr")
 }
 
 // BenchmarkReplayEngine measures the rePLay frame engine's simulation

@@ -218,6 +218,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	i := slices.IndexFunc(verbs, func(v verb) bool { return v.name == name })
+	if i < 0 && name != "all" {
+		return usagef("unknown experiment %q", name)
+	}
 	if svg {
 		if i < 0 || verbs[i].svg == nil {
 			return usagef("experiment %q has no SVG form (these do: %s)", name, strings.Join(verbNames(true), ", "))
@@ -232,9 +235,6 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		return nil
-	}
-	if i < 0 {
-		return usagef("unknown experiment %q", name)
 	}
 	return verbs[i].write(e, out, csv)
 }

@@ -86,6 +86,17 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-format", "xml", "table3"}, &b); err == nil {
 		t.Fatal("unknown format accepted")
 	}
+	// A misspelled verb is unknown before it lacks an SVG form; all is
+	// known but has none.
+	for name, want := range map[string]string{
+		"fgi5": `unknown experiment "fgi5"`,
+		"all":  `experiment "all" has no SVG form`,
+	} {
+		err := run([]string{"-format", "svg", name}, &b)
+		if err == nil || !strings.Contains(err.Error(), want) || exitCode(err) != 2 {
+			t.Errorf("-format svg %s: err %v (exit %d), want usage error %q", name, err, exitCode(err), want)
+		}
+	}
 }
 
 func TestRunChaos(t *testing.T) {

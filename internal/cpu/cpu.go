@@ -63,19 +63,19 @@ type Core struct {
 	Pred *bpred.Unit
 
 	stats Stats
-	// blockSeq tracks per-block access counters for deterministic
-	// address-stream generation.
-	blockSeq map[uint32]uint64
+	// blockSeq[region][block] counts the block's memory accesses so far,
+	// for deterministic address-stream generation. It grows on first
+	// touch.
+	blockSeq [][]uint64
 }
 
 // New returns a core with the given configuration attached to the shared
 // memory system.
 func New(cfg Config, coreID int, shared *cache.Shared) *Core {
 	return &Core{
-		cfg:      cfg,
-		Mem:      cache.NewHierarchy(coreID, cfg.L1, shared),
-		Pred:     bpred.NewUnit(),
-		blockSeq: make(map[uint32]uint64),
+		cfg:  cfg,
+		Mem:  cache.NewHierarchy(coreID, cfg.L1, shared),
+		Pred: bpred.NewUnit(),
 	}
 }
 
@@ -115,24 +115,31 @@ func (c *Core) ExecBlock(blk *program.Block, st program.Step, cost BlockCost) fl
 	}
 	cycles := float64(instrs) / float64(c.cfg.Width)
 
-	// Memory accesses: deterministic per-block address stream.
-	key := uint32(st.Region)<<16 | uint32(st.Block)
-	seq := c.blockSeq[key]
-	for i := 0; i < loads+blk.Stores; i++ {
-		addr := blk.AddrBase
+	// Memory accesses: deterministic per-block address stream. Access i
+	// of this call is at AddrBase + ((seq+i)·Stride + 8i) mod AddrSpan,
+	// so the offset starts at seq·Stride and steps by Stride+8.
+	if n := loads + blk.Stores; n > 0 {
+		seq := c.seq(st.Region, st.Block)
+		var off, step uint64
 		if blk.AddrSpan > 0 {
-			addr += (seq*blk.Stride + uint64(i)*8) % blk.AddrSpan
+			off = *seq * blk.Stride % blk.AddrSpan
+			step = (blk.Stride + 8) % blk.AddrSpan
 		}
-		seq++
-		lat := float64(c.Mem.Access(addr, i >= loads))
-		if stall := lat - c.hidden(); stall > 0 && i < loads {
-			// Only loads stall the pipeline; stores retire from
-			// the store buffer.
-			cycles += stall
-			c.stats.MemStalls += stall
+		*seq += uint64(n)
+		hidden := c.hidden()
+		for i := 0; i < n; i++ {
+			lat := float64(c.Mem.Access(blk.AddrBase+off, i >= loads))
+			if stall := lat - hidden; stall > 0 && i < loads {
+				// Only loads stall the pipeline; stores retire
+				// from the store buffer.
+				cycles += stall
+				c.stats.MemStalls += stall
+			}
+			if off += step; off >= blk.AddrSpan {
+				off -= blk.AddrSpan
+			}
 		}
 	}
-	c.blockSeq[key] = seq
 
 	if branchExecuted {
 		correct := true
@@ -159,6 +166,20 @@ func (c *Core) ExecBlock(blk *program.Block, st program.Step, cost BlockCost) fl
 	c.stats.Instrs += uint64(instrs)
 	c.stats.Cycles += cycles
 	return cycles
+}
+
+// seq returns the access counter of block b in region r, growing
+// blockSeq to hold it.
+func (c *Core) seq(r, b int) *uint64 {
+	if r >= len(c.blockSeq) {
+		c.blockSeq = append(c.blockSeq, make([][]uint64, r+1-len(c.blockSeq))...)
+	}
+	blocks := c.blockSeq[r]
+	if b >= len(blocks) {
+		blocks = append(blocks, make([]uint64, b+1-len(blocks))...)
+		c.blockSeq[r] = blocks
+	}
+	return &blocks[b]
 }
 
 // retAddrFor synthesizes the return address of a region invocation; pushes

@@ -377,7 +377,8 @@ echo "==> cross-node span chain (reactivespec -require-chain spans)"
 # hello/ack decoders (stream and replication), session frames, RLE decision payloads, shipped
 # replication records, and the one trace frame walker — DecodeFrameAppend,
 # the only decoder every ingest path runs, and ValidateFrame beside it —
-# and of snapshot restore, which must reject any entry it cannot round-trip.
+# and of snapshot restore, which must reject any entry it cannot round-trip;
+# and of the two open-addressed tables, each against a map.
 # Each line names a package and its fuzz targets.
 while read -r pkg targets; do
     for target in $targets; do
@@ -387,6 +388,7 @@ while read -r pkg targets; do
 done <<'FUZZ'
 ./internal/trace FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord FuzzDecodeFrameAppend FuzzValidateFrame
 ./internal/server FuzzRestoreEntries FuzzTableIndex
+./internal/cache FuzzDirectory
 FUZZ
 
 # One iteration of every benchmark, so a bench that rots (compile error,
