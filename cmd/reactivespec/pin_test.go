@@ -21,7 +21,9 @@ import (
 // The MSSP verbs (fig7, fig8, sweep-task, sweep-slaves) run at 0.09, the
 // smallest scale in steps of 0.01 at which fig7 passes its regime check;
 // below it speculation barely acts on the timing machine. Every other
-// digest row runs at 0.02.
+// digest row runs at 0.02. Generality runs at full scale (about 3 s): at
+// 0.02 its value-invariance study never selects a load, so a digest there
+// would pin none of the value controller.
 var verbPins = []struct {
 	verb   string
 	scale  string
@@ -43,7 +45,7 @@ var verbPins = []struct {
 	{verb: "table5"},
 	{verb: "averaging", scale: "0.02", sha256: "cfb5cbe276dbbf2c2bb3cfc8a75efe0925b4fc95c6c4fe3af59eb86b677a40bd"},
 	{verb: "flush", scale: "0.02", sha256: "764db9861789854c87545dc36c07792a29f5c8c22dcc43968614786dc473bb16"},
-	{verb: "generality", scale: "0.02", sha256: "7e6671d92d16e2b9f597c03601ea0c7b06273c071c4d6c7f30976354403ede5b"},
+	{verb: "generality"},
 	{verb: "policies", scale: "0.02", sha256: "fe7af115888b1058805d81dfe8baec99dbb7c5e60ea3427360af775de0445ee5"},
 	{verb: "chaos", scale: "0.02", sha256: "9a6528febd7c331cadb2ab58c28cb6c11d7bdef5a25945ed023081c1d41cf1f5"},
 	{verb: "sweep-monitor", scale: "0.02", sha256: "28575e3a7711f62de339cfe60b32842aa659d4a4115b8b03f3ba71e0c254a756"},
