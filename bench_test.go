@@ -27,7 +27,6 @@ import (
 	"reactivespec/internal/server"
 	"reactivespec/internal/tlspec"
 	"reactivespec/internal/trace"
-	"reactivespec/internal/values"
 	"reactivespec/internal/workload"
 )
 
@@ -311,13 +310,13 @@ func BenchmarkTLSMachine(b *testing.B) {
 
 // BenchmarkValueController measures the value-speculation controller.
 func BenchmarkValueController(b *testing.B) {
-	ctl := values.New(core.DefaultParams().Scaled(10))
+	ctl := core.NewValueController(core.DefaultParams().Scaled(10))
 	var instr uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		instr += 5
 		ctl.AddInstrs(5)
-		ctl.OnLoad(i&31, uint32(i&3), instr)
+		ctl.OnValue(i&31, uint32(i&3), instr)
 	}
 }
 

@@ -281,7 +281,9 @@ func (d *Directory) grow() {
 	}
 }
 
-// Shared bundles the components shared between cores.
+// Shared bundles the components shared between cores. Dir may be nil when
+// a single core uses the hierarchy: no other core can own a line, so no
+// access ever pays a hop.
 type Shared struct {
 	L2  *Cache
 	Dir *Directory
@@ -310,8 +312,7 @@ func NewHierarchy(coreID int, l1 Config, shared *Shared) *Hierarchy {
 func (h *Hierarchy) Access(addr uint64, write bool) int {
 	lat := h.L1.cfg.Latency
 	hit, _ := h.L1.Access(addr, write)
-	moved := h.dir.access(h.core, h.L1.Block(addr), write)
-	if moved {
+	if h.dir != nil && h.dir.access(h.core, h.L1.Block(addr), write) {
 		// The block was last written by another core: a coherence hop
 		// (minimum 10 cycles uncongested) fetches the fresh copy.
 		h.CoherenceHops++

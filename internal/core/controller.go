@@ -80,14 +80,16 @@ type Transition struct {
 }
 
 // deployment tracks the lifecycle of the speculative code generated for one
-// branch, independent of its classification state: selections become live
+// unit, independent of its classification state: selections become live
 // OptLatency instructions later, and evicted code stays live ("lame duck")
-// for OptLatency instructions until the repaired code is deployed.
+// for OptLatency instructions until the repaired code is deployed. The
+// speculated values are outcomes as Unit.spec holds them: 0 or 1 for a
+// branch, the assumed constant for a load.
 type deployment struct {
 	liveUntil uint64 // 0 = not live; math.MaxUint64 = live indefinitely
 	nextAt    uint64 // 0 = nothing pending
-	liveDir   bool
-	nextDir   bool
+	liveSpec  uint32
+	nextSpec  uint32
 }
 
 func (d *deployment) tick(instr uint64) {
@@ -95,7 +97,7 @@ func (d *deployment) tick(instr uint64) {
 		d.liveUntil = 0
 	}
 	if d.nextAt != 0 && instr >= d.nextAt {
-		d.liveDir = d.nextDir
+		d.liveSpec = d.nextSpec
 		d.liveUntil = math.MaxUint64
 		d.nextAt = 0
 	}
@@ -103,12 +105,12 @@ func (d *deployment) tick(instr uint64) {
 
 func (d *deployment) live() bool { return d.liveUntil != 0 }
 
-// deploy schedules speculation in direction dir to become live at instant at.
-func (d *deployment) deploy(dir bool, at uint64) {
+// deploy schedules speculation on spec to become live at instant at.
+func (d *deployment) deploy(spec uint32, at uint64) {
 	if at == 0 {
 		at = 1
 	}
-	d.nextDir = dir
+	d.nextSpec = spec
 	d.nextAt = at
 }
 
@@ -129,7 +131,8 @@ func (d *deployment) undeploy(at uint64) {
 // Unit is an untouched unit in the Monitor state. A Rule advances it one
 // event at a time; the parameters and the aggregate Stats live with the
 // caller, so a Controller keeps a slice of Units and the serving table keeps
-// one Unit per (program, branch) entry.
+// one Unit per (program, branch) entry. A ValueController keeps load-value
+// units, which hold a load's value where a branch unit holds 0 or 1.
 //
 // The window counters are 32-bit because Params bounds each of them
 // (Params.Validate keeps those bounds within uint32): monSeen, monExecs and
@@ -162,10 +165,13 @@ type Unit struct {
 	// Unbiased-state bookkeeping.
 	waitLeft uint32
 
-	optCount   uint32
-	evictions  uint32
+	optCount  uint32
+	evictions uint32
+	// spec is the outcome the unit was last selected on: 1 taken or 0 not
+	// taken for a branch, the constant for a load.
+	spec uint32
+
 	state      State
-	direction  bool
 	everBiased bool
 }
 
@@ -175,18 +181,26 @@ func (u *Unit) State() State { return u.state }
 // Speculating reports whether speculation is currently live for the unit
 // and, if so, its direction. Because of optimization latency, this can
 // disagree with State around transitions.
-func (u *Unit) Speculating() (dir, live bool) { return u.dep.liveDir, u.dep.live() }
+func (u *Unit) Speculating() (dir, live bool) { return u.dep.liveSpec != 0, u.dep.live() }
+
+// b2u is a branch outcome as a speculated value: 1 taken, 0 not taken.
+func b2u(taken bool) uint32 {
+	if taken {
+		return 1
+	}
+	return 0
+}
 
 // observe is every policy's common prefix of one event: count the
 // execution, advance the deployment clock, and score the outcome against
 // the speculative code live at this instant.
-func (u *Unit) observe(outcome bool, instr uint64) Verdict {
+func (u *Unit) observe(out uint32, instr uint64) Verdict {
 	u.execs++
 	u.dep.tick(instr)
 	if u.dep.liveUntil == 0 { // not live; kept inlinable
 		return NotSpeculated
 	}
-	if outcome == u.dep.liveDir {
+	if out == u.dep.liveSpec {
 		return Correct
 	}
 	return Misspec
@@ -280,10 +294,8 @@ func ClassifyTransition(from, to State) TransitionClass {
 	return Uncounted
 }
 
-// count accounts one step: its verdict, and the transition from → to if the
-// step made one.
-func (s *Stats) count(v Verdict, from, to State) {
-	s.Count(v)
+// countMove accounts a step's transition from → to, if it made one.
+func (s *Stats) countMove(from, to State) {
 	switch ClassifyTransition(from, to) {
 	case Selection:
 		s.Selections++
@@ -364,45 +376,69 @@ func (c *Controller) OnEvent(id trace.BranchID, outcome bool, instr uint64) (Ver
 	return v, u.state, dir, live
 }
 
-// step advances unit id by one event, counts it, and reports a transition
-// to OnTransition.
+// step advances unit id by one event and counts it.
 func (c *Controller) step(id trace.BranchID, outcome bool, instr uint64) (*Unit, Verdict) {
+	u := c.unit(id)
+	from := u.state
+	v := c.rule.Step(u, outcome, instr)
+	c.stats.Count(v)
+	if u.state != from {
+		c.transition(id, from, instr)
+	}
+	return u, v
+}
+
+// unit returns unit id, growing the table to hold it.
+func (c *Controller) unit(id trace.BranchID) *Unit {
 	if int(id) >= len(c.units) {
 		grown := make([]Unit, int(id)+1+int(id)/2)
 		copy(grown, c.units)
 		c.units = grown
 	}
+	return &c.units[id]
+}
+
+// transition counts the step that moved unit id from state from and
+// reports it to OnTransition. A step makes at most one transition, and
+// every transition changes the state, as its last effect on the fields a
+// Transition reports.
+func (c *Controller) transition(id trace.BranchID, from State, instr uint64) {
 	u := &c.units[id]
-	from := u.state
-	v := c.rule.Step(u, outcome, instr)
-	c.stats.count(v, from, u.state)
-	// A step makes at most one transition, and every transition changes
-	// the state, as its last effect on the fields a Transition reports.
-	if c.OnTransition != nil && u.state != from {
+	c.stats.countMove(from, u.state)
+	if c.OnTransition != nil {
 		c.OnTransition(Transition{Branch: id, From: from, To: u.state, Instr: instr, Exec: u.execs, Counter: u.counter})
 	}
-	return u, v
 }
 
 // AddInstrs accounts dynamic instructions (the gaps between branch events).
 func (c *Controller) AddInstrs(n uint64) { c.stats.Instrs += n }
 
-// stepReactive advances the unit by one event under the paper's FSM
-// (Figure 4b). It is the only copy of that logic, and Rule.Step runs it
-// for every reactive caller. The per-event work of each state is written out
-// here so a step costs one call; the rare window-end classification and
-// the sampling and eviction paths are calls.
+// stepReactive advances a branch unit by one event under the paper's FSM
+// (Figure 4b); Rule.Step runs it for every reactive caller.
 func (u *Unit) stepReactive(p *Params, taken bool, instr uint64) Verdict {
-	v := u.observe(taken, instr)
+	return u.step(p, b2u(taken), instr, nil)
+}
+
+// step advances the unit by one event with outcome out under the paper's
+// FSM (Figure 4b). It is the only copy of that logic: a branch unit (out 0
+// or 1, w nil) and a load-value unit (out the loaded value, w its window)
+// share every state but the monitor window, and even that ends in one
+// settle. The per-event work of each state is written out here so a
+// branch step costs one call; the rare window-end classification, the
+// value window and the sampling and eviction paths are calls.
+func (u *Unit) step(p *Params, out uint32, instr uint64, w *valueWindow) Verdict {
+	v := u.observe(out, instr)
 	switch u.state {
 	case Monitor:
+		if w != nil {
+			u.monitorValue(p, w, out, instr)
+			break
+		}
 		u.monSeen++
 		rate := p.MonitorSampleRate
 		if rate < 2 || u.monSeen%rate == 0 {
 			u.monExecs++
-			if taken {
-				u.monTaken++
-			}
+			u.monTaken += out
 		}
 		if uint64(u.monSeen) >= p.MonitorPeriod {
 			u.classify(p, instr)
@@ -411,14 +447,14 @@ func (u *Unit) stepReactive(p *Params, taken bool, instr uint64) Verdict {
 		// Only count outcomes once the speculative code is actually live
 		// and matches this classification (Section 3.1: counting starts
 		// after the optimization latency has elapsed).
-		if p.NoEviction || u.dep.liveUntil == 0 || u.dep.liveDir != u.direction {
+		if p.NoEviction || u.dep.liveUntil == 0 || u.dep.liveSpec != u.spec {
 			break
 		}
 		if p.EvictBySampling {
-			u.onBiasedSampling(p, taken, instr)
+			u.onBiasedSampling(p, out, instr)
 			break
 		}
-		if taken != u.direction {
+		if out != u.spec {
 			next := u.counter + p.MisspecStep
 			if next > p.EvictThreshold {
 				next = p.EvictThreshold
@@ -449,36 +485,38 @@ func (u *Unit) stepReactive(p *Params, taken bool, instr uint64) Verdict {
 	return v
 }
 
-// classify ends a complete monitor window: select, retire, or mark the
-// unit unbiased. The window may hold up to MaxUint32 executions, so the
-// majority test runs in 64 bits.
+// classify ends a branch unit's monitor window: settle on its majority
+// direction. The window may hold up to MaxUint32 executions, so the
+// majority test runs in 64 bits; a tie goes to taken.
 func (u *Unit) classify(p *Params, instr uint64) {
 	taken, execs := uint64(u.monTaken), uint64(u.monExecs)
 	u.monSeen, u.monExecs, u.monTaken = 0, 0, 0
-	if execs == 0 {
-		u.state = Unbiased
-		u.waitLeft = uint32(p.WaitPeriod)
-		return
+	maj, dir := taken, uint32(1)
+	if taken*2 < execs {
+		maj, dir = execs-taken, 0
 	}
-	majTaken := taken*2 >= execs
-	maj := taken
-	if !majTaken {
-		maj = execs - taken
-	}
-	if float64(maj) >= p.SelectThreshold*float64(execs) {
+	u.settle(p, instr, dir, maj, execs)
+}
+
+// settle ends a monitor window of n observations whose modal outcome spec
+// occurred hits times: select spec when hits clears SelectThreshold (or
+// retire the unit at the oscillation limit), otherwise mark the unit
+// unbiased. An empty window (every execution unsampled) is unbiased.
+func (u *Unit) settle(p *Params, instr uint64, spec uint32, hits, n uint64) {
+	if n > 0 && float64(hits) >= p.SelectThreshold*float64(n) {
 		if u.optCount >= p.MaxOptimizations {
 			// The oscillation limit: conservatively never
-			// speculate on this branch again.
+			// speculate on this unit again.
 			u.state = Retired
 			return
 		}
 		u.optCount++
-		u.direction = majTaken
+		u.spec = spec
 		u.counter = 0
 		u.cyclePos = 0
 		u.smpExecs, u.smpWrong = 0, 0
 		u.everBiased = true
-		u.dep.deploy(majTaken, instr+p.OptLatency)
+		u.dep.deploy(spec, instr+p.OptLatency)
 		u.state = Biased
 		return
 	}
@@ -486,10 +524,10 @@ func (u *Unit) classify(p *Params, instr uint64) {
 	u.waitLeft = uint32(p.WaitPeriod)
 }
 
-func (u *Unit) onBiasedSampling(p *Params, taken bool, instr uint64) {
+func (u *Unit) onBiasedSampling(p *Params, out uint32, instr uint64) {
 	if uint64(u.cyclePos) < p.SampleLen {
 		u.smpExecs++
-		if taken != u.direction {
+		if out != u.spec {
 			u.smpWrong++
 		}
 	}

@@ -64,13 +64,13 @@ func TestDeploymentPrimitive(t *testing.T) {
 	if d.live() {
 		t.Fatal("zero deployment is live")
 	}
-	d.deploy(true, 100)
+	d.deploy(1, 100)
 	d.tick(99)
 	if d.live() {
 		t.Fatal("live before activation instant")
 	}
 	d.tick(100)
-	if !d.live() || !d.liveDir {
+	if !d.live() || d.liveSpec != 1 {
 		t.Fatal("not live at activation instant")
 	}
 	d.undeploy(200)
@@ -86,14 +86,14 @@ func TestDeploymentPrimitive(t *testing.T) {
 
 func TestDeploymentReplacePending(t *testing.T) {
 	var d deployment
-	d.deploy(true, 100)
-	d.deploy(false, 150) // replaces the pending deployment
+	d.deploy(1, 100)
+	d.deploy(0, 150) // replaces the pending deployment
 	d.tick(120)
 	if d.live() {
 		t.Fatal("replaced deployment went live")
 	}
 	d.tick(150)
-	if !d.live() || d.liveDir {
+	if !d.live() || d.liveSpec != 0 {
 		t.Fatal("replacement not live in new direction")
 	}
 	if d.liveUntil != math.MaxUint64 {
@@ -103,9 +103,9 @@ func TestDeploymentReplacePending(t *testing.T) {
 
 func TestDeploymentUndeployCancelsPending(t *testing.T) {
 	var d deployment
-	d.deploy(true, 50)
+	d.deploy(1, 50)
 	d.tick(50)
-	d.deploy(false, 200)
+	d.deploy(0, 200)
 	d.undeploy(100) // eviction also cancels any pending deployment
 	d.tick(100)
 	if d.live() {
@@ -119,7 +119,7 @@ func TestDeploymentUndeployCancelsPending(t *testing.T) {
 
 func TestDeploymentZeroInstantClamped(t *testing.T) {
 	var d deployment
-	d.deploy(true, 0) // 0 is the "nothing pending" sentinel; must clamp
+	d.deploy(1, 0) // 0 is the "nothing pending" sentinel; must clamp
 	d.tick(1)
 	if !d.live() {
 		t.Fatal("zero-instant deployment never activated")

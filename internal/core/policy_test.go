@@ -40,7 +40,8 @@ func (f *policyFeeder) event(outcome bool) (Verdict, State, bool, bool) {
 	f.stats.Instrs += 5
 	from := f.unit.State()
 	v := f.rule.Step(&f.unit, outcome, f.instr)
-	f.stats.count(v, from, f.unit.State())
+	f.stats.Count(v)
+	f.stats.countMove(from, f.unit.State())
 	dir, live := f.unit.Speculating()
 	return v, f.unit.State(), dir, live
 }

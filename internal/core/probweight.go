@@ -34,7 +34,7 @@ func (u *Unit) stepProbWeight(p *Params, outcome bool, instr uint64) Verdict {
 		// prior; a touched one (execs ≥ 1) carries its own estimate.
 		u.est = probPrior
 	}
-	v := u.observe(outcome, instr)
+	v := u.observe(b2u(outcome), instr)
 
 	x := 0.0
 	if outcome {
@@ -63,9 +63,9 @@ func (u *Unit) stepProbWeight(p *Params, outcome bool, instr uint64) Verdict {
 				break
 			}
 			u.optCount++
-			u.direction = dir
+			u.spec = b2u(dir)
 			u.everBiased = true
-			u.dep.deploy(dir, instr+p.OptLatency)
+			u.dep.deploy(u.spec, instr+p.OptLatency)
 			u.state = Biased
 		}
 	case Biased:
@@ -74,10 +74,10 @@ func (u *Unit) stepProbWeight(p *Params, outcome bool, instr uint64) Verdict {
 		}
 		// Like the reactive FSM, outcomes only count against the deployed
 		// code once it is actually live in the classified direction.
-		if !u.dep.live() || u.dep.liveDir != u.direction {
+		if !u.dep.live() || u.dep.liveSpec != u.spec {
 			break
 		}
-		if dir != u.direction || conf < p.EvictBias {
+		if b2u(dir) != u.spec || conf < p.EvictBias {
 			u.evictions++
 			u.dep.undeploy(instr + p.OptLatency)
 			u.state = Monitor

@@ -96,7 +96,7 @@ func TestMajorityAbove2To31(t *testing.T) {
 		if got := u.State(); got != Biased {
 			t.Errorf("%s: state after the window = %v, want Biased", policy, got)
 		}
-		if !u.dep.nextDir {
+		if u.dep.nextSpec != 1 {
 			t.Errorf("%s: selected the not-taken direction", policy)
 		}
 	}

@@ -9,12 +9,11 @@ package core
 // "self-train-99": it captures initial behavior perfectly and reacts to
 // nothing, which is exactly the contrast the reactive arcs exist to fix.
 func (u *Unit) stepSelfTrain(p *Params, outcome bool, instr uint64) Verdict {
-	v := u.observe(outcome, instr)
+	out := b2u(outcome)
+	v := u.observe(out, instr)
 	if u.state == Monitor {
 		u.monSeen++
-		if outcome {
-			u.monTaken++
-		}
+		u.monTaken += out
 		if uint64(u.monSeen) >= p.MonitorPeriod {
 			u.classifyOnce(p, instr)
 		}
@@ -32,9 +31,9 @@ func (u *Unit) classifyOnce(p *Params, instr uint64) {
 		maj = seen - taken
 	}
 	if float64(maj) >= p.SelectThreshold*float64(seen) {
-		u.direction = majTaken
+		u.spec = b2u(majTaken)
 		u.everBiased = true
-		u.dep.deploy(majTaken, instr+p.OptLatency)
+		u.dep.deploy(u.spec, instr+p.OptLatency)
 		u.state = Biased
 		return
 	}

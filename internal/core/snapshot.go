@@ -53,21 +53,22 @@ type BranchState struct {
 // Export returns the unit's full state and whether the unit has been
 // touched (executed at least once or moved out of the default state).
 // Untouched units need no snapshot entry: a zero Unit already behaves
-// identically.
+// identically. A branch unit's speculated outcomes are 0 and 1, which
+// BranchState holds as false and true; Import converts them back.
 func (u *Unit) Export() (BranchState, bool) {
 	if u.execs == 0 && u.state == Monitor {
 		return BranchState{}, false
 	}
 	return BranchState{
 		State:      u.state,
-		LiveDir:    u.dep.liveDir,
+		LiveDir:    u.dep.liveSpec != 0,
 		LiveUntil:  u.dep.liveUntil,
-		NextDir:    u.dep.nextDir,
+		NextDir:    u.dep.nextSpec != 0,
 		NextAt:     u.dep.nextAt,
 		MonSeen:    uint64(u.monSeen),
 		MonExecs:   uint64(u.monExecs),
 		MonTaken:   uint64(u.monTaken),
-		Direction:  u.direction,
+		Direction:  u.spec != 0,
 		Counter:    u.counter,
 		CyclePos:   uint64(u.cyclePos),
 		SmpExecs:   uint64(u.smpExecs),
@@ -116,9 +117,9 @@ func (u *Unit) Import(st BranchState) error {
 	}
 	*u = Unit{
 		dep: deployment{
-			liveDir:   st.LiveDir,
+			liveSpec:  b2u(st.LiveDir),
 			liveUntil: st.LiveUntil,
-			nextDir:   st.NextDir,
+			nextSpec:  b2u(st.NextDir),
 			nextAt:    st.NextAt,
 		},
 		monSeen:    uint32(st.MonSeen),
@@ -134,7 +135,7 @@ func (u *Unit) Import(st BranchState) error {
 		optCount:   st.OptCount,
 		evictions:  st.Evictions,
 		state:      st.State,
-		direction:  st.Direction,
+		spec:       b2u(st.Direction),
 		everBiased: st.EverBiased,
 	}
 	return nil

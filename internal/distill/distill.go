@@ -25,7 +25,7 @@ type Policy interface {
 }
 
 // ValuePolicy supplies the current value-speculation decisions per static
-// load (values.Controller satisfies it).
+// load (core.ValueController satisfies it).
 type ValuePolicy interface {
 	// Speculating reports whether constant speculation is live for the
 	// load and, if so, the speculated value.

@@ -17,7 +17,6 @@ import (
 	"reactivespec/internal/distill"
 	"reactivespec/internal/program"
 	"reactivespec/internal/trace"
-	"reactivespec/internal/values"
 )
 
 // Config parameterizes the machine. DefaultConfig matches Table 5 and the
@@ -137,7 +136,7 @@ func Run(p *program.Program, ctl *core.Controller, cfg Config) Result {
 	// The dynamic optimizer also value-speculates invariant loads
 	// (Figure 1's constant-substitution approximation), driven by the
 	// same control model.
-	vctl := values.New(ctl.Params())
+	vctl := core.NewValueController(ctl.Params())
 	ctl.OnTransition = func(tr core.Transition) {
 		if tr.To == core.Biased || (tr.From == core.Biased && tr.To == core.Monitor) {
 			dist.NoteTransition(int(tr.Branch), tr.Instr)
@@ -223,7 +222,7 @@ func Run(p *program.Program, ctl *core.Controller, cfg Config) Result {
 			ctl.OnBranch(trace.BranchID(st.Branch), st.Taken, origInstrs)
 		}
 		if st.ValueLoad >= 0 {
-			vctl.OnLoad(st.ValueLoad, st.Value, origInstrs)
+			vctl.OnValue(st.ValueLoad, st.Value, origInstrs)
 		}
 		ctl.AddInstrs(uint64(blk.Instrs()))
 		task = append(task, taskStep{step: st, blk: blk})
@@ -257,9 +256,10 @@ type slaveState struct {
 
 // Baseline runs the original program on a single leading core and returns
 // its cycle count and statistics (the Figure 7/8 normalization baseline).
+// A lone core never pays a coherence hop, so its hierarchy has no
+// directory.
 func Baseline(p *program.Program, runInstrs uint64) (float64, cpu.Stats) {
-	shared := cache.NewShared()
-	c := cpu.New(cpu.Leading, 0, shared)
+	c := cpu.New(cpu.Leading, 0, &cache.Shared{L2: cache.New(cache.SharedL2)})
 	exec := program.NewExecutor(p)
 	var cycles float64
 	var instrs uint64

@@ -53,11 +53,13 @@ func counterSamples(t *testing.T, prefix string, reg *obs.Registry, into map[str
 
 // runTraceEquivalence drives identical traffic down all three ingest paths —
 // per-batch POST, a streaming session, and direct replicated apply — against
-// servers configured with the given tracer (nil = tracing off).
+// servers configured with the given tracer (nil = tracing off). Both WALs
+// fsync on every commit, so the fsync counter follows the commits rather
+// than an interval timer, and every commit still records a wal_fsync span.
 func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) traceEqResult {
 	t.Helper()
 	ctx := context.Background()
-	wlog, err := wal.Open(wal.Options{Dir: t.TempDir(), ParamsHash: ParamsHash(testParams()), Trace: tracer})
+	wlog, err := wal.Open(wal.Options{Dir: t.TempDir(), ParamsHash: ParamsHash(testParams()), Policy: wal.SyncAlways, Trace: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func runTraceEquivalence(t *testing.T, tracer *obs.Tracer, replicaTrace uint64) 
 		t.Fatal(err)
 	}
 
-	rlog, err := wal.Open(wal.Options{Dir: t.TempDir(), ParamsHash: ParamsHash(testParams()), Trace: tracer})
+	rlog, err := wal.Open(wal.Options{Dir: t.TempDir(), ParamsHash: ParamsHash(testParams()), Policy: wal.SyncAlways, Trace: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,13 @@ func Example() {
 		WaitPeriod:       1_000,
 		MaxOptimizations: 5,
 	}
-	ctl := values.New(params)
+	ctl := core.NewValueController(params)
 	load := values.PhaseConstant{V1: 32, V2: 64, SwitchAt: 3_000}
 
 	var instr uint64
 	for n := uint64(0); n < 6_000; n++ {
 		instr += 5
-		ctl.OnLoad(0, load.Value(n), instr)
+		ctl.OnValue(0, load.Value(n), instr)
 	}
 	v, live := ctl.Speculating(0)
 	st := ctl.Stats()

@@ -95,11 +95,11 @@ type StudyResult struct {
 func (s *Suite) RunStudy(params core.Params) StudyResult {
 	var res StudyResult
 
-	run := func(p core.Params) (*Controller, core.Stats) {
-		ctl := New(p)
+	run := func(p core.Params) (*core.ValueController, core.Stats) {
+		ctl := core.NewValueController(p)
 		replay(s, func(id int, v uint32, instr uint64) {
 			ctl.AddInstrs(uint64(s.MeanGap))
-			ctl.OnLoad(id, v, instr)
+			ctl.OnValue(id, v, instr)
 		})
 		return ctl, ctl.Stats()
 	}

@@ -3,20 +3,13 @@
 // reports its results generalize to (Section 2: "loads that produce invariant
 // values"), and the behavior behind Figure 1's x.d == 32 approximation.
 //
-// A branch has two outcomes, so the core controller tracks a direction; a
-// load produces arbitrary values, so the monitor state here tracks the modal
-// value of a window and the biased state speculates that the load keeps
-// producing it (letting the optimizer constant-fold it, as in Figure 1).
-// Everything else — the selection threshold, the eviction hysteresis counter,
-// the revisit wait, the oscillation limit, the optimization latency — is the
-// paper's Table 2 model, unchanged.
+// The controller is core.ValueController, which steps each static load
+// through the same Figure 4b code as a branch: only the monitor window
+// differs, tracking a window's modal value, and the biased state speculates
+// that the load keeps producing it (letting the optimizer constant-fold it,
+// as in Figure 1). This package holds the value side of the study: the
+// value Models, the synthetic Suite and RunStudy.
 package values
-
-import (
-	"math"
-
-	"reactivespec/internal/core"
-)
 
 // Model produces a load's value sequence as a pure function of its execution
 // index, mirroring behavior.Model for branches.
@@ -73,246 +66,3 @@ type Stride struct {
 
 // Value implements Model.
 func (s Stride) Value(n uint64) uint32 { return s.Base + uint32(n)*s.Step }
-
-// Verdict mirrors core.Verdict for value speculation.
-type Verdict = core.Verdict
-
-// maxTracked bounds the monitor state's value table, as a hardware or
-// software profiler would.
-const maxTracked = 4
-
-// loadState is the per-load classifier state.
-type loadState struct {
-	state core.State
-
-	// Monitor: a small modal-value table.
-	monSeen uint64
-	vals    [maxTracked]uint32
-	counts  [maxTracked]uint64
-	used    int
-
-	// Biased: the speculated constant and the eviction counter.
-	specValue uint32
-	counter   uint32
-
-	waitLeft uint64
-	execs    uint64
-	optCount uint32
-
-	evictions  uint32
-	everBiased bool
-
-	// Deployment (optimization latency).
-	liveValue uint32
-	liveUntil uint64
-	nextValue uint32
-	nextAt    uint64
-}
-
-// Controller is the reactive classifier for load-value invariance. Its
-// parameters are core.Params; MonitorSampleRate and EvictBySampling are not
-// supported in this domain and are ignored.
-type Controller struct {
-	params core.Params
-	loads  []loadState
-	stats  core.Stats
-}
-
-// New returns a value-speculation controller.
-func New(params core.Params) *Controller { return &Controller{params: params} }
-
-// Stats returns aggregate counters (Correct = load instances matching the
-// speculated constant while live).
-func (c *Controller) Stats() core.Stats { return c.stats }
-
-// AddInstrs accounts dynamic instructions.
-func (c *Controller) AddInstrs(n uint64) { c.stats.Instrs += n }
-
-func (c *Controller) loadFor(id int) *loadState {
-	if id >= len(c.loads) {
-		grown := make([]loadState, id+1+id/2)
-		copy(grown, c.loads)
-		c.loads = grown
-	}
-	return &c.loads[id]
-}
-
-// OnLoad observes one dynamic load producing value v at global instruction
-// count instr and reports the speculation outcome.
-func (c *Controller) OnLoad(id int, v uint32, instr uint64) Verdict {
-	l := c.loadFor(id)
-	l.execs++
-	c.stats.Events++
-
-	// Deployment lifecycle.
-	if l.liveUntil != 0 && instr >= l.liveUntil {
-		l.liveUntil = 0
-	}
-	if l.nextAt != 0 && instr >= l.nextAt {
-		l.liveValue = l.nextValue
-		l.liveUntil = math.MaxUint64
-		l.nextAt = 0
-	}
-	verdict := core.NotSpeculated
-	if l.liveUntil != 0 {
-		if v == l.liveValue {
-			verdict = core.Correct
-			c.stats.Correct++
-		} else {
-			verdict = core.Misspec
-			c.stats.Misspec++
-		}
-	} else {
-		c.stats.NotSpec++
-	}
-
-	switch l.state {
-	case core.Monitor:
-		c.onMonitor(l, v, instr)
-	case core.Biased:
-		c.onBiased(l, v, instr)
-	case core.Unbiased:
-		if l.waitLeft > 0 {
-			l.waitLeft--
-		}
-		if l.waitLeft == 0 && !c.params.NoRevisit {
-			l.resetMonitor()
-			l.state = core.Monitor
-		}
-	case core.Retired:
-	}
-	return verdict
-}
-
-func (l *loadState) resetMonitor() {
-	l.monSeen = 0
-	l.used = 0
-	for i := range l.counts {
-		l.counts[i] = 0
-	}
-}
-
-func (c *Controller) onMonitor(l *loadState, v uint32, instr uint64) {
-	l.monSeen++
-	// Track the value in the modal table.
-	found := false
-	for i := 0; i < l.used; i++ {
-		if l.vals[i] == v {
-			l.counts[i]++
-			found = true
-			break
-		}
-	}
-	if !found && l.used < maxTracked {
-		l.vals[l.used] = v
-		l.counts[l.used] = 1
-		l.used++
-	}
-	if l.monSeen < c.params.MonitorPeriod {
-		return
-	}
-	// Classify: does the modal value clear the selection threshold?
-	best := 0
-	for i := 1; i < l.used; i++ {
-		if l.counts[i] > l.counts[best] {
-			best = i
-		}
-	}
-	if l.used > 0 && float64(l.counts[best]) >= c.params.SelectThreshold*float64(l.monSeen) {
-		if l.optCount >= c.params.MaxOptimizations {
-			c.stats.Retirals++
-			l.state = core.Retired
-			return
-		}
-		l.optCount++
-		l.specValue = l.vals[best]
-		l.counter = 0
-		l.everBiased = true
-		c.stats.Selections++
-		at := instr + c.params.OptLatency
-		if at == 0 {
-			at = 1
-		}
-		l.nextValue = l.specValue
-		l.nextAt = at
-		l.state = core.Biased
-		l.resetMonitor()
-		return
-	}
-	l.state = core.Unbiased
-	l.waitLeft = c.params.WaitPeriod
-	l.resetMonitor()
-}
-
-func (c *Controller) onBiased(l *loadState, v uint32, instr uint64) {
-	if c.params.NoEviction {
-		return
-	}
-	if l.liveUntil == 0 || l.liveValue != l.specValue {
-		return // not yet deployed
-	}
-	if v != l.specValue {
-		next := l.counter + c.params.MisspecStep
-		if next > c.params.EvictThreshold {
-			next = c.params.EvictThreshold
-		}
-		l.counter = next
-	} else if l.counter >= c.params.CorrectStep {
-		l.counter -= c.params.CorrectStep
-	} else {
-		l.counter = 0
-	}
-	if l.counter >= c.params.EvictThreshold {
-		l.evictions++
-		c.stats.Evictions++
-		until := instr + c.params.OptLatency
-		if until == 0 {
-			until = 1
-		}
-		if l.liveUntil != 0 && until < l.liveUntil {
-			l.liveUntil = until
-		}
-		l.nextAt = 0
-		l.state = core.Monitor
-		l.resetMonitor()
-	}
-}
-
-// LoadState returns the classification state of a load.
-func (c *Controller) LoadState(id int) core.State {
-	if id >= len(c.loads) {
-		return core.Monitor
-	}
-	return c.loads[id].state
-}
-
-// Speculating reports whether constant speculation is live for the load and,
-// if so, the speculated value.
-func (c *Controller) Speculating(id int) (uint32, bool) {
-	if id >= len(c.loads) {
-		return 0, false
-	}
-	l := &c.loads[id]
-	return l.liveValue, l.liveUntil != 0
-}
-
-// StaticCounts mirrors core.Controller.StaticCounts for loads.
-func (c *Controller) StaticCounts() (touched, everBiased, everEvicted, retired int) {
-	for i := range c.loads {
-		l := &c.loads[i]
-		if l.execs == 0 {
-			continue
-		}
-		touched++
-		if l.everBiased {
-			everBiased++
-		}
-		if l.evictions > 0 {
-			everEvicted++
-		}
-		if l.state == core.Retired {
-			retired++
-		}
-	}
-	return touched, everBiased, everEvicted, retired
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"reactivespec/internal/core"
+	"reactivespec/internal/trace"
 )
 
 func testParams() core.Params {
@@ -19,15 +20,20 @@ func testParams() core.Params {
 }
 
 type vfeeder struct {
-	ctl   *Controller
+	ctl   *core.ValueController
 	instr uint64
 }
 
-func (f *vfeeder) load(id int, v uint32) Verdict {
+func newFeeder(p core.Params) *vfeeder { return &vfeeder{ctl: core.NewValueController(p)} }
+
+func (f *vfeeder) load(id int, v uint32) core.Verdict {
 	f.instr += 5
 	f.ctl.AddInstrs(5)
-	return f.ctl.OnLoad(id, v, f.instr)
+	return f.ctl.OnValue(id, v, f.instr)
 }
+
+// state returns load id's classification state.
+func (f *vfeeder) state(id int) core.State { return f.ctl.UnitState(trace.BranchID(id)) }
 
 func (f *vfeeder) repeat(id int, v uint32, n int) (correct, misspec int) {
 	for i := 0; i < n; i++ {
@@ -66,9 +72,9 @@ func TestModels(t *testing.T) {
 }
 
 func TestInvariantLoadSelected(t *testing.T) {
-	f := &vfeeder{ctl: New(testParams())}
+	f := newFeeder(testParams())
 	f.repeat(0, 42, 10) // monitor window
-	if got := f.ctl.LoadState(0); got != core.Biased {
+	if got := f.state(0); got != core.Biased {
 		t.Fatalf("state = %v, want biased", got)
 	}
 	// Deployment becomes live at the next instance (even with zero
@@ -83,26 +89,26 @@ func TestInvariantLoadSelected(t *testing.T) {
 }
 
 func TestVaryingLoadRejected(t *testing.T) {
-	f := &vfeeder{ctl: New(testParams())}
+	f := newFeeder(testParams())
 	for i := 0; i < 10; i++ {
 		f.load(0, uint32(i)) // a stride: never modal
 	}
-	if got := f.ctl.LoadState(0); got != core.Unbiased {
+	if got := f.state(0); got != core.Unbiased {
 		t.Fatalf("state = %v, want unbiased", got)
 	}
 }
 
 func TestConstantSwitchEvictsAndRelearns(t *testing.T) {
-	f := &vfeeder{ctl: New(testParams())}
+	f := newFeeder(testParams())
 	f.repeat(0, 1, 11)
 	// The constant changes: misspecs ramp the counter (2×50 ≥ 100).
 	f.repeat(0, 2, 2)
-	if got := f.ctl.LoadState(0); got != core.Monitor {
+	if got := f.state(0); got != core.Monitor {
 		t.Fatalf("state after switch = %v, want monitor", got)
 	}
 	// Re-learn the new constant.
 	f.repeat(0, 2, 10)
-	if got := f.ctl.LoadState(0); got != core.Biased {
+	if got := f.state(0); got != core.Biased {
 		t.Fatalf("state after re-monitor = %v, want biased", got)
 	}
 	// Deployment becomes live at the next instance.
@@ -117,7 +123,7 @@ func TestConstantSwitchEvictsAndRelearns(t *testing.T) {
 
 func TestOscillationLimitRetiresLoad(t *testing.T) {
 	p := testParams()
-	f := &vfeeder{ctl: New(p)}
+	f := newFeeder(p)
 	v := uint32(1)
 	for opt := uint32(0); opt < p.MaxOptimizations; opt++ {
 		f.repeat(0, v, 10) // select
@@ -125,40 +131,40 @@ func TestOscillationLimitRetiresLoad(t *testing.T) {
 		f.repeat(0, v, 2) // evict
 	}
 	f.repeat(0, v, 10) // one selection past the limit
-	if got := f.ctl.LoadState(0); got != core.Retired {
+	if got := f.state(0); got != core.Retired {
 		t.Fatalf("state = %v, want retired", got)
 	}
 }
 
 func TestRevisitDiscoversLateConstant(t *testing.T) {
-	f := &vfeeder{ctl: New(testParams())}
+	f := newFeeder(testParams())
 	for i := 0; i < 10; i++ {
 		f.load(0, uint32(i)) // varying → unbiased
 	}
 	// Becomes constant; after the 20-execution wait plus a monitor
 	// window, it is selected.
 	f.repeat(0, 7, 20+10)
-	if got := f.ctl.LoadState(0); got != core.Biased {
+	if got := f.state(0); got != core.Biased {
 		t.Fatalf("state = %v, want biased", got)
 	}
 }
 
 func TestNoRevisitStaysUnbiased(t *testing.T) {
-	f := &vfeeder{ctl: New(testParams().WithNoRevisit())}
+	f := newFeeder(testParams().WithNoRevisit())
 	for i := 0; i < 10; i++ {
 		f.load(0, uint32(i))
 	}
 	f.repeat(0, 7, 500)
-	if got := f.ctl.LoadState(0); got != core.Unbiased {
+	if got := f.state(0); got != core.Unbiased {
 		t.Fatalf("no-revisit state = %v", got)
 	}
 }
 
 func TestNoEvictKeepsStaleConstant(t *testing.T) {
-	f := &vfeeder{ctl: New(testParams().WithNoEviction())}
+	f := newFeeder(testParams().WithNoEviction())
 	f.repeat(0, 1, 11)
 	_, misspec := f.repeat(0, 2, 300)
-	if got := f.ctl.LoadState(0); got != core.Biased {
+	if got := f.state(0); got != core.Biased {
 		t.Fatalf("no-evict state = %v", got)
 	}
 	if misspec != 300 {
@@ -167,7 +173,7 @@ func TestNoEvictKeepsStaleConstant(t *testing.T) {
 }
 
 func TestStatsPartition(t *testing.T) {
-	f := &vfeeder{ctl: New(testParams())}
+	f := newFeeder(testParams())
 	f.repeat(0, 5, 200)
 	f.repeat(1, 6, 50)
 	st := f.ctl.Stats()

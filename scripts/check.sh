@@ -377,8 +377,11 @@ echo "==> cross-node span chain (reactivespec -require-chain spans)"
 # hello/ack decoders (stream and replication), session frames, RLE decision payloads, shipped
 # replication records, and the one trace frame walker — DecodeFrameAppend,
 # the only decoder every ingest path runs, and ValidateFrame beside it —
-# and of snapshot restore, which must reject any entry it cannot round-trip;
-# and of the two open-addressed tables, each against a map.
+# and of the decoders that read bytes back from disk: snapshot restore,
+# which must reject any entry it cannot round-trip, and the WAL's record
+# and segment decoders, which crash recovery runs; of the two
+# open-addressed tables, each against a map; and of the controller: its
+# invariants, and value speculation against the branch FSM it shares.
 # Each line names a package and its fuzz targets.
 while read -r pkg targets; do
     for target in $targets; do
@@ -389,6 +392,8 @@ done <<'FUZZ'
 ./internal/trace FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord FuzzDecodeFrameAppend FuzzValidateFrame
 ./internal/server FuzzRestoreEntries FuzzTableIndex
 ./internal/cache FuzzDirectory
+./internal/core FuzzController FuzzValueMatchesBranch
+./internal/wal FuzzSegmentRecords FuzzOpenSegment
 FUZZ
 
 # One iteration of every benchmark, so a bench that rots (compile error,
