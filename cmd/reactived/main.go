@@ -35,8 +35,8 @@
 //	-replication-addr-file f  write the bound replication address to f once listening
 //	-replica-of a         run as a read-only replica of the primary's replication
 //	                      listener at a (requires -wal-dir)
-//	-debug-addr a         serve net/http/pprof, expvar and /debug/spans on a
-//	                      separate listener
+//	-debug-addr a         serve net/http/pprof and /debug/spans on a separate
+//	                      listener
 //	-debug-addr-file f    write the bound debug address to f once listening
 //	-trace-spans f        append sampled end-to-end batch spans to f as JSONL
 //	                      (analyze with `reactivespec spans`)
@@ -63,10 +63,11 @@
 // GET /healthz, GET /metrics, POST /v1/snapshot, POST /v1/promote; ingest,
 // decide and cursor name the speculation kind in an optional kind= query
 // (absent means branch). Streaming ingest sessions are served on
-// the raw TCP listener -stream-addr. With -debug-addr, a second listener
-// serves the runtime profiling surface — GET /debug/pprof/ (CPU, heap,
-// goroutine, block profiles) and GET /debug/vars (expvar, including a
-// "reactived" variable summarizing table totals and WAL position) — kept
+// the raw TCP listener -stream-addr. Every daemon counter — table totals,
+// verdicts, transitions, WAL position, replication lag — is read from
+// /metrics. With -debug-addr, a second listener serves the runtime
+// profiling surface — GET /debug/pprof/ (CPU, heap, goroutine, block
+// profiles) and GET /debug/spans (the tracer's retained span ring) — kept
 // off the serving address so profiling traffic can be firewalled
 // separately. SIGINT/SIGTERM drain in-flight batches, take a final snapshot
 // (when -snapshot-dir is set), and exit 0.
@@ -75,18 +76,15 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -105,114 +103,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "reactived:", err)
 		os.Exit(1)
 	}
-}
-
-// expvarServer points /debug/vars at the daemon currently running in this
-// process. expvar.Publish is once-per-name for the process lifetime, while
-// tests call run repeatedly, so the published Func dereferences this pointer
-// instead of capturing one server.
-var expvarServer atomic.Pointer[server.Server]
-
-// replicationVars is the replication machinery the expvar block reports on;
-// either side may be nil.
-type replicationVars struct {
-	follower *replica.Follower
-	shipper  *replica.Shipper
-}
-
-var expvarReplication atomic.Pointer[replicationVars]
-
-// debugTracer points /debug/spans at the tracer of the daemon currently
-// running in this process (same re-run-safe shape as expvarServer); nil when
-// tracing is off.
-var debugTracer atomic.Pointer[obs.Tracer]
-
-var debugSpansOnce sync.Once
-
-// publishDebugSpans registers /debug/spans on the default mux once per
-// process: a JSONL dump of the tracer's retained span ring, newest window of
-// DefaultTraceRing spans, in the same byte-deterministic encoding as the
-// -trace-spans file.
-func publishDebugSpans() {
-	debugSpansOnce.Do(func() {
-		http.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
-			t := debugTracer.Load()
-			if t == nil {
-				http.Error(w, "span tracing disabled (start with -trace-sample)", http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			t.WriteJSONL(w)
-		})
-	})
-}
-
-// publishExpvars registers the "reactived" expvar once per process.
-func publishExpvars() {
-	if expvar.Get("reactived") != nil {
-		return
-	}
-	expvar.Publish("reactived", expvar.Func(func() any {
-		s := expvarServer.Load()
-		if s == nil {
-			return nil
-		}
-		var total server.ShardMetrics
-		for _, m := range s.Table().Metrics() {
-			total.Add(m)
-		}
-		v := map[string]any{
-			"events":       total.Events,
-			"instructions": total.Instrs,
-			"misspec_rate": total.MisspecRate(),
-			"entries":      total.Entries,
-			"shards":       s.Table().Shards(),
-			"draining":     s.Draining(),
-			"mode":         s.Mode(),
-		}
-		if rv := expvarReplication.Load(); rv != nil {
-			repl := map[string]any{}
-			if f := rv.follower; f != nil {
-				errMsg := ""
-				if err := f.Err(); err != nil {
-					errMsg = err.Error()
-				}
-				repl["follower"] = map[string]any{
-					"state":        f.State(),
-					"last_applied": f.LastApplied(),
-					"error":        errMsg,
-				}
-			}
-			if sh := rv.shipper; sh != nil {
-				records, bytes := sh.Shipped()
-				shipVars := map[string]any{
-					"sessions":        sh.Sessions(),
-					"shipped_records": records,
-					"shipped_bytes":   bytes,
-				}
-				if lagRecords, lagSeconds, ok := sh.FollowerLag(""); ok {
-					shipVars["follower_lag_records"] = lagRecords
-					shipVars["follower_lag_seconds"] = lagSeconds
-				}
-				repl["shipper"] = shipVars
-			}
-			v["replication"] = repl
-		}
-		if l := s.WAL(); l != nil {
-			st := l.Stats()
-			v["wal"] = map[string]any{
-				"dir":              l.Dir(),
-				"policy":           l.Policy().String(),
-				"appended_records": st.AppendedRecords,
-				"appended_bytes":   st.AppendedBytes,
-				"fsyncs":           st.Fsyncs,
-				"segments":         st.Segments,
-				"oldest_seq":       st.OldestSeq,
-				"next_seq":         st.NextSeq,
-			}
-		}
-		return v
-	}))
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -246,7 +136,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	replicaOf := fs.String("replica-of", "",
 		"run as a read-only replica of the primary's replication listener at this address (requires -wal-dir)")
 	debugAddr := fs.String("debug-addr", "",
-		"serve net/http/pprof and expvar on this separate listener (use :0 for a random port)")
+		"serve net/http/pprof and /debug/spans on this separate listener (use :0 for a random port)")
 	debugAddrFile := fs.String("debug-addr-file", "",
 		"write the bound debug address to this file once listening")
 	traceSpans := fs.String("trace-spans", "",
@@ -282,8 +172,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	params := core.DefaultParams().Scaled(*paramScale)
 
-	// Validate the policy and kind list before anything touches disk or the
-	// network; server.New would panic on an unknown policy.
+	// Validate the policy, kind list and sampling rate before anything
+	// touches disk or the network; server.New would panic on an unknown
+	// policy.
+	if *traceSample < 0 {
+		return fmt.Errorf("-trace-sample must be non-negative")
+	}
 	if !core.ValidPolicy(*policyFlag) {
 		return fmt.Errorf("unknown -policy %q (registered: %s)",
 			*policyFlag, strings.Join(core.PolicyNames(), ", "))
@@ -334,7 +228,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logf("span tracing enabled (node=%s, 1 in %d batches, spans=%s)",
 			tracer.Node(), sampleN, *traceSpans)
 	}
-	debugTracer.Store(tracer)
 
 	var wlog *wal.Log
 	if *walDir != "" {
@@ -384,7 +277,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// Replication starts only after recovery: the WAL's numbering is final
 	// by now (AlignSeq has run), so both the shipper's retained range and
 	// the follower's resume point are exact.
-	var rvars replicationVars
+	var follower *replica.Follower
 	var followerDone <-chan struct{}
 	if *replicationAddr != "" {
 		sh := replica.NewShipper(replica.ShipperConfig{Log: wlog, Logf: logf, Trace: tracer})
@@ -396,10 +289,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer rln.Close()
 		go sh.Serve(rln)
 		defer sh.Close()
-		rvars.shipper = sh
 	}
 	if *replicaOf != "" {
-		f := replica.StartFollower(replica.FollowerConfig{
+		follower = replica.StartFollower(replica.FollowerConfig{
 			Addr:       *replicaOf,
 			ParamsHash: server.ParamsPolicyHash(params, *policyFlag),
 			NextSeq:    wlog.NextSeq,
@@ -407,15 +299,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Logf:       logf,
 			Trace:      tracer,
 		})
-		s.SetSealFunc(f.Seal)
-		f.RegisterMetrics(s.Registry())
-		defer f.Seal()
-		followerDone = f.Done()
-		rvars.follower = f
+		s.SetSealFunc(follower.Seal)
+		follower.RegisterMetrics(s.Registry())
+		defer follower.Seal()
+		followerDone = follower.Done()
 		logf("replica mode: following %s from wal seq %d (SIGUSR1 or POST /v1/promote to promote)",
 			*replicaOf, wlog.NextSeq())
 	}
-	expvarReplication.Store(&rvars)
 
 	// SIGUSR1 promotes a replica in place, for failover drivers that only
 	// hold a pid.
@@ -449,23 +339,18 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}()
 	}
 
-	// The runtime profiling surface: pprof and expvar register themselves
-	// on the default mux, which we serve on a separate listener so debug
+	// The runtime profiling surface, on a separate listener so debug
 	// traffic never shares a port with ingest.
 	if *debugAddr != "" {
-		expvarServer.Store(s)
-		publishExpvars()
-		publishDebugSpans()
 		dln, err := listen("debug-addr", *debugAddr, *debugAddrFile)
 		if err != nil {
 			return err
 		}
 		defer dln.Close()
 		go func() {
-			// http.DefaultServeMux carries the pprof and expvar
-			// handlers; the error is expected at shutdown when the
-			// deferred Close tears the listener down.
-			http.Serve(dln, nil)
+			// The error is expected at shutdown when the deferred Close
+			// tears the listener down.
+			http.Serve(dln, debugMux(tracer))
 		}()
 	}
 
@@ -494,8 +379,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			// compaction gap, divergence) — surface it and exit rather than
 			// serving a replica that silently stopped replicating. A sealed
 			// follower (promotion) reports no error; keep serving.
-			if rvars.follower.Err() != nil {
-				return fmt.Errorf("replication failed: %w", rvars.follower.Err())
+			if err := follower.Err(); err != nil {
+				return fmt.Errorf("replication failed: %w", err)
 			}
 			followerDone = nil
 		case err := <-serveErr:
@@ -527,4 +412,27 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return nil
 		}
 	}
+}
+
+// debugMux is one run's -debug-addr surface: the net/http/pprof handlers and
+// /debug/spans, a JSONL dump of tracer's retained span ring (the newest
+// DefaultTraceRing spans, in the same byte-deterministic encoding as the
+// -trace-spans file). tracer is nil when tracing is off, and /debug/spans
+// then answers 404.
+func debugMux(tracer *obs.Tracer) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
+		if tracer == nil {
+			http.Error(w, "span tracing disabled (start with -trace-sample)", http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		tracer.WriteJSONL(w)
+	})
+	return mux
 }

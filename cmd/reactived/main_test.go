@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"reactivespec/internal/obs"
 	"reactivespec/internal/server"
 	"reactivespec/internal/trace"
 )
@@ -23,22 +25,11 @@ func startDaemon(t *testing.T, extraArgs ...string) (base string, shutdown func(
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, extraArgs...)
 	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	done := make(chan error, 1)
 	go func() { done <- run(ctx, args, os.Stderr) }()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		b, err := os.ReadFile(addrFile)
-		if err == nil && len(b) > 0 {
-			base = "http://" + strings.TrimSpace(string(b))
-			break
-		}
-		if time.Now().After(deadline) {
-			cancel()
-			t.Fatal("daemon never wrote its address file")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	base = "http://" + readPublished(t, addrFile)
 	return base, func() error {
 		cancel()
 		select {
@@ -72,45 +63,86 @@ func TestRunServesAndShutsDownCleanly(t *testing.T) {
 	}
 }
 
-func TestRunDebugListener(t *testing.T) {
-	debugAddrFile := filepath.Join(t.TempDir(), "debug-addr")
-	_, shutdown := startDaemon(t,
-		"-debug-addr", "127.0.0.1:0",
-		"-debug-addr-file", debugAddrFile)
-
+// readPublished polls until file holds a published address and returns it.
+func readPublished(t *testing.T, file string) string {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	var debugBase string
 	for {
-		b, err := os.ReadFile(debugAddrFile)
+		b, err := os.ReadFile(file)
 		if err == nil && len(b) > 0 {
-			debugBase = "http://" + strings.TrimSpace(string(b))
-			break
+			return strings.TrimSpace(string(b))
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("daemon never wrote its debug address file")
+			t.Fatalf("daemon never wrote %s", file)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
 
-	// The profiling surface: the pprof index and expvar must answer on
-	// the debug listener.
-	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
-		resp, err := http.Get(debugBase + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s status %d", path, resp.StatusCode)
-		}
-		if path == "/debug/vars" && !strings.Contains(string(body), `"reactived"`) {
-			t.Fatalf("/debug/vars missing the reactived variable:\n%s", body)
-		}
+// debugGet fetches path from a debug listener and returns the status and
+// body.
+func debugGet(t *testing.T, base, path string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
 	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: reading body: %v", path, err)
+	}
+	return resp.StatusCode, body
+}
 
-	if err := shutdown(); err != nil {
-		t.Fatalf("run returned %v on graceful shutdown", err)
+// TestRunDebugListener pins the -debug-addr surface: pprof answers, there
+// is no /debug/vars (every counter lives on /metrics), and /debug/spans
+// dumps the tracer of the run that serves it. The runs share this process,
+// so a traced run followed by an untraced one shows that each run's
+// listener serves its own tracer and not a previous run's.
+func TestRunDebugListener(t *testing.T) {
+	for _, traced := range []bool{true, false} {
+		debugAddrFile := filepath.Join(t.TempDir(), "debug-addr")
+		args := []string{"-debug-addr", "127.0.0.1:0", "-debug-addr-file", debugAddrFile}
+		if traced {
+			args = append(args, "-trace-sample", "1")
+		}
+		base, shutdown := startDaemon(t, args...)
+		debugBase := "http://" + readPublished(t, debugAddrFile)
+
+		if code, _ := debugGet(t, debugBase, "/debug/pprof/"); code != http.StatusOK {
+			t.Fatalf("traced=%v: GET /debug/pprof/ status %d, want 200", traced, code)
+		}
+		if code, _ := debugGet(t, debugBase, "/debug/vars"); code != http.StatusNotFound {
+			t.Fatalf("traced=%v: GET /debug/vars status %d, want 404", traced, code)
+		}
+
+		evs := make([]trace.Event, 64)
+		for i := range evs {
+			evs[i] = trace.Event{Branch: trace.BranchID(i % 4), Taken: i%2 == 0, Gap: 3}
+		}
+		if _, err := server.Connect(base).IngestKind(context.Background(), "p", trace.KindBranch, evs); err != nil {
+			t.Fatalf("traced=%v: ingest: %v", traced, err)
+		}
+		code, body := debugGet(t, debugBase, "/debug/spans")
+		if !traced {
+			if code != http.StatusNotFound {
+				t.Fatalf("untraced run: GET /debug/spans status %d, want 404", code)
+			}
+		} else {
+			if code != http.StatusOK {
+				t.Fatalf("traced run: GET /debug/spans status %d, want 200:\n%s", code, body)
+			}
+			spans, dropped, err := obs.LoadSpans(bytes.NewReader(body))
+			if err != nil || dropped != 0 || len(spans) == 0 {
+				t.Fatalf("traced run: /debug/spans = %d spans, %d unparsable lines, %v; want spans from the ingest:\n%s",
+					len(spans), dropped, err, body)
+			}
+		}
+
+		if err := shutdown(); err != nil {
+			t.Fatalf("traced=%v: run returned %v on graceful shutdown", traced, err)
+		}
 	}
 }
 
@@ -123,19 +155,7 @@ func TestRunStreamListener(t *testing.T) {
 		"-stream-addr", "127.0.0.1:0",
 		"-stream-addr-file", streamAddrFile)
 
-	deadline := time.Now().Add(10 * time.Second)
-	var streamAddr string
-	for {
-		b, err := os.ReadFile(streamAddrFile)
-		if err == nil && len(b) > 0 {
-			streamAddr = strings.TrimSpace(string(b))
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never wrote its stream address file")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	streamAddr := readPublished(t, streamAddrFile)
 
 	ctx := context.Background()
 	c := server.Connect(base)
@@ -185,6 +205,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// Streaming ingest listens on -stream-addr alone.
 		{"-stream-unix", "s.sock"},
 		{"-stream-unix-file", "s.txt"},
+		{"-trace-sample", "-1"},
 	} {
 		if err := run(context.Background(), args, os.Stderr); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -8,10 +8,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,13 +47,13 @@ type failoverCtl struct {
 	killedAt atomic.Uint64
 	killOnce sync.Once
 
-	// debugURL is the primary's -debug-addr base URL; when set, killOnce
-	// snapshots its "reactived" expvar block (replication state, follower
-	// lag) immediately before the SIGKILL. Both fields are written inside
-	// killOnce by a worker goroutine and read only after wg.Wait.
-	debugURL  string
-	debugVars json.RawMessage
-	debugErr  error
+	// primary, when set, is scraped for its replication samples (follower
+	// lag included) immediately before the SIGKILL. killSamples and
+	// killErr are written inside killOnce by a worker goroutine and read
+	// only after wg.Wait.
+	primary     *server.Client
+	killSamples []string
+	killErr     error
 
 	promoteOnce sync.Once
 	promoteErr  error
@@ -77,38 +75,34 @@ func (fc *failoverCtl) noteBatch() {
 	if fc.pid > 0 && fc.after > 0 && n >= fc.after {
 		fc.killOnce.Do(func() {
 			fc.killedAt.Store(n)
-			if fc.debugURL != "" {
-				// Capture the primary's replication expvars (follower lag
-				// included) in its last instant alive, then kill it.
-				fc.debugVars, fc.debugErr = fetchReplicationVars(fc.debugURL)
+			if fc.primary != nil {
+				// Capture the primary's replication state in its last
+				// instant alive, then kill it.
+				fc.killSamples, fc.killErr = replicationSamples(fc.primary)
 			}
 			syscall.Kill(fc.pid, syscall.SIGKILL)
 		})
 	}
 }
 
-// fetchReplicationVars reads base's /debug/vars and returns the "reactived"
-// block — the daemon's replication/WAL expvar snapshot. The short timeout
-// keeps a wedged debug listener from postponing the kill indefinitely.
-func fetchReplicationVars(base string) (json.RawMessage, error) {
-	hc := &http.Client{Timeout: 2 * time.Second}
-	resp, err := hc.Get(strings.TrimRight(base, "/") + "/debug/vars")
+// replicationSamples scrapes the primary's /metrics and returns its
+// reactived_replication_* sample lines (sessions, shipped totals,
+// per-follower lag). The short timeout keeps a wedged primary from
+// postponing the kill indefinitely.
+func replicationSamples(primary *server.Client) ([]string, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	text, err := primary.Metrics(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/debug/vars: %s", resp.Status)
+	var samples []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "reactived_replication_") {
+			samples = append(samples, line)
+		}
 	}
-	var all map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
-		return nil, fmt.Errorf("decoding /debug/vars: %w", err)
-	}
-	block, ok := all["reactived"]
-	if !ok {
-		return nil, fmt.Errorf(`/debug/vars has no "reactived" block`)
-	}
-	return block, nil
+	return samples, nil
 }
 
 // await promotes the follower exactly once, retrying transient failures;

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"reactivespec/internal/core"
 	"reactivespec/internal/replica"
@@ -75,6 +77,7 @@ func startFailoverPair(t *testing.T, killProgram string, killAfter uint64) *fail
 		}
 	}))
 	sh := replica.NewShipper(replica.ShipperConfig{Log: pl, Logf: t.Logf})
+	sh.RegisterMetrics(ps.Registry())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -191,16 +194,70 @@ func TestRunFailoverRejectsPrimaryTarget(t *testing.T) {
 	}
 }
 
+// TestReplicationSamples pins the kill-time scrape behind -dump-metrics:
+// against a primary with a follower attached it returns the replication
+// samples of the primary's /metrics, follower lag included, and no other
+// line; a non-200 answer is an error.
+func TestReplicationSamples(t *testing.T) {
+	pair := startFailoverPair(t, "", 0) // no ingest, so the primary never crashes
+	primary := server.Connect(pair.primaryURL)
+	text, err := primary.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "\nreactived_wal_") {
+		t.Fatalf("primary /metrics has no reactived_wal_ samples to filter out:\n%s", text)
+	}
+	// The follower attaches asynchronously; its lag sample appears once it
+	// has.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		samples, err := replicationSamples(primary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lag := false
+		for _, line := range samples {
+			if !strings.HasPrefix(line, "reactived_replication_") {
+				t.Fatalf("replicationSamples returned %q, not a replication sample", line)
+			}
+			lag = lag || strings.HasPrefix(line, "reactived_replication_follower_lag_records{")
+		}
+		if lag {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no follower lag sample among %q", samples)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "primary unavailable", http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+	if samples, err := replicationSamples(server.Connect(down.URL)); err == nil {
+		t.Fatalf("replicationSamples on a 503 = %q, nil; want an error", samples)
+	}
+}
+
 func TestRunFailoverFlagValidation(t *testing.T) {
-	for _, args := range [][]string{
-		{"-addr", "http://x", "-failover-pid", "1"},                              // pid without -failover
-		{"-addr", "http://x", "-failover-after-batches", "4"},                    // threshold without -failover
-		{"-addr", "http://x", "-failover", "http://y", "-stream-addr", "z:1"},    // stream conflict
-		{"-addr", "http://x", "-failover", "http://y", "-frames", "2"},           // frames conflict
-		{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"}, // pid without threshold
+	for _, tc := range []struct {
+		args []string
+		want string // error substring; "" accepts any error
+	}{
+		{[]string{"-addr", "http://x", "-failover-pid", "1"}, ""},                              // pid without -failover
+		{[]string{"-addr", "http://x", "-failover-after-batches", "4"}, ""},                    // threshold without -failover
+		{[]string{"-addr", "http://x", "-failover", "http://y", "-stream-addr", "z:1"}, ""},    // stream conflict
+		{[]string{"-addr", "http://x", "-failover", "http://y", "-frames", "2"}, ""},           // frames conflict
+		{[]string{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"}, ""}, // pid without threshold
+		// The kill-time snapshot reads the primary's /metrics; there is no
+		// second debug URL to name.
+		{[]string{"-addr", "http://x", "-failover-debug", "http://z"}, "flag provided but not defined"},
 	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		err := run(tc.args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
 		}
 	}
 }

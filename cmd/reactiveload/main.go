@@ -65,11 +65,11 @@
 //	-failover url            follower base URL: verify failover by resuming against it (implies -verify)
 //	-failover-pid n          primary pid to SIGKILL once the batch threshold is acked
 //	-failover-after-batches n  acked batches across all workers before the kill
-//	-dump-metrics    write the load generator's own metrics registry (Prometheus text) to stderr
+//	-dump-metrics    write the load generator's own metrics registry (Prometheus text) to stderr;
+//	                 with -failover-pid, first echo the reactived_replication_* samples
+//	                 (follower lag included) scraped from the primary's /metrics just before the kill
 //	-trace-spans f   append sampled client-side span records (JSONL) to f; implies -trace-sample 1
 //	-trace-sample n  sample 1 in n ingest batches for span tracing (0 = off)
-//	-failover-debug url  primary -debug-addr base URL; with -dump-metrics, its replication
-//	                 expvars (follower lag) are snapshotted at kill time and echoed to stderr
 //
 // All latency accounting flows through one internal/obs registry: the JSON
 // report's batch quantiles and its per-phase encode / network / decode
@@ -232,13 +232,12 @@ func run(args []string, out io.Writer) error {
 	failoverAfter := fs.Uint64("failover-after-batches", 0,
 		"acked batches across all workers before -failover-pid is killed")
 	dumpMetrics := fs.Bool("dump-metrics", false,
-		"write the load generator's own metrics registry (Prometheus text) to stderr after the run")
+		"write the load generator's own metrics registry (Prometheus text) to stderr after the run; "+
+			"with -failover-pid, first echo the primary's replication samples scraped just before the kill")
 	traceSpans := fs.String("trace-spans", "",
 		"append sampled client-side span records (JSONL) to this file; implies -trace-sample 1 unless set")
 	traceSample := fs.Int("trace-sample", 0,
 		"sample 1 in N ingest batches for span tracing (0 = off)")
-	failoverDebug := fs.String("failover-debug", "",
-		"primary debug base URL (reactived -debug-addr): snapshot its replication expvars at kill time")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -286,9 +285,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-failover-pid requires -failover-after-batches > 0 (when should the primary die?)")
 		}
 		*verify = true
-	}
-	if *failoverDebug != "" && *failoverPid == 0 {
-		return fmt.Errorf("-failover-debug snapshots the primary at kill time; it requires -failover-pid")
 	}
 	if *traceSample < 0 {
 		return fmt.Errorf("-trace-sample must be non-negative")
@@ -363,7 +359,9 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-failover target %s is %q, not a replica — it has nothing to promote", *failoverURL, info.Mode)
 		}
 		fc = newFailoverCtl(follower, *failoverPid, *failoverAfter)
-		fc.debugURL = *failoverDebug
+		if *dumpMetrics && *failoverPid > 0 {
+			fc.primary = client
+		}
 	}
 
 	ins := newInstruments()
@@ -487,12 +485,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *dumpMetrics {
-		if fc != nil && fc.debugURL != "" {
-			switch {
-			case fc.debugErr != nil:
-				fmt.Fprintf(os.Stderr, "# failover-debug: snapshotting %s at kill time: %v\n", fc.debugURL, fc.debugErr)
-			case len(fc.debugVars) > 0:
-				fmt.Fprintf(os.Stderr, "# primary replication expvars at kill time (%s):\n# %s\n", fc.debugURL, fc.debugVars)
+		if fc != nil && fc.primary != nil {
+			if fc.killErr != nil {
+				fmt.Fprintf(os.Stderr, "# scraping the primary's /metrics at kill time: %v\n", fc.killErr)
+			} else {
+				fmt.Fprintf(os.Stderr, "# primary replication metrics at kill time (%s/metrics):\n", *addr)
+				for _, line := range fc.killSamples {
+					fmt.Fprintf(os.Stderr, "# %s\n", line)
+				}
 			}
 		}
 		return ins.reg.WritePrometheus(os.Stderr)

@@ -152,11 +152,6 @@ func (sh *Shipper) Sessions() int64 {
 	return int64(len(sh.states))
 }
 
-// Shipped reports lifetime shipped record and byte totals.
-func (sh *Shipper) Shipped() (records, bytes uint64) {
-	return sh.shippedRecords.Load(), sh.shippedBytes.Load()
-}
-
 // RegisterMetrics exposes the shipper's counters on reg.
 func (sh *Shipper) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCollector("reactived_replication_shipper", func(e *obs.Emitter) {
@@ -197,29 +192,6 @@ func (sh *Shipper) RegisterMetrics(reg *obs.Registry) {
 			e.Sample(ss.lagSeconds(now), "follower", ss.addr)
 		}
 	})
-}
-
-// FollowerLag reports one attached follower's lag in records and seconds;
-// ok is false when no follower matches addr ("" matches any single
-// follower). Tests and the expvar block use it without a registry scrape.
-func (sh *Shipper) FollowerLag(addr string) (records uint64, seconds float64, ok bool) {
-	sh.mu.Lock()
-	var match *shipSession
-	for ss := range sh.states {
-		if addr == "" || ss.addr == addr {
-			match = ss
-			break
-		}
-	}
-	sh.mu.Unlock()
-	if match == nil {
-		return 0, 0, false
-	}
-	durable := sh.cfg.Log.DurableSeq()
-	if acked := match.acked.Load(); durable > acked {
-		records = durable - acked
-	}
-	return records, match.lagSeconds(time.Now()), true
 }
 
 // serveConn runs one replication session: hello, catch-up, live tail. The

@@ -293,13 +293,11 @@ echo "==> failover smoke (SIGKILL primary mid-run, promote replica, verified res
     -param-scale 100 \
     -replication-addr 127.0.0.1:0 \
     -replication-addr-file "$SMOKE_DIR/repl-addr" \
-    -debug-addr 127.0.0.1:0 \
-    -debug-addr-file "$SMOKE_DIR/debug-addr" \
     -trace-spans "$SMOKE_DIR/spans-primary.jsonl" \
     -trace-sample 1 >"$SMOKE_DIR/reactived-primary.log" 2>&1 &
 DAEMON_PID=$!
 wait_published "$DAEMON_PID" "$SMOKE_DIR/reactived-primary.log" "primary reactived" \
-    "$SMOKE_DIR/addr-primary" "$SMOKE_DIR/repl-addr" "$SMOKE_DIR/debug-addr"
+    "$SMOKE_DIR/addr-primary" "$SMOKE_DIR/repl-addr"
 
 "$SMOKE_DIR/reactived" \
     -addr 127.0.0.1:0 \
@@ -320,7 +318,6 @@ wait_published "$REPLICA_PID" "$SMOKE_DIR/reactived-replica.log" "replica reacti
     -failover "http://$(cat "$SMOKE_DIR/addr-replica")" \
     -failover-pid "$DAEMON_PID" \
     -failover-after-batches 6 \
-    -failover-debug "http://$(cat "$SMOKE_DIR/debug-addr")" \
     -dump-metrics \
     -trace-spans "$SMOKE_DIR/spans-loadgen.jsonl" \
     -bench crafty \
@@ -339,10 +336,13 @@ if ! grep -Eq '"correct": [1-9]' "$SMOKE_DIR/failover-report.json"; then
     exit 1
 fi
 
-# -failover-debug must have captured the primary's replication expvars (the
-# follower-lag snapshot) in its last instant alive.
-if ! grep -q "primary replication expvars at kill time" "$SMOKE_DIR/failover-metrics.txt"; then
-    echo "failover run captured no kill-time replication expvars" >&2
+# With -failover-pid, -dump-metrics must have echoed the primary's
+# replication samples from its /metrics in its last instant alive, the
+# attached replica's lag among them.
+if ! grep -q "^# primary replication metrics at kill time" "$SMOKE_DIR/failover-metrics.txt" ||
+    ! grep -Eq '^# reactived_replication_follower_lag_records\{follower="[^"]+"\} [0-9]+$' \
+        "$SMOKE_DIR/failover-metrics.txt"; then
+    echo "failover run captured no kill-time follower lag sample from the primary's /metrics" >&2
     cat "$SMOKE_DIR/failover-metrics.txt" >&2
     exit 1
 fi
