@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"reactivespec/internal/core"
+	"reactivespec/internal/obs"
 	"reactivespec/internal/server"
 	"reactivespec/internal/trace"
 	"reactivespec/internal/wal"
@@ -299,4 +300,54 @@ func TestTimelineFromWALKindKeys(t *testing.T) {
 			t.Errorf("value-only log, program %q: got %v, want a branch-records-only error", program, err)
 		}
 	}
+}
+
+// TestTimelineFromWALSparseBranchIDs pins that a WAL branch ID is a name,
+// not a size: branches logged at IDs near the top of the uint32 range replay
+// in memory proportional to the number of distinct branches, and the
+// timeline names each by its logged ID with the table's final state.
+func TestTimelineFromWALSparseBranchIDs(t *testing.T) {
+	params := walTimelineParams()
+	hash := server.ParamsHash(params)
+	dir := t.TempDir()
+	const hi, top = trace.BranchID(1 << 31), trace.BranchID(1<<32 - 1)
+	var events []trace.Event
+	for i := 0; i < 120; i++ {
+		events = append(events,
+			trace.Event{Branch: hi, Taken: true, Gap: 7},
+			trace.Event{Branch: top, Taken: false, Gap: 5})
+	}
+	l, err := wal.Open(wal.Options{Dir: dir, ParamsHash: hash, Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatalf("wal.Open: %v", err)
+	}
+	if _, err := l.AppendPayload("gcc", trace.EncodeFrameAppend(nil, events)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	res, _, err := TimelineFromWAL(WALWindow{Dir: dir, Params: params, ParamsHash: hash})
+	if err != nil {
+		t.Fatalf("TimelineFromWAL: %v", err)
+	}
+	tbl := server.NewTable(params, 4)
+	tbl.ApplyBatchKind("gcc", trace.KindBranch, events, 0, nil)
+	if len(res.Branches) != 2 || res.Branches[0].Branch != hi || res.Branches[1].Branch != top {
+		t.Fatalf("timeline names %v, want branches %d and %d", branchIDs(res.Branches), hi, top)
+	}
+	for _, tl := range res.Branches {
+		if want := tbl.Decide("gcc", tl.Branch).State; tl.Final != want {
+			t.Errorf("branch %d: final state %v, want table state %v", tl.Branch, tl.Final, want)
+		}
+	}
+}
+
+func branchIDs(tls []obs.BranchTimeline) []trace.BranchID {
+	ids := make([]trace.BranchID, len(tls))
+	for i, tl := range tls {
+		ids[i] = tl.Branch
+	}
+	return ids
 }
