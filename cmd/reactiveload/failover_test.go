@@ -251,6 +251,10 @@ func TestRunFailoverFlagValidation(t *testing.T) {
 		{[]string{"-addr", "http://x", "-failover", "http://y", "-stream-addr", "z:1"}, ""},    // stream conflict
 		{[]string{"-addr", "http://x", "-failover", "http://y", "-frames", "2"}, ""},           // frames conflict
 		{[]string{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "12345"}, ""}, // pid without threshold
+		// Neither may fall through to the external-crash path, which
+		// kills nothing.
+		{[]string{"-addr", "http://x", "-failover", "http://y", "-failover-pid", "-1", "-failover-after-batches", "4"}, "-failover-pid must be a positive pid"},
+		{[]string{"-addr", "http://x", "-failover", "http://y", "-failover-after-batches", "4"}, "-failover-after-batches requires -failover-pid"},
 		// The kill-time snapshot reads the primary's /metrics; there is no
 		// second debug URL to name.
 		{[]string{"-addr", "http://x", "-failover-debug", "http://z"}, "flag provided but not defined"},

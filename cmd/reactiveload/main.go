@@ -281,8 +281,14 @@ func run(args []string, out io.Writer) error {
 		if *frames != 1 {
 			return fmt.Errorf("-frames does not apply to -failover")
 		}
+		if *failoverPid < 0 {
+			return fmt.Errorf("-failover-pid must be a positive pid, or 0 when the primary is crashed externally")
+		}
 		if *failoverPid > 0 && *failoverAfter == 0 {
 			return fmt.Errorf("-failover-pid requires -failover-after-batches > 0 (when should the primary die?)")
+		}
+		if *failoverPid == 0 && *failoverAfter != 0 {
+			return fmt.Errorf("-failover-after-batches requires -failover-pid (which process should die?)")
 		}
 		*verify = true
 	}

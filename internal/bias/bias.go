@@ -6,6 +6,7 @@ package bias
 import (
 	"sort"
 
+	"reactivespec/internal/core"
 	"reactivespec/internal/trace"
 )
 
@@ -118,8 +119,13 @@ type Decision struct {
 }
 
 // Selection is a set of static speculation decisions, as produced by
-// profile-guided selection. It is the input to the non-reactive baseline
-// controllers.
+// profile-guided selection. It is itself a speculation controller: the
+// offline profile-guided mechanism of Section 2.2, speculating on a fixed
+// set of branches, each in a fixed direction, from the first instruction
+// and never reconsidering. The selection is self-training when it comes
+// from the evaluated run itself (Figure 5's self-train line) and
+// cross-input profiling when it comes from a different input's run
+// (Figure 2's triangle).
 type Selection struct {
 	directions map[trace.BranchID]bool
 }
@@ -144,11 +150,17 @@ func (p *Profile) Select(threshold float64, minExecs uint64) *Selection {
 // Len returns the number of selected branches.
 func (s *Selection) Len() int { return len(s.directions) }
 
-// Direction reports whether the branch is selected and, if so, the assumed
-// direction.
-func (s *Selection) Direction(id trace.BranchID) (taken, ok bool) {
-	taken, ok = s.directions[id]
-	return taken, ok
+// OnBranch implements the harness Controller contract: a selected branch
+// is speculated in its assumed direction, any other is not speculated.
+func (s *Selection) OnBranch(id trace.BranchID, taken bool, _ uint64) core.Verdict {
+	dir, ok := s.directions[id]
+	if !ok {
+		return core.NotSpeculated
+	}
+	if taken == dir {
+		return core.Correct
+	}
+	return core.Misspec
 }
 
 // Decisions returns the selection as a sorted slice.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"reactivespec/internal/core"
 	"reactivespec/internal/trace"
 )
 
@@ -81,14 +82,46 @@ func TestSelectThreshold(t *testing.T) {
 	if sel.Len() != 2 {
 		t.Fatalf("selected %d branches, want 2", sel.Len())
 	}
-	if dir, ok := sel.Direction(0); !ok || !dir {
-		t.Fatal("branch 0 should be selected taken")
+	if v := sel.OnBranch(0, true, 1); v != core.Correct {
+		t.Fatalf("branch 0 taken verdict = %v; it should be selected taken", v)
 	}
-	if dir, ok := sel.Direction(2); !ok || dir {
-		t.Fatal("branch 2 should be selected not-taken")
+	if v := sel.OnBranch(2, false, 1); v != core.Correct {
+		t.Fatalf("branch 2 not-taken verdict = %v; it should be selected not-taken", v)
 	}
-	if _, ok := sel.Direction(1); ok {
-		t.Fatal("branch 1 should not be selected")
+	if v := sel.OnBranch(1, true, 1); v != core.NotSpeculated {
+		t.Fatalf("branch 1 verdict = %v; it should not be selected", v)
+	}
+}
+
+// TestSelectionVerdicts pins a Selection as a static controller: a
+// selected branch is scored against its fixed direction from the first
+// instruction, and an unselected one is never speculated.
+func TestSelectionVerdicts(t *testing.T) {
+	events := []trace.Event{
+		{Branch: 0, Taken: true, Gap: 1},
+		{Branch: 0, Taken: true, Gap: 1},
+		{Branch: 1, Taken: false, Gap: 1},
+	}
+	sel := FromStream(trace.NewSliceStream(events)).Select(0.99, 1)
+	if v := sel.OnBranch(0, true, 10); v != core.Correct {
+		t.Fatalf("selected branch correct-direction verdict = %v", v)
+	}
+	if v := sel.OnBranch(0, false, 20); v != core.Misspec {
+		t.Fatalf("selected branch wrong-direction verdict = %v", v)
+	}
+	if v := sel.OnBranch(5, true, 30); v != core.NotSpeculated {
+		t.Fatalf("unselected branch verdict = %v", v)
+	}
+}
+
+func TestSelectionNotTakenDirection(t *testing.T) {
+	events := []trace.Event{{Branch: 2, Taken: false, Gap: 1}}
+	sel := FromStream(trace.NewSliceStream(events)).Select(0.99, 1)
+	if v := sel.OnBranch(2, false, 1); v != core.Correct {
+		t.Fatalf("not-taken selection verdict = %v", v)
+	}
+	if v := sel.OnBranch(2, true, 2); v != core.Misspec {
+		t.Fatalf("not-taken selection contrary verdict = %v", v)
 	}
 }
 

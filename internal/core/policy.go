@@ -9,8 +9,8 @@ const (
 	// select, evict, revisit.
 	PolicyReactive = "reactive"
 	// PolicySelfTrain decides once from initial behavior and never
-	// revisits — the paper's self-training baseline (Figure 5's
-	// self-train line) as an online policy.
+	// revisits — Figure 2's initial-behavior classifier (Section 2.2),
+	// run online.
 	PolicySelfTrain = "selftrain"
 	// PolicyProbWeight weighs outcomes with an exponential moving average
 	// — a probabilistic-dataflow-style estimator (after Di Pierro &

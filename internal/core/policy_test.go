@@ -99,6 +99,121 @@ func TestSelfTrainTerminalStates(t *testing.T) {
 	}
 }
 
+// initialBehavior returns a selftrain controller at OptLatency 0: the
+// Section 2.2 initial-behavior mechanism that Figure 2's crosses and the
+// chaos and flush experiments run.
+func initialBehavior(t *testing.T, trainLen uint64, threshold float64) *Controller {
+	t.Helper()
+	c, err := NewPolicySet(PolicySelfTrain, Params{MonitorPeriod: trainLen, SelectThreshold: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// selected returns how many units the controller decided to speculate on.
+func selected(c *Controller) int {
+	_, everBiased, _, _ := c.StaticCounts()
+	return everBiased
+}
+
+// TestSelfTrainTrainsThenSpeculates: the unit is not speculated during its
+// training window, and speculation starts at the very next event.
+func TestSelfTrainTrainsThenSpeculates(t *testing.T) {
+	c := initialBehavior(t, 10, 0.99)
+	for i := 0; i < 10; i++ {
+		if v := c.OnBranch(0, true, uint64(i+1)); v != NotSpeculated {
+			t.Fatalf("training event %d verdict = %v", i, v)
+		}
+	}
+	if v := c.OnBranch(0, true, 11); v != Correct {
+		t.Fatalf("post-training verdict = %v", v)
+	}
+	if v := c.OnBranch(0, false, 12); v != Misspec {
+		t.Fatalf("post-training contrary verdict = %v", v)
+	}
+	if n := selected(c); n != 1 {
+		t.Fatalf("selected = %d", n)
+	}
+}
+
+func TestSelfTrainRejectsUnbiased(t *testing.T) {
+	c := initialBehavior(t, 10, 0.99)
+	for i := 0; i < 10; i++ {
+		c.OnBranch(0, i%2 == 0, uint64(i+1))
+	}
+	if v := c.OnBranch(0, true, 11); v != NotSpeculated {
+		t.Fatalf("unbiased unit verdict = %v", v)
+	}
+	if n := selected(c); n != 0 {
+		t.Fatalf("selected = %d", n)
+	}
+}
+
+func TestSelfTrainNeverReconsiders(t *testing.T) {
+	c := initialBehavior(t, 5, 0.99)
+	for i := 0; i < 5; i++ {
+		c.OnBranch(0, true, uint64(i+1))
+	}
+	// The unit fully reverses; the decision stands (that is the whole
+	// problem the paper identifies with this mechanism).
+	misspecs := 0
+	for i := 0; i < 1000; i++ {
+		if c.OnBranch(0, false, uint64(100+i)) == Misspec {
+			misspecs++
+		}
+	}
+	if misspecs != 1000 {
+		t.Fatalf("reversed unit misspecs = %d, want 1000", misspecs)
+	}
+}
+
+func TestSelfTrainDirectionFromMajority(t *testing.T) {
+	c := initialBehavior(t, 100, 0.95)
+	for i := 0; i < 100; i++ {
+		c.OnBranch(0, i >= 3, uint64(i+1)) // 97% taken
+	}
+	if v := c.OnBranch(0, true, 200); v != Correct {
+		t.Fatalf("majority-taken verdict = %v", v)
+	}
+}
+
+func TestSelfTrainIndependentUnits(t *testing.T) {
+	c := initialBehavior(t, 4, 0.99)
+	for i := 0; i < 4; i++ {
+		c.OnBranch(0, true, uint64(i+1))
+		c.OnBranch(7, false, uint64(i+1))
+	}
+	if v := c.OnBranch(0, true, 50); v != Correct {
+		t.Fatal("unit 0 should speculate taken")
+	}
+	if v := c.OnBranch(7, false, 51); v != Correct {
+		t.Fatal("unit 7 should speculate not-taken")
+	}
+	if n := selected(c); n != 2 {
+		t.Fatalf("selected = %d", n)
+	}
+}
+
+// TestSelfTrainWindowClosingAtZero pins deployment.deploy's clamp as
+// selftrain meets it: a window that closes at instruction 0 deploys at
+// instant 1, not at the next event, since 0 means "nothing pending". No
+// generator or fault stream can close a window there — the harness adds
+// the first event's gap, at least 1, before the first step — so the clamp
+// never moves a figure.
+func TestSelfTrainWindowClosingAtZero(t *testing.T) {
+	c := initialBehavior(t, 1, 0.99)
+	if v := c.OnBranch(0, true, 0); v != NotSpeculated {
+		t.Fatalf("training event verdict = %v", v)
+	}
+	if v := c.OnBranch(0, true, 0); v != NotSpeculated {
+		t.Fatalf("event at instruction 0 after the window verdict = %v, want NotSpeculated (live from 1)", v)
+	}
+	if v := c.OnBranch(0, true, 1); v != Correct {
+		t.Fatalf("event at instruction 1 verdict = %v, want Correct", v)
+	}
+}
+
 // TestProbWeightDeployEvictRetire walks the EWMA policy through its whole
 // lifecycle: warmup, deploy on confidence, evict on a behavior flip, and
 // retire after MaxOptimizations oscillations.

@@ -1,13 +1,14 @@
 package core
 
-// stepSelfTrain is the self-training profile applied online: observe the
-// unit's first MonitorPeriod events, then decide once — deploy the majority
-// direction permanently when its bias clears SelectThreshold, otherwise never
-// speculate. There is no eviction and no revisit; both outcomes are terminal.
+// stepSelfTrain is the initial-behavior mechanism of Section 2.2 run
+// online: observe the unit's first MonitorPeriod events, then decide once —
+// deploy the majority direction permanently when its bias clears
+// SelectThreshold, otherwise never speculate. There is no eviction and no
+// revisit; both outcomes are terminal.
 //
-// This is the open-loop baseline the paper's Figure 5 plots as
-// "self-train-99": it captures initial behavior perfectly and reacts to
-// nothing, which is exactly the contrast the reactive arcs exist to fix.
+// At OptLatency 0 this is the paper's Figure 2 crosses: it trusts the
+// initial behavior and reacts to nothing after it, which is exactly the
+// contrast the reactive arcs exist to fix.
 func (u *Unit) stepSelfTrain(p *Params, outcome bool, instr uint64) Verdict {
 	out := b2u(outcome)
 	v := u.observe(out, instr)

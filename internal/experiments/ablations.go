@@ -3,11 +3,11 @@ package experiments
 import (
 	"io"
 
-	"reactivespec/internal/baseline"
 	"reactivespec/internal/bias"
 	"reactivespec/internal/core"
 	"reactivespec/internal/harness"
 	"reactivespec/internal/stats"
+	"reactivespec/internal/trace"
 	"reactivespec/internal/workload"
 )
 
@@ -60,7 +60,7 @@ func ProfileAveraging(cfg Config, counts []int) ([]AveragingRow, error) {
 		for i, k := range counts {
 			sel := bias.Merge(profiles[:k]...).Select(0.99, 1)
 			rows[i] = AveragingRow{Bench: name, Profiles: k, Selected: sel.Len()}
-			ctls[i] = baseline.NewStatic(sel)
+			ctls[i] = sel
 		}
 		sts, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(eval), ctls...)
 		if err != nil {
@@ -111,18 +111,44 @@ func FlushPolicy(cfg Config) ([]FlushRow, error) {
 			return FlushRow{}, err
 		}
 		// Flush every ~1/6th of the run: a few phase-level flushes.
-		fl := baseline.NewFlush(params.MonitorPeriod, 0.99, spec.Instructions()/6)
+		fl := newFlushPolicy(params.MonitorPeriod, spec.Instructions()/6)
 		sts, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(spec),
 			core.New(params), fl, core.New(params.WithNoEviction()))
 		if err != nil {
 			return FlushRow{}, err
 		}
-		row := FlushRow{Bench: name, Flushes: fl.Flushes}
+		row := FlushRow{Bench: name, Flushes: fl.flushes}
 		row.Closed.CorrectPct, row.Closed.WrongPct = pcts(sts[0])
 		row.Flush.CorrectPct, row.Flush.WrongPct = pcts(sts[1])
 		row.Open.CorrectPct, row.Open.WrongPct = pcts(sts[2])
 		return row, nil
 	})
+}
+
+// flushPolicy models the Dynamo-style policy the paper discusses in its
+// related work: decisions come from initial behavior and are never
+// individually reconsidered, but the whole fragment cache is preemptively
+// flushed at a phase change — here, every period instructions — forcing
+// every branch to be re-learned from scratch. A zero period never flushes.
+type flushPolicy struct {
+	trainLen, period, nextFlush uint64
+	inner                       *core.Controller
+	// flushes counts cache flushes performed.
+	flushes uint64
+}
+
+func newFlushPolicy(trainLen, period uint64) *flushPolicy {
+	return &flushPolicy{trainLen: trainLen, period: period, nextFlush: period, inner: initialBehavior(trainLen)}
+}
+
+// OnBranch implements the harness Controller contract.
+func (f *flushPolicy) OnBranch(id trace.BranchID, taken bool, instr uint64) core.Verdict {
+	if f.period > 0 && instr >= f.nextFlush {
+		f.inner = initialBehavior(f.trainLen)
+		f.nextFlush = instr + f.period
+		f.flushes++
+	}
+	return f.inner.OnBranch(id, taken, instr)
 }
 
 // WriteFlush renders the flush-policy comparison.

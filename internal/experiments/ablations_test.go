@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"reactivespec/internal/core"
+	"reactivespec/internal/harness"
 	"reactivespec/internal/workload"
 )
 
@@ -53,6 +56,81 @@ func TestFlushPolicyBetweenLoops(t *testing.T) {
 	var b strings.Builder
 	if err := WriteFlush(&b, rows, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFlushRelearnsAfterPhaseChange(t *testing.T) {
+	// Train length 4, flush every 100 instructions.
+	f := newFlushPolicy(4, 100)
+	instr := uint64(0)
+	feed := func(taken bool, n int) (misspec int) {
+		for i := 0; i < n; i++ {
+			instr += 5
+			if f.OnBranch(0, taken, instr) == core.Misspec {
+				misspec++
+			}
+		}
+		return misspec
+	}
+	feed(true, 4) // trained taken
+	if v := f.OnBranch(0, true, instr+1); v != core.Correct {
+		t.Fatalf("post-training verdict = %v", v)
+	}
+	instr++
+	// The branch reverses; the stale decision misspeculates until the
+	// next flush re-trains it.
+	m := feed(false, 100)
+	if m == 0 {
+		t.Fatal("no misspecs before flush")
+	}
+	if m >= 100-4 {
+		t.Fatal("flush never relearned the branch")
+	}
+	if f.flushes == 0 {
+		t.Fatal("no flushes recorded")
+	}
+	// After relearning, the branch speculates correctly again.
+	if v := f.OnBranch(0, false, instr+1); v != core.Correct {
+		t.Fatalf("post-flush verdict = %v", v)
+	}
+}
+
+func TestFlushZeroPeriodNeverFlushes(t *testing.T) {
+	f := newFlushPolicy(4, 0)
+	for i := 0; i < 1000; i++ {
+		f.OnBranch(0, true, uint64(i*5))
+	}
+	if f.flushes != 0 {
+		t.Fatalf("flushes = %d with zero period", f.flushes)
+	}
+}
+
+// TestFlushRunAllMatchesRun: the flush policy scored in lockstep with the
+// closed and open loops, as FlushPolicy runs it, ends where a lone run over
+// an identical stream leaves it.
+func TestFlushRunAllMatchesRun(t *testing.T) {
+	cfg := Config{Scale: 0.05, Benchmarks: []string{"gzip"}}.withDefaults()
+	spec, err := cfg.build("gzip", workload.InputEval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := cfg.Params()
+	period := spec.Instructions() / 6
+	lockstep := newFlushPolicy(params.MonitorPeriod, period)
+	sts, err := harness.RunAll(context.Background(), workload.NewGenerator(spec),
+		core.New(params), lockstep, core.New(params.WithNoEviction()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := newFlushPolicy(params.MonitorPeriod, period)
+	if want := harness.Run(workload.NewGenerator(spec), alone); sts[1] != want {
+		t.Fatalf("lockstep flush stats %+v, lone run %+v", sts[1], want)
+	}
+	if lockstep.flushes != alone.flushes || alone.flushes == 0 {
+		t.Fatalf("flushes: lockstep %d, lone %d; want equal and nonzero", lockstep.flushes, alone.flushes)
+	}
+	if sts[1].Correct == 0 {
+		t.Fatal("flush policy never speculated; the comparison covers no decision")
 	}
 }
 

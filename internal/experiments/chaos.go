@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"reactivespec/internal/baseline"
 	"reactivespec/internal/bias"
 	"reactivespec/internal/core"
 	"reactivespec/internal/faults"
@@ -100,9 +99,9 @@ func Chaos(cfg Config, intensities []float64) ([]ChaosPoint, error) {
 			// One controller per ChaosMechanisms entry, in its order.
 			sts, err := harness.RunAll(cfg.ctx(), faulted,
 				core.New(params),
-				baseline.NewStatic(selfSel),
-				baseline.NewStatic(prevSel),
-				baseline.NewInitialBehavior(trainLen, 0.99))
+				selfSel,
+				prevSel,
+				initialBehavior(trainLen))
 			if err != nil {
 				return nil, fmt.Errorf("chaos %s intensity %v: %w", name, intensity, err)
 			}

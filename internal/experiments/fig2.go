@@ -3,8 +3,8 @@ package experiments
 import (
 	"io"
 
-	"reactivespec/internal/baseline"
 	"reactivespec/internal/bias"
+	"reactivespec/internal/core"
 	"reactivespec/internal/harness"
 	"reactivespec/internal/stats"
 	"reactivespec/internal/trace"
@@ -72,9 +72,9 @@ func Fig2(cfg Config) ([]Fig2Series, error) {
 		// training lengths. All of them score one pass of the evaluation
 		// stream, which also builds the self-training profile.
 		trainProfile := bias.FromStream(workload.NewGenerator(prof))
-		ctls := []harness.Controller{baseline.NewStatic(trainProfile.Select(0.99, 1))}
+		ctls := []harness.Controller{trainProfile.Select(0.99, 1)}
 		for _, n := range trainLens {
-			ctls = append(ctls, baseline.NewInitialBehavior(n, 0.99))
+			ctls = append(ctls, initialBehavior(n))
 		}
 		evalProfile := bias.NewProfile()
 		sts, err := harness.RunAll(cfg.ctx(), profiled{workload.NewGenerator(eval), evalProfile}, ctls...)
@@ -95,6 +95,19 @@ func Fig2(cfg Config) ([]Fig2Series, error) {
 		}
 		return s, nil
 	})
+}
+
+// initialBehavior returns the Section 2.2 initial-behavior mechanism (the
+// Figure 2 crosses): core's selftrain policy, which watches each branch's
+// first trainLen executions and, when the majority direction's bias meets
+// 99%, speculates on it from the next execution on, never reconsidering.
+// There is no optimization latency.
+func initialBehavior(trainLen uint64) *core.Controller {
+	c, err := core.NewPolicySet(core.PolicySelfTrain, core.Params{MonitorPeriod: trainLen, SelectThreshold: 0.99})
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // profiled passes a stream through, observing every event into a profile.

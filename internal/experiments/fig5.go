@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"reactivespec/internal/baseline"
 	"reactivespec/internal/bias"
 	"reactivespec/internal/core"
 	"reactivespec/internal/harness"
@@ -40,7 +39,7 @@ var Fig5ConfigNames = []string{
 func fig5Controller(name string, base core.Params, prof *bias.Profile) harness.Controller {
 	switch name {
 	case "self-train-99":
-		return baseline.NewStatic(prof.Select(0.99, 1))
+		return prof.Select(0.99, 1)
 	case "no-evict":
 		base = base.WithNoEviction()
 	case "no-revisit":

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"reactivespec/internal/baseline"
 	"reactivespec/internal/bias"
 	"reactivespec/internal/core"
 	"reactivespec/internal/harness"
@@ -49,7 +48,7 @@ func Generality(cfg Config) ([]GeneralityRow, error) {
 	gen := workload.NewGenerator(spec)
 	prof := bias.FromStream(gen)
 	gen.Reset()
-	sts, err := harness.RunAll(cfg.ctx(), gen, baseline.NewStatic(prof.Select(0.99, 1)),
+	sts, err := harness.RunAll(cfg.ctx(), gen, prof.Select(0.99, 1),
 		core.New(params), core.New(params.WithNoEviction()))
 	if err != nil {
 		return nil, err

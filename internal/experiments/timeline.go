@@ -43,10 +43,11 @@ func Timeline(cfg Config, bench string, input workload.InputID) (*TimelineResult
 	ctl := core.New(cfg.Params())
 	sink := obs.NewSink(0)
 	sink.Attach(ctl)
-	st, err := harness.RunContext(cfg.ctx(), workload.NewGenerator(spec), ctl)
+	sts, err := harness.RunAll(cfg.ctx(), workload.NewGenerator(spec), ctl)
 	if err != nil {
 		return nil, err
 	}
+	st := sts[0]
 	return &TimelineResult{
 		Bench:       bench,
 		Input:       input,

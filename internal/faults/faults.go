@@ -236,24 +236,6 @@ func (st *stormStream) Next() (trace.Event, bool) {
 	return ev, true
 }
 
-// Truncate ends the stream after at most n events, modeling a run cut short.
-func Truncate(s trace.Stream, n uint64) trace.Stream {
-	return &truncStream{s: s, left: n}
-}
-
-type truncStream struct {
-	s    trace.Stream
-	left uint64
-}
-
-func (t *truncStream) Next() (trace.Event, bool) {
-	if t.left == 0 {
-		return trace.Event{}, false
-	}
-	t.left--
-	return t.s.Next()
-}
-
 // Scramble remaps a deterministically-chosen fraction of static branches to
 // IDs at or above base, modeling dynamic instances from code the profile
 // never saw (unprofiled code). The mapping is stable: a scrambled branch maps
@@ -339,7 +321,7 @@ func (m Mix) Apply(s trace.Stream, totalEvents uint64) trace.Stream {
 	}
 	if m.TruncateFrac > 0 {
 		keep := uint64(float64(totalEvents) * (1 - m.TruncateFrac))
-		s = Truncate(s, keep)
+		s = trace.Head(s, keep)
 	}
 	return s
 }

@@ -12,7 +12,9 @@ import (
 )
 
 // Controller is any speculation-control policy: a core.Controller under any
-// registered policy, a static profile-based one, or an initial-behavior one.
+// registered policy (selftrain is the Section 2.2 initial-behavior
+// mechanism), a bias.Selection (static profile-guided selection), or the
+// experiments' periodic-flush policy, which wraps a selftrain controller.
 type Controller interface {
 	// OnBranch observes one dynamic branch instance at global instruction
 	// count instr and reports the speculation outcome.
@@ -39,20 +41,13 @@ func Run(s trace.Stream, ctl Controller) core.Stats {
 // enough to stay invisible in the hot loop.
 const ctxCheckEvery = 1 << 16
 
-// RunContext is Run with cooperative cancelation: it polls ctx every
-// ctxCheckEvery events and stops early when the context is done, returning
-// the statistics accumulated so far together with the context's error. Long
-// sweeps use it so a deadline cancels mid-benchmark, not only between
-// benchmarks.
-func RunContext(ctx context.Context, s trace.Stream, ctl Controller) (core.Stats, error) {
-	st, err := RunAll(ctx, s, ctl)
-	return st[0], err
-}
-
 // RunAll scores every controller on one pass over the stream: each event is
 // pulled once and handed to the controllers in slice order, so Stats[i]
-// equals what Run returns for ctls[i] over an identical stream. Cancelation
-// is RunContext's, and every controller stops at the same event.
+// equals what Run returns for ctls[i] over an identical stream. It polls ctx
+// every ctxCheckEvery events and stops early when the context is done,
+// returning the statistics accumulated so far together with the context's
+// error, so a deadline cancels mid-benchmark, not only between benchmarks.
+// Every controller stops at the same event.
 func RunAll(ctx context.Context, s trace.Stream, ctls ...Controller) ([]core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -72,7 +67,7 @@ func RunObserved(s trace.Stream, ctl Controller, obs Observer) core.Stats {
 	return st[0]
 }
 
-// run is the one harness loop behind Run, RunContext, RunAll and
+// run is the one harness loop behind Run, RunAll and
 // RunObserved. obs, when non-nil, sees every controller's verdict. Every
 // controller sees the same instructions, so Stats.Instrs and each
 // instrSink are credited once, when the run ends.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 
-	"reactivespec/internal/baseline"
 	"reactivespec/internal/bias"
 	"reactivespec/internal/core"
 	"reactivespec/internal/harness"
@@ -30,7 +29,8 @@ func runAllSpec(t *testing.T) *workload.Spec {
 
 // runAllFactories builds one fresh controller of every kind the experiment
 // drivers score in lockstep: core under each registered policy, a static
-// self-training selection, initial behavior and the periodic flush.
+// self-training selection, and initial behavior (selftrain at OptLatency 0,
+// as Figure 2 runs it).
 func runAllFactories(t *testing.T, spec *workload.Spec) (names []string, mk []func() harness.Controller) {
 	t.Helper()
 	params := core.DefaultParams().Scaled(100)
@@ -45,12 +45,16 @@ func runAllFactories(t *testing.T, spec *workload.Spec) (names []string, mk []fu
 		})
 	}
 	sel := bias.FromStream(workload.NewGenerator(spec)).Select(0.99, 1)
-	names = append(names, "static", "initial-behavior", "flush")
+	initial := core.Params{MonitorPeriod: 100, SelectThreshold: 0.99}
+	names = append(names, "static", "initial-behavior")
 	mk = append(mk,
-		func() harness.Controller { return baseline.NewStatic(sel) },
-		func() harness.Controller { return baseline.NewInitialBehavior(100, 0.99) },
+		func() harness.Controller { return sel },
 		func() harness.Controller {
-			return baseline.NewFlush(params.MonitorPeriod, 0.99, spec.Instructions()/6)
+			c, err := core.NewPolicySet(core.PolicySelfTrain, initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
 		})
 	return names, mk
 }

@@ -57,9 +57,15 @@ func TestSliceStreamLen(t *testing.T) {
 }
 
 func TestHeadLimits(t *testing.T) {
-	s := Head(NewSliceStream(mkEvents(10)), 4)
-	if got := len(Collect(s)); got != 4 {
-		t.Fatalf("Head(4) yielded %d events", got)
+	events := mkEvents(10)
+	got := Collect(Head(NewSliceStream(events), 4))
+	if len(got) != 4 {
+		t.Fatalf("Head(4) yielded %d events", len(got))
+	}
+	for i := range got {
+		if got[i] != events[i] {
+			t.Fatalf("Head altered the surviving prefix: event %d = %+v, want %+v", i, got[i], events[i])
+		}
 	}
 }
 
