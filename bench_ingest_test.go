@@ -1,7 +1,8 @@
 // Benchmarks for the batched ingest hot path: ApplyBatchKind for the branch
 // and value kinds on the same event stream, ApplyFrame on a fleet-sized
-// table, and the full HTTP ingest handler (decode + apply + respond) with
-// allocation accounting.
+// table, the stream session's three per-event kernels (decode, apply,
+// respond) on stream-hot's frames, and the full HTTP ingest handler (decode
+// + apply + respond) with allocation accounting.
 package reactivespec_test
 
 import (
@@ -149,6 +150,123 @@ func BenchmarkTableApplyFrameFleet(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frameEvents), "ns/event")
 	b.ReportMetric(float64(entries), "entries")
+}
+
+// streamKernelFrames is one stream-hot session's input: a benchmark's eval
+// input cut into 256 pre-encoded frames of 1024 events, the frames
+// perfbench's stream-hot workload sends cyclically over one session.
+type streamKernelFrames struct {
+	program string
+	events  [][]trace.Event
+	frames  [][]byte
+}
+
+// buildStreamKernelFrames generates the two stream-hot sessions, gzip and
+// gcc, for run seed 1. The construction (the per-session seed mix, the frame
+// size and count) repeats perfbench's buildStreamHot, which the root module
+// cannot import.
+func buildStreamKernelFrames(b *testing.B) []streamKernelFrames {
+	const (
+		frameEvents = 1024
+		cycleFrames = 256
+		seed        = 1
+	)
+	mix := func(seed, tag uint64) uint64 {
+		z := seed*0x9e3779b97f4a7c15 + tag*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	var out []streamKernelFrames
+	for i, bench := range []string{"gzip", "gcc"} {
+		spec := workload.MustBuild(bench, workload.InputEval, workload.Options{Seed: mix(seed, uint64(i))})
+		gen := workload.NewGenerator(spec)
+		s := streamKernelFrames{program: bench}
+		for f := 0; f < cycleFrames; f++ {
+			evs := make([]trace.Event, frameEvents)
+			if n := gen.NextBatch(evs); n != len(evs) {
+				b.Fatalf("%s: workload ended after %d frames", bench, f)
+			}
+			s.events = append(s.events, evs)
+			s.frames = append(s.frames, trace.EncodeFrameAppend(nil, evs))
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// BenchmarkStreamKernels times the three per-event kernels a stream session
+// runs on every event frame, one frame per op over the 256 frames of each
+// stream-hot session:
+//
+//   - decode: trace.DecodeFrameAppend, the frame walker;
+//   - apply: the table apply on a warmed 16-shard table (every frame
+//     applied twice before timing, so the timed loop creates no entry);
+//   - respond: trace.AppendDecisionsFrame over the decisions the warmed
+//     table answers for each frame.
+//
+// Each reports ns/event; respond also reports the wire bytes per event.
+func BenchmarkStreamKernels(b *testing.B) {
+	sessions := buildStreamKernelFrames(b)
+	for _, s := range sessions {
+		nf := len(s.frames)
+		frameEvents := len(s.events[0])
+		perEvent := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frameEvents), "ns/event")
+		}
+		b.Run("decode/"+s.program, func(b *testing.B) {
+			dst := make([]trace.Event, 0, frameEvents)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if dst, err = trace.DecodeFrameAppend(s.frames[i%nf], dst[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			perEvent(b)
+		})
+		// warm runs every frame through a fresh daemon-shaped table twice
+		// and returns it with the instruction count reached and the second
+		// pass's decisions per frame.
+		warm := func() (*server.Table, uint64, [][]byte) {
+			t := server.NewTable(core.DefaultParams().Scaled(10), 16)
+			var instr uint64
+			decs := make([][]byte, nf)
+			for pass := 0; pass < 2; pass++ {
+				for f, evs := range s.events {
+					decs[f], instr = t.ApplyBatchKind(s.program, trace.KindBranch, evs, instr, decs[f][:0])
+				}
+			}
+			return t, instr, decs
+		}
+		b.Run("apply/"+s.program, func(b *testing.B) {
+			t, instr, _ := warm()
+			dst := make([]byte, 0, frameEvents)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, instr = t.ApplyBatchKind(s.program, trace.KindBranch, s.events[i%nf], instr, dst[:0])
+			}
+			b.StopTimer()
+			perEvent(b)
+		})
+		b.Run("respond/"+s.program, func(b *testing.B) {
+			_, _, decs := warm()
+			var wire, scratch []byte
+			wireBytes := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				wire, scratch = trace.AppendDecisionsFrame(wire[:0], decs[i%nf], scratch)
+				wireBytes += len(wire)
+			}
+			b.StopTimer()
+			perEvent(b)
+			b.ReportMetric(float64(wireBytes)/float64(b.N*frameEvents), "wireB/event")
+		})
+	}
 }
 
 // discardResponseWriter is an http.ResponseWriter that throws the response

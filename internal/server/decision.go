@@ -52,16 +52,19 @@ const (
 	decValidMask   = decVerdictMask | decStateMask | decDirBit | decLiveBit
 )
 
-// Encode packs the decision into its one-byte wire form.
+// Encode packs the decision into its one-byte wire form. It does not branch
+// on Dir or Live: they follow the event data, and the batched apply loop
+// packs one decision per event.
 func (d Decision) Encode() byte {
-	b := byte(d.Verdict)&0x3 | (byte(d.State)&0x3)<<decStateShift
-	if d.Dir {
-		b |= decDirBit
+	return byte(d.Verdict)&0x3 | (byte(d.State)&0x3)<<decStateShift | bit(d.Dir)*decDirBit | bit(d.Live)*decLiveBit
+}
+
+// bit is b as 0 or 1; the compiler turns it into a move, not a branch.
+func bit(b bool) byte {
+	if b {
+		return 1
 	}
-	if d.Live {
-		b |= decLiveBit
-	}
-	return b
+	return 0
 }
 
 // DecodeDecision unpacks a wire byte.

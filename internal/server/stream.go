@@ -233,11 +233,24 @@ func (s *Server) streamFrameLoop(c *session.Conn, program string) {
 				clk.lap(stageRespond)
 				s.finishBatch(&clk, traceID, program, len(events), seq)
 			}
-			// Like the pooled ingest scratch, the session keeps its event
-			// scratch only up to maxPooledEvents: one huge frame must not
-			// pin its events for the rest of a long-lived session.
+			// Like the pooled ingest scratch, the session keeps each
+			// buffer only up to maxPooledEvents events or maxPooledBytes
+			// bytes: one huge frame must not pin its size for the rest of
+			// a long-lived session.
 			if cap(events) > maxPooledEvents {
 				events = nil
+			}
+			if cap(decisions) > maxPooledEvents {
+				decisions = nil
+			}
+			if cap(payloadScratch) > maxPooledBytes {
+				payloadScratch = nil
+			}
+			if cap(wireBuf) > maxPooledBytes {
+				wireBuf = nil
+			}
+			if cap(decScratch) > maxPooledBytes {
+				decScratch = nil
 			}
 			// Flush only when no further frame is already buffered: a
 			// pipelining client keeps the session busy, and its credits

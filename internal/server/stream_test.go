@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -358,6 +359,60 @@ func TestStreamRejectFrameKeepsSession(t *testing.T) {
 	}
 	if err != nil || len(ds) != 10 {
 		t.Fatalf("decisions after reject = %d, %v; want 10", len(ds), err)
+	}
+}
+
+// TestStreamSessionDropsLargeScratch pins that one huge frame does not pin
+// its size for the rest of a session: after a 2Mi-event frame and a small
+// one, with the session still open, the live heap is back within 2 MiB of
+// what it was before the huge frame. Kept, the session's payload, decision
+// and wire buffers alone would hold at least 8 MiB. The client is a raw
+// connection that keeps no buffers, so the growth measured is the server's.
+func TestStreamSessionDropsLargeScratch(t *testing.T) {
+	s, _ := newTestServer(t, Config{Shards: 2})
+	raw, err := net.Dial("tcp", streamAddr(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	br := bufio.NewReader(raw)
+	if _, err := raw.Write(trace.AppendHandshake(nil,
+		trace.Handshake{Proto: trace.StreamProtoVersion, ParamsHash: s.paramsHash, Program: "p"})); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := trace.ReadAck(br); err != nil || ack.Err != nil {
+		t.Fatalf("handshake: %v, %+v", err, ack)
+	}
+	send := func(n int, seed uint64) {
+		t.Helper()
+		payload := trace.EncodeFrameAppend(
+			trace.AppendKind(trace.AppendTraceContext(nil, 0), trace.KindBranch),
+			synthEvents(n, seed))
+		if _, err := raw.Write(trace.AppendSessionFrame(nil, trace.StreamFrameEvents, payload)); err != nil {
+			t.Fatal(err)
+		}
+		typ, _, _, err := trace.ReadSessionFrame(br, nil)
+		if err != nil {
+			t.Fatalf("reading the answer to a %d-event frame: %v", n, err)
+		}
+		if typ != trace.StreamFrameDecisions && typ != trace.StreamFrameDecisionsRLE {
+			t.Fatalf("answer to a %d-event frame has type %q; want a decisions frame", n, typ)
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	send(64, 1)
+	before := liveHeap()
+	send(1<<21, 2)
+	send(64, 3)
+	if after := liveHeap(); after > before+2<<20 {
+		t.Fatalf("live heap grew from %d to %d bytes across one huge frame; the session kept its buffers",
+			before, after)
 	}
 }
 

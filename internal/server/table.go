@@ -320,7 +320,11 @@ const maxPooledEvents = 1 << 16
 // gaps into each event's absolute instruction count, probing the index
 // (once per run of one branch, through a one-slot cache) and writing each
 // decision byte in place. The program key is hashed and interned once per
-// batch. TestApplyBatchMatchesApply pins the decisions and stripe counters
+// batch. The cache hits on few events of the calibrated workloads (3.4% of
+// stream-hot's gzip frames, 1.1% of gcc's) and costs nothing measurable
+// there, but it spares a loop on one branch every probe. The stripe's
+// counters are bumped per event: summing them once per batch measured no
+// faster. TestApplyBatchMatchesApply pins the decisions and stripe counters
 // bit-for-bit against applying the events one at a time.
 func (t *Table) applyEvents(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
 	if len(events) == 0 {

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Decision coalescing for stream sessions. A plain 'D' payload carries one
@@ -32,34 +33,70 @@ func AppendDecisionsPlain(dst []byte, decisions []byte) []byte {
 }
 
 // AppendDecisionsFrame appends the session frame answering one applied event
-// frame to dst: run-length 'd', falling back to the plain 'D' frame whenever
-// run-length encoding does not strictly shrink the payload, so the wire cost
-// is bounded by the plain encoding. scratch stages the candidate payload and
-// is returned for reuse; the plain frame's header is built in place, so the
-// hot respond path allocates nothing.
+// frame to dst: run-length 'd' when run-length encoding strictly shrinks the
+// payload, else the plain 'D' frame, so the wire cost is bounded by the
+// plain encoding. Every run costs at least two bytes and the two forms
+// share the count header, so it counts the runs first and, when twice their
+// number reaches the number of decisions, sends 'D' without encoding; only
+// a vector with fewer runs than half its bytes is encoded, and then the
+// exact sizes decide. The choice and the bytes are
+// those of encoding every vector and comparing (FuzzDecisionsFrame pins
+// both). scratch stages the candidate payload and is returned for reuse;
+// the plain frame's header is built in place, so the hot respond path
+// allocates nothing.
 func AppendDecisionsFrame(dst, decisions, scratch []byte) (wire, newScratch []byte) {
-	scratch = AppendDecisionsRLE(scratch[:0], decisions)
 	plainLen := uvarintLen(uint64(len(decisions))) + len(decisions)
-	if len(scratch) < plainLen {
-		return AppendSessionFrame(dst, StreamFrameDecisionsRLE, scratch), scratch
+	if 2*countRuns(decisions) < len(decisions) {
+		scratch = AppendDecisionsRLE(scratch[:0], decisions)
+		if len(scratch) < plainLen {
+			return AppendSessionFrame(dst, StreamFrameDecisionsRLE, scratch), scratch
+		}
 	}
 	dst = append(dst, StreamFrameDecisions)
 	dst = binary.AppendUvarint(dst, uint64(plainLen))
 	return AppendDecisionsPlain(dst, decisions), scratch
 }
 
+// countRuns returns the number of maximal runs of equal bytes in b. It
+// compares eight neighbouring pairs per step: the XOR of the words at i
+// and i+1 has a non-zero byte wherever a run ends, and those bytes are
+// counted branch-free, since decision runs are often too short for a
+// per-byte branch to predict.
+func countRuns(b []byte) int {
+	if len(b) == 0 {
+		return 0
+	}
+	const lo7 = 0x7f7f7f7f7f7f7f7f
+	ends := 0
+	i := 0
+	for ; i+9 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:]) ^ binary.LittleEndian.Uint64(b[i+1:])
+		// A byte's high bit is set iff the byte is non-zero.
+		ends += bits.OnesCount64(((x & lo7) + lo7 | x) &^ lo7)
+	}
+	for ; i+1 < len(b); i++ {
+		if b[i] != b[i+1] {
+			ends++
+		}
+	}
+	return ends + 1
+}
+
 // AppendDecisionsRLE appends the run-length-encoded 'd' payload for
 // decisions to dst.
 func AppendDecisionsRLE(dst []byte, decisions []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(decisions)))]...)
+	dst = binary.AppendUvarint(dst, uint64(len(decisions)))
 	for i := 0; i < len(decisions); {
+		v := decisions[i]
 		j := i + 1
-		for j < len(decisions) && decisions[j] == decisions[i] {
+		for j < len(decisions) && decisions[j] == v {
 			j++
 		}
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(j-i))]...)
-		dst = append(dst, decisions[i])
+		if n := j - i; n < 0x80 {
+			dst = append(dst, byte(n), v)
+		} else {
+			dst = append(binary.AppendUvarint(dst, uint64(n)), v)
+		}
 		i = j
 	}
 	return dst

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -140,6 +142,98 @@ func FuzzDecisionsRLE(f *testing.F) {
 			if len(got) != 1 || got[0] != 99 {
 				t.Fatalf("dst changed on error")
 			}
+		}
+	})
+}
+
+// refDecisionsFrame is the decision frame rule written out independently of
+// AppendDecisionsFrame: encode the vector run-length, one uvarint and one
+// value byte per run, and send that 'd' payload when it is strictly shorter
+// than the plain 'D' payload, else send 'D'.
+func refDecisionsFrame(decisions []byte) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	rle := append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(len(decisions)))]...)
+	for i := 0; i < len(decisions); {
+		j := i + 1
+		for j < len(decisions) && decisions[j] == decisions[i] {
+			j++
+		}
+		rle = append(rle, tmp[:binary.PutUvarint(tmp[:], uint64(j-i))]...)
+		rle = append(rle, decisions[i])
+		i = j
+	}
+	plain := append(append([]byte(nil), tmp[:binary.PutUvarint(tmp[:], uint64(len(decisions)))]...), decisions...)
+	if len(rle) < len(plain) {
+		return AppendSessionFrame(nil, StreamFrameDecisionsRLE, rle)
+	}
+	return AppendSessionFrame(nil, StreamFrameDecisions, plain)
+}
+
+// FuzzDecisionsFrame pins AppendDecisionsFrame to refDecisionsFrame byte for
+// byte — the run-count gate may skip encoding but never change the choice —
+// and checks that the frame decodes back to the vector. Appending extends
+// dst, and the scratch handed back is reusable.
+func FuzzDecisionsFrame(f *testing.F) {
+	alternating := make([]byte, 300)
+	for i := range alternating {
+		alternating[i] = byte(i % 2)
+	}
+	f.Add(alternating)
+	f.Add(bytes.Repeat([]byte{5}, 1000))
+	// Exact ties, which must send 'D': two-byte runs (the gate decides),
+	// and a run of 128 followed by 125 single bytes (the gate passes it
+	// and the exact sizes decide, 255 bytes each).
+	f.Add([]byte{1, 1, 2, 2})
+	tie := bytes.Repeat([]byte{0}, 128)
+	for i := 0; i < 125; i++ {
+		tie = append(tie, byte(1+i%2))
+	}
+	f.Add(tie)
+	f.Add([]byte{})
+
+	var scratch []byte
+	f.Fuzz(func(t *testing.T, decisions []byte) {
+		want := refDecisionsFrame(decisions)
+		var got []byte
+		got, scratch = AppendDecisionsFrame([]byte{0xee}, decisions, scratch)
+		if got[0] != 0xee {
+			t.Fatal("AppendDecisionsFrame clobbered dst")
+		}
+		if !bytes.Equal(got[1:], want) {
+			t.Fatalf("%d decisions: frame %q (%d bytes), reference %q (%d bytes)",
+				len(decisions), got[1], len(got)-1, want[0], len(want))
+		}
+		typ, payload, _, err := ReadSessionFrame(bufio.NewReader(bytes.NewReader(got[1:])), nil)
+		if err != nil {
+			t.Fatalf("reading the frame back: %v", err)
+		}
+		var dec []byte
+		switch typ {
+		case StreamFrameDecisionsRLE:
+			dec, err = DecodeDecisionsRLE(payload, nil)
+		case StreamFrameDecisions:
+			count, n := binary.Uvarint(payload)
+			if n <= 0 || count != uint64(len(payload)-n) {
+				err = fmt.Errorf("plain payload of %d bytes declares %d decisions", len(payload), count)
+			}
+			dec = payload[n:]
+		default:
+			err = fmt.Errorf("frame type %q", typ)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dec, decisions) {
+			t.Fatalf("frame decodes to %d decisions that differ from the %d sent", len(dec), len(decisions))
+		}
+		runs := 0
+		for i := range decisions {
+			if i == 0 || decisions[i] != decisions[i-1] {
+				runs++
+			}
+		}
+		if got := countRuns(decisions); got != runs {
+			t.Fatalf("countRuns = %d, want %d", got, runs)
 		}
 	})
 }

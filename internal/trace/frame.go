@@ -135,8 +135,16 @@ func ValidateFrame(payload []byte) (int, error) {
 
 // walkFrame is the one frame payload walker: magic, version, declared
 // count, every record's varint shape and ranges, trailing bytes. With keep
-// set it appends each event to dst; either way it returns the event count.
-// On error dst is returned unchanged.
+// set it appends each event to dst, grown once up front; either way it
+// returns the event count. On error dst is returned unchanged.
+//
+// A record with a one- or two-byte branch delta and a one-byte gap/outcome
+// that starts at least four bytes before the payload end — on stream-hot's
+// gzip and gcc frames, every record but the last one or two of a frame — is
+// decoded in one step by shortRecord; any other record goes field by field
+// through frameDecoder, which produces every diagnostic. Both run the same
+// ID range check, so the accept/reject set and the error text do not depend
+// on the path (TestWalkerEdgeCases and the fuzz targets pin both).
 func walkFrame(payload []byte, dst []Event, keep bool) ([]Event, int, error) {
 	base := len(dst)
 	d := frameDecoder{buf: payload}
@@ -160,15 +168,27 @@ func walkFrame(payload []byte, dst []Event, keep bool) ([]Event, int, error) {
 	if err != nil {
 		return dst, 0, fmt.Errorf("%w: reading event count at byte offset %d: %v", ErrBadTrace, d.off, err)
 	}
+	if keep {
+		// Every record is at least two bytes, so the payload bounds the
+		// events it can hold whatever count the header declares.
+		dst = slices.Grow(dst, int(min(total, uint64(len(payload)-d.off)/2)))
+	}
 	var prevID int64
 	for i := uint64(0); i < total; i++ {
-		delta, err := d.varint()
-		if err != nil {
-			return dst[:base], 0, d.fail("branch delta", i, total, err)
-		}
-		gapTaken, err := d.uvarint()
-		if err != nil {
-			return dst[:base], 0, d.fail("gap/outcome", i, total, err)
+		var (
+			delta    int64
+			gapTaken uint64
+		)
+		if n, ux, gt := shortRecord(payload[d.off:]); n != 0 {
+			d.off += n
+			delta, gapTaken = int64(ux>>1)^-int64(ux&1), gt
+		} else {
+			if delta, err = d.varint(); err != nil {
+				return dst[:base], 0, d.fail("branch delta", i, total, err)
+			}
+			if gapTaken, err = d.uvarint(); err != nil {
+				return dst[:base], 0, d.fail("gap/outcome", i, total, err)
+			}
 		}
 		prevID += delta
 		if prevID < 0 || prevID > int64(^uint32(0)) {
@@ -192,6 +212,25 @@ func walkFrame(payload []byte, dst []Event, keep bool) ([]Event, int, error) {
 			ErrBadTrace, len(payload)-d.off, total)
 	}
 	return dst, int(total), nil
+}
+
+// shortRecord decodes the record at the head of p in one step when it has
+// the shape nearly every record has: a one- or two-byte branch delta and a
+// one-byte gap/outcome, with at least four bytes in p. It returns the record
+// length, the zig-zag delta as a uvarint and the gap/outcome value, or a
+// zero length for any other shape, which the caller decodes field by field.
+// It reads the same values the per-field decoder would from the same bytes.
+func shortRecord(p []byte) (n int, ux, gapTaken uint64) {
+	if len(p) < 4 {
+		return
+	}
+	b0, b1, b2 := uint64(p[0]), uint64(p[1]), uint64(p[2])
+	wide := -(b0 >> 7) // all ones if the delta takes two bytes
+	gapTaken = b1 ^ (b1^b2)&wide
+	if (b1|gapTaken)&0x80 != 0 {
+		return 0, 0, 0
+	}
+	return 2 + int(wide&1), b0&0x7f | b1<<7&wide, gapTaken
 }
 
 // frameDecoder walks one frame payload in place, mirroring Reader's varint

@@ -228,3 +228,72 @@ func TestNextPayloadAppendMatchesNextAppend(t *testing.T) {
 		}
 	}
 }
+
+// walkerEdgeCases are payloads at the edges of the frame walker's one-step
+// path for short records (a one- or two-byte delta and a one-byte gap, at
+// least four bytes from the end), each with the diagnostic the per-field
+// walker gives it ("" = accepted). A record at a range check is followed by
+// a padding record so that it is not within three bytes of the end.
+func walkerEdgeCases() []struct {
+	name    string
+	payload []byte
+	err     string
+} {
+	frame := func(count uint64, records ...byte) []byte {
+		return append(appendHeader(nil, count), records...)
+	}
+	maxID := binary.AppendUvarint(nil, uint64(^uint32(0))<<1) // zig-zag delta 0 → 2³²−1
+	return []struct {
+		name    string
+		payload []byte
+		err     string
+	}{
+		{"two-byte delta and gap end the payload", frame(2, 0x02, 0x00, 0x80, 0x01, 0x07), ""},
+		{"two-byte delta ends the payload", frame(2, 0x02, 0x00, 0x80, 0x01),
+			"trace: malformed trace file: truncated gap/outcome at byte offset 10 (event 1 of 2): EOF"},
+		{"one-byte delta below zero", frame(2, 0x01, 0x00, 0x00, 0x00),
+			"trace: malformed trace file: branch id -1 out of range at byte offset 8 (event 0 of 2)"},
+		{"one-byte delta above 2^32-1", frame(3, append(append(maxID, 0x00), 0x02, 0x00, 0x00, 0x00)...),
+			"trace: malformed trace file: branch id 4294967296 out of range at byte offset 14 (event 1 of 3)"},
+		{"gap byte with continuation bit", frame(2, 0x02, 0x81, 0x01, 0x00, 0x00), ""},
+		{"three-byte delta", frame(2, 0x80, 0x80, 0x01, 0x00, 0x00, 0x00), ""},
+		{"record cut mid-delta", frame(2, 0x02, 0x00, 0x80),
+			"trace: malformed trace file: truncated branch delta at byte offset 9 (event 1 of 2): unexpected EOF"},
+	}
+}
+
+// TestWalkerEdgeCases checks each edge payload: DecodeFrameAppend agrees
+// with DecodeFrame, and a rejection carries the pinned diagnostic, from
+// DecodeFrameAppend and ValidateFrame alike.
+func TestWalkerEdgeCases(t *testing.T) {
+	for _, tc := range walkerEdgeCases() {
+		want, wantErr := DecodeFrame(tc.payload)
+		got, gotErr := DecodeFrameAppend(tc.payload, nil)
+		_, valErr := ValidateFrame(tc.payload)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Errorf("%s: DecodeFrame err=%v, DecodeFrameAppend err=%v", tc.name, wantErr, gotErr)
+			continue
+		}
+		if gotErr == nil {
+			if tc.err != "" {
+				t.Errorf("%s: accepted, want %q", tc.name, tc.err)
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s: %d events, DecodeFrame %d", tc.name, len(got), len(want))
+				continue
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s: event %d: %+v != %+v", tc.name, i, got[i], want[i])
+				}
+			}
+			continue
+		}
+		if gotErr.Error() != tc.err {
+			t.Errorf("%s: DecodeFrameAppend error\n  %v\nwant\n  %s", tc.name, gotErr, tc.err)
+		}
+		if valErr == nil || valErr.Error() != tc.err {
+			t.Errorf("%s: ValidateFrame error\n  %v\nwant\n  %s", tc.name, valErr, tc.err)
+		}
+	}
+}

@@ -79,6 +79,9 @@ func FuzzDecodeFrameAppend(f *testing.F) {
 	f.Add(append(append([]byte{}, valid...), 0))
 	f.Add([]byte("RSPT"))
 	f.Add([]byte{})
+	for _, tc := range walkerEdgeCases() {
+		f.Add(tc.payload)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := DecodeFrame(data)

@@ -48,6 +48,9 @@ func FuzzValidateFrame(f *testing.F) {
 	f.Add(valid[:len(valid)-1])
 	f.Add(append(append([]byte{}, valid...), 0))
 	f.Add([]byte{})
+	for _, tc := range walkerEdgeCases() {
+		f.Add(tc.payload)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := DecodeFrameAppend(data, nil)

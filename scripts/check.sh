@@ -377,7 +377,8 @@ echo "==> cross-node span chain (reactivespec -require-chain spans)"
     "$SMOKE_DIR/spans-loadgen.jsonl" >"$SMOKE_DIR/spans-failover-report.txt"
 
 # A short fuzz run of every decoder that reads bytes off a wire: the four
-# hello/ack decoders (stream and replication), session frames, RLE decision payloads, shipped
+# hello/ack decoders (stream and replication), session frames, RLE decision
+# payloads and the choice between the two decision frame forms, shipped
 # replication records, and the one trace frame walker — DecodeFrameAppend,
 # the only decoder every ingest path runs, and ValidateFrame beside it —
 # and of the decoders that read bytes back from disk: snapshot restore,
@@ -392,7 +393,7 @@ while read -r pkg targets; do
         go test -run='^$' -fuzz="^$target\$" -fuzztime=5s "$pkg" </dev/null
     done
 done <<'FUZZ'
-./internal/trace FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecodeReplRecord FuzzDecodeFrameAppend FuzzValidateFrame
+./internal/trace FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecisionsFrame FuzzDecodeReplRecord FuzzDecodeFrameAppend FuzzValidateFrame
 ./internal/server FuzzRestoreEntries FuzzTableIndex
 ./internal/cache FuzzDirectory
 ./internal/core FuzzController FuzzValueMatchesBranch
