@@ -269,10 +269,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if !rec.SnapshotRestored && *snapshotDir != "" {
 		logf("no snapshot under %s; starting fresh", *snapshotDir)
 	}
-	if wlog != nil {
-		logf("wal: replayed %d records (%d events); next seq %d",
-			rec.ReplayedRecords, rec.ReplayedEvents, wlog.NextSeq())
-	}
 
 	// Replication starts only after recovery: the WAL's numbering is final
 	// by now (AlignSeq has run), so both the shipper's retained range and

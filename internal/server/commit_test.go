@@ -162,42 +162,65 @@ func TestIngestTransportsShareStageVocabulary(t *testing.T) {
 }
 
 // TestRecoverRejectsInvalidMidLogFrame pins that replay validates every
-// record before applying it: a checksummed record whose frame does not parse,
-// in a segment that is not the log's last, fails recovery as a malformed
-// segment instead of reaching the table.
+// record before applying it: a checksummed record whose frame does not parse
+// fails recovery as a malformed segment instead of reaching the table. It
+// does so in a segment that is not the log's last and in the final segment,
+// where the record must not pass for a torn tail: Open keeps it and the
+// acknowledged records after it.
 func TestRecoverRejectsInvalidMidLogFrame(t *testing.T) {
-	dir := t.TempDir()
-	opts := wal.Options{Dir: dir, ParamsHash: ParamsHash(testParams()), SegmentBytes: 1 << 10}
-	l, err := wal.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := trace.EncodeFrameAppend(nil, synthEvents(50, 1))
-	if _, err := l.AppendPayload("gzip", good); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendPayload("gzip", []byte("not a trace frame")); err != nil {
-		t.Fatal(err)
-	}
-	// Enough good records after it to rotate past the bad one's segment.
-	for i := 0; i < 20; i++ {
-		if _, err := l.AppendPayload("gzip", good); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name         string
+		segmentBytes int64
+	}{
+		// Enough good records after it to rotate past the bad one's segment.
+		{"mid-log", 1 << 10},
+		// Everything in one segment.
+		{"final-segment", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := wal.Options{Dir: dir, ParamsHash: ParamsHash(testParams()),
+				SegmentBytes: tc.segmentBytes, Policy: wal.SyncAlways}
+			l, err := wal.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := trace.EncodeFrameAppend(nil, synthEvents(50, 1))
+			for i, frame := range [][]byte{good, []byte("not a trace frame")} {
+				if _, err := l.AppendPayload("gzip", frame); err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				if _, err := l.AppendPayload("gzip", good); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	l, err = wal.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	s := New(Config{Params: testParams(), Shards: 4, WAL: l})
-	_, err = s.Recover()
-	if !errors.Is(err, wal.ErrBadSegment) || !strings.Contains(err.Error(), "replaying wal record 1") {
-		t.Fatalf("Recover = %v, want ErrBadSegment at record 1", err)
+			l, err = wal.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if tr := l.Recovery(); tr != nil {
+				t.Errorf("Open truncated acknowledged records: %v", tr)
+			}
+			if got := l.NextSeq(); got != 22 {
+				t.Errorf("Open kept %d records, want 22", got)
+			}
+			s := New(Config{Params: testParams(), Shards: 4, WAL: l})
+			res, err := s.Recover()
+			if !errors.Is(err, wal.ErrBadSegment) || !strings.Contains(err.Error(), "replaying wal record 1") {
+				t.Fatalf("Recover = %v after %d records replayed, want ErrBadSegment at record 1",
+					err, res.ReplayedRecords)
+			}
+		})
 	}
 }
 

@@ -52,9 +52,9 @@ func (s *Server) Recover() (RecoveryResult, error) {
 		return res, fmt.Errorf("server: aligning wal to snapshot anchor: %w", err)
 	}
 
-	// The decoding reader walks each record's frame once: a CRC-valid
-	// record whose frame does not decode fails the replay as a damaged
-	// segment.
+	// This decoding reader is the only pass that decodes the records' frames
+	// (Open checked their CRCs without decoding): a CRC-valid record whose
+	// frame does not decode fails the replay as a damaged segment.
 	r, err := wal.NewReader(wal.ReaderOptions{
 		Dir:        s.cfg.WAL.Dir(),
 		ParamsHash: s.cfg.WAL.ParamsHash(),
@@ -82,9 +82,7 @@ func (s *Server) Recover() (RecoveryResult, error) {
 	}
 	s.ins.walReplayedRecords.Add(res.ReplayedRecords)
 	s.ins.walReplayedEvents.Add(res.ReplayedEvents)
-	if res.ReplayedRecords > 0 || res.Truncation != nil {
-		s.logf("wal: replayed %d records (%d events) from sequence %d",
-			res.ReplayedRecords, res.ReplayedEvents, res.WALSeq)
-	}
+	s.logf("wal: replayed %d records (%d events) from sequence %d; next seq %d",
+		res.ReplayedRecords, res.ReplayedEvents, res.WALSeq, s.cfg.WAL.NextSeq())
 	return res, nil
 }
