@@ -23,11 +23,12 @@ import (
 
 // benchBurstyEvents generates a synthetic loop-dominated stream: bursts of
 // one branch (lengths uniform in [1, 2·meanBurst]) over a small working set,
-// so consecutive events usually hit the same shard and the same branch — the
-// case batch grouping and the last-entry cache amortize. It is not the shape
-// of the calibrated workloads: at the benchmarks' arguments (64 branches,
-// mean burst 24) 95.9% of its events repeat the previous event's branch,
-// against 3.4% of the events in stream-hot's gzip frames and 1.1% in gcc's.
+// so consecutive events usually hit the same shard and the same branch. It
+// is not the shape of the calibrated workloads: at the benchmarks' arguments
+// (64 branches, mean burst 24) 95.9% of its events repeat the previous
+// event's branch, against 3.4% of the events in stream-hot's gzip frames and
+// 1.1% in gcc's. The table keeps no cache of the last branch for it: every
+// event, repeated or not, resolves through the program's dense slots.
 // BenchmarkStreamKernels/apply is the number for the calibrated shape.
 func benchBurstyEvents(n, nbranch, meanBurst int) []trace.Event {
 	evs := make([]trace.Event, 0, n)
@@ -63,6 +64,7 @@ const (
 // op, as the branch kind (keyed by the plain program name) and as the value
 // kind (keyed by the encoded kind-program), so the pair shows what the kind
 // key costs. The key is encoded once per batch, on a path both kinds share.
+// Its 64 branches all sit in the dense slots after the first op.
 func BenchmarkTableApplyBatchKind(b *testing.B) {
 	evs := benchBurstyEvents(benchIngestEvents, 64, 24)
 	for _, kind := range []trace.Kind{trace.KindBranch, trace.KindValue} {
@@ -147,6 +149,15 @@ func BenchmarkTableApplyFrameFleet(b *testing.B) {
 	for _, m := range t.Metrics() {
 		entries += int(m.Entries)
 	}
+	var hits, total int
+	for i, fr := range frames {
+		evs, err := trace.DecodeFrameAppend(fr.payload, evs[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, n := denseHits(t, keys[i], evs)
+		hits, total = hits+h, total+n
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -155,6 +166,19 @@ func BenchmarkTableApplyFrameFleet(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frameEvents), "ns/event")
 	b.ReportMetric(float64(entries), "entries")
+	b.ReportMetric(100*float64(hits)/float64(total), "dense%")
+}
+
+// denseHits counts the events of evs whose entries program's dense slots
+// hold, so applying them takes no flat-index probe; it returns that count
+// and len(evs).
+func denseHits(t *server.Table, program string, evs []trace.Event) (hits, n int) {
+	for _, ev := range evs {
+		if t.DenseSlotted(program, ev.Branch) {
+			hits++
+		}
+	}
+	return hits, len(evs)
 }
 
 // streamKernelFrames is one stream-hot session's input: a benchmark's eval
@@ -207,10 +231,14 @@ func buildStreamKernelFrames(b *testing.B) []streamKernelFrames {
 //   - decode: trace.DecodeFrameAppend, the frame walker;
 //   - apply: the table apply on a warmed 16-shard table (every frame
 //     applied twice before timing, so the timed loop creates no entry);
+//   - apply-sparse: apply on the same frames with every branch ID
+//     scattered over the full uint32 range, so nearly every event misses
+//     the table's dense slots and takes the flat-index probe;
 //   - respond: trace.AppendDecisionsFrame over the decisions the warmed
 //     table answers for each frame.
 //
-// Each reports ns/event; respond also reports the wire bytes per event.
+// Each reports ns/event; the apply kernels also report the share of events
+// the dense slots served, and respond the wire bytes per event.
 func BenchmarkStreamKernels(b *testing.B) {
 	sessions := buildStreamKernelFrames(b)
 	for _, s := range sessions {
@@ -232,33 +260,55 @@ func BenchmarkStreamKernels(b *testing.B) {
 			b.StopTimer()
 			perEvent(b)
 		})
-		// warm runs every frame through a fresh daemon-shaped table twice
-		// and returns it with the instruction count reached and the second
-		// pass's decisions per frame.
-		warm := func() (*server.Table, uint64, [][]byte) {
+		// warm runs every frame of frames through a fresh daemon-shaped
+		// table twice and returns it with the instruction count reached
+		// and the second pass's decisions per frame.
+		warm := func(frames [][]trace.Event) (*server.Table, uint64, [][]byte) {
 			t := server.NewTable(core.DefaultParams().Scaled(10), 16)
 			var instr uint64
 			decs := make([][]byte, nf)
 			for pass := 0; pass < 2; pass++ {
-				for f, evs := range s.events {
+				for f, evs := range frames {
 					decs[f], instr = t.ApplyBatchKind(s.program, trace.KindBranch, evs, instr, decs[f][:0])
 				}
 			}
 			return t, instr, decs
 		}
-		b.Run("apply/"+s.program, func(b *testing.B) {
-			t, instr, _ := warm()
-			dst := make([]byte, 0, frameEvents)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst, instr = t.ApplyBatchKind(s.program, trace.KindBranch, s.events[i%nf], instr, dst[:0])
+		// The scattered frames multiply every ID by a fixed odd constant,
+		// a bijection on uint32: the branches stay apart, so every
+		// decision is the same, but only ID 0 stays below the dense bound.
+		sparse := make([][]trace.Event, nf)
+		for f, evs := range s.events {
+			sparse[f] = make([]trace.Event, len(evs))
+			for i, ev := range evs {
+				ev.Branch *= 0x9e3779b1
+				sparse[f][i] = ev
 			}
-			b.StopTimer()
-			perEvent(b)
-		})
+		}
+		for _, k := range []struct {
+			name   string
+			frames [][]trace.Event
+		}{{"apply/", s.events}, {"apply-sparse/", sparse}} {
+			b.Run(k.name+s.program, func(b *testing.B) {
+				t, instr, _ := warm(k.frames)
+				var hits, total int
+				for _, evs := range k.frames {
+					h, n := denseHits(t, s.program, evs)
+					hits, total = hits+h, total+n
+				}
+				dst := make([]byte, 0, frameEvents)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst, instr = t.ApplyBatchKind(s.program, trace.KindBranch, k.frames[i%nf], instr, dst[:0])
+				}
+				b.StopTimer()
+				perEvent(b)
+				b.ReportMetric(100*float64(hits)/float64(total), "dense%")
+			})
+		}
 		b.Run("respond/"+s.program, func(b *testing.B) {
-			_, _, decs := warm()
+			_, _, decs := warm(s.events)
 			var wire, scratch []byte
 			wireBytes := 0
 			b.ReportAllocs()

@@ -26,7 +26,7 @@ func applyAllBatched(t *Table, program string, evs []trace.Event, instr *uint64,
 
 // runHeavyEvents is a trace of long single-branch runs over a few branches:
 // 500 events of each branch in turn, so most consecutive events share a
-// branch and take the last-entry cache.
+// branch.
 func runHeavyEvents(n int) []trace.Event {
 	evs := make([]trace.Event, 0, n)
 	for i := 0; len(evs) < n; i++ {
@@ -90,8 +90,8 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	}
 }
 
-// TestApplyBatchTightLoop exercises the last-entry cache: long runs of a
-// single branch must still match the per-event reference exactly.
+// TestApplyBatchTightLoop: long runs of a single branch must match the
+// per-event reference exactly.
 func TestApplyBatchTightLoop(t *testing.T) {
 	evs := make([]trace.Event, 0, 40_000)
 	state := uint64(3)

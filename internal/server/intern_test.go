@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,8 +130,9 @@ func TestSnapshotIndependentOfInternOrder(t *testing.T) {
 	}
 }
 
-// TestDecideUnknownCreatesNothing: the read path never interns a program or
-// creates an entry, whether the program or only the branch is unknown.
+// TestDecideUnknownCreatesNothing: the read path never interns a program,
+// creates an entry or fills a dense slot, whether the program or only the
+// branch is unknown, or the branch is known but not yet slotted.
 func TestDecideUnknownCreatesNothing(t *testing.T) {
 	tab := NewTable(testParams(), 4)
 	monitor := Decision{State: core.Monitor}
@@ -143,7 +145,7 @@ func TestDecideUnknownCreatesNothing(t *testing.T) {
 	if n := len(tab.progNames); n != 0 {
 		t.Fatalf("Decide interned %d program keys", n)
 	}
-	tab.progIDs.Range(func(key, _ any) bool {
+	tab.progs.Range(func(key, _ any) bool {
 		t.Fatalf("Decide interned %q", key)
 		return false
 	})
@@ -168,6 +170,34 @@ func TestDecideUnknownCreatesNothing(t *testing.T) {
 	}
 	if len(tab.progNames) != 1 {
 		t.Fatalf("%d program keys interned, want 1", len(tab.progNames))
+	}
+
+	// applyAll went through the flat index alone, so no branch is slotted
+	// yet; deciding known branches must not slot them, and deciding
+	// unknown ones under the dense bound must not grow the slots that
+	// one batched apply fills.
+	p, _ := tab.lookup("known")
+	denseSlots := func() []int32 {
+		p.sh.mu.RLock()
+		defer p.sh.mu.RUnlock()
+		return slices.Clone(p.dense)
+	}
+	for id := trace.BranchID(0); id < 24; id++ {
+		tab.Decide("known", id)
+	}
+	if d := denseSlots(); d != nil {
+		t.Fatalf("Decide on known branches filled %d dense slots", len(d))
+	}
+	tab.ApplyBatchKind("known", trace.KindBranch, []trace.Event{{Branch: 2, Taken: true, Gap: 1}}, instr, nil)
+	want := denseSlots()
+	if len(want) == 0 {
+		t.Fatal("a batched apply slotted no branch")
+	}
+	for _, id := range []trace.BranchID{1, 3, 40, minDenseSlots - 1, 1_000_000} {
+		tab.Decide("known", id)
+	}
+	if got := denseSlots(); !slices.Equal(got, want) {
+		t.Fatalf("Decide changed the dense slots: %v → %v", want, got)
 	}
 }
 

@@ -28,28 +28,56 @@ import (
 // entry type and the same Rule.Step. An entry is the unit's state and the
 // counters its Stats cannot derive from it, by value, stored in a
 // per-stripe slab: a stripe's flat index maps (program ID, branch) to a
-// slab index, and neither the index nor the slab holds a pointer. Program
-// keys are interned into table-local IDs once per call, so the per-event
-// probe hashes a uint64 instead of a string; snapshots still sort by
-// program name.
+// slab index, and neither the index nor the slab holds a pointer. The flat
+// index is the only owner of keys; snapshots walk it and sort by program
+// name.
+//
+// Program keys are interned once per call into a per-program record that
+// names the program's ID and stripe and holds its dense slots: an array
+// from branch ID to slab index that resolves a branch with one load, no
+// hash and no probe. Dense slots rely on a program's branch IDs being
+// dense, as the suite's static branch IDs are (0..N−1). A lookup the slots
+// miss goes to the flat index, which then slots the branch only if its ID
+// is below the program's dense bound, max(64, 4·entries) for a program with
+// that many entries; the array never grows past that bound, so sparse or
+// hostile IDs (1<<31, 0xFFFFFFFF) cost no dense memory and keep the seeded
+// probe.
 //
 // Lock discipline: a program key maps to exactly one stripe, by FNV-1a over
-// its bytes, so every unit of a program lives there and all access to a
-// stripe's entries happens under that stripe's mutex. A batch is one
-// program's events, so it takes one lock acquisition. Batches for programs
-// on different stripes proceed in parallel; a program's own batches are
+// its bytes when it is interned, so every unit of a program lives there and
+// all access to a stripe's entries, and to its programs' dense slots and
+// entry counts, happens under that stripe's mutex. A batch is one program's
+// events, so it takes one lock acquisition. Batches for programs on
+// different stripes proceed in parallel; a program's own batches are
 // already serialized by the caller (the ingest path's cursor lock), so
-// striping by branch would add no parallelism. Program IDs are read
-// lock-free, once per call; assigning a new one takes the intern lock,
+// striping by branch would add no parallelism. Program records are read
+// lock-free, once per call; interning a new one takes the intern lock,
 // never while a stripe lock is held.
 type Table struct {
 	rule   core.Rule
 	shards []tableShard
 
-	progIDs   sync.Map   // program key (string) → program ID (uint32)
+	progs     sync.Map   // program key (string) → *progRecord
 	progMu    sync.Mutex // serializes new IDs; guards progNames
 	progNames []string   // program ID → program key
 }
+
+// progRecord is one interned program key: its table-local ID and stripe,
+// fixed when it is interned, and, guarded by that stripe's lock, its entry
+// count and dense slots.
+type progRecord struct {
+	id      uint32
+	sh      *tableShard
+	entries int     // the program's entries in the stripe's slab
+	dense   []int32 // branch ID → slab index + 1; 0 = not slotted
+}
+
+// A program's dense slots never outgrow max(minDenseSlots,
+// denseSlotsPerEntry·entries).
+const (
+	minDenseSlots      = 64
+	denseSlotsPerEntry = 4
+)
 
 type tableShard struct {
 	mu      sync.RWMutex
@@ -213,7 +241,8 @@ const (
 )
 
 // shardIndex maps a program key onto its stripe: FNV-1a over the key's
-// bytes, mod the stripe count.
+// bytes, mod the stripe count. It runs once per program, when the key is
+// interned; the record names the stripe from then on.
 func (t *Table) shardIndex(program string) int {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(program); i++ {
@@ -223,42 +252,81 @@ func (t *Table) shardIndex(program string) int {
 	return int(h % uint64(len(t.shards)))
 }
 
-// lookup returns program's ID, if it has one.
-func (t *Table) lookup(program string) (uint32, bool) {
-	pid, ok := t.progIDs.Load(program)
+// lookup returns program's record, if it has one.
+func (t *Table) lookup(program string) (*progRecord, bool) {
+	p, ok := t.progs.Load(program)
 	if !ok {
-		return 0, false
+		return nil, false
 	}
-	return pid.(uint32), true
+	return p.(*progRecord), true
 }
 
-// intern returns program's ID, assigning the next one on first sight.
-func (t *Table) intern(program string) uint32 {
-	if pid, ok := t.lookup(program); ok {
-		return pid
+// intern returns program's record, assigning the next ID on first sight.
+func (t *Table) intern(program string) *progRecord {
+	if p, ok := t.lookup(program); ok {
+		return p
 	}
 	t.progMu.Lock()
 	defer t.progMu.Unlock()
-	if pid, ok := t.lookup(program); ok {
-		return pid
+	if p, ok := t.lookup(program); ok {
+		return p
 	}
 	// The caller's string may alias a reused buffer; keep a copy.
 	program = strings.Clone(program)
-	pid := uint32(len(t.progNames))
+	p := &progRecord{id: uint32(len(t.progNames)), sh: &t.shards[t.shardIndex(program)]}
 	t.progNames = append(t.progNames, program)
-	t.progIDs.Store(program, pid)
-	return pid
+	t.progs.Store(program, p)
+	return p
 }
 
-// getLocked returns the entry for key, creating it on first sight. The
-// caller holds sh.mu. The pointer is valid until the next getLocked on the
-// same shard, which may grow the slab.
-func (sh *tableShard) getLocked(key uint64) *tableEntry {
-	i, added := sh.index.getOrPut(key, int32(len(sh.entries)))
+// getLocked returns the slab index of p's entry for id, creating the entry
+// on first sight, through the flat index alone. The caller holds p's stripe
+// lock.
+func (p *progRecord) getLocked(id trace.BranchID) int32 {
+	sh := p.sh
+	i, added := sh.index.getOrPut(entryKey(p.id, id), int32(len(sh.entries)))
 	if added {
 		sh.entries = append(sh.entries, tableEntry{})
+		p.entries++
 	}
-	return &sh.entries[i]
+	return i
+}
+
+// missLocked is getLocked for a branch p's dense slots do not hold: it also
+// slots the branch when its ID is below the dense bound, growing the array
+// at least twofold but never past the bound. An existing entry costs one
+// probe; only a new one goes through getLocked. applyEvents calls it out of
+// line, so its loop stays small. The caller holds p's stripe lock.
+//
+//go:noinline
+func (p *progRecord) missLocked(id trace.BranchID) int32 {
+	i, ok := p.sh.index.get(entryKey(p.id, id))
+	if !ok {
+		i = p.getLocked(id)
+	}
+	bound := max(minDenseSlots, denseSlotsPerEntry*p.entries)
+	if uint64(id) >= uint64(bound) {
+		return i
+	}
+	if int(id) >= len(p.dense) {
+		dense := make([]int32, min(bound, max(2*len(p.dense), int(id)+1)))
+		copy(dense, p.dense)
+		p.dense = dense
+	}
+	p.dense[id] = i + 1
+	return i
+}
+
+// findLocked returns the slab index of p's entry for id, if it has one,
+// from the dense slots or else the flat index; it creates and slots
+// nothing. The caller holds p's stripe lock in either mode.
+func (p *progRecord) findLocked(id trace.BranchID) (int32, bool) {
+	if uint64(id) < uint64(len(p.dense)) {
+		if v := p.dense[id]; v != 0 {
+			return v - 1, true
+		}
+	}
+	return p.sh.index.get(entryKey(p.id, id))
 }
 
 // applyOne advances entry e by one event whose absolute instruction count
@@ -316,40 +384,39 @@ const maxPooledEvents = 1 << 16
 
 // applyEvents is the one apply path, shared by commit, ApplyBatchKind and
 // ApplyFrame. The batch is one program's, so it lives in one stripe: it
-// takes that stripe's lock once and walks the events in order, summing the
-// gaps into each event's absolute instruction count, probing the index
-// (once per run of one branch, through a one-slot cache) and writing each
-// decision byte in place. The program key is hashed and interned once per
-// batch. The cache hits on few events of the calibrated workloads (3.4% of
-// stream-hot's gzip frames, 1.1% of gcc's) and costs nothing measurable
-// there, but it spares a loop on one branch every probe. The stripe's
-// counters are bumped per event: summing them once per batch measured no
-// faster. TestApplyBatchMatchesApply pins the decisions and stripe counters
-// bit-for-bit against applying the events one at a time.
+// interns the program key once, takes the stripe's lock once and walks the
+// events in order, summing the gaps into each event's absolute instruction
+// count, resolving each branch with one load from the program's dense
+// slots (missLocked, out of line, when they do not hold it) and writing
+// each decision byte in place. The stripe's counters are bumped per event:
+// summing them once per batch measured no faster. TestApplyBatchMatchesApply
+// and TestApplyDenseMatchesRef pin the decisions and stripe counters
+// bit-for-bit against applying the events one at a time through the flat
+// index alone.
 func (t *Table) applyEvents(program string, events []trace.Event, startInstr uint64, dst []byte) ([]byte, uint64) {
 	if len(events) == 0 {
 		return dst, startInstr
 	}
-	pid := t.intern(program)
-	sh := &t.shards[t.shardIndex(program)]
+	p := t.intern(program)
+	sh := p.sh
 	base := len(dst)
 	dst = slices.Grow(dst, len(events))[:base+len(events)]
 	out := dst[base:]
-	var (
-		lastBranch trace.BranchID
-		lastEntry  *tableEntry
-	)
 	instr := startInstr
 	sh.mu.Lock()
 	m := &sh.metrics
+	dense, entries := p.dense, sh.entries
 	for i, ev := range events {
 		instr += uint64(ev.Gap)
-		e := lastEntry
-		if e == nil || ev.Branch != lastBranch {
-			e = sh.getLocked(entryKey(pid, ev.Branch))
-			lastBranch, lastEntry = ev.Branch, e
+		var v int32
+		if uint64(ev.Branch) < uint64(len(dense)) {
+			v = dense[ev.Branch]
 		}
-		out[i] = t.applyOne(e, m, ev, instr).Encode()
+		if v == 0 {
+			v = p.missLocked(ev.Branch) + 1
+			dense, entries = p.dense, sh.entries
+		}
+		out[i] = t.applyOne(&entries[v-1], m, ev, instr).Encode()
 	}
 	sh.mu.Unlock()
 	return dst, instr
@@ -389,24 +456,38 @@ func (t *Table) ApplyFrame(program string, payload []byte, startInstr uint64, ds
 
 // Decide returns the unit's current classification without observing an
 // event. Unknown keys report the Monitor default; neither the key nor its
-// program is created. It takes only read locks, so concurrent deciders
+// program is created, and no dense slot is filled. It takes only read locks, so concurrent deciders
 // never serialize against each other — only against writers on the same
 // shard.
 func (t *Table) Decide(program string, id trace.BranchID) Decision {
-	pid, ok := t.lookup(program)
+	p, ok := t.lookup(program)
 	if !ok {
 		return Decision{State: core.Monitor}
 	}
-	sh := &t.shards[t.shardIndex(program)]
+	sh := p.sh
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	i, ok := sh.index.get(entryKey(pid, id))
+	i, ok := p.findLocked(id)
 	if !ok {
 		return Decision{State: core.Monitor}
 	}
 	u := &sh.entries[i].unit
 	dir, live := u.Speculating()
 	return Decision{State: u.State(), Dir: dir, Live: live}
+}
+
+// DenseSlotted reports whether program's entry for id is in the program's
+// dense slots, so applying an event for it takes no flat-index probe. Like
+// Decide it takes a read lock and changes nothing; the ingest benchmarks
+// use it to state the share of their events the dense slots serve.
+func (t *Table) DenseSlotted(program string, id trace.BranchID) bool {
+	p, ok := t.lookup(program)
+	if !ok {
+		return false
+	}
+	p.sh.mu.RLock()
+	defer p.sh.mu.RUnlock()
+	return uint64(id) < uint64(len(p.dense)) && p.dense[id] != 0
 }
 
 // DecideKind is Decide with an explicit speculation kind.
@@ -495,18 +576,15 @@ func (t *Table) RestoreEntries(entries []EntrySnapshot) error {
 				ErrSnapshotMismatch, i, entries[i].Program, entries[i].Branch, err)
 		}
 	}
-	var (
-		program string
-		pid     uint32
-		sh      *tableShard
-	)
+	var p *progRecord
 	for i, es := range entries {
-		// Snapshots come sorted by program: intern and hash each once.
-		if i == 0 || es.Program != program {
-			program, pid, sh = es.Program, t.intern(es.Program), &t.shards[t.shardIndex(es.Program)]
+		// Snapshots come sorted by program: intern each once.
+		if i == 0 || es.Program != entries[i-1].Program {
+			p = t.intern(es.Program)
 		}
+		sh := p.sh
 		sh.mu.Lock()
-		e := sh.getLocked(entryKey(pid, es.Branch))
+		e := &sh.entries[p.missLocked(es.Branch)]
 		if err := e.unit.Import(es.State); err != nil {
 			panic("server: RestoreEntries: checked entry failed Import: " + err.Error())
 		}

@@ -41,13 +41,13 @@ func synthEvents(n int, seed uint64) []trace.Event {
 
 // applyRef is the per-event reference the batching pins compare against:
 // one event under its program's stripe lock at absolute instruction count
-// instr, with no batch loop in between.
+// instr, with no batch loop in between, found through the flat index alone.
 func applyRef(t *Table, program string, ev trace.Event, instr uint64) Decision {
-	pid := t.intern(program)
+	p := t.intern(program)
 	sh := &t.shards[t.shardIndex(program)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return t.applyOne(sh.getLocked(entryKey(pid, ev.Branch)), &sh.metrics, ev, instr)
+	return t.applyOne(&sh.entries[p.getLocked(ev.Branch)], &sh.metrics, ev, instr)
 }
 
 // applyAll drives events through the table one at a time with applyRef,

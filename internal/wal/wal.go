@@ -708,7 +708,12 @@ func SyncDir(dir string) error {
 
 // finishSegmentLocked flushes, fsyncs and closes the active segment. Every
 // completed segment is durable regardless of sync policy — that is what
-// confines torn tails to the final segment.
+// confines torn tails to the final segment. The sync runs even when nothing
+// was appended since Open: Open sets durableSeq to nextSeq, claiming the
+// recovered tail is on stable storage, but after a process crash under the
+// interval or never policy that tail may live only in the page cache, and
+// dirty stays false until an append. On a shutdown with no ingest, this
+// sync is what makes Open's claim true.
 func (l *Log) finishSegmentLocked() error {
 	if l.f == nil {
 		return nil

@@ -397,7 +397,7 @@ while read -r pkg targets; do
     done
 done <<'FUZZ'
 ./internal/trace FuzzStreamHandshake FuzzSessionFrame FuzzDecisionsRLE FuzzDecisionsFrame FuzzDecodeReplRecord FuzzDecodeFrameAppend FuzzValidateFrame
-./internal/server FuzzRestoreEntries FuzzTableIndex
+./internal/server FuzzRestoreEntries FuzzTableIndex FuzzApplyMatchesRef
 ./internal/cache FuzzDirectory
 ./internal/core FuzzController FuzzValueMatchesBranch
 ./internal/wal FuzzSegmentRecords FuzzOpenSegment
